@@ -1,98 +1,40 @@
 #!/usr/bin/env bash
-# One driver for CI's stdout-determinism steps.
+# Runs the full experiments suite once per leg and compares each leg's
+# stdout, byte for byte, against the committed golden.
 #
-#   ci/determinism.sh <name> <kind> [experiment ids...] [-- <leg>...]
+#   ci/determinism.sh <leg>...
 #
-# Captures the experiments binary's stdout/stderr under a matrix of legs,
-# then hands every capture to `ci/validate.py <kind>`. Each leg is
+# Each leg is
 #
-#   <tag>[,VAR=VALUE...]:<extra flags>
+#   <tag>[,VAR=VALUE...]:<flags>
 #
-# and its captures land in <name>_<tag>.out / <name>_<tag>.err. Without
-# explicit legs the standard matrix runs: --jobs 1/4/8, --jobs 4
-# --no-result-cache, --jobs 4 --result-cache-policy lru. The 'diskcache'
-# validator kind receives stdout:stderr pairs; every other kind receives
-# the stdout captures in leg order.
-#
-# Environment knobs:
-#   DETERMINISM_BIN          binary to drive (default ./target/release/experiments)
-#   DETERMINISM_EXTRA_LEGS   extra leg specs appended to the matrix,
-#                            separated by ';'
-#   DETERMINISM_SEED_REPLAY=1  additionally require that --seed 7 replays
-#                            byte-identically across two fresh processes
-#                            AND changes stdout versus the first leg
+# e.g. "j4:--jobs 4" or "off_j1,REACH_SIMD=off:--jobs 1". A leg's captures
+# land in <tag>.out / <tag>.err in the working directory. Every leg runs;
+# each one whose stdout differs from the golden is named on stderr and the
+# script exits 1.
 set -euo pipefail
 
-if [[ $# -lt 2 ]]; then
-  echo "usage: ci/determinism.sh <name> <kind> [experiment ids...] [-- <leg>...]" >&2
+golden=tests/golden/experiments_stdout.txt
+
+if [[ $# -eq 0 ]]; then
+  echo "usage: ci/determinism.sh <tag>[,VAR=VALUE...]:<flags>..." >&2
   exit 2
 fi
 
-name=$1
-kind=$2
-shift 2
-
-ids=()
-while [[ $# -gt 0 && $1 != "--" ]]; do
-  ids+=("$1")
-  shift
-done
-[[ $# -gt 0 ]] && shift # drop the "--"
-
-legs=("$@")
-if [[ ${#legs[@]} -eq 0 ]]; then
-  legs=(
-    "j1:--jobs 1"
-    "j4:--jobs 4"
-    "j8:--jobs 8"
-    "nocache:--jobs 4 --no-result-cache"
-    "lru:--jobs 4 --result-cache-policy lru"
-  )
-fi
-if [[ -n ${DETERMINISM_EXTRA_LEGS:-} ]]; then
-  IFS=';' read -r -a extra <<<"$DETERMINISM_EXTRA_LEGS"
-  legs+=("${extra[@]}")
-fi
-
-bin=${DETERMINISM_BIN:-./target/release/experiments}
-
-run_leg() { # run_leg <out> <err> <env-csv> <flags...>
-  local out=$1 err=$2 envs=$3
-  shift 3
-  local assignments=()
-  if [[ -n $envs ]]; then
-    IFS=',' read -r -a assignments <<<"$envs"
-  fi
-  env "${assignments[@]}" "$bin" "${ids[@]}" "$@" >"$out" 2>"$err"
-}
-
-captures=()
-for leg in "${legs[@]}"; do
+failed=0
+for leg in "$@"; do
   spec=${leg%%:*}
   flags=${leg#*:}
   tag=${spec%%,*}
-  envs=""
-  [[ $spec == *,* ]] && envs=${spec#*,}
-  out="${name}_${tag}.out"
-  err="${name}_${tag}.err"
-  # shellcheck disable=SC2086 — leg flags are intentionally word-split.
-  run_leg "$out" "$err" "$envs" $flags
-  if [[ $kind == diskcache ]]; then
-    captures+=("$out:$err")
+  envs=()
+  [[ $spec == *,* ]] && IFS=',' read -r -a envs <<<"${spec#*,}"
+  # shellcheck disable=SC2086 # leg flags are intentionally word-split.
+  env "${envs[@]}" ./target/release/experiments $flags >"$tag.out" 2>"$tag.err"
+  if cmp -s "$golden" "$tag.out"; then
+    echo "$tag: stdout matches $golden"
   else
-    captures+=("$out")
+    echo "determinism.sh: leg '$leg' differs from $golden" >&2
+    failed=1
   fi
 done
-
-python3 ci/validate.py "$kind" "${captures[@]}"
-
-if [[ ${DETERMINISM_SEED_REPLAY:-0} == 1 ]]; then
-  "$bin" "${ids[@]}" --seed 7 >"${name}_s7a.out" 2>/dev/null
-  "$bin" "${ids[@]}" --seed 7 >"${name}_s7b.out" 2>/dev/null
-  cmp "${name}_s7a.out" "${name}_s7b.out"
-  first=${captures[0]%%:*}
-  if cmp -s "$first" "${name}_s7a.out"; then
-    echo "determinism.sh: --seed 7 did not change the ${name} capture" >&2
-    exit 1
-  fi
-fi
+exit "$failed"

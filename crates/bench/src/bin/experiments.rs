@@ -5,7 +5,7 @@
 //! cargo run -p reach-bench --bin experiments --release -- fig13  # one id
 //! cargo run -p reach-bench --bin experiments --release -- --jobs 4
 //! cargo run -p reach-bench --bin experiments --release -- \
-//!     fig13 --metrics metrics.json --bench-out BENCH_PR2.json
+//!     fig13 --metrics metrics.json
 //! ```
 //!
 //! `--jobs N` fans each experiment's scenarios across `N` threads via
@@ -31,13 +31,15 @@
 //! seed always reproduces the same stdout bytes.
 //!
 //! `--metrics PATH` writes every executed scenario's machine telemetry
-//! (queue depths, occupancy, link traffic) as `reach-run-metrics-v1` JSON;
-//! `--bench-out PATH` writes per-experiment wall-clock and headline
-//! throughput numbers as `reach-bench-v1` JSON. Both go to files, never to
-//! stdout, so the determinism contract above holds.
+//! (queue depths, occupancy, link traffic) as `reach-run-metrics-v1` JSON
+//! to a file, never to stdout, so the determinism contract above holds.
+//!
+//! CI runs the full suite under every `--jobs`, cache and kernel setting
+//! it supports and compares stdout against the committed golden
+//! `tests/golden/experiments_stdout.txt` (see `ci/determinism.sh`).
 
-use reach_bench::runner::{CountingExecutor, RecordingExecutor};
-use reach_bench::{BenchEntry, ExperimentsArgs};
+use reach_bench::runner::RecordingExecutor;
+use reach_bench::ExperimentsArgs;
 use reach_sim::{MetricValue, MetricsSnapshot};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -66,7 +68,6 @@ fn main() -> ExitCode {
     parsed.common.apply_seed();
     let jobs = parsed.common.jobs;
     let metrics_path = parsed.metrics.clone();
-    let bench_path = parsed.bench_out.clone();
 
     if parsed.list {
         for (name, _) in &renderers {
@@ -105,17 +106,15 @@ fn main() -> ExitCode {
     // tests/runner_determinism.rs), only the wall clock.
     let runner = parsed.common.runner();
     let recording = RecordingExecutor::new(&runner);
-    let executor = CountingExecutor::new(&recording);
 
     let started = Instant::now();
-    let mut entries: Vec<BenchEntry> = Vec::new();
     let mut captured = Vec::new();
     for (i, (id, render)) in selected.iter().enumerate() {
         if i > 0 {
             println!();
         }
         let exp_started = Instant::now();
-        print!("{}", render(&executor));
+        print!("{}", render(&recording));
         let wall_s = exp_started.elapsed().as_secs_f64();
         let scenarios = recording.drain();
         // Engine load per experiment — stderr only, so stdout stays
@@ -133,16 +132,11 @@ fn main() -> ExitCode {
             "  {id}: {events} event(s), {:.0} event/s, peak queue depth {peak_depth}",
             events as f64 / wall_s.max(1e-9)
         );
-        captured.extend(scenarios.iter().cloned());
-        entries.push(BenchEntry {
-            id: (*id).to_string(),
-            wall_s,
-            scenarios,
-        });
+        captured.extend(scenarios);
     }
     eprintln!(
         "ran {} scenario(s) across {} experiment(s) with {} job(s) in {:.2}s",
-        executor.scenarios_run(),
+        captured.len(),
         selected.len(),
         jobs,
         started.elapsed().as_secs_f64()
@@ -203,14 +197,6 @@ fn main() -> ExitCode {
             "wrote telemetry for {} scenario(s) to {path}",
             captured.len()
         );
-    }
-    if let Some(path) = bench_path {
-        let doc = reach_bench::bench_report_json(&entries);
-        if let Err(e) = std::fs::write(&path, doc) {
-            eprintln!("failed to write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote benchmark report to {path}");
     }
     ExitCode::SUCCESS
 }

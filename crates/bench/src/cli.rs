@@ -139,8 +139,6 @@ pub struct ExperimentsArgs {
     pub common: CommonRunnerArgs,
     /// Telemetry JSON output path (`--metrics PATH`).
     pub metrics: Option<String>,
-    /// Benchmark-report JSON output path (`--bench-out PATH`).
-    pub bench_out: Option<String>,
     /// Print the known experiment ids and exit (`--list`).
     pub list: bool,
     /// Experiment ids to run (empty means all).
@@ -181,10 +179,6 @@ impl ExperimentsArgs {
                     Some(p) => out.metrics = Some(p.clone()),
                     None => return Err(ParseArgsError("--metrics needs a file path".into())),
                 },
-                "--bench-out" => match it.next() {
-                    Some(p) => out.bench_out = Some(p.clone()),
-                    None => return Err(ParseArgsError("--bench-out needs a file path".into())),
-                },
                 "--list" => out.list = true,
                 other => out.ids.push(other.to_string()),
             }
@@ -218,15 +212,12 @@ mod tests {
             "4",
             "--metrics",
             "m.json",
-            "--bench-out",
-            "b.json",
             "--no-result-cache",
             "table1",
         ])
         .unwrap();
         assert_eq!(a.common.jobs, 4);
         assert_eq!(a.metrics.as_deref(), Some("m.json"));
-        assert_eq!(a.bench_out.as_deref(), Some("b.json"));
         assert!(a.common.no_result_cache);
         assert_eq!(a.ids, ["fig13", "table1"]);
     }
@@ -259,7 +250,6 @@ mod tests {
         assert!(parse(&["--jobs", "many"]).is_err());
         assert!(parse(&["--jobs", "-1"]).is_err());
         assert!(parse(&["--metrics"]).is_err());
-        assert!(parse(&["--bench-out"]).is_err());
     }
 
     #[test]

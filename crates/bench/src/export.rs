@@ -1,4 +1,4 @@
-//! Metrics and benchmark exporters for the harness binaries.
+//! Metrics exporters for the harness binaries.
 //!
 //! Hand-rolled JSON in the same no-dependency style as the Chrome trace
 //! serializer and [`reach_sim::MetricsSnapshot::to_json`]: name-ordered
@@ -86,59 +86,6 @@ pub fn run_metrics_json(
     out
 }
 
-/// One benchmark entry: an experiment id, its wall-clock time, and the
-/// scenarios it ran.
-#[derive(Clone, Debug)]
-pub struct BenchEntry {
-    /// Experiment id (e.g. `"fig13"`).
-    pub id: String,
-    /// Host wall-clock seconds spent rendering the experiment.
-    pub wall_s: f64,
-    /// Scenarios the experiment executed, in capture order.
-    pub scenarios: Vec<CapturedScenario>,
-}
-
-/// Serializes benchmark entries as `reach-bench-v1` JSON: wall-clock per
-/// experiment plus each scenario's headline throughput numbers (without
-/// the full telemetry snapshots — those go to the metrics export).
-#[must_use]
-pub fn bench_report_json(entries: &[BenchEntry]) -> String {
-    let mut out = String::from("{\n  \"schema\": \"reach-bench-v1\",\n  \"experiments\": [");
-    for (i, e) in entries.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n    {{\n      \"id\": \"{}\",\n      \"wall_s\": {:.3},\n      \"scenarios\": [",
-            escape(&e.id),
-            e.wall_s
-        );
-        for (j, s) in e.scenarios.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n        {{\"label\": \"{}\", \"makespan_ps\": {}, \"jobs\": {}, \
-                 \"throughput_jobs_per_sec\": {:.6}, \"energy_j\": {:.6}}}",
-                escape(&s.label),
-                s.makespan_ps,
-                s.jobs,
-                s.throughput_jobs_per_sec(),
-                s.energy_j
-            );
-        }
-        if e.scenarios.is_empty() {
-            out.push_str("]\n    }");
-        } else {
-            out.push_str("\n      ]\n    }");
-        }
-    }
-    out.push_str("\n  ]\n}\n");
-    out
-}
-
 /// Turns a scenario label into a safe file stem: path separators and other
 /// non-alphanumeric characters become `-`.
 #[must_use]
@@ -180,27 +127,6 @@ mod tests {
         assert!(doc.contains("\"gam.dispatches\": {\"kind\":\"counter\",\"value\":7}"));
         // 4 jobs over 2 simulated seconds.
         assert!(doc.contains("\"throughput_jobs_per_sec\": 2.000000"));
-    }
-
-    #[test]
-    fn bench_json_lists_experiments() {
-        let entries = vec![
-            BenchEntry {
-                id: "fig12".into(),
-                wall_s: 1.25,
-                scenarios: vec![captured("fig12/on-chip")],
-            },
-            BenchEntry {
-                id: "table1".into(),
-                wall_s: 0.0,
-                scenarios: vec![],
-            },
-        ];
-        let doc = bench_report_json(&entries);
-        assert!(doc.contains("\"schema\": \"reach-bench-v1\""));
-        assert!(doc.contains("\"id\": \"fig12\""));
-        assert!(doc.contains("\"wall_s\": 1.250"));
-        assert!(doc.contains("\"scenarios\": []"));
     }
 
     #[test]

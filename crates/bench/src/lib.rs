@@ -23,9 +23,7 @@ pub mod sweep;
 pub use cache::{CacheStats, EvictionPolicy, ResultCache};
 pub use cli::{CommonRunnerArgs, ExperimentsArgs};
 pub use diskcache::{DiskCache, DiskCacheStats};
-pub use export::{
-    bench_report_json, label_file_stem, run_metrics_json, scenario_metrics_json, BenchEntry,
-};
+pub use export::{label_file_stem, run_metrics_json, scenario_metrics_json};
 pub use runner::{CapturedScenario, RecordingExecutor, ScenarioRunner};
 
 use reach::{ScenarioExecutor, SystemComponent};
@@ -460,8 +458,7 @@ pub fn render_extension_fleet(executor: &dyn ScenarioExecutor) -> String {
 /// Renders the graph-analytics extension experiment: BFS and PageRank as
 /// pipelines over the hierarchy, swept across placements and graph scales.
 /// The printed frontier sizes and residuals come from the host-side
-/// reference traversal — the correctness witness `ci/validate.py graph`
-/// re-checks from this stdout.
+/// reference traversal, so this stdout doubles as a correctness witness.
 #[must_use]
 pub fn render_extension_graph(executor: &dyn ScenarioExecutor) -> String {
     use reach_graph::scenarios::{GRAPH_DEGREE, GRAPH_SCALES};

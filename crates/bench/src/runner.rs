@@ -440,46 +440,6 @@ impl ScenarioExecutor for ScenarioRunner {
     }
 }
 
-/// Wraps an executor and counts how many scenarios pass through it —
-/// the `experiments` binary uses this for its wall-clock summary.
-pub struct CountingExecutor<'a> {
-    inner: &'a dyn ScenarioExecutor,
-    count: AtomicUsize,
-}
-
-impl<'a> CountingExecutor<'a> {
-    /// Counts scenarios delegated to `inner`.
-    #[must_use]
-    pub fn new(inner: &'a dyn ScenarioExecutor) -> Self {
-        CountingExecutor {
-            inner,
-            count: AtomicUsize::new(0),
-        }
-    }
-
-    /// Scenarios executed so far.
-    #[must_use]
-    pub fn scenarios_run(&self) -> usize {
-        self.count.load(Ordering::Relaxed)
-    }
-}
-
-impl ScenarioExecutor for CountingExecutor<'_> {
-    fn run_all(&self, scenarios: Vec<Box<dyn Scenario>>) -> Vec<ScenarioResult> {
-        self.count.fetch_add(scenarios.len(), Ordering::Relaxed);
-        self.inner.run_all(scenarios)
-    }
-
-    // Forward instead of taking the trait default: the default would
-    // expand fleets through *this* wrapper's `run_all`, bypassing the
-    // inner executor's fleet-level result caching. Counts each fleet as
-    // one scenario (a cached fleet expands no shards at all).
-    fn run_fleets(&self, fleets: Vec<Box<dyn FleetScenario>>) -> Vec<ScenarioResult> {
-        self.count.fetch_add(fleets.len(), Ordering::Relaxed);
-        self.inner.run_fleets(fleets)
-    }
-}
-
 /// The headline numbers and telemetry snapshot of one finished scenario,
 /// captured by a [`RecordingExecutor`].
 #[derive(Clone, Debug)]
@@ -610,11 +570,37 @@ mod tests {
     }
 
     #[test]
-    fn counting_executor_counts() {
-        let runner = ScenarioRunner::new(2);
-        let counting = CountingExecutor::new(&runner);
-        let _ = counting.run_all(batch());
-        assert_eq!(counting.scenarios_run(), CbirMapping::ALL.len());
+    fn recording_captures_each_scenario_and_each_fleet_in_submission_order() {
+        use reach::fleet::ShardPlacement;
+        use reach_cbir::fleet::CbirFleetScenario;
+        let fleets = || -> Vec<Box<dyn FleetScenario>> {
+            vec![
+                Box::new(CbirFleetScenario::sharded(
+                    4,
+                    ShardPlacement::NearStorage,
+                    1,
+                )),
+                Box::new(CbirFleetScenario::sharded(2, ShardPlacement::NearMemory, 1)),
+            ]
+        };
+        let capture = |jobs| {
+            let runner = ScenarioRunner::new(jobs);
+            let recording = RecordingExecutor::new(&runner);
+            let _ = recording.run_all(batch());
+            let _ = recording.run_fleets(fleets());
+            recording
+                .drain()
+                .into_iter()
+                .map(|c| (c.label, c.makespan_ps, c.jobs, c.metrics.to_json()))
+                .collect::<Vec<_>>()
+        };
+        let sequential = capture(1);
+        let labels: Vec<&str> = sequential.iter().map(|c| c.0.as_str()).collect();
+        let mut expected: Vec<String> = batch().iter().map(|s| s.label()).collect();
+        expected.extend(fleets().iter().map(|f| f.label()));
+        // One entry per fleet, not per shard.
+        assert_eq!(labels, expected);
+        assert_eq!(sequential, capture(4), "capture stream changed with jobs");
     }
 
     fn rendered(results: &[reach::ScenarioResult]) -> String {

@@ -385,9 +385,9 @@ mod tests {
             let group: Vec<&TrafficRow> =
                 rows.iter().filter(|r| r.source == mapping.name()).collect();
             assert_eq!(group.len(), TRAFFIC_RATES_PER_SEC.len());
-            // The knee contract the CI validator re-checks from stdout:
-            // latency and rejections never improve as offered load grows,
-            // and the lowest rate is below every placement's knee.
+            // The knee contract: latency and rejections never improve as
+            // offered load grows, and the lowest rate is below every
+            // placement's knee.
             assert_eq!(group[0].rejected, 0, "{} rejects at 1 qps", mapping.name());
             for w in group.windows(2) {
                 assert!(

@@ -5,9 +5,9 @@
 //! uniform graph) at one placement and one scale, and reports the makespan
 //! plus the traversal shape — frontier sizes for BFS, per-iteration L1
 //! residuals for PageRank. The shape numbers come from the host-side
-//! reference run, so the printed rows double as a correctness witness the
-//! CI validator re-checks from stdout (frontiers positive and summing to
-//! the visited count; residuals strictly decreasing).
+//! reference run, so the printed rows double as a correctness witness
+//! (frontiers positive and summing to the visited count; residuals
+//! strictly decreasing) pinned by the committed golden stdout.
 //!
 //! Determinism contract: graphs derive from fixed seeds through
 //! [`reach_sim::rng`] streams, simulation from the event queue — every row
@@ -305,7 +305,7 @@ mod tests {
     }
 
     #[test]
-    fn sweep_rows_cover_the_grid_and_obey_the_validator_contract() {
+    fn sweep_rows_cover_the_grid_with_sound_traversal_shapes() {
         let rows = graph_sweep_with(&SequentialExecutor);
         assert_eq!(rows.len(), 2 * 3 * GRAPH_SCALES.len());
         for row in &rows {
@@ -317,6 +317,7 @@ mod tests {
                     assert_eq!(r.visited(), by_levels);
                 }
                 WorkloadShape::Pagerank { residuals } => {
+                    assert!(residuals.len() >= 2, "too few residuals in {}", row.graph);
                     for w in residuals.windows(2) {
                         assert!(w[1] < w[0], "residual rose in {}", row.graph);
                     }

@@ -64,11 +64,21 @@ fn traffic_suite_replays_through_the_result_cache() {
 
 /// The printed sweep carries its own contract in-band: per placement the
 /// rejection count never decreases with offered load, nothing is rejected
-/// at the lowest rate, and the admission ledger always balances.
+/// at the lowest rate, and every row's admission ledger balances —
+/// including the bursty/trace demo pair.
 #[test]
 fn rendered_traffic_rows_balance_and_saturate_monotonically() {
     let rows = reach_cbir::traffic::traffic_knee_with(&SequentialExecutor);
     assert_eq!(rows.len(), 4 * TRAFFIC_RATES_PER_SEC.len() + 2);
+    for row in &rows[4 * TRAFFIC_RATES_PER_SEC.len()..] {
+        assert_eq!(row.offered, TRAFFIC_OFFERED, "{}", row.source);
+        assert_eq!(
+            row.admitted + row.rejected,
+            TRAFFIC_OFFERED as u64,
+            "{}: ledger does not balance",
+            row.source
+        );
+    }
     for chunk in rows[..4 * TRAFFIC_RATES_PER_SEC.len()].chunks(TRAFFIC_RATES_PER_SEC.len()) {
         assert_eq!(
             chunk[0].rejected, 0,
