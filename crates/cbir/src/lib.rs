@@ -22,7 +22,7 @@
 
 // `deny`, not `forbid`: the one sanctioned exception is `crate::simd`,
 // whose `#[target_feature]` kernels opt back in with a module-local
-// `allow` — `ci/lint-hotpath.sh` enforces that no other module does.
+// `allow` — `tests/lint_hotpath.rs` enforces that no other module does.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -40,7 +40,7 @@
 //! can pin a path with the hidden [`force`] override.
 //!
 //! This is the only module in the workspace allowed to contain `unsafe`
-//! (enforced by `ci/lint-hotpath.sh`); every unsafe block is confined to
+//! (enforced by `tests/lint_hotpath.rs`); every unsafe block is confined to
 //! `#[target_feature]` functions reached only after feature detection.
 
 #![allow(unsafe_code)]

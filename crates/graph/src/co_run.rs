@@ -1,5 +1,5 @@
-//! The `extension-corun` experiment: CBIR traffic served while graph batch
-//! jobs run on the same hierarchy.
+//! The `extension-graph-corun` experiment: CBIR traffic served while graph
+//! batch jobs run on the same hierarchy.
 //!
 //! The GAM's reason to exist is coordinating *multiple* workloads on one
 //! reconfigurable hierarchy. This module measures what that coordination
@@ -17,12 +17,13 @@
 //! depth, so the ledgers line up row for row.
 
 use crate::csr::{GraphKind, GraphSpec};
-use crate::pipeline::{graph_pipeline, GraphPlacement, GraphRun, GraphWorkload};
+use crate::pipeline::{pagerank_pipeline, GraphPlacement};
 use crate::templates::graph_registry;
 use reach::fingerprint::ConfigFingerprint;
 use reach::traffic::ArrivalProcess;
 use reach::{
-    FnScenario, MachineBlueprint, MetricValue, RunReport, Scenario, ScenarioExecutor, SystemConfig,
+    FnScenario, MachineBlueprint, MetricValue, Pipeline, RunReport, Scenario, ScenarioExecutor,
+    SystemConfig,
 };
 use reach_cbir::pipeline::CbirStage;
 use reach_cbir::{CbirMapping, CbirPipeline, CbirWorkload};
@@ -56,22 +57,16 @@ pub const GRAPH_JOB_BASE: u64 = 512;
 /// The graph batch tenant's workload: a near-memory PageRank big enough
 /// that each iteration's gather occupies an accelerator slot for tens of
 /// milliseconds at a time — the same order as one CBIR short-list shard,
-/// so a query landing behind a graph task feels it.
-fn corun_graph_spec() -> GraphSpec {
-    GraphSpec {
+/// so a query landing behind a graph task feels it. Priced from the spec's
+/// counts: the graph itself is never built.
+fn corun_graph_pipeline() -> Pipeline {
+    let spec = GraphSpec {
         nodes: 262_144,
         avg_degree: 32,
         kind: GraphKind::Uniform,
         seed: reach_sim::rng::session_seed(),
-    }
-}
-
-fn corun_graph_run() -> GraphRun {
-    graph_pipeline(
-        &corun_graph_spec(),
-        GraphWorkload::Pagerank,
-        GraphPlacement::NearMemory,
-    )
+    };
+    pagerank_pipeline(&spec, GraphPlacement::NearMemory)
 }
 
 /// The co-run machine: the paper shape widened to 4 near-memory and 4
@@ -184,7 +179,8 @@ pub fn graph_corun_rows_with(executor: &dyn ScenarioExecutor) -> Vec<CorunRow> {
     // schedule and the session seed. Over-keying the solo points with the
     // graph pipeline costs nothing and can never under-key.
     let cbir_compiled = cbir.compile(blueprint.config(), blueprint.registry(), &CbirStage::ALL);
-    let graph_fp = corun_graph_run().pipeline.fingerprint();
+    let graph = corun_graph_pipeline();
+    let graph_fp = graph.fingerprint();
     let vouch = |tag: &str, arrival: &ArrivalProcess| {
         let mut b = FingerprintBuilder::new("reach-graph-corun-v1");
         b.write_str(tag);
@@ -227,6 +223,7 @@ pub fn graph_corun_rows_with(executor: &dyn ScenarioExecutor) -> Vec<CorunRow> {
 
         let corun_arrival = arrival.clone();
         let corun_cbir = cbir;
+        let corun_graph = graph.clone();
         scenarios.push(Box::new(
             FnScenario::new(
                 format!("corun/{rate}qps/shared"),
@@ -235,7 +232,6 @@ pub fn graph_corun_rows_with(executor: &dyn ScenarioExecutor) -> Vec<CorunRow> {
                     machine.declare_tenant("cbir", 0, GRAPH_JOB_BASE);
                     machine.declare_tenant("graph", GRAPH_JOB_BASE, 2 * GRAPH_JOB_BASE);
                     let compiled = corun_cbir.build(machine);
-                    let graph = corun_graph_run();
                     // The batch tenant submits its jobs at the query
                     // arrival instants (fully correlated phase): every
                     // serving point then measures interference by
@@ -250,7 +246,7 @@ pub fn graph_corun_rows_with(executor: &dyn ScenarioExecutor) -> Vec<CorunRow> {
                         machine.submit_at_bounded(at, job, works, CORUN_QUEUE_DEPTH);
                         for g in 0..GRAPH_JOBS_PER_ARRIVAL {
                             let id = GRAPH_JOB_BASE + (i * GRAPH_JOBS_PER_ARRIVAL + g) as u64;
-                            let (job, works) = graph.pipeline.job_for_batch(id);
+                            let (job, works) = corun_graph.job_for_batch(id);
                             machine.submit_at(at, job, works);
                         }
                     }

@@ -52,22 +52,77 @@ pub struct GraphSpec {
 }
 
 impl GraphSpec {
+    /// Node count of the graph [`GraphSpec::build`] returns — the one
+    /// definition shared with the count-priced lowering
+    /// ([`crate::pipeline::pagerank_pipeline`]).
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`GraphSpec::edge_count`].
+    #[must_use]
+    pub fn node_count(&self) -> u32 {
+        match self.kind {
+            GraphKind::Golden => GOLDEN_NODES,
+            _ => {
+                // A spec `build()` rejects has no node count either.
+                self.generated_edge_count();
+                self.nodes
+            }
+        }
+    }
+
+    /// Directed edge count of the graph [`GraphSpec::build`] returns: the
+    /// generators keep every drawn edge (duplicates included), so this is
+    /// exactly `nodes * avg_degree`.
+    ///
+    /// # Panics
+    ///
+    /// Panics for a generated kind if `nodes < 2`, `avg_degree` is zero, or
+    /// `nodes * avg_degree` exceeds `u32::MAX` (the CSR's row pointers are
+    /// `u32`).
+    #[must_use]
+    pub fn edge_count(&self) -> u64 {
+        match self.kind {
+            GraphKind::Golden => GOLDEN_EDGES.len() as u64,
+            _ => self.generated_edge_count(),
+        }
+    }
+
+    /// The validated edge count of a generated kind.
+    fn generated_edge_count(&self) -> u64 {
+        assert!(
+            self.nodes > 1 && self.avg_degree > 0,
+            "GraphSpec: degenerate graph ({} nodes, average degree {})",
+            self.nodes,
+            self.avg_degree
+        );
+        let edges = u64::from(self.nodes) * u64::from(self.avg_degree);
+        assert!(
+            edges <= u64::from(u32::MAX),
+            "GraphSpec: {} nodes x average degree {} = {edges} edges exceeds the \
+             u32 CSR limit of {}",
+            self.nodes,
+            self.avg_degree,
+            u32::MAX
+        );
+        edges
+    }
+
     /// Builds the graph this spec describes.
     ///
     /// # Panics
     ///
-    /// Panics if `nodes` or `avg_degree` is zero for a generated kind.
+    /// Same conditions as [`GraphSpec::edge_count`].
     #[must_use]
     pub fn build(&self) -> Graph {
+        let count = self.edge_count() as usize;
         match self.kind {
-            GraphKind::Uniform => Graph::from_edges(
-                self.nodes,
-                &uniform_edges(self.nodes, self.avg_degree, self.seed),
-            ),
-            GraphKind::Rmat => Graph::from_edges(
-                self.nodes,
-                &rmat_edges(self.nodes, self.avg_degree, self.seed),
-            ),
+            GraphKind::Uniform => {
+                Graph::from_edges(self.nodes, &uniform_edges(self.nodes, count, self.seed))
+            }
+            GraphKind::Rmat => {
+                Graph::from_edges(self.nodes, &rmat_edges(self.nodes, count, self.seed))
+            }
             GraphKind::Golden => Graph::golden(),
         }
     }
@@ -82,14 +137,25 @@ impl GraphSpec {
     }
 }
 
-/// The generator's raw output: a directed edge list.
-fn uniform_edges(nodes: u32, avg_degree: u32, seed: u64) -> Vec<(u32, u32)> {
-    assert!(
-        nodes > 1 && avg_degree > 0,
-        "uniform_edges: degenerate graph"
-    );
+/// Node count of [`Graph::golden`].
+const GOLDEN_NODES: u32 = 8;
+
+/// Edge list of [`Graph::golden`]: a two-level tree plus a back edge and a
+/// cross edge.
+const GOLDEN_EDGES: [(u32, u32); 8] = [
+    (0, 1),
+    (0, 2),
+    (1, 3),
+    (1, 4),
+    (2, 5),
+    (5, 6),
+    (6, 2), // back edge
+    (3, 5), // cross edge
+];
+
+/// The generator's raw output: `count` directed edges.
+fn uniform_edges(nodes: u32, count: usize, seed: u64) -> Vec<(u32, u32)> {
     let mut rng = reach_sim::rng::derived(seed, "graph-uniform");
-    let count = nodes as usize * avg_degree as usize;
     let mut edges = Vec::with_capacity(count);
     while edges.len() < count {
         let u = rng.gen_range(0..nodes);
@@ -123,11 +189,9 @@ fn rmat_edge(rng: &mut StdRng, levels: u32) -> (u32, u32) {
     (u, v)
 }
 
-fn rmat_edges(nodes: u32, avg_degree: u32, seed: u64) -> Vec<(u32, u32)> {
-    assert!(nodes > 1 && avg_degree > 0, "rmat_edges: degenerate graph");
+fn rmat_edges(nodes: u32, count: usize, seed: u64) -> Vec<(u32, u32)> {
     let mut rng = reach_sim::rng::derived(seed, "graph-rmat");
     let levels = 32 - (nodes - 1).leading_zeros().min(31);
-    let count = nodes as usize * avg_degree as usize;
     let mut edges = Vec::with_capacity(count);
     while edges.len() < count {
         let (u, v) = rmat_edge(&mut rng, levels);
@@ -208,19 +272,7 @@ impl Graph {
     /// `[0, 1, 1, 2, 2, 2, 3, unreachable]`.
     #[must_use]
     pub fn golden() -> Self {
-        Graph::from_edges(
-            8,
-            &[
-                (0, 1),
-                (0, 2),
-                (1, 3),
-                (1, 4),
-                (2, 5),
-                (5, 6),
-                (6, 2), // back edge
-                (3, 5), // cross edge
-            ],
-        )
+        Graph::from_edges(GOLDEN_NODES, &GOLDEN_EDGES)
     }
 
     /// Node count.
@@ -319,6 +371,48 @@ mod tests {
             .build();
             assert_eq!(g.edge_count(), 512 * 8, "{kind:?}");
         }
+    }
+
+    #[test]
+    fn golden_counts_ignore_the_size_fields() {
+        let spec = GraphSpec {
+            nodes: 0,
+            avg_degree: 0,
+            kind: GraphKind::Golden,
+            seed: 0,
+        };
+        assert_eq!((spec.node_count(), spec.edge_count()), (8, 8));
+        let g = spec.build();
+        assert_eq!((g.node_count(), g.edge_count()), (8, 8));
+    }
+
+    fn generated(nodes: u32, avg_degree: u32) -> GraphSpec {
+        GraphSpec {
+            nodes,
+            avg_degree,
+            kind: GraphKind::Uniform,
+            seed: 1,
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "degenerate graph (1 nodes, average degree 4)")]
+    fn single_node_spec_is_rejected() {
+        let _ = generated(1, 4).node_count();
+    }
+
+    #[test]
+    #[should_panic(expected = "degenerate graph (64 nodes, average degree 0)")]
+    fn zero_degree_spec_is_rejected() {
+        let _ = generated(64, 0).edge_count();
+    }
+
+    #[test]
+    #[should_panic(expected = "131072 nodes x average degree 65536 = 8589934592 edges exceeds")]
+    fn edge_count_past_the_u32_csr_is_rejected() {
+        // Rejected before any edge is drawn: `build` asks for the count
+        // first, so this never allocates the 64 GiB edge list.
+        let _ = generated(1 << 17, 1 << 16).build();
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! * [`csr`] — compressed-sparse-row graphs with deterministic generators
 //!   (uniform random, RMAT-skewed, and a hand-checkable golden graph);
 //! * [`algo`] — reference BFS and PageRank on the host, producing the
-//!   traversal shapes (frontier sizes, residuals) the simulated kernels
-//!   are priced from;
+//!   traversal shapes the rows print (frontier sizes, residuals) and BFS's
+//!   simulated kernels are priced from;
 //! * [`templates`] — traversal and rank-update kernel templates for each
 //!   hierarchy level, on top of the paper's Table III registry;
 //! * [`pipeline`] — the workloads as ReACH pipelines: one task per BFS
@@ -18,7 +18,7 @@
 //!   streams, with gather-shaped DRAM access and edge-list streaming at
 //!   the near-storage level;
 //! * [`scenarios`] — the `extension-graph` placement × scale sweep;
-//! * [`co_run`] — the `extension-corun` rows: CBIR open-loop traffic
+//! * [`co_run`] — the `extension-graph-corun` rows: CBIR open-loop traffic
 //!   served while graph batch jobs run, with per-tenant latency accounting
 //!   and the DDR/AIMbus contention gauges.
 
@@ -36,7 +36,7 @@ pub use algo::{bfs_levels, pagerank, BfsResult, PagerankResult, PAGERANK_DAMPING
 pub use co_run::{graph_corun_rows_with, CorunRow};
 pub use csr::{Graph, GraphKind, GraphSpec};
 pub use pipeline::{
-    graph_pipeline, GraphPlacement, GraphRun, GraphWorkload, WorkloadShape, EDGE_BYTES,
+    pagerank_pipeline, GraphPlacement, GraphWorkload, Traversal, WorkloadShape, EDGE_BYTES,
     PAGERANK_ITERATIONS,
 };
 pub use scenarios::{graph_sweep_with, GraphRow, GraphScenario};

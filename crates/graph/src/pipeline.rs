@@ -2,11 +2,14 @@
 //!
 //! A BFS run becomes one task per frontier level, chained through
 //! same-level frontier streams; a PageRank run becomes one task per
-//! iteration, chained through rank-vector streams. The work descriptor of
-//! each task comes from the *actual* host-side traversal
-//! ([`crate::algo`]): the edges each frontier scanned, the rank entries
-//! each iteration touched. Placement decides the access shape the
-//! simulator prices:
+//! iteration, chained through rank-vector streams. Building a pipeline is
+//! two steps: a host [`Traversal`] (generate the graph, run the algorithm
+//! of [`crate::algo`]) and a pure lowering of its shape and counts. A BFS
+//! task's work comes from the edges its real frontier scanned; a PageRank
+//! iteration touches every edge record and rank entry whatever the edges
+//! are, so [`pagerank_pipeline`] prices it from the spec's counts without
+//! building the graph. Placement decides the access shape the simulator
+//! prices:
 //!
 //! * **DRAM levels (on-chip, near-memory)** — `Gather` in 64-byte lines:
 //!   per-frontier irregular row activations (the near-memory path batches
@@ -18,7 +21,7 @@
 //!   catastrophically worse than a full rescan.
 
 use crate::algo::{bfs_levels, pagerank, BfsResult, PAGERANK_DAMPING};
-use crate::csr::{Graph, GraphSpec};
+use crate::csr::GraphSpec;
 use crate::templates::graph_registry;
 use reach::{Level, Pipeline, ReachConfig, StreamType, TaskWork};
 
@@ -120,8 +123,8 @@ impl GraphPlacement {
     }
 }
 
-/// The traversal shape a compiled pipeline was priced from — everything
-/// the experiment rows print about the host-side computation.
+/// The shape of a host traversal — everything the experiment rows print
+/// about the host-side computation.
 #[derive(Clone, Debug)]
 pub enum WorkloadShape {
     /// BFS: the per-level frontier structure.
@@ -133,11 +136,11 @@ pub enum WorkloadShape {
     },
 }
 
-/// A compiled graph pipeline plus the shape summary it was priced from.
+/// One host traversal of a generated graph: the shape the rows print and
+/// the counts the lowering prices. A traversal is placement-free, so one
+/// serves every [`GraphPlacement`] of the same (spec, workload).
 #[derive(Clone, Debug)]
-pub struct GraphRun {
-    /// The submit-ready pipeline.
-    pub pipeline: Pipeline,
+pub struct Traversal {
     /// Host-side traversal summary.
     pub shape: WorkloadShape,
     /// Node count of the underlying graph.
@@ -146,72 +149,95 @@ pub struct GraphRun {
     pub edges: u64,
 }
 
-/// CSR footprint in bytes: the row-pointer array plus the column array.
-fn csr_bytes(g: &Graph) -> u64 {
-    4 * (u64::from(g.node_count()) + 1) + 4 * g.edge_count()
+impl Traversal {
+    /// Generates `spec`'s graph and runs `workload` on it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec is degenerate (see [`GraphSpec::edge_count`]).
+    #[must_use]
+    pub fn run(spec: &GraphSpec, workload: GraphWorkload) -> Self {
+        let g = spec.build();
+        let shape = match workload {
+            GraphWorkload::Bfs => WorkloadShape::Bfs(bfs_levels(&g, 0)),
+            GraphWorkload::Pagerank => WorkloadShape::Pagerank {
+                residuals: pagerank(&g, PAGERANK_ITERATIONS, PAGERANK_DAMPING).residuals,
+            },
+        };
+        Traversal {
+            shape,
+            nodes: g.node_count(),
+            edges: g.edge_count(),
+        }
+    }
+
+    /// Lowers this traversal to the pipeline at `placement`. BFS is priced
+    /// from its real frontiers; PageRank from the counts alone, exactly as
+    /// [`pagerank_pipeline`] prices it.
+    #[must_use]
+    pub fn lower(&self, placement: GraphPlacement) -> Pipeline {
+        match &self.shape {
+            WorkloadShape::Bfs(r) => {
+                let (trav_tpl, _) = placement.templates();
+                let steps: Vec<Step> = r
+                    .edges_scanned
+                    .iter()
+                    .zip(&r.frontier_sizes)
+                    .map(|(&scanned, &frontier)| {
+                        (
+                            trav_tpl,
+                            scanned,                 // one compare-and-mark per edge
+                            scanned * EDGE_BYTES,    // rows touched expanding the frontier
+                            u64::from(frontier) * 4, // next-frontier hand-off
+                            "frontier",
+                        )
+                    })
+                    .collect();
+                lower(self.nodes, self.edges, placement, &steps)
+            }
+            WorkloadShape::Pagerank { .. } => lower_pagerank(self.nodes, self.edges, placement),
+        }
+    }
 }
 
-/// Builds the pipeline for `workload` on `spec`'s graph at `placement`.
+/// The PageRank pipeline for `spec`'s graph at `placement`, priced from the
+/// spec's counts without generating the graph: every iteration touches all
+/// `|E|` edge records and hands off all `|V|` rank entries, whatever the
+/// edges are.
 ///
 /// # Panics
 ///
-/// Panics if the spec is degenerate (see [`GraphSpec::build`]).
+/// Panics if the spec is degenerate (see [`GraphSpec::edge_count`]).
 #[must_use]
-pub fn graph_pipeline(
-    spec: &GraphSpec,
-    workload: GraphWorkload,
-    placement: GraphPlacement,
-) -> GraphRun {
-    let g = spec.build();
+pub fn pagerank_pipeline(spec: &GraphSpec, placement: GraphPlacement) -> Pipeline {
+    lower_pagerank(spec.node_count(), spec.edge_count(), placement)
+}
+
+fn lower_pagerank(nodes: u32, edges: u64, placement: GraphPlacement) -> Pipeline {
+    let (_, rank_tpl) = placement.templates();
+    let step = (
+        rank_tpl,
+        2 * edges, // multiply + accumulate per edge
+        edges * EDGE_BYTES,
+        u64::from(nodes) * RANK_BYTES,
+        "rank-update",
+    );
+    lower(nodes, edges, placement, &[step; PAGERANK_ITERATIONS])
+}
+
+/// Per-step work: (template, macs, touched-bytes, hand-off bytes, stage).
+type Step = (&'static str, u64, u64, u64, &'static str);
+
+/// Lowers `steps` over a graph of `nodes` and `edges` to the pipeline at
+/// `placement`.
+fn lower(nodes: u32, edges: u64, placement: GraphPlacement, steps: &[Step]) -> Pipeline {
     let level = placement.level();
-    let (trav_tpl, rank_tpl) = placement.templates();
-    let edge_list_bytes = g.edge_count() * EDGE_BYTES;
+    let edge_list_bytes = edges * EDGE_BYTES;
 
     let mut rc = ReachConfig::new();
-    let csr = rc.create_fixed_buffer("csr", level, csr_bytes(&g).max(1));
-
-    // Per-step work: (template, macs, touched-bytes, hand-off bytes, stage).
-    let (shape, steps) = match workload {
-        GraphWorkload::Bfs => {
-            let r = bfs_levels(&g, 0);
-            let steps: Vec<_> = r
-                .edges_scanned
-                .iter()
-                .zip(&r.frontier_sizes)
-                .map(|(&scanned, &frontier)| {
-                    (
-                        trav_tpl,
-                        scanned,                 // one compare-and-mark per edge
-                        scanned * EDGE_BYTES,    // rows touched expanding the frontier
-                        u64::from(frontier) * 4, // next-frontier hand-off
-                        "frontier",
-                    )
-                })
-                .collect();
-            (WorkloadShape::Bfs(r), steps)
-        }
-        GraphWorkload::Pagerank => {
-            let r = pagerank(&g, PAGERANK_ITERATIONS, PAGERANK_DAMPING);
-            let rank_vec = u64::from(g.node_count()) * RANK_BYTES;
-            let steps: Vec<_> = (0..PAGERANK_ITERATIONS)
-                .map(|_| {
-                    (
-                        rank_tpl,
-                        2 * g.edge_count(), // multiply + accumulate per edge
-                        g.edge_count() * EDGE_BYTES,
-                        rank_vec,
-                        "rank-update",
-                    )
-                })
-                .collect();
-            (
-                WorkloadShape::Pagerank {
-                    residuals: r.residuals,
-                },
-                steps,
-            )
-        }
-    };
+    // CSR footprint: the row-pointer array plus the column array.
+    let csr_bytes = 4 * (u64::from(nodes) + 1) + 4 * edges;
+    let csr = rc.create_fixed_buffer("csr", level, csr_bytes.max(1));
 
     // Chain the steps: seed stream from the CPU, one same-level hand-off
     // stream between consecutive steps, final results back to the CPU.
@@ -243,12 +269,7 @@ pub fn graph_pipeline(
     for (acc, work, stage) in calls {
         pipeline.call(acc, work, stage);
     }
-    GraphRun {
-        pipeline,
-        shape,
-        nodes: g.node_count(),
-        edges: g.edge_count(),
-    }
+    pipeline
 }
 
 #[cfg(test)]
@@ -268,12 +289,12 @@ mod tests {
 
     #[test]
     fn bfs_pipeline_has_one_task_per_level() {
-        let run = graph_pipeline(&spec(), GraphWorkload::Bfs, GraphPlacement::NearMemory);
-        let WorkloadShape::Bfs(r) = &run.shape else {
+        let t = Traversal::run(&spec(), GraphWorkload::Bfs);
+        let WorkloadShape::Bfs(r) = &t.shape else {
             panic!("bfs shape expected")
         };
         let mut machine = graph_blueprint().instantiate();
-        let report = run.pipeline.run(&mut machine, 1);
+        let report = t.lower(GraphPlacement::NearMemory).run(&mut machine, 1);
         assert_eq!(report.jobs, 1);
         // One "frontier" task per BFS level.
         let frontier = report
@@ -287,9 +308,8 @@ mod tests {
     #[test]
     fn pagerank_pipeline_runs_at_every_placement() {
         for placement in GraphPlacement::ALL {
-            let run = graph_pipeline(&spec(), GraphWorkload::Pagerank, placement);
             let mut machine = graph_blueprint().instantiate();
-            let report = run.pipeline.run(&mut machine, 1);
+            let report = pagerank_pipeline(&spec(), placement).run(&mut machine, 1);
             assert_eq!(report.jobs, 1, "{}", placement.name());
             let rank = report
                 .stages
@@ -301,14 +321,26 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "degenerate graph")]
+    fn count_priced_lowering_rejects_what_build_rejects() {
+        let _ = pagerank_pipeline(
+            &GraphSpec {
+                avg_degree: 0,
+                ..spec()
+            },
+            GraphPlacement::NearMemory,
+        );
+    }
+
+    #[test]
     fn near_storage_costs_more_than_near_memory_per_level() {
         // Near-storage rescans the whole edge list per level while the DRAM
         // placements gather only the frontier's rows, so the out-of-core
         // run must take longer on the same workload.
+        let t = Traversal::run(&spec(), GraphWorkload::Bfs);
         let run = |placement| {
-            let r = graph_pipeline(&spec(), GraphWorkload::Bfs, placement);
             let mut machine = graph_blueprint().instantiate();
-            r.pipeline.run(&mut machine, 1).makespan
+            t.lower(placement).run(&mut machine, 1).makespan
         };
         let nm = run(GraphPlacement::NearMemory);
         let ns = run(GraphPlacement::NearStorage);

@@ -15,10 +15,10 @@
 //! scenario-result cache (fingerprint `reach-graph-v1`).
 
 use crate::csr::{GraphKind, GraphSpec};
-use crate::pipeline::{graph_pipeline, GraphPlacement, GraphWorkload, WorkloadShape};
+use crate::pipeline::{GraphPlacement, GraphWorkload, Traversal, WorkloadShape};
 use crate::templates::graph_blueprint;
 use reach::fingerprint::ConfigFingerprint;
-use reach::{Machine, MachineBlueprint, RunReport, Scenario, ScenarioExecutor};
+use reach::{Machine, MachineBlueprint, Pipeline, RunReport, Scenario, ScenarioExecutor};
 use reach_sim::FingerprintBuilder;
 use std::fmt;
 
@@ -36,16 +36,34 @@ pub struct GraphScenario {
     spec: GraphSpec,
     workload: GraphWorkload,
     placement: GraphPlacement,
+    /// Lowered once at construction; `run` and `config_fingerprint` share it.
+    pipeline: Pipeline,
     batches: usize,
     seed: u64,
 }
 
 impl GraphScenario {
     /// A sweep point on the paper-shape machine with the graph kernels
-    /// registered. The graph seed derives from the session seed, so
-    /// `--seed N` reshuffles every generated graph at once.
+    /// registered, traversing `spec`'s graph for this point alone. The
+    /// graph seed derives from the session seed, so `--seed N` reshuffles
+    /// every generated graph at once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec is degenerate (see [`GraphSpec::edge_count`]).
     #[must_use]
     pub fn new(spec: GraphSpec, workload: GraphWorkload, placement: GraphPlacement) -> Self {
+        Self::lowered(spec, workload, placement, &Traversal::run(&spec, workload))
+    }
+
+    /// A sweep point lowered from `traversal`, which must be `workload` run
+    /// on `spec`'s graph.
+    fn lowered(
+        spec: GraphSpec,
+        workload: GraphWorkload,
+        placement: GraphPlacement,
+        traversal: &Traversal,
+    ) -> Self {
         GraphScenario {
             label: format!(
                 "graph/{}/{}/{}",
@@ -57,6 +75,7 @@ impl GraphScenario {
             spec,
             workload,
             placement,
+            pipeline: traversal.lower(placement),
             batches: 1,
             seed: reach_sim::rng::session_seed(),
         }
@@ -83,18 +102,16 @@ impl Scenario for GraphScenario {
     }
 
     fn run(&self, machine: &mut Machine) -> RunReport {
-        let run = graph_pipeline(&self.spec, self.workload, self.placement);
-        run.pipeline.run(machine, self.batches)
+        self.pipeline.run(machine, self.batches)
     }
 
     /// Everything `run` consumes: machine shape, the compiled pipeline
     /// (which itself digests the traversal shape, hence the graph), the
     /// generating spec, workload, placement, batch count and seed.
     fn config_fingerprint(&self) -> Option<ConfigFingerprint> {
-        let run = graph_pipeline(&self.spec, self.workload, self.placement);
         let mut b = FingerprintBuilder::new("reach-graph-v1");
         self.blueprint.fingerprint().write_into(&mut b);
-        run.pipeline.fingerprint().write_into(&mut b);
+        self.pipeline.fingerprint().write_into(&mut b);
         b.write_debug(&self.spec);
         b.write_str(self.workload.name());
         b.write_str(self.placement.name());
@@ -172,69 +189,58 @@ impl fmt::Display for GraphRow {
     }
 }
 
-/// The sweep grid: (workload, graph kind) pairs × placements × scales.
-fn sweep_points() -> Vec<(GraphWorkload, GraphKind, GraphPlacement, u32)> {
-    let mut pts = Vec::new();
-    for (workload, kind) in [
-        (GraphWorkload::Bfs, GraphKind::Rmat),
-        (GraphWorkload::Pagerank, GraphKind::Uniform),
-    ] {
-        for placement in GraphPlacement::ALL {
-            for &nodes in &GRAPH_SCALES {
-                pts.push((workload, kind, placement, nodes));
-            }
-        }
-    }
-    pts
-}
+/// The swept (workload, graph kind) pairs.
+const SWEEP: [(GraphWorkload, GraphKind); 2] = [
+    (GraphWorkload::Bfs, GraphKind::Rmat),
+    (GraphWorkload::Pagerank, GraphKind::Uniform),
+];
 
 /// Runs the placement × scale sweep through `executor` and reduces each
-/// point to a [`GraphRow`].
+/// point to a [`GraphRow`]. Each (workload, scale) graph is generated and
+/// traversed once; its placements, their fingerprints and its rows all
+/// share that traversal.
 #[must_use]
 pub fn graph_sweep_with(executor: &dyn ScenarioExecutor) -> Vec<GraphRow> {
     let seed = reach_sim::rng::session_seed();
-    let points = sweep_points();
-    let scenarios: Vec<Box<dyn Scenario>> = points
-        .iter()
-        .map(|&(workload, kind, placement, nodes)| {
-            let spec = GraphSpec {
-                nodes,
-                avg_degree: GRAPH_DEGREE,
-                kind,
-                seed,
-            };
-            Box::new(GraphScenario::new(spec, workload, placement)) as Box<dyn Scenario>
-        })
-        .collect();
-    let results = executor.run_all(scenarios);
+    let mut scenarios: Vec<Box<dyn Scenario>> = Vec::new();
+    let mut rows = Vec::new();
+    for (workload, kind) in SWEEP {
+        let traversals: Vec<(GraphSpec, Traversal)> = GRAPH_SCALES
+            .iter()
+            .map(|&nodes| {
+                let spec = GraphSpec {
+                    nodes,
+                    avg_degree: GRAPH_DEGREE,
+                    kind,
+                    seed,
+                };
+                (spec, Traversal::run(&spec, workload))
+            })
+            .collect();
+        for placement in GraphPlacement::ALL {
+            for (spec, t) in &traversals {
+                scenarios.push(Box::new(GraphScenario::lowered(
+                    *spec, workload, placement, t,
+                )));
+                rows.push(GraphRow {
+                    workload: workload.name(),
+                    placement: placement.name(),
+                    graph: spec.label(),
+                    edges: t.edges,
+                    makespan_ms: 0.0,
+                    events_per_sec: 0.0,
+                    shape: t.shape.clone(),
+                });
+            }
+        }
+    }
 
-    points
-        .iter()
-        .zip(results)
-        .map(|(&(workload, kind, placement, nodes), res)| {
-            let spec = GraphSpec {
-                nodes,
-                avg_degree: GRAPH_DEGREE,
-                kind,
-                seed,
-            };
-            // Re-derive the shape host-side (cheap; the simulation is what
-            // the cache skips) so rows render identically on warm replays.
-            let run = graph_pipeline(&spec, workload, placement);
-            let makespan = res.report.makespan;
-            let mut row = GraphRow {
-                workload: workload.name(),
-                placement: placement.name(),
-                graph: spec.label(),
-                edges: run.edges,
-                makespan_ms: makespan.as_ms_f64(),
-                events_per_sec: 0.0,
-                shape: run.shape,
-            };
-            row.events_per_sec = row.events() as f64 / makespan.as_secs_f64();
-            row
-        })
-        .collect()
+    for (row, res) in rows.iter_mut().zip(executor.run_all(scenarios)) {
+        let makespan = res.report.makespan;
+        row.makespan_ms = makespan.as_ms_f64();
+        row.events_per_sec = row.events() as f64 / makespan.as_secs_f64();
+    }
+    rows
 }
 
 #[cfg(test)]
@@ -242,38 +248,53 @@ mod tests {
     use super::*;
     use reach::SequentialExecutor;
 
+    fn spec() -> GraphSpec {
+        GraphSpec {
+            nodes: 1024,
+            avg_degree: 8,
+            kind: GraphKind::Rmat,
+            seed: reach_sim::rng::session_seed(),
+        }
+    }
+
     fn point() -> GraphScenario {
-        GraphScenario::new(
-            GraphSpec {
-                nodes: 1024,
-                avg_degree: 8,
-                kind: GraphKind::Rmat,
-                seed: reach_sim::rng::session_seed(),
-            },
-            GraphWorkload::Bfs,
-            GraphPlacement::NearMemory,
-        )
+        GraphScenario::new(spec(), GraphWorkload::Bfs, GraphPlacement::NearMemory)
     }
 
     #[test]
     fn fingerprint_tracks_every_knob() {
-        let base = point();
-        let mut variants: Vec<GraphScenario> = Vec::new();
-        let mut v = point();
-        v.spec.nodes = 2048;
-        variants.push(v);
-        let mut v = point();
-        v.spec.seed ^= 1;
-        variants.push(v);
-        let mut v = point();
-        v.spec.kind = GraphKind::Uniform;
-        variants.push(v);
-        let mut v = point();
-        v.workload = GraphWorkload::Pagerank;
-        variants.push(v);
-        let mut v = point();
-        v.placement = GraphPlacement::NearStorage;
-        variants.push(v);
+        let base = spec();
+        let at = |spec, workload, placement| GraphScenario::new(spec, workload, placement);
+        let nm = GraphPlacement::NearMemory;
+        let bfs = GraphWorkload::Bfs;
+        let mut variants = vec![
+            at(
+                GraphSpec {
+                    nodes: 2048,
+                    ..base
+                },
+                bfs,
+                nm,
+            ),
+            at(
+                GraphSpec {
+                    seed: base.seed ^ 1,
+                    ..base
+                },
+                bfs,
+                nm,
+            ),
+            at(
+                GraphSpec {
+                    kind: GraphKind::Uniform,
+                    ..base
+                },
+                bfs,
+                nm,
+            ),
+            at(base, GraphWorkload::Pagerank, nm),
+            at(base, bfs, GraphPlacement::NearStorage),
+        ];
         let mut v = point();
         v.batches = 2;
         variants.push(v);
@@ -281,7 +302,7 @@ mod tests {
         v.seed ^= 1;
         variants.push(v);
 
-        let mut seen = vec![base.config_fingerprint().unwrap()];
+        let mut seen = vec![point().config_fingerprint().unwrap()];
         for (i, v) in variants.iter().enumerate() {
             let fp = v.config_fingerprint().unwrap();
             assert!(
@@ -302,6 +323,27 @@ mod tests {
             b.execute().makespan,
             "equal fingerprints must replay identically"
         );
+
+        // The sweep lowers every placement from one shared traversal; each
+        // such point must be the point built on its own.
+        for workload in GraphWorkload::ALL {
+            let t = Traversal::run(&spec(), workload);
+            for placement in GraphPlacement::ALL {
+                let shared = GraphScenario::lowered(spec(), workload, placement, &t);
+                let alone = GraphScenario::new(spec(), workload, placement);
+                let what = format!("{} at {}", workload.name(), placement.name());
+                assert_eq!(
+                    shared.config_fingerprint(),
+                    alone.config_fingerprint(),
+                    "{what}"
+                );
+                assert_eq!(
+                    shared.execute().makespan,
+                    alone.execute().makespan,
+                    "{what}"
+                );
+            }
+        }
     }
 
     #[test]

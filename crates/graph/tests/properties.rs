@@ -1,7 +1,10 @@
 //! Property tests over the graph structures and reference algorithms.
 
 use proptest::prelude::*;
-use reach_graph::{bfs_levels, pagerank, Graph, GraphKind, GraphSpec, PAGERANK_DAMPING};
+use reach_graph::{
+    bfs_levels, pagerank, pagerank_pipeline, Graph, GraphKind, GraphPlacement, GraphSpec,
+    GraphWorkload, Traversal, PAGERANK_DAMPING,
+};
 use std::collections::BinaryHeap;
 
 /// Dijkstra with unit edge weights: the independent oracle for BFS levels.
@@ -121,6 +124,51 @@ proptest! {
                 .sum();
             prop_assert_eq!(scanned, expected, "level {}", depth);
         }
+    }
+
+    /// The co-run prices PageRank from the spec alone. That is sound only
+    /// while the generators keep every drawn edge: the spec's counts must
+    /// be the built graph's, and the count-priced pipeline must be the one
+    /// priced from a real traversal, at every placement.
+    #[test]
+    fn count_priced_pagerank_matches_the_built_graph(
+        nodes in 2u32..200,
+        avg_degree in 1u32..8,
+        rmat in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let spec = spec_of(nodes, avg_degree, rmat, seed);
+        let g = spec.build();
+        prop_assert_eq!(g.node_count(), spec.node_count());
+        prop_assert_eq!(g.edge_count(), spec.edge_count());
+        let traversal = Traversal::run(&spec, GraphWorkload::Pagerank);
+        for placement in GraphPlacement::ALL {
+            prop_assert_eq!(
+                pagerank_pipeline(&spec, placement).fingerprint(),
+                traversal.lower(placement).fingerprint(),
+                "{}", placement.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn golden_spec_counts_are_the_golden_graph() {
+    let spec = GraphSpec {
+        nodes: 1 << 20,
+        avg_degree: 64,
+        kind: GraphKind::Golden,
+        seed: 3,
+    };
+    let g = spec.build();
+    assert_eq!(g.node_count(), spec.node_count());
+    assert_eq!(g.edge_count(), spec.edge_count());
+    let traversal = Traversal::run(&spec, GraphWorkload::Pagerank);
+    for placement in GraphPlacement::ALL {
+        assert_eq!(
+            pagerank_pipeline(&spec, placement).fingerprint(),
+            traversal.lower(placement).fingerprint()
+        );
     }
 }
 
