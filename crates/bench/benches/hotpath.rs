@@ -146,6 +146,21 @@ fn bench_kmeans(c: &mut Criterion) {
     g.bench_function("assign_update_loop", |b| {
         b.iter(|| black_box(kmeans(&pts, k, 5, &mut rng).inertia));
     });
+    // The shape the recall experiment trains most: one PQ 8x8b subspace,
+    // 6,000 four-dim sub-vectors against 64 codewords.
+    let n = scaled(6000, 1024);
+    let d = 4;
+    let sub = Matrix::from_vec(
+        n,
+        d,
+        (0..n * d)
+            .map(|i| ((i * 2_654_435_761) % 89) as f32 * 0.25)
+            .collect(),
+    );
+    g.throughput(Throughput::Elements((n * k * d) as u64));
+    g.bench_function("pq_subspace_d4", |b| {
+        b.iter(|| black_box(kmeans(&sub, k, 5, &mut rng).inertia));
+    });
     g.finish();
 }
 

@@ -9,7 +9,7 @@
 //! paper's accuracy argument executable — see the `extension-recall`
 //! experiment.
 
-use crate::linalg::Matrix;
+use crate::linalg::{sum_start, Matrix};
 use crate::topk::top_k;
 use rand::Rng;
 
@@ -27,12 +27,24 @@ use rand::Rng;
 /// ```
 #[derive(Clone, Debug)]
 pub struct BinaryCoder {
-    /// `bits x dim` hyperplane normals.
-    planes: Matrix,
+    /// Hyperplane count.
+    bits: usize,
+    /// The hyperplane normals in planes-as-lanes groups: group `g` holds
+    /// planes `GROUP * g ..` transposed, element `t` of plane
+    /// `GROUP * g + l` at `planes[(g * dim + t) * GROUP + l]`. Planes past
+    /// `bits` are zero and never read into a code.
+    planes: Vec<f32>,
+    /// Input dimensionality.
+    dim: usize,
 }
 
 /// A binary code: packed 64-bit words.
 pub type BinaryCode = Vec<u64>;
+
+/// Planes per planes-as-lanes group. Each lane's projection is one serial
+/// chain of `dim` dependent adds, so a group is wide enough to keep
+/// several vector registers' worth of chains in flight.
+const GROUP: usize = 32;
 
 impl BinaryCoder {
     /// Draws `bits` random hyperplanes for `dim`-dimensional data.
@@ -43,18 +55,27 @@ impl BinaryCoder {
     #[must_use]
     pub fn new(dim: usize, bits: usize, rng: &mut impl Rng) -> Self {
         assert!(dim > 0 && bits > 0, "BinaryCoder: zero size");
-        let data = (0..bits * dim)
+        let normals: Vec<f32> = (0..bits * dim)
             .map(|_| rng.gen_range(-1.0f32..1.0))
             .collect();
-        BinaryCoder {
-            planes: Matrix::from_vec(bits, dim, data),
+        let mut planes = vec![0.0f32; bits.div_ceil(GROUP) * GROUP * dim];
+        for (group, normals) in planes
+            .chunks_exact_mut(GROUP * dim)
+            .zip(normals.chunks(GROUP * dim))
+        {
+            for (l, normal) in normals.chunks_exact(dim).enumerate() {
+                for (t, &x) in normal.iter().enumerate() {
+                    group[t * GROUP + l] = x;
+                }
+            }
         }
+        BinaryCoder { bits, planes, dim }
     }
 
     /// Number of bits per code.
     #[must_use]
     pub fn bits(&self) -> usize {
-        self.planes.rows()
+        self.bits
     }
 
     /// Bytes per encoded vector.
@@ -63,19 +84,31 @@ impl BinaryCoder {
         self.bits().div_ceil(8)
     }
 
-    /// Encodes one vector.
+    /// Encodes one vector: bit `b` is set when the projection onto plane
+    /// `b` — `plane[t] * x[t]` summed in increasing `t`, from the value
+    /// `Iterator::sum` folds from — is `>= 0`. A group of planes advances
+    /// per planes-as-lanes step, each lane running exactly that sequential
+    /// sum.
     ///
     /// # Panics
     ///
     /// Panics on a dimension mismatch.
     #[must_use]
     pub fn encode(&self, x: &[f32]) -> BinaryCode {
-        assert_eq!(x.len(), self.planes.cols(), "BinaryCoder::encode: bad size");
+        assert_eq!(x.len(), self.dim, "BinaryCoder::encode: bad size");
         let mut words = vec![0u64; self.bits().div_ceil(64)];
-        for b in 0..self.bits() {
-            let dot: f32 = self.planes.row(b).iter().zip(x).map(|(p, v)| p * v).sum();
-            if dot >= 0.0 {
-                words[b / 64] |= 1u64 << (b % 64);
+        for (g, group) in self.planes.chunks_exact(GROUP * self.dim).enumerate() {
+            let mut acc = [sum_start(); GROUP];
+            for (p, &v) in group.chunks_exact(GROUP).zip(x) {
+                for l in 0..GROUP {
+                    acc[l] += p[l] * v;
+                }
+            }
+            for (l, &dot) in acc.iter().enumerate() {
+                let b = g * GROUP + l;
+                if b < self.bits && dot >= 0.0 {
+                    words[b / 64] |= 1u64 << (b % 64);
+                }
             }
         }
         words

@@ -459,7 +459,28 @@ const RECALL_METHODS: [&str; 5] = [
 /// [`recall_vs_compression_with`], which wraps it in a cacheable scenario.
 #[must_use]
 pub fn recall_vs_compression() -> Vec<RecallCompressionRow> {
+    recall_vs_compression_observed(&mut |_| {})
+}
+
+/// A codec [`recall_vs_compression`] has just trained, with the dataset's
+/// codes — the bits its pin test digests, since the printed recalls
+/// (three decimals) would not show a kernel that flips low bits.
+#[cfg_attr(not(test), allow(dead_code))] // only the pin test reads them
+enum RecallCodec<'a> {
+    /// The IVF index: centroids and postings are the k-means output.
+    Ivf(&'a crate::ivf::IvfIndex),
+    /// A product quantizer and its codes.
+    Pq(&'a crate::pq::ProductQuantizer, &'a [Vec<u8>]),
+    /// A binary coder's codes.
+    Binary(&'a [crate::binary::BinaryCode]),
+}
+
+/// [`recall_vs_compression`], handing each trained codec to `observe`.
+fn recall_vs_compression_observed(
+    observe: &mut dyn FnMut(RecallCodec<'_>),
+) -> Vec<RecallCompressionRow> {
     use crate::binary::BinaryCoder;
+    use crate::cache::QueryContext;
     use crate::dataset::{recall, Dataset};
     use crate::ivf::IvfIndex;
     use crate::pq::ProductQuantizer;
@@ -472,14 +493,17 @@ pub fn recall_vs_compression() -> Vec<RecallCompressionRow> {
     let truth = ds.ground_truth(&queries, 10);
     let full_bytes = dim as f64 * 4.0;
 
-    // One cross-batch cache for the whole experiment: centroid and
-    // codeword norms are computed once and reused by every query.
-    let ctx = crate::cache::QueryContext::new();
     let mut rows = Vec::new();
 
     // Exact IVF + rerank (what ReACH accelerates), nprobe = 1/6 of cells.
+    // Each codec gets its own cross-batch cache: its centroid or codeword
+    // norms are computed once and reused by every query. A context is
+    // keyed by matrix address, so it must not outlive the codec it caches
+    // — a later codebook allocated at a freed one's address would be
+    // served stale norms.
     let index = IvfIndex::build(&ds.points, 48, &mut rng);
-    let exact = index.search_cached(&ctx, &ds.points, &queries, 8, 10, None);
+    observe(RecallCodec::Ivf(&index));
+    let exact = index.search_cached(&QueryContext::new(), &ds.points, &queries, 8, 10, None);
     rows.push(RecallCompressionRow {
         method: RECALL_METHODS[0].into(),
         bytes_per_vector: full_bytes * 8.0 / 48.0, // fraction of cells scanned
@@ -493,6 +517,8 @@ pub fn recall_vs_compression() -> Vec<RecallCompressionRow> {
     ] {
         let pq = ProductQuantizer::train(&ds.points, subs, cents, &mut rng);
         let codes = pq.encode_batch(&ds.points);
+        observe(RecallCodec::Pq(&pq, &codes));
+        let ctx = QueryContext::new();
         let results: Vec<Vec<usize>> = (0..queries.rows())
             .map(|qi| pq.search_cached(&ctx, &codes, queries.row(qi), 10))
             .collect();
@@ -507,6 +533,7 @@ pub fn recall_vs_compression() -> Vec<RecallCompressionRow> {
     for (bits, label) in [(64usize, RECALL_METHODS[3]), (256, RECALL_METHODS[4])] {
         let coder = BinaryCoder::new(dim, bits, &mut rng);
         let codes = coder.encode_batch(&ds.points);
+        observe(RecallCodec::Binary(&codes));
         let results: Vec<Vec<usize>> = (0..queries.rows())
             .map(|qi| coder.search(&codes, queries.row(qi), 10))
             .collect();
@@ -667,6 +694,56 @@ pub fn table4() -> reach_energy::EnergyPresets {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Word-wise FNV-1a over the bits of everything `extension-recall`
+    /// trains and encodes: IVF centroids and postings, PQ codebooks and
+    /// codes, binary codes.
+    fn recall_codec_digest() -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut mix = |x: u64| {
+            h ^= x;
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        };
+        let _ = recall_vs_compression_observed(&mut |codec| match codec {
+            RecallCodec::Ivf(index) => {
+                for v in index.centroids().as_slice() {
+                    mix(u64::from(v.to_bits()));
+                }
+                for c in 0..index.clusters() {
+                    mix(index.posting(c).len() as u64);
+                    for &i in index.posting(c) {
+                        mix(i as u64);
+                    }
+                }
+            }
+            RecallCodec::Pq(pq, codes) => {
+                for book in pq.codebooks() {
+                    for v in book.as_slice() {
+                        mix(u64::from(v.to_bits()));
+                    }
+                }
+                for &b in codes.iter().flatten() {
+                    mix(u64::from(b));
+                }
+            }
+            RecallCodec::Binary(codes) => {
+                for &w in codes.iter().flatten() {
+                    mix(w);
+                }
+            }
+        });
+        h
+    }
+
+    #[test]
+    fn recall_codecs_are_bit_pinned() {
+        // Stdout prints recall to three decimals, which would not show a
+        // kernel change that flips low bits of a centroid or a tie between
+        // codewords. The digest is of the one-point reference kernels'
+        // output (GEMM-based k-means, one-point encoders) and must hold at
+        // any REACH_KERNEL_JOBS and on every SIMD tier.
+        assert_eq!(recall_codec_digest(), 0x21b2_d6d3_ff4a_9942);
+    }
 
     #[test]
     fn fig8_movement_dominates() {

@@ -3,7 +3,7 @@
 //! The paper preprocesses the database "with k-means to obtain 1000 cluster
 //! centroids" during the offline stage; this is that stage.
 
-use crate::linalg::{dist_sq, gemm_nt_rows, norm_sq, Matrix};
+use crate::linalg::{dist_sq_rows_on, lower_dist_sq_rows_on, nearest_centroids_on, Matrix};
 use rand::Rng;
 
 /// Result of a clustering run.
@@ -72,12 +72,15 @@ pub fn kmeans_jobs(
     assert!(k > 0 && k <= n, "kmeans: k={k} out of range for {n} points");
 
     // --- k-means++ seeding ---
+    // The D² refresh computes every point's distance to the new centroid
+    // in one kernel call (eight points per points-as-lanes step on AVX2),
+    // bitwise the one-point `dist_sq`, keeping the strictly smaller value.
+    let path = crate::simd::active();
     let mut centroids = Matrix::zeros(k, d);
     let first = rng.gen_range(0..n);
     centroids.row_mut(0).copy_from_slice(points.row(first));
-    let mut d2: Vec<f32> = (0..n)
-        .map(|i| dist_sq(points.row(i), centroids.row(0)))
-        .collect();
+    let mut d2 = vec![0.0f32; n];
+    dist_sq_rows_on(path, points, centroids.row(0), &mut d2);
     for c in 1..k {
         let total: f64 = d2.iter().map(|&x| f64::from(x)).sum();
         let chosen = if total <= f64::EPSILON {
@@ -95,59 +98,32 @@ pub fn kmeans_jobs(
             pick
         };
         centroids.row_mut(c).copy_from_slice(points.row(chosen));
-        for i in 0..n {
-            let nd = dist_sq(points.row(i), centroids.row(c));
-            if nd < d2[i] {
-                d2[i] = nd;
-            }
-        }
+        lower_dist_sq_rows_on(path, points, centroids.row(c), &mut d2);
     }
 
     // --- Lloyd iterations ---
     let mut assignments = vec![0usize; n];
     let mut best_dists = vec![0.0f32; n];
-    // The assignment runs through the shared GEMM micro-kernel as a
-    // decomposed distance (Equation 1): per fixed 64-row chunk, one
-    // points-x-centroids dot-product panel plus precomputed norms.
-    // Chunk boundaries are fixed (not worker-count dependent), every dot
-    // and norm uses the kernel's single accumulation order, and the
-    // argmin scans centroids in index order with a strict `<`, so the
-    // clustering is byte-identical at any worker count.
+    // The assignment is the fused points-as-lanes kernel
+    // (`linalg::nearest_centroids_on`): fixed 64-row chunks, eight points
+    // per vector step, each scored against every centroid in the
+    // decomposed form (Equation 1) with `dot8`-order norms and dot
+    // products and a strict-`<` argmin in centroid order. Chunk boundaries
+    // do not depend on the worker count and every point sees the same
+    // operations whatever its block or kernel tier, so the clustering is
+    // byte-identical at any worker count.
     let mut inertia = f64::INFINITY;
     let mut iterations = 0;
     for it in 0..max_iters {
         iterations = it + 1;
-        // Assign.
-        {
-            let centroids = &centroids;
-            let c_norms: Vec<f32> = (0..k).map(|c| norm_sq(centroids.row(c))).collect();
-            let c_norms = &c_norms;
-            let chunks: Vec<(usize, &mut [usize], &mut [f32])> = assignments
-                .chunks_mut(crate::par::CHUNK_ROWS)
-                .zip(best_dists.chunks_mut(crate::par::CHUNK_ROWS))
-                .enumerate()
-                .map(|(ch, (asn, dst))| (ch * crate::par::CHUNK_ROWS, asn, dst))
-                .collect();
-            crate::par::run_items(chunks, assign_jobs, |(i0, asn, dst)| {
-                let rows = asn.len();
-                let mut dots = vec![0.0f32; rows * k];
-                gemm_nt_rows(points, centroids, i0, &mut dots);
-                for (off, (a_slot, d_slot)) in asn.iter_mut().zip(dst.iter_mut()).enumerate() {
-                    let p_norm = norm_sq(points.row(i0 + off));
-                    let dot_row = &dots[off * k..(off + 1) * k];
-                    let (mut best, mut best_d) = (0usize, f32::INFINITY);
-                    for c in 0..k {
-                        let dd = p_norm + c_norms[c] - 2.0 * dot_row[c];
-                        if dd < best_d {
-                            best = c;
-                            best_d = dd;
-                        }
-                    }
-                    *a_slot = best;
-                    *d_slot = best_d;
-                }
-            });
-        }
+        nearest_centroids_on(
+            path,
+            points,
+            &centroids,
+            assign_jobs,
+            &mut assignments,
+            &mut best_dists,
+        );
         // Reduce in point order — the same f64 accumulation sequence the
         // sequential loop performed, regardless of chunk scheduling.
         let mut new_inertia = 0.0f64;
@@ -157,24 +133,15 @@ pub fn kmeans_jobs(
         // Update.
         let mut sums = vec![0.0f64; k * d];
         let mut counts = vec![0usize; k];
-        for i in 0..n {
-            let c = assignments[i];
+        for (i, &c) in assignments.iter().enumerate() {
             counts[c] += 1;
-            for (s, &x) in sums[c * d..(c + 1) * d].iter_mut().zip(points.row(i)) {
+            let row = &points.as_slice()[i * d..(i + 1) * d];
+            for (s, &x) in sums[c * d..(c + 1) * d].iter_mut().zip(row) {
                 *s += f64::from(x);
             }
         }
         for c in 0..k {
             if counts[c] == 0 {
-                // Re-seed an empty cluster on the farthest point.
-                let far = (0..n)
-                    .max_by(|&a, &b| {
-                        dist_sq(points.row(a), centroids.row(assignments[a]))
-                            .partial_cmp(&dist_sq(points.row(b), centroids.row(assignments[b])))
-                            .expect("no NaN distances")
-                    })
-                    .expect("non-empty dataset");
-                centroids.row_mut(c).copy_from_slice(points.row(far));
                 continue;
             }
             let inv = 1.0 / counts[c] as f64;
@@ -185,6 +152,9 @@ pub fn kmeans_jobs(
             {
                 *dst = (s * inv) as f32;
             }
+        }
+        if counts.contains(&0) {
+            reseed_empty(points, &best_dists, &counts, &mut centroids);
         }
         // Converged?
         if (inertia - new_inertia).abs() <= 1e-6 * new_inertia.max(1.0) {
@@ -199,6 +169,23 @@ pub fn kmeans_jobs(
         assignments,
         inertia,
         iterations,
+    }
+}
+
+/// Re-seeds every empty cluster on its own point: the points farthest
+/// from the centroid they were just assigned to (`best_dists`, this
+/// iteration's assignment distances), farthest first, ties to the lowest
+/// point index. Empty clusters take them in cluster order, so two clusters
+/// that empty together never land on the same point. `total_cmp` gives a
+/// `NaN` distance a fixed place in that order (by its sign bit) instead of
+/// panicking. There are always enough points: `k <= n`.
+#[cold]
+fn reseed_empty(points: &Matrix, best_dists: &[f32], counts: &[usize], centroids: &mut Matrix) {
+    let mut order: Vec<usize> = (0..points.rows()).collect();
+    order.sort_by(|&a, &b| best_dists[b].total_cmp(&best_dists[a]).then(a.cmp(&b)));
+    let empty = (0..counts.len()).filter(|&c| counts[c] == 0);
+    for (c, i) in empty.zip(order) {
+        centroids.row_mut(c).copy_from_slice(points.row(i));
     }
 }
 
@@ -262,6 +249,20 @@ mod tests {
         let pts = Matrix::from_vec(4, 2, vec![0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 5.0, 5.0]);
         let c = kmeans(&pts, 4, 10, &mut seeded(2));
         assert!(c.inertia < 1e-9, "inertia {}", c.inertia);
+    }
+
+    #[test]
+    fn empty_clusters_reseed_on_distinct_farthest_points() {
+        // Clusters 1 and 3 emptied in the same iteration. Each must take
+        // its own point, farthest first by assignment distance: the
+        // positive NaN distance orders farthest without a panic, and the
+        // tie at 9.0 goes to the lower point index.
+        let pts = Matrix::from_vec(5, 1, vec![0.0, 1.0, 2.0, 3.0, 4.0]);
+        let best_dists = [0.5, 9.0, f32::NAN, 9.0, 0.1];
+        let counts = [3, 0, 2, 0];
+        let mut centroids = Matrix::from_vec(4, 1, vec![7.0; 4]);
+        reseed_empty(&pts, &best_dists, &counts, &mut centroids);
+        assert_eq!(centroids.as_slice(), &[7.0, 2.0, 7.0, 1.0]);
     }
 
     #[test]

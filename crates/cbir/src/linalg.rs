@@ -179,9 +179,10 @@ pub(crate) fn reduce(acc: [f32; LANES]) -> f32 {
 /// adding products, this is bitwise identical to zero-padding the inputs
 /// to a multiple of eight.
 ///
-/// This is *the* accumulation order of the crate: the GEMM micro-kernel,
-/// [`norm_sq`] and the k-means assignment all route through it, which is
-/// what makes decomposed distances of a vector to itself exactly zero.
+/// This is *the* accumulation order of the crate: the GEMM micro-kernel
+/// and [`norm_sq`] route through it, and the k-means assignment kernel
+/// runs the same lane model per point, which is what makes decomposed
+/// distances of a vector to itself exactly zero.
 ///
 /// Dispatches to the explicit-SIMD tier ([`crate::simd`]) when the
 /// process-wide [`crate::simd::active`] path allows — bit-identical by
@@ -306,6 +307,244 @@ pub(crate) fn kernel4_scalar(
         *v = reduce(lanes);
     }
     vals
+}
+
+// ---------------------------------------------------------------------------
+// Points-as-lanes kernels
+// ---------------------------------------------------------------------------
+//
+// The GEMM micro-kernel vectorizes *along* a dot product, which pays off
+// only when the vectors are long: at the 4-dim sub-vectors product
+// quantization trains on, `kernel4` runs no full 8-lane step at all. The
+// kernels below vectorize *across* points instead: lane `p` of every
+// vector is point `p` of an 8-point block (transposed into a panel, or
+// gathered), so a vector operation advances eight independent per-point
+// computations by one step each. Every point still sees exactly the IEEE operations, in
+// exactly the order, of its one-point reference ([`dot8`]/[`norm_sq`] for
+// the decomposed distance, [`dist_sq`] for the direct one), so the results
+// are bit-identical to it whatever the dimension, block or kernel tier.
+
+/// Transposes up to [`LANES`] rows of one length into a points-as-lanes
+/// panel: element `t` of row `p` lands at `panel[t * LANES + p]`. Lanes
+/// past the last row are zero.
+pub(crate) fn pack_lanes<'a>(rows: impl Iterator<Item = &'a [f32]>, panel: &mut [f32]) {
+    panel.fill(0.0);
+    for (p, row) in rows.enumerate() {
+        debug_assert!(p < LANES && row.len() * LANES == panel.len());
+        for (t, &x) in row.iter().enumerate() {
+            panel[t * LANES + p] = x;
+        }
+    }
+}
+
+/// The [`dot8`] lane model for the eight points of a `d`-dim panel: step
+/// `t` multiplies panel row `t` by `cent[t]` (or by itself when `cent` is
+/// `None`, giving the points' norms) and adds into accumulator lane
+/// `t % 8`, steps in increasing `t`. Past the last step the loop exits,
+/// leaving the remaining lanes at `+0.0` just as `dot8`'s tail does. Each
+/// point then folds through [`reduce`].
+#[inline]
+fn dot_lanes(panel: &[f32], cent: Option<&[f32]>) -> [f32; LANES] {
+    let d = panel.len() / LANES;
+    let mut acc = [[0.0f32; LANES]; LANES];
+    let mut t0 = 0;
+    while t0 < d {
+        for (l, a) in acc.iter_mut().enumerate().take(d - t0) {
+            let t = t0 + l;
+            let x: [f32; LANES] = panel[t * LANES..(t + 1) * LANES]
+                .try_into()
+                .expect("whole panel row");
+            let y = cent.map_or(x, |c| [c[t]; LANES]);
+            for p in 0..LANES {
+                a[p] += x[p] * y[p];
+            }
+        }
+        t0 += LANES;
+    }
+    std::array::from_fn(|p| reduce(std::array::from_fn(|l| acc[l][p])))
+}
+
+/// The portable scalar body of the fused assignment kernel: for the eight
+/// points of a `d`-dim panel, the nearest of the `d`-dim centroid rows in
+/// the decomposed form `(||p||^2 + ||c||^2) - 2<p, c>`, norms and dot
+/// products accumulated in the [`dot8`] lane model, then a strict-`<`
+/// argmin over centroids in index order (ties keep the lowest index;
+/// `NaN` never wins). Returns each lane's centroid index and distance.
+pub(crate) fn nearest_lanes_scalar(
+    panel: &[f32],
+    centroids: &[f32],
+    c_norms: &[f32],
+) -> ([usize; LANES], [f32; LANES]) {
+    let d = panel.len() / LANES;
+    let p_norms = dot_lanes(panel, None);
+    let mut best = [0usize; LANES];
+    let mut best_d = [f32::INFINITY; LANES];
+    for (c, &c_norm) in c_norms.iter().enumerate() {
+        let dots = dot_lanes(panel, Some(&centroids[c * d..(c + 1) * d]));
+        for p in 0..LANES {
+            let dd = p_norms[p] + c_norm - 2.0 * dots[p];
+            let closer = dd < best_d[p];
+            best[p] = if closer { c } else { best[p] };
+            best_d[p] = if closer { dd } else { best_d[p] };
+        }
+    }
+    (best, best_d)
+}
+
+/// Fused nearest-centroid assignment (Equation 1) of every row of
+/// `points` against `centroids` on an explicit kernel tier — the k-means
+/// assignment step: writes each row's nearest centroid index into `best`
+/// and its decomposed squared distance into `best_d`.
+///
+/// Rows fan out over `jobs` workers in fixed 64-row chunks (see
+/// [`crate::par`]) and go through the kernel eight at a time, transposed
+/// into one points-as-lanes panel; no `rows x k` dot-product buffer is
+/// ever materialized. Per row the result is bitwise the one-point scan
+/// `norm_sq(p) + norm_sq(c) - 2.0 * dot8(p, c)` in centroid order with a
+/// strict `<`, whatever the tier, chunk or worker count. Exposed (hidden)
+/// so the determinism suite can hold it to that reference.
+///
+/// # Panics
+///
+/// Panics if the dimensions or output lengths disagree.
+#[doc(hidden)]
+pub fn nearest_centroids_on(
+    path: crate::simd::SimdPath,
+    points: &Matrix,
+    centroids: &Matrix,
+    jobs: usize,
+    best: &mut [usize],
+    best_d: &mut [f32],
+) {
+    assert_eq!(points.cols, centroids.cols, "nearest_centroids: dims");
+    assert!(
+        best.len() == points.rows && best_d.len() == points.rows,
+        "nearest_centroids: one output per row"
+    );
+    let c_norms: Vec<f32> = (0..centroids.rows)
+        .map(|c| norm_sq(centroids.row(c)))
+        .collect();
+    let chunks: Vec<(usize, &mut [usize], &mut [f32])> = best
+        .chunks_mut(crate::par::CHUNK_ROWS)
+        .zip(best_d.chunks_mut(crate::par::CHUNK_ROWS))
+        .enumerate()
+        .map(|(ch, (idx, dist))| (ch * crate::par::CHUNK_ROWS, idx, dist))
+        .collect();
+    crate::par::run_items(chunks, jobs, |(row0, best, best_d)| {
+        let mut panel = vec![0.0f32; LANES * points.cols];
+        for (b, (idx, dist)) in best
+            .chunks_mut(LANES)
+            .zip(best_d.chunks_mut(LANES))
+            .enumerate()
+        {
+            pack_lanes(block_rows(points, row0 + b * LANES, idx.len()), &mut panel);
+            let (lane_idx, lane_dist) =
+                crate::simd::nearest_lanes_on(path, &panel, &centroids.data, &c_norms);
+            idx.copy_from_slice(&lane_idx[..idx.len()]);
+            dist.copy_from_slice(&lane_dist[..dist.len()]);
+        }
+    });
+}
+
+/// The value `Iterator::sum` folds an `f32` sum from (`-0.0`): the
+/// points-as-lanes forms of [`dist_sq`] start every lane there too.
+#[inline]
+pub(crate) fn sum_start() -> f32 {
+    std::iter::empty::<f32>().sum()
+}
+
+/// [`dist_sq`] of the eight panel points against `q`: lane `p` computes
+/// `(x - q[t])^2` and adds it to its running sum in increasing `t`, from
+/// [`sum_start`] — the one-point function's exact operation sequence.
+#[inline]
+pub(crate) fn dist_sq_lanes(panel: &[f32], q: &[f32]) -> [f32; LANES] {
+    let mut acc = [sum_start(); LANES];
+    for (x, &y) in panel.chunks_exact(LANES).zip(q) {
+        for p in 0..LANES {
+            let d = x[p] - y;
+            acc[p] += d * d;
+        }
+    }
+    acc
+}
+
+/// The rows `first .. first + count` of `m` (at most [`LANES`]), as
+/// slices, for [`pack_lanes`].
+fn block_rows(m: &Matrix, first: usize, count: usize) -> impl Iterator<Item = &[f32]> {
+    let d = m.cols;
+    let block = &m.data[first * d..(first + count) * d];
+    (0..count).map(move |p| &block[p * d..(p + 1) * d])
+}
+
+/// [`dist_sq`] of every row of `points` to `q`, into `out`, on an explicit
+/// kernel tier: the AVX2 tier gathers eight rows per points-as-lanes step,
+/// the scalar tier calls [`dist_sq`] per row — bitwise the same values.
+/// Exposed (hidden) so the determinism suite can hold every tier to the
+/// one-point form.
+///
+/// # Panics
+///
+/// Panics if `q.len()` differs from the row length or `out.len()` from
+/// the row count.
+#[doc(hidden)]
+pub fn dist_sq_rows_on(path: crate::simd::SimdPath, points: &Matrix, q: &[f32], out: &mut [f32]) {
+    check_rows(points, q, out);
+    crate::simd::dist_sq_rows_on::<false>(path, &points.data, q, out);
+}
+
+/// The k-means++ D² refresh through the [`dist_sq_rows_on`] kernel:
+/// lowers `d2[i]` to `dist_sq(points.row(i), q)` wherever that is strictly
+/// smaller, in place.
+///
+/// # Panics
+///
+/// Panics on the same shape mismatches as [`dist_sq_rows_on`].
+#[doc(hidden)]
+pub fn lower_dist_sq_rows_on(
+    path: crate::simd::SimdPath,
+    points: &Matrix,
+    q: &[f32],
+    d2: &mut [f32],
+) {
+    check_rows(points, q, d2);
+    crate::simd::dist_sq_rows_on::<true>(path, &points.data, q, d2);
+}
+
+fn check_rows(points: &Matrix, q: &[f32], out: &[f32]) {
+    assert_eq!(points.cols, q.len(), "dist_sq_rows: length mismatch");
+    assert_eq!(points.rows, out.len(), "dist_sq_rows: output size");
+}
+
+/// The scalar tier of [`dist_sq_rows_on`] (`KEEP_MIN = false`) and
+/// [`lower_dist_sq_rows_on`] (`KEEP_MIN = true`).
+pub(crate) fn dist_sq_rows_scalar<const KEEP_MIN: bool>(
+    points: &[f32],
+    q: &[f32],
+    out: &mut [f32],
+) {
+    let d = q.len();
+    for (i, slot) in out.iter_mut().enumerate() {
+        let x = dist_sq(&points[i * d..(i + 1) * d], q);
+        *slot = if !KEEP_MIN || x < *slot { x } else { *slot };
+    }
+}
+
+/// Index of the row of `book` nearest each panel point by [`dist_sq`],
+/// strict `<` in row order (ties keep the lowest index) — the
+/// points-as-lanes form of a one-point nearest-codeword scan.
+pub(crate) fn nearest_direct_lanes(panel: &[f32], book: &Matrix) -> [usize; LANES] {
+    let mut best = [0usize; LANES];
+    let mut best_d = [f32::INFINITY; LANES];
+    for c in 0..book.rows {
+        let d = dist_sq_lanes(panel, book.row(c));
+        for p in 0..LANES {
+            if d[p] < best_d[p] {
+                best[p] = c;
+                best_d[p] = d[p];
+            }
+        }
+    }
+    best
 }
 
 /// Squared L2 norm of a vector, accumulated in [`dot8`] order so that

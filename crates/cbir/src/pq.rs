@@ -13,7 +13,7 @@
 //! exact pipeline handles losslessly.
 
 use crate::kmeans::kmeans;
-use crate::linalg::Matrix;
+use crate::linalg::{nearest_direct_lanes, pack_lanes, Matrix, LANES};
 use crate::topk::top_k;
 use rand::Rng;
 
@@ -85,41 +85,72 @@ impl ProductQuantizer {
         self.codebooks.len()
     }
 
-    /// Encodes one vector into its per-subspace codeword indices.
+    /// The trained codebooks, one `centroids x sub_dim` matrix per
+    /// subspace.
+    #[must_use]
+    pub fn codebooks(&self) -> &[Matrix] {
+        &self.codebooks
+    }
+
+    /// Encodes one vector into its per-subspace codeword indices: the
+    /// nearest codeword by [`dist_sq`](crate::linalg::dist_sq), ties to
+    /// the lowest index.
     ///
     /// # Panics
     ///
     /// Panics on a dimension mismatch.
     #[must_use]
     pub fn encode(&self, x: &[f32]) -> Vec<u8> {
-        assert_eq!(
-            x.len(),
-            self.sub_dim * self.codebooks.len(),
-            "ProductQuantizer::encode: bad input size"
-        );
-        self.codebooks
-            .iter()
-            .enumerate()
-            .map(|(s, book)| {
-                let sub = &x[s * self.sub_dim..(s + 1) * self.sub_dim];
-                let mut best = 0usize;
-                let mut best_d = f32::INFINITY;
-                for c in 0..book.rows() {
-                    let d = crate::linalg::dist_sq(sub, book.row(c));
-                    if d < best_d {
-                        best = c;
-                        best_d = d;
-                    }
-                }
-                best as u8
+        self.check_dims(x.len());
+        self.encode_lanes(&[x]).remove(0)
+    }
+
+    /// Encodes every row of `data`, eight rows per points-as-lanes step —
+    /// the same code [`encode`](Self::encode) gives each row.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a dimension mismatch.
+    #[must_use]
+    pub fn encode_batch(&self, data: &Matrix) -> Vec<Vec<u8>> {
+        self.check_dims(data.cols());
+        (0..data.rows())
+            .step_by(LANES)
+            .flat_map(|first| {
+                let rows: Vec<&[f32]> = (first..data.rows().min(first + LANES))
+                    .map(|i| data.row(i))
+                    .collect();
+                self.encode_lanes(&rows)
             })
             .collect()
     }
 
-    /// Encodes every row of `data`.
-    #[must_use]
-    pub fn encode_batch(&self, data: &Matrix) -> Vec<Vec<u8>> {
-        (0..data.rows()).map(|i| self.encode(data.row(i))).collect()
+    fn check_dims(&self, len: usize) {
+        assert_eq!(
+            len,
+            self.sub_dim * self.codebooks.len(),
+            "ProductQuantizer::encode: bad input size"
+        );
+    }
+
+    /// Encodes up to [`LANES`] vectors at once: per subspace, their
+    /// sub-vectors are packed into one points-as-lanes panel and scanned
+    /// against the codebook together.
+    fn encode_lanes(&self, rows: &[&[f32]]) -> Vec<Vec<u8>> {
+        let mut codes: Vec<Vec<u8>> = rows
+            .iter()
+            .map(|_| Vec::with_capacity(self.codebooks.len()))
+            .collect();
+        let mut panel = vec![0.0f32; LANES * self.sub_dim];
+        for (s, book) in self.codebooks.iter().enumerate() {
+            let span = s * self.sub_dim..(s + 1) * self.sub_dim;
+            pack_lanes(rows.iter().map(|r| &r[span.clone()]), &mut panel);
+            let best = nearest_direct_lanes(&panel, book);
+            for (code, &c) in codes.iter_mut().zip(&best) {
+                code.push(c as u8);
+            }
+        }
+        codes
     }
 
     /// Decodes a code back to the (lossy) reconstruction.

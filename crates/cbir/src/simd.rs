@@ -1,5 +1,8 @@
-//! Runtime-dispatched explicit-SIMD kernels for the three hot primitives
-//! (`dot8`, the 4x8 GEMM micro-kernel inner loop, `norm_sq`).
+//! Runtime-dispatched explicit-SIMD kernels for the hot primitives:
+//! `dot8`, the 4x8 GEMM micro-kernel inner loop and `norm_sq`, which
+//! vectorize along one dot product, and the points-as-lanes k-means
+//! kernels (the fused nearest-centroid assignment and the direct-distance
+//! D² refresh), which vectorize across eight points.
 //!
 //! ## Why the SIMD path is *bitwise* identical to the scalar one
 //!
@@ -19,6 +22,14 @@
 //! FTZ/DAZ), so every output bit matches the scalar path. The determinism
 //! suite proves it with `to_bits()` property tests and a full-suite stdout
 //! comparison (`tests/runner_determinism.rs`).
+//!
+//! The points-as-lanes kernels keep the same promise with the roles
+//! swapped: register lane `p` is point `p`, and each point's lane runs its
+//! one-point reference's exact sequence — the `dot8` lane model (eight
+//! accumulators, one per `t mod 8`, folded through `reduce`) for the
+//! decomposed distance, `dist_sq`'s single sequential sum for the direct
+//! one. The argmin is an ordered `<` compare plus blends, which is the
+//! scalar strict-`<` scan lane by lane.
 //!
 //! One piece of fine print: when two quiet NaNs with *different* payloads
 //! meet in a mul/add, hardware keeps the first source operand's payload —
@@ -268,6 +279,64 @@ pub(crate) fn kernel4_on(
     }
 }
 
+/// The fused points-as-lanes assignment kernel
+/// ([`crate::linalg::nearest_lanes_scalar`]) on an explicit kernel tier.
+/// NEON has no sibling yet and runs the portable body — bit-identical, as
+/// every tier is.
+#[inline]
+#[must_use]
+pub(crate) fn nearest_lanes_on(
+    path: SimdPath,
+    panel: &[f32],
+    centroids: &[f32],
+    c_norms: &[f32],
+) -> ([usize; LANES], [f32; LANES]) {
+    assert!(
+        panel.len().is_multiple_of(LANES)
+            && centroids.len() == c_norms.len() * (panel.len() / LANES),
+        "nearest_lanes: panel, centroid and norm sizes disagree"
+    );
+    match path {
+        // The AVX2 kernel carries centroid indices in i32 lanes.
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: dispatch only yields Avx2 after is_x86_feature_detected!;
+        // the sizes are asserted above and the guard bounds the index.
+        SimdPath::Avx2 if i32::try_from(c_norms.len()).is_ok() => unsafe {
+            avx2::nearest_lanes(panel, centroids, c_norms)
+        },
+        _ => crate::linalg::nearest_lanes_scalar(panel, centroids, c_norms),
+    }
+}
+
+/// [`crate::linalg::dist_sq`] of every `q.len()`-element row of `points`
+/// to `q` on an explicit kernel tier, stored into `out` — or, with
+/// `KEEP_MIN`, stored only where strictly smaller than what `out` holds
+/// (see [`crate::linalg::dist_sq_rows_on`] and
+/// [`crate::linalg::lower_dist_sq_rows_on`]).
+#[inline]
+pub(crate) fn dist_sq_rows_on<const KEEP_MIN: bool>(
+    path: SimdPath,
+    points: &[f32],
+    q: &[f32],
+    out: &mut [f32],
+) {
+    assert_eq!(
+        points.len(),
+        q.len() * out.len(),
+        "dist_sq_rows: points do not hold one row per output"
+    );
+    match path {
+        // The AVX2 kernel gathers with i32 offsets up to `8 * len`.
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: dispatch only yields Avx2 after is_x86_feature_detected!;
+        // the size is asserted above and the guard bounds the offsets.
+        SimdPath::Avx2 if q.len() < (i32::MAX as usize) / LANES => unsafe {
+            avx2::dist_sq_rows::<KEEP_MIN>(points, q, out)
+        },
+        _ => crate::linalg::dist_sq_rows_scalar::<KEEP_MIN>(points, q, out),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // x86_64 AVX2 kernels
 // ---------------------------------------------------------------------------
@@ -279,7 +348,11 @@ pub(crate) fn kernel4_on(
 pub(crate) mod avx2 {
     use super::{reduce, LANES};
     use std::arch::x86_64::{
-        __m256, _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_setzero_ps, _mm256_storeu_ps,
+        __m256, _mm256_add_ps, _mm256_blendv_ps, _mm256_broadcast_ss, _mm256_castps_si256,
+        _mm256_castsi256_ps, _mm256_cmp_ps, _mm256_i32gather_ps, _mm256_loadu_ps, _mm256_mul_ps,
+        _mm256_mullo_epi32, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32,
+        _mm256_setzero_ps, _mm256_setzero_si256, _mm256_storeu_ps, _mm256_storeu_si256,
+        _mm256_sub_ps, _CMP_LT_OQ,
     };
 
     /// One accumulation step: per-lane multiply then per-lane add —
@@ -368,6 +441,127 @@ pub(crate) mod avx2 {
             reduce(lanes[2]),
             reduce(lanes[3]),
         ]
+    }
+
+    /// [`crate::linalg::reduce`] applied lane-wise: the same fold tree,
+    /// one point per lane.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn reduce_points(acc: &[__m256; LANES]) -> __m256 {
+        let q0 = _mm256_add_ps(acc[0], acc[4]);
+        let q1 = _mm256_add_ps(acc[1], acc[5]);
+        let q2 = _mm256_add_ps(acc[2], acc[6]);
+        let q3 = _mm256_add_ps(acc[3], acc[7]);
+        _mm256_add_ps(_mm256_add_ps(q0, q2), _mm256_add_ps(q1, q3))
+    }
+
+    /// The [`crate::linalg::dot8`] lane model for the eight points of a
+    /// `d`-dim panel, one point per register lane: step `t` multiplies
+    /// the panel row by `cent[t]` broadcast (or by itself when `cent` is
+    /// `None`, giving the points' norms) and adds into accumulator
+    /// `t % 8`, steps in increasing `t`. Past the last step the loop
+    /// exits, leaving the remaining accumulators at `+0.0` just as
+    /// `dot8`'s tail leaves its upper lanes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn dot_lanes(panel: *const f32, d: usize, cent: Option<*const f32>) -> __m256 {
+        let mut acc = [_mm256_setzero_ps(); LANES];
+        let mut t0 = 0;
+        while t0 < d {
+            for (l, a) in acc.iter_mut().enumerate().take(d - t0) {
+                let t = t0 + l;
+                let x = _mm256_loadu_ps(panel.add(t * LANES));
+                let y = match cent {
+                    Some(c) => _mm256_broadcast_ss(&*c.add(t)),
+                    None => x,
+                };
+                *a = _mm256_add_ps(*a, _mm256_mul_ps(x, y));
+            }
+            t0 += LANES;
+        }
+        reduce_points(&acc)
+    }
+
+    /// AVX2 fused assignment kernel: the explicit-register form of
+    /// [`crate::linalg::nearest_lanes_scalar`]. Register `l` of the eight
+    /// accumulators is dot-product lane `l` for all eight points at once;
+    /// the argmin is a strict ordered `<` (`NaN` never wins) and two
+    /// blends.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available, `panel` must hold `8 * d` floats,
+    /// `centroids` `c_norms.len() * d`, and `c_norms.len()` must fit in an
+    /// `i32`.
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn nearest_lanes(
+        panel: &[f32],
+        centroids: &[f32],
+        c_norms: &[f32],
+    ) -> ([usize; LANES], [f32; LANES]) {
+        let d = panel.len() / LANES;
+        let p_norms = dot_lanes(panel.as_ptr(), d, None);
+        let two = _mm256_set1_ps(2.0);
+        let mut best = _mm256_setzero_si256();
+        let mut best_d = _mm256_set1_ps(f32::INFINITY);
+        for (c, &c_norm) in c_norms.iter().enumerate() {
+            let dots = dot_lanes(panel.as_ptr(), d, Some(centroids.as_ptr().add(c * d)));
+            let dd = _mm256_sub_ps(
+                _mm256_add_ps(p_norms, _mm256_set1_ps(c_norm)),
+                _mm256_mul_ps(two, dots),
+            );
+            let lt = _mm256_cmp_ps::<_CMP_LT_OQ>(dd, best_d);
+            best_d = _mm256_blendv_ps(best_d, dd, lt);
+            let idx = _mm256_castsi256_ps(_mm256_set1_epi32(c as i32));
+            best = _mm256_castps_si256(_mm256_blendv_ps(_mm256_castsi256_ps(best), idx, lt));
+        }
+        let mut idx = [0i32; LANES];
+        let mut dist = [0.0f32; LANES];
+        _mm256_storeu_si256(idx.as_mut_ptr().cast(), best);
+        _mm256_storeu_ps(dist.as_mut_ptr(), best_d);
+        (idx.map(|c| c as usize), dist)
+    }
+
+    /// AVX2 [`crate::linalg::dist_sq_rows_scalar`]: each full block of
+    /// eight rows is one register, lane `p` = row `p`, gathered one
+    /// element column at a time (no transposed copy); lane `p` runs
+    /// `dist_sq`'s own sequence — `acc += (x - q[t])^2` in increasing `t`
+    /// from [`crate::linalg::sum_start`]. `KEEP_MIN` stores through a
+    /// strict ordered `<` blend. Rows past the last full block take the
+    /// scalar path.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available, `points.len() == q.len() * out.len()`, and
+    /// `8 * q.len()` must fit in an `i32`.
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn dist_sq_rows<const KEEP_MIN: bool>(
+        points: &[f32],
+        q: &[f32],
+        out: &mut [f32],
+    ) {
+        let d = q.len();
+        let full = out.len() / LANES * LANES;
+        let offsets = _mm256_mullo_epi32(
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+            _mm256_set1_epi32(d as i32),
+        );
+        for (b, slots) in out[..full].chunks_exact_mut(LANES).enumerate() {
+            let block = points.as_ptr().add(b * LANES * d);
+            let mut acc = _mm256_set1_ps(crate::linalg::sum_start());
+            for (t, &y) in q.iter().enumerate() {
+                let x = _mm256_i32gather_ps::<4>(block.add(t), offsets);
+                let diff = _mm256_sub_ps(x, _mm256_set1_ps(y));
+                acc = _mm256_add_ps(acc, _mm256_mul_ps(diff, diff));
+            }
+            if KEEP_MIN {
+                let old = _mm256_loadu_ps(slots.as_ptr());
+                let lt = _mm256_cmp_ps::<_CMP_LT_OQ>(acc, old);
+                acc = _mm256_blendv_ps(old, acc, lt);
+            }
+            _mm256_storeu_ps(slots.as_mut_ptr(), acc);
+        }
+        crate::linalg::dist_sq_rows_scalar::<KEEP_MIN>(&points[full * d..], q, &mut out[full..]);
     }
 }
 

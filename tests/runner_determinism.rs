@@ -191,8 +191,14 @@ mod simd_bitwise {
     //! infinities and NaN payloads. `to_bits()` comparisons throughout.
 
     use proptest::prelude::*;
-    use reach_cbir::linalg::{gemm_nt_rows_on, Matrix};
+    use rand::Rng;
+    use reach_cbir::linalg::{
+        dist_sq, dist_sq_rows_on, gemm_nt_rows_on, lower_dist_sq_rows_on, nearest_centroids_on,
+        Matrix,
+    };
     use reach_cbir::simd::{self, SimdPath};
+    use reach_cbir::{BinaryCoder, ProductQuantizer};
+    use reach_sim::rng::seeded;
 
     /// Every non-scalar path this host can execute (empty on exotic
     /// architectures — the properties then hold vacuously and the CI
@@ -248,6 +254,134 @@ mod simd_bitwise {
         (0..len)
             .map(|i| pool[(i.wrapping_mul(7).wrapping_add(salt)) % pool.len()])
             .collect()
+    }
+
+    /// The scalar tier plus every explicit one: the points-as-lanes
+    /// kernels are held to their one-point references on each.
+    fn all_paths() -> Vec<SimdPath> {
+        let mut paths = vec![SimdPath::Scalar];
+        paths.extend(explicit_paths());
+        paths
+    }
+
+    /// Fill for the points-as-lanes properties: `mode` 0 draws from the
+    /// adversarial pool, 1 from the small integers -2..=2 (so many
+    /// distances tie exactly), 2 from an ordinary spread.
+    fn lane_fill(len: usize, salt: usize, mode: u8) -> Vec<f32> {
+        match mode {
+            0 => adversarial(len, salt),
+            1 => (0..len)
+                .map(|i| (i.wrapping_mul(2_654_435_761).wrapping_add(salt) % 5) as f32 - 2.0)
+                .collect(),
+            _ => (0..len)
+                .map(|i| {
+                    let x = i
+                        .wrapping_mul(0x9E37_79B9)
+                        .wrapping_add(salt.wrapping_mul(7919));
+                    ((x % 4001) as f32 - 2000.0) / 131.0
+                })
+                .collect(),
+        }
+    }
+
+    /// The fused assignment's reference model: `dot8`-order norms and dot
+    /// products in the decomposed form, then a strict-`<` scan in
+    /// centroid order — the pre-fusion k-means assignment, one point at a
+    /// time.
+    fn nearest_reference(points: &Matrix, centroids: &Matrix) -> (Vec<usize>, Vec<u32>) {
+        let c_norms: Vec<f32> = (0..centroids.rows())
+            .map(|c| simd::norm_sq_on(SimdPath::Scalar, centroids.row(c)))
+            .collect();
+        (0..points.rows())
+            .map(|i| {
+                let p = points.row(i);
+                let p_norm = simd::norm_sq_on(SimdPath::Scalar, p);
+                let (mut best, mut best_d) = (0usize, f32::INFINITY);
+                for (c, &c_norm) in c_norms.iter().enumerate() {
+                    let dot = simd::dot8_on(SimdPath::Scalar, p, centroids.row(c));
+                    let dd = p_norm + c_norm - 2.0 * dot;
+                    if dd < best_d {
+                        best = c;
+                        best_d = dd;
+                    }
+                }
+                (best, best_d.to_bits())
+            })
+            .unzip()
+    }
+
+    /// The fused assignment on tier `path` with `jobs` workers, as
+    /// `(indices, distances)`.
+    fn nearest_on(
+        path: SimdPath,
+        points: &Matrix,
+        centroids: &Matrix,
+        jobs: usize,
+    ) -> (Vec<usize>, Vec<f32>) {
+        let mut idx = vec![0usize; points.rows()];
+        let mut dist = vec![0.0f32; points.rows()];
+        nearest_centroids_on(path, points, centroids, jobs, &mut idx, &mut dist);
+        (idx, dist)
+    }
+
+    #[test]
+    fn fused_assignment_breaks_exact_ties_to_the_lowest_index() {
+        // Centroids 1 and 3 are copies of 0 and 2: every distance to a
+        // copy ties exactly with its original, so only the strict `<`
+        // scan order decides — the original (lower index) must win.
+        let centroids = Matrix::from_vec(
+            4,
+            3,
+            vec![1.0, 0.0, 0.0, 1.0, 0.0, 0.0, -1.0, 0.0, 0.0, -1.0, 0.0, 0.0],
+        );
+        let points = Matrix::from_vec(9, 3, (0..27).map(|i| (i % 5) as f32 - 2.0).collect());
+        let want = nearest_reference(&points, &centroids);
+        assert!(want.0.iter().all(|&c| c == 0 || c == 2));
+        for p in all_paths() {
+            let (idx, dist) = nearest_on(p, &points, &centroids, 1);
+            assert_eq!(idx, want.0, "tie order diverged on {}", p.name());
+            let bits: Vec<u32> = dist.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(bits, want.1, "tie distances diverged on {}", p.name());
+        }
+    }
+
+    /// Checks both points-as-lanes direct-distance kernels on every tier
+    /// against `linalg::dist_sq` row by row: the raw distances, and the
+    /// D² refresh's strict-`<` lowering of `prior` values.
+    fn check_dist_sq_rows(points: &Matrix, q: &[f32], prior: &[f32]) {
+        let direct: Vec<f32> = (0..points.rows())
+            .map(|i| dist_sq(points.row(i), q))
+            .collect();
+        let lowered: Vec<u32> = direct
+            .iter()
+            .zip(prior)
+            .map(|(&x, &old)| if x < old { x } else { old }.to_bits())
+            .collect();
+        let direct: Vec<u32> = direct.iter().map(|v| v.to_bits()).collect();
+        for p in all_paths() {
+            let mut got = vec![0.0f32; points.rows()];
+            dist_sq_rows_on(p, points, q, &mut got);
+            let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, direct, "dist_sq rows diverged on {}", p.name());
+            let mut got = prior.to_vec();
+            lower_dist_sq_rows_on(p, points, q, &mut got);
+            let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, lowered, "D² refresh diverged on {}", p.name());
+        }
+    }
+
+    #[test]
+    fn dist_sq_rows_cover_every_length_and_block_remainder() {
+        // Zero-length rows (the sum's `-0.0` start shows through), every
+        // length residue, and row counts around the 8-row block, with
+        // adversarial prior D² values (NaN, ±∞, ±0, subnormals).
+        for d in 0..=17 {
+            for n in [0usize, 1, 7, 8, 9, 17] {
+                let points = Matrix::from_vec(n, d, adversarial(n * d, d + n));
+                let q = adversarial(d, 2 * d + 1);
+                check_dist_sq_rows(&points, &q, &adversarial(n, n + 4));
+            }
+        }
     }
 
     #[test]
@@ -389,6 +523,124 @@ mod simd_bitwise {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The fused points-as-lanes assignment against its one-point
+        /// reference on every tier: point counts straddling the 8-point
+        /// blocks and 64-row chunks, every dimension residue, centroid
+        /// counts past 64, and payloads that are adversarial, tie-heavy
+        /// or ordinary. Index and distance bits must both match.
+        #[test]
+        fn fused_assignment_matches_reference_bitwise(
+            n in 1usize..140,
+            d in 1usize..40,
+            k in 1usize..70,
+            jobs in 1usize..4,
+            mode in 0u8..3,
+            salt in 0usize..1000,
+        ) {
+            let points = Matrix::from_vec(n, d, lane_fill(n * d, salt, mode));
+            let centroids = Matrix::from_vec(k, d, lane_fill(k * d, salt + 1, mode));
+            let want = nearest_reference(&points, &centroids);
+            for p in all_paths() {
+                let (idx, dist) = nearest_on(p, &points, &centroids, jobs);
+                prop_assert_eq!(&idx, &want.0, "indices diverged on {}", p.name());
+                let bits: Vec<u32> = dist.iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(&bits, &want.1, "distances diverged on {}", p.name());
+            }
+        }
+
+        /// The points-as-lanes direct distance (the k-means++ D² refresh)
+        /// against `linalg::dist_sq` row by row, on every tier, including
+        /// zero-length rows and partial 8-row blocks.
+        #[test]
+        fn dist_sq_rows_match_dist_sq_bitwise(
+            n in 0usize..40,
+            d in 0usize..40,
+            mode in 0u8..3,
+            salt in 0usize..1000,
+        ) {
+            let points = Matrix::from_vec(n, d, lane_fill(n * d, salt, mode));
+            let q = lane_fill(d, salt + 5, mode);
+            check_dist_sq_rows(&points, &q, &lane_fill(n, salt + 6, mode));
+        }
+
+        /// PQ codes from the points-as-lanes encoder equal the one-point
+        /// nearest-codeword scan (`dist_sq`, strict `<`, lowest index on
+        /// ties), batch and single, on adversarial and tie-heavy inputs.
+        #[test]
+        fn pq_codes_match_one_point_scan(
+            subspaces in 1usize..5,
+            sub_dim in 1usize..7,
+            centroids in 1usize..20,
+            n in 1usize..30,
+            mode in 0u8..3,
+            salt in 0usize..1000,
+        ) {
+            let d = subspaces * sub_dim;
+            let train = Matrix::from_vec(40, d, lane_fill(40 * d, salt, 2));
+            let pq = ProductQuantizer::train(&train, subspaces, centroids, &mut seeded(salt as u64));
+            let data = Matrix::from_vec(n, d, lane_fill(n * d, salt + 3, mode));
+            let codes = pq.encode_batch(&data);
+            for (i, code) in codes.iter().enumerate() {
+                let want: Vec<u8> = pq
+                    .codebooks()
+                    .iter()
+                    .enumerate()
+                    .map(|(s, book)| {
+                        let sub = &data.row(i)[s * sub_dim..(s + 1) * sub_dim];
+                        let (mut best, mut best_d) = (0usize, f32::INFINITY);
+                        for c in 0..book.rows() {
+                            let dd = dist_sq(sub, book.row(c));
+                            if dd < best_d {
+                                best = c;
+                                best_d = dd;
+                            }
+                        }
+                        best as u8
+                    })
+                    .collect();
+                prop_assert_eq!(code, &want, "batch code of row {}", i);
+                prop_assert_eq!(&pq.encode(data.row(i)), &want, "code of row {}", i);
+            }
+        }
+
+        /// Binary codes from the planes-as-lanes encoder equal one
+        /// sequential dot product per plane (`Iterator::sum` of
+        /// `plane[t] * x[t]`, sign bit `>= 0`), for bit counts that are
+        /// and are not multiples of the lane group or the 64-bit word.
+        #[test]
+        fn binary_codes_match_sequential_dots(
+            dim in 1usize..40,
+            bits in 1usize..300,
+            n in 1usize..12,
+            mode in 0u8..3,
+            salt in 0usize..1000,
+        ) {
+            let coder = BinaryCoder::new(dim, bits, &mut seeded(salt as u64));
+            // The hyperplanes, redrawn in the order `BinaryCoder::new`
+            // draws them.
+            let mut rng = seeded(salt as u64);
+            let planes: Vec<f32> = (0..bits * dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+            let data = Matrix::from_vec(n, dim, lane_fill(n * dim, salt + 9, mode));
+            let codes = coder.encode_batch(&data);
+            for (i, code) in codes.iter().enumerate() {
+                let x = data.row(i);
+                let mut want = vec![0u64; bits.div_ceil(64)];
+                for b in 0..bits {
+                    let dot: f32 =
+                        planes[b * dim..(b + 1) * dim].iter().zip(x).map(|(p, v)| p * v).sum();
+                    if dot >= 0.0 {
+                        want[b / 64] |= 1u64 << (b % 64);
+                    }
+                }
+                prop_assert_eq!(code, &want, "batch code of row {}", i);
+                prop_assert_eq!(&coder.encode(x), &want, "code of row {}", i);
+            }
+        }
+    }
+
     /// The in-process form of the CI `REACH_SIMD=off` vs `auto` A/B: the
     /// whole experiments suite rendered with the kernel tier pinned to
     /// scalar, then pinned to the widest supported path, must produce the
@@ -459,7 +711,7 @@ mod kernel_chunking {
         #[test]
         fn kmeans_parallel_matches_sequential_bitwise(
             n in 8usize..300,
-            d in 1usize..8,
+            d in 1usize..40,
             k_frac in 1usize..8,
             jobs in 2usize..9,
             seedling in 0u64..1000,
