@@ -197,13 +197,16 @@ fn bench_cache(c: &mut Criterion) {
 }
 
 fn bench_ddr_stream(c: &mut Criterion) {
-    use reach_mem::{AccessKind, Dimm, DimmConfig, RowPolicy};
+    use reach_mem::{
+        AccessKind, Dimm, DimmConfig, Interleave, MemoryController, MemoryControllerConfig,
+        RowPolicy,
+    };
 
     let mut g = c.benchmark_group("hotpath/ddr");
     let bytes = (scaled(256, 16) as u64) << 20;
     // Simulated-stream throughput: how fast the timing model itself chews
-    // through a multi-hundred-MiB sequential scan (the refresh-period row
-    // batching collapses ~18 row reservations into one).
+    // through a multi-hundred-MiB sequential scan (rows are reserved a
+    // refresh period at a time, and the steady-state periods in one step).
     g.throughput(Throughput::Bytes(bytes));
     g.bench_function("stream_row_batched", |b| {
         b.iter(|| {
@@ -220,6 +223,25 @@ fn bench_ddr_stream(c: &mut Criterion) {
             )
         });
     });
+    // A 1 GiB scan through one of the paper's memory controllers: spread
+    // over all four DIMMs at cache-line interleave (the CPU / on-chip
+    // shape), and walked 1 MiB tile by tile (the near-memory shape).
+    let gib = (scaled(1024, 64) as u64) << 20;
+    g.throughput(Throughput::Bytes(gib));
+    for (name, interleave) in [
+        ("controller_1gib_cache_line", Interleave::CacheLine),
+        ("controller_1gib_tile_1mib", Interleave::Tile(1 << 20)),
+    ] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let mut mc = MemoryController::new(MemoryControllerConfig {
+                    interleave,
+                    ..MemoryControllerConfig::paper_mc()
+                });
+                black_box(mc.stream(SimTime::ZERO, 0, gib, AccessKind::Read).complete)
+            });
+        });
+    }
     g.finish();
 }
 

@@ -196,10 +196,16 @@ impl MemoryController {
     ///
     /// # Panics
     ///
-    /// Panics if `bytes` is zero.
+    /// Panics if `bytes` is zero or larger than the controller's DIMMs hold
+    /// together, naming `bytes`, the DIMM count and the per-DIMM capacity.
     pub fn stream(&mut self, now: SimTime, addr: u64, bytes: u64, kind: AccessKind) -> Reservation {
         assert!(bytes > 0, "MemoryController::stream: empty transfer");
         let n = self.dimm_count() as u64;
+        let capacity = self.config.dimm.capacity;
+        assert!(
+            bytes <= n.saturating_mul(capacity),
+            "MemoryController::stream: {bytes} bytes exceed {n} DIMMs x {capacity} bytes"
+        );
         let mut start = SimTime::MAX;
         let mut complete = now;
 
@@ -221,7 +227,7 @@ impl MemoryController {
                     channel.stats.bytes += per_channel;
                     channel.stats.contended += bus.queueing(now);
                     for slot in 0..self.config.dimms_per_channel {
-                        let local = (addr / n).min(self.config.dimm.capacity - share);
+                        let local = (addr / n).min(capacity - share);
                         let r = channel.dimms[slot].stream(
                             now,
                             local,
@@ -489,6 +495,19 @@ mod tests {
     fn bad_tile_size_rejected() {
         let mut m = mc();
         m.set_interleave(Interleave::Tile(100)); // not a line multiple
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "MemoryController::stream: 4194368 bytes exceed 4 DIMMs x 1048576 bytes"
+    )]
+    fn oversized_cache_line_stream_names_its_size() {
+        // One line past what four 1 MiB DIMMs hold: each DIMM's share would
+        // exceed its capacity, which used to underflow the start clamp.
+        let mut config = MemoryControllerConfig::paper_mc();
+        config.dimm.capacity = 1 << 20;
+        let mut m = MemoryController::new(config);
+        m.stream(SimTime::ZERO, 0, (4 << 20) + 64, AccessKind::Read);
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! A [`Dimm`] is a set of banks, each with an open-row register and a
 //! busy-until calendar, plus a shared data bus. Accesses are issued at
 //! cache-line (burst) granularity; streaming transfers use
-//! [`Dimm::stream`], which reserves whole-row bursts to keep large-footprint
-//! experiments fast without losing bus-contention fidelity.
+//! [`Dimm::stream`], which reserves whole-row bursts, batches the rows of
+//! each refresh period and, once the periods repeat, reserves all of them
+//! in closed form. A multi-gigabyte scan therefore costs the host a bounded
+//! number of steps, without losing bus-contention fidelity.
 //!
 //! The timing parameters follow the JEDEC DDR4-2400 speed grade the paper's
 //! configuration (8 DDR4 DIMMs, 2 memory controllers) implies.
@@ -174,6 +176,9 @@ pub struct Dimm {
     banks: Vec<Bank>,
     bus: SerialResource,
     stats: DimmStats,
+    /// Loop trips taken by [`Dimm::stream`], for tests that bound them.
+    #[cfg(test)]
+    stream_trips: u64,
 }
 
 impl Dimm {
@@ -195,6 +200,8 @@ impl Dimm {
             banks: vec![Bank::default(); config.banks as usize],
             bus: SerialResource::new(),
             stats: DimmStats::default(),
+            #[cfg(test)]
+            stream_trips: 0,
         }
     }
 
@@ -316,16 +323,22 @@ impl Dimm {
     /// FR-FCFS controller pipelines a sequential scan.
     ///
     /// Interior full rows are reserved in refresh-period batches via
-    /// [`SerialResource::reserve_many`] — bit-identical timing and stats to
-    /// the row-by-row loop (a property test checks this against a reference
-    /// implementation), but O(rows / rows-per-refresh-period) instead of
-    /// O(rows). The first row (activate lead-in), the final `banks + 1`
-    /// rows (per-bank open-row/ready state) and any partial rows stay on
-    /// the per-row path.
+    /// [`SerialResource::reserve_many`]. When a whole batch ends so that the
+    /// next one starts at the same phase modulo `t_refi`, every later whole
+    /// period repeats it exactly, and [`SerialResource::reserve_periodic`]
+    /// reserves them all in one step. At DDR4-2400 that phase is `t_rfc`,
+    /// with 18 rows per period. Timing and stats are bit-identical to the
+    /// row-by-row loop (property tests check this against a reference
+    /// implementation over random timings), and when the phase repeats the
+    /// loop makes a bounded number of trips, whatever `bytes` is. Timings
+    /// whose phase never repeats fall back to one trip per period. The
+    /// first row (activate lead-in), the final `banks + 1` rows (per-bank
+    /// open-row/ready state) and any partial rows stay on the per-row path.
     ///
     /// # Panics
     ///
-    /// Panics if the range exceeds the DIMM capacity or `bytes` is zero.
+    /// Panics if the range exceeds the DIMM capacity (naming `addr`,
+    /// `bytes` and the capacity) or `bytes` is zero.
     pub fn stream(
         &mut self,
         now: SimTime,
@@ -335,10 +348,10 @@ impl Dimm {
         policy: RowPolicy,
     ) -> Reservation {
         assert!(bytes > 0, "Dimm::stream: empty transfer");
+        let capacity = self.config.capacity;
         assert!(
-            addr.checked_add(bytes)
-                .is_some_and(|end| end <= self.config.capacity),
-            "Dimm::stream: range beyond capacity"
+            addr.checked_add(bytes).is_some_and(|end| end <= capacity),
+            "Dimm::stream: {bytes} bytes at {addr:#x} run beyond capacity {capacity}"
         );
         let t = self.config.timing;
         let row_bytes = self.config.row_bytes;
@@ -350,6 +363,10 @@ impl Dimm {
         let mut complete = now;
 
         while remaining > 0 {
+            #[cfg(test)]
+            {
+                self.stream_trips += 1;
+            }
             let in_row = (row_bytes - (offset % row_bytes)).min(remaining);
 
             // Batched fast path: runs of interior full rows within one
@@ -378,14 +395,33 @@ impl Dimm {
                     if take > 0 {
                         let res = self.bus.reserve_many(p_adj, row_service, take);
                         complete = res.ready;
-                        self.stats.activations += take;
-                        self.stats.bytes += take * row_bytes;
-                        match kind {
-                            AccessKind::Read => self.stats.read_bursts += take * lines_per_row,
-                            AccessKind::Write => self.stats.write_bursts += take * lines_per_row,
+                        let mut rows = take;
+                        // Steady-state jump: if the next batch would start
+                        // at the same phase modulo `t_refi`, it fits the
+                        // same rows and starts exactly `period` later, and
+                        // so does every whole batch after it. Reserve all
+                        // of them at once; `period >= fit * row_service`
+                        // because the next start is at or after this
+                        // batch's end.
+                        let next = self.refresh_adjust(complete);
+                        let periods = (full_rows_left - tail_rows - take) / fit;
+                        if take == fit && periods > 0 && next.as_ps() % refi == p_adj.as_ps() % refi
+                        {
+                            let period = next - p_adj;
+                            complete = self
+                                .bus
+                                .reserve_periodic(next, period, row_service, fit, periods)
+                                .ready;
+                            rows += periods * fit;
                         }
-                        offset += take * row_bytes;
-                        remaining -= take * row_bytes;
+                        self.stats.activations += rows;
+                        self.stats.bytes += rows * row_bytes;
+                        match kind {
+                            AccessKind::Read => self.stats.read_bursts += rows * lines_per_row,
+                            AccessKind::Write => self.stats.write_bursts += rows * lines_per_row,
+                        }
+                        offset += rows * row_bytes;
+                        remaining -= rows * row_bytes;
                         continue;
                     }
                 }
@@ -685,6 +721,22 @@ mod tests {
         d.access(SimTime::ZERO, cap, AccessKind::Read, RowPolicy::OpenPage);
     }
 
+    #[test]
+    #[should_panic(
+        expected = "Dimm::stream: 16384 bytes at 0x3ffffe000 run beyond capacity 17179869184"
+    )]
+    fn stream_out_of_range_names_its_range() {
+        let mut d = dimm();
+        let cap = d.config().capacity;
+        d.stream(
+            SimTime::ZERO,
+            cap - 8192,
+            16_384,
+            AccessKind::Read,
+            RowPolicy::OpenPage,
+        );
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -724,21 +776,147 @@ mod tests {
                 "rate {rate:.3e}");
         }
 
-        /// The batched stream is bit-identical to the row-by-row reference:
-        /// same reservation, stats, bus calendar, and per-bank state, for
-        /// arbitrary (mis)alignment, size, policy and prior traffic.
+        /// Closed-row policy never produces a row hit.
+        #[test]
+        fn closed_row_never_hits(
+            addrs in proptest::collection::vec(0u64..(1u64 << 20), 1..50),
+        ) {
+            let mut d = dimm();
+            let mut now = SimTime::ZERO;
+            for &a in &addrs {
+                let r = d.access(now, a, AccessKind::Read, RowPolicy::ClosedRow);
+                now = r.ready;
+            }
+            prop_assert_eq!(d.stats().row_hits, 0);
+        }
+    }
+
+    /// A DIMM whose refresh timing puts the row service time `s` in one of
+    /// the regimes of the stream's period map, from raw random draws:
+    ///
+    /// 0. `s < t_rfc`: every period's last row overshoots into the next
+    ///    blackout, so phase `t_rfc` is a fixed point after one period.
+    /// 1. `t_rfc < s < t_refi`, with the batch from phase `t_rfc` ending
+    ///    `g > t_rfc` into the next period and `s` not dividing `t_refi`:
+    ///    no phase is a fixed point, so the per-period loop runs.
+    /// 2. `s >= t_refi`: one row per period.
+    /// 3. `t_rfc` and `t_refi` drawn freely around `s`.
+    /// 4. The paper's DDR4-2400 DIMM (`s` = 426,752 ps > `t_rfc`, yet
+    ///    phase `t_rfc` is a fixed point).
+    fn regime_config(
+        regime: u64,
+        mhz: u64,
+        burst_half: u64,
+        row_log: u64,
+        banks: u64,
+        draws: [u64; 3],
+    ) -> DimmConfig {
+        let paper = DimmConfig::ddr4_16gb();
+        if regime == 4 {
+            return paper;
+        }
+        let mut timing = DdrTiming {
+            io_clock: Frequency::from_mhz(mhz),
+            burst_len: 2 * burst_half,
+            ..paper.timing
+        };
+        let row_bytes = paper.line_bytes << row_log;
+        let s = timing
+            .burst_time()
+            .scaled(row_bytes / paper.line_bytes)
+            .as_ps();
+        // Uniform-ish pick in the inclusive range [lo, hi].
+        let pick = |draw: u64, lo: u64, hi: u64| lo + draw % (hi - lo + 1);
+        let [d0, d1, d2] = draws;
+        let (rfc, refi) = match regime {
+            0 => {
+                let rfc = pick(d0, s + 1, 4 * s);
+                (rfc, rfc + pick(d1, 1, 40 * s))
+            }
+            1 => {
+                let rfc = pick(d0, 1, s - 2);
+                let g = pick(d1, rfc + 1, s - 1);
+                (rfc, rfc + pick(d2, 2, 40) * s - g)
+            }
+            2 => {
+                let rfc = pick(d0, 1, s / 2);
+                (rfc, pick(d1, rfc + 1, s))
+            }
+            _ => {
+                let rfc = pick(d0, 1, 2 * s);
+                (rfc, rfc + pick(d1, 1, 40 * s))
+            }
+        };
+        timing.t_rfc = SimDuration::from_ps(rfc);
+        timing.t_refi = SimDuration::from_ps(refi);
+        DimmConfig {
+            banks,
+            row_bytes,
+            timing,
+            ..paper
+        }
+    }
+
+    /// Streams on `fast` with [`Dimm::stream`] and on `slow` with the
+    /// reference, then asserts both DIMMs are in the same state: the same
+    /// reservation, stats, bus calendar and per-bank state, and the same
+    /// answer to a follow-up access.
+    fn assert_stream_matches_reference(
+        fast: &mut Dimm,
+        slow: &mut Dimm,
+        now: SimTime,
+        addr: u64,
+        bytes: u64,
+        kind: AccessKind,
+        policy: RowPolicy,
+    ) {
+        let rf = fast.stream(now, addr, bytes, kind, policy);
+        let rs = stream_reference(slow, now, addr, bytes, kind, policy);
+        assert_eq!(rf, rs);
+        assert_eq!(fast.stats, slow.stats);
+        assert_eq!(fast.bus.free_at(), slow.bus.free_at());
+        assert_eq!(fast.bus.busy_time(), slow.bus.busy_time());
+        assert_eq!(fast.bus.served(), slow.bus.served());
+        for (b, (f, s)) in fast.banks.iter().zip(&slow.banks).enumerate() {
+            assert_eq!(f.open_row, s.open_row, "bank {b} open row");
+            assert_eq!(f.ready_at, s.ready_at, "bank {b} ready");
+        }
+        let f2 = fast.access(rf.complete, addr, kind, policy);
+        let s2 = slow.access(rs.complete, addr, kind, policy);
+        assert_eq!(f2, s2);
+    }
+
+    /// Loop trips a stream may take when its phase map has a fixed point:
+    /// the first row, up to four period batches (two transient, the jump,
+    /// one short leftover), the `banks + 1` tail rows and a partial row.
+    fn steady_state_trip_bound(d: &Dimm) -> u64 {
+        d.config.banks + 7
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(100))]
+
+        /// The batched stream is bit-identical to the row-by-row reference
+        /// for random timings and geometry in every refresh regime, streams
+        /// up to 64 MiB (hundreds of jumped periods), arbitrary
+        /// (mis)alignment, policy and prior traffic.
         #[test]
         fn batched_stream_matches_row_by_row_reference(
+            regime in 0u64..5,
+            geometry in (200u64..2_000, 1u64..9, 4u64..9, 1u64..33),
+            draws in (0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
             addr_lines in 0u64..(1u64 << 14),
             misalign in 0u64..64,
             extra_bytes in 0u64..16_384,
-            kib in 1u64..2_048,
+            kib in 1u64..65_537,
             write in any::<bool>(),
             closed in any::<bool>(),
             pre in proptest::collection::vec(0u64..(1u64 << 20), 0..6),
         ) {
-            let mut fast = dimm();
-            let mut slow = dimm();
+            let (mhz, burst_half, row_log, banks) = geometry;
+            let config = regime_config(regime, mhz, burst_half, row_log, banks, [draws.0, draws.1, draws.2]);
+            let mut fast = Dimm::new(config);
+            let mut slow = Dimm::new(config);
             let kind = if write { AccessKind::Write } else { AccessKind::Read };
             let policy = if closed { RowPolicy::ClosedRow } else { RowPolicy::OpenPage };
 
@@ -753,37 +931,41 @@ mod tests {
             }
 
             let addr = addr_lines * 64 + misalign;
-            let bytes = (kib << 10) + extra_bytes; // up to ~2 MiB, odd tails
-            let rf = fast.stream(now, addr, bytes, kind, policy);
-            let rs = stream_reference(&mut slow, now, addr, bytes, kind, policy);
-            prop_assert_eq!(rf, rs);
-            prop_assert_eq!(fast.stats, slow.stats);
-            prop_assert_eq!(fast.bus.free_at(), slow.bus.free_at());
-            prop_assert_eq!(fast.bus.busy_time(), slow.bus.busy_time());
-            prop_assert_eq!(fast.bus.served(), slow.bus.served());
-            for (b, (f, s)) in fast.banks.iter().zip(&slow.banks).enumerate() {
-                prop_assert_eq!(f.open_row, s.open_row, "bank {} open row", b);
-                prop_assert_eq!(f.ready_at, s.ready_at, "bank {} ready", b);
+            let bytes = (kib << 10) + extra_bytes; // up to ~64 MiB, odd tails
+            assert_stream_matches_reference(&mut fast, &mut slow, now, addr, bytes, kind, policy);
+            if regime == 0 || regime == 4 {
+                prop_assert!(fast.stream_trips <= steady_state_trip_bound(&fast),
+                    "{} trips", fast.stream_trips);
             }
-
-            // A follow-up access observes the same world.
-            let f2 = fast.access(rf.complete, addr, kind, policy);
-            let s2 = slow.access(rs.complete, addr, kind, policy);
-            prop_assert_eq!(f2, s2);
         }
+    }
 
-        /// Closed-row policy never produces a row hit.
-        #[test]
-        fn closed_row_never_hits(
-            addrs in proptest::collection::vec(0u64..(1u64 << 20), 1..50),
-        ) {
-            let mut d = dimm();
-            let mut now = SimTime::ZERO;
-            for &a in &addrs {
-                let r = d.access(now, a, AccessKind::Read, RowPolicy::ClosedRow);
-                now = r.ready;
-            }
-            prop_assert_eq!(d.stats().row_hits, 0);
+    #[test]
+    fn gib_stream_jumps_to_the_ddr4_fixed_point() {
+        // At DDR4-2400 a row's 128 bursts take 426,752 ps. From phase
+        // t_rfc = 350 ns, 18 rows start before the period ends at 7.8 us
+        // and the 18th overshoots it by 231,536 ps, inside the next
+        // blackout, so the next batch starts at phase t_rfc again: the
+        // fixed point, 18 rows per period. A 1 GiB stream (131,072 rows,
+        // ~7,280 periods) matches the row-by-row reference in a bounded
+        // number of trips, as does one 16x smaller.
+        for bytes in [1u64 << 30, 64 << 20] {
+            let mut fast = dimm();
+            let mut slow = dimm();
+            assert_stream_matches_reference(
+                &mut fast,
+                &mut slow,
+                SimTime::from_ps(1_234_567),
+                4_160,
+                bytes,
+                AccessKind::Read,
+                RowPolicy::OpenPage,
+            );
+            assert!(
+                fast.stream_trips <= steady_state_trip_bound(&fast),
+                "{bytes} bytes took {} trips",
+                fast.stream_trips
+            );
         }
     }
 

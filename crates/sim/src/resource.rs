@@ -107,6 +107,57 @@ impl SerialResource {
         }
     }
 
+    /// Reserves `periods` batches of `count` back-to-back `service` slots,
+    /// batch `i` requested at `first + i·period`, in one operation.
+    ///
+    /// Exactly equivalent to calling [`SerialResource::reserve_many`]
+    /// `periods` times with those request instants — same final state, same
+    /// busy time and served count — but O(1) instead of O(periods). The
+    /// returned reservation spans every batch: `start` is the first batch's
+    /// start and `ready`/`complete` are the last batch's finish. A DRAM
+    /// stream in its refresh steady state uses this to reserve every
+    /// remaining refresh period of a scan at once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count` or `periods` is zero, or if one batch overruns its
+    /// period (`count·service > period`).
+    pub fn reserve_periodic(
+        &mut self,
+        first: SimTime,
+        period: SimDuration,
+        service: SimDuration,
+        count: u64,
+        periods: u64,
+    ) -> Reservation {
+        assert!(count > 0, "SerialResource::reserve_periodic: empty batch");
+        assert!(
+            periods > 0,
+            "SerialResource::reserve_periodic: zero periods"
+        );
+        let batch = service * count;
+        assert!(
+            batch <= period,
+            "SerialResource::reserve_periodic: batch of {count} x {service:?} overruns period {period:?}"
+        );
+        let start = first.max(self.free_at);
+        // A batch starting `lag` after its request instant ends `lag + batch`
+        // after it, so the next batch starts `lag - (period - batch)` late,
+        // or on time once the period's slack has absorbed the lag.
+        let lag = (start - first).as_ps();
+        let slack = (period - batch).as_ps();
+        let last_lag = lag.saturating_sub(slack.saturating_mul(periods - 1));
+        let ready = first + period * (periods - 1) + SimDuration::from_ps(last_lag) + batch;
+        self.free_at = ready;
+        self.busy += batch * periods;
+        self.served += count * periods;
+        Reservation {
+            start,
+            ready,
+            complete: ready,
+        }
+    }
+
     /// The instant the resource next becomes free.
     #[must_use]
     pub fn free_at(&self) -> SimTime {
@@ -400,6 +451,88 @@ mod tests {
     fn reserve_many_zero_rejected() {
         let mut r = SerialResource::new();
         let _ = r.reserve_many(at(0), ns(1), 0);
+    }
+
+    /// `reserve_periodic` against the loop of `reserve_many` calls it
+    /// replaces: same envelope and same final state.
+    fn assert_periodic_matches_loop(
+        busy_until: u64,
+        first: u64,
+        period: u64,
+        service: u64,
+        count: u64,
+        periods: u64,
+    ) {
+        let mut seq = SerialResource::new();
+        let mut bat = SerialResource::new();
+        if busy_until > 0 {
+            seq.reserve(at(0), ns(busy_until));
+            bat.reserve(at(0), ns(busy_until));
+        }
+        let mut envelope: Option<Reservation> = None;
+        for i in 0..periods {
+            let r = seq.reserve_many(at(first + i * period), ns(service), count);
+            envelope = Some(match envelope {
+                None => r,
+                Some(e) => Reservation {
+                    start: e.start,
+                    ..r
+                },
+            });
+        }
+        let r = bat.reserve_periodic(at(first), ns(period), ns(service), count, periods);
+        let case = (busy_until, first, period, service, count, periods);
+        assert_eq!(Some(r), envelope, "{case:?}");
+        assert_eq!(bat.free_at(), seq.free_at(), "{case:?}");
+        assert_eq!(bat.busy_time(), seq.busy_time(), "{case:?}");
+        assert_eq!(bat.served(), seq.served(), "{case:?}");
+    }
+
+    #[test]
+    fn reserve_periodic_matches_loop_of_reserve_many() {
+        // Idle server, a server busy past a few periods (the lag drains
+        // over several batches), and one busy past the whole run.
+        for busy_until in [0, 3, 250, 10_000] {
+            for (period, service, count) in [(100, 7, 13), (100, 9, 11), (64, 16, 4), (50, 1, 1)] {
+                for periods in [1, 2, 7, 40] {
+                    assert_periodic_matches_loop(busy_until, 5, period, service, count, periods);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reserve_periodic_full_period_keeps_its_lag() {
+        // count·service == period: no slack, so a late first batch makes
+        // every batch exactly as late.
+        assert_periodic_matches_loop(0, 0, 64, 16, 4, 9);
+        assert_periodic_matches_loop(30, 0, 64, 16, 4, 9);
+        let mut r = SerialResource::new();
+        r.reserve(at(0), ns(30));
+        let res = r.reserve_periodic(at(0), ns(64), ns(16), 4, 9);
+        assert_eq!(res.start, at(30));
+        assert_eq!(res.ready, at(8 * 64 + 30 + 64));
+    }
+
+    #[test]
+    #[should_panic(expected = "reserve_periodic: empty batch")]
+    fn reserve_periodic_zero_count_rejected() {
+        let mut r = SerialResource::new();
+        let _ = r.reserve_periodic(at(0), ns(10), ns(1), 0, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "reserve_periodic: zero periods")]
+    fn reserve_periodic_zero_periods_rejected() {
+        let mut r = SerialResource::new();
+        let _ = r.reserve_periodic(at(0), ns(10), ns(1), 3, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch of 3 x 4000ps overruns period 10000ps")]
+    fn reserve_periodic_overrun_rejected() {
+        let mut r = SerialResource::new();
+        let _ = r.reserve_periodic(at(0), ns(10), ns(4), 3, 2);
     }
 
     #[test]

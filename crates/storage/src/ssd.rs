@@ -156,10 +156,10 @@ impl Ssd {
         write: bool,
     ) -> Reservation {
         assert!(bytes > 0, "Ssd: empty IO");
+        let capacity = self.config.capacity;
         assert!(
-            addr.checked_add(bytes)
-                .is_some_and(|end| end <= self.config.capacity),
-            "Ssd: IO beyond capacity"
+            addr.checked_add(bytes).is_some_and(|end| end <= capacity),
+            "Ssd: IO of {bytes} bytes at {addr:#x} beyond capacity {capacity}"
         );
         // Round to page granularity: a 1-byte read still fetches a page.
         let first_page = addr / self.config.page_bytes;
@@ -314,6 +314,16 @@ mod tests {
         let mut s = ssd();
         let cap = s.config().capacity;
         s.read(SimTime::ZERO, cap - 100, 200);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "Ssd: IO of 8192 bytes at 0x3fffffff000 beyond capacity 4398046511104"
+    )]
+    fn write_past_end_names_its_range() {
+        let mut s = ssd();
+        let cap = s.config().capacity;
+        s.write(SimTime::ZERO, cap - 4096, 8192);
     }
 
     #[test]
