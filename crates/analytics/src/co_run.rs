@@ -11,8 +11,7 @@ use crate::queries::ScanQuery;
 use crate::templates::{analytics_blueprint, analytics_registry};
 use reach::fingerprint::ConfigFingerprint;
 use reach::{
-    FnScenario, Level, Pipeline, ReachConfig, Scenario, ScenarioExecutor, SequentialExecutor,
-    StreamType, TaskWork,
+    FnScenario, Level, Pipeline, ReachConfig, Scenario, ScenarioExecutor, StreamType, TaskWork,
 };
 use reach_cbir::pipeline::CbirStage;
 use reach_cbir::{CbirMapping, CbirPipeline, CbirWorkload};
@@ -93,14 +92,8 @@ fn scan_pipeline(query: &ScanQuery, shards: u64) -> Pipeline {
 /// mutual slowdown.
 ///
 /// Job-id spaces are disjoint (CBIR batches from 0, the scan at 512+), so
-/// the GAM schedules both tenants through the same per-level queues.
-#[must_use]
-pub fn co_run_interference(cbir_batches: usize, query: &ScanQuery) -> CoRunReport {
-    co_run_interference_with(&SequentialExecutor, cbir_batches, query)
-}
-
-/// [`co_run_interference`] through an explicit executor: the two isolated
-/// runs and the shared run are three independent scenarios.
+/// the GAM schedules both tenants through the same per-level queues. The
+/// two isolated runs and the shared run are three independent scenarios.
 #[must_use]
 pub fn co_run_interference_with(
     executor: &dyn ScenarioExecutor,
@@ -189,6 +182,7 @@ pub fn co_run_interference_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use reach::SequentialExecutor;
 
     fn query() -> ScanQuery {
         ScanQuery {
@@ -200,7 +194,7 @@ mod tests {
 
     #[test]
     fn co_run_completes_both_tenants() {
-        let r = co_run_interference(4, &query());
+        let r = co_run_interference_with(&SequentialExecutor, 4, &query());
         assert!(
             r.cbir_shared >= r.cbir_alone,
             "sharing cannot speed CBIR up"
@@ -217,7 +211,7 @@ mod tests {
         // SSD accelerators while rerank tasks queue behind it); the GAM's
         // per-level FIFO bounds the damage to roughly serialized occupancy,
         // not a collapse.
-        let r = co_run_interference(4, &query());
+        let r = co_run_interference_with(&SequentialExecutor, 4, &query());
         assert!(
             r.cbir_slowdown() < 3.0,
             "CBIR slowdown {:.2} suggests starvation",
@@ -234,7 +228,7 @@ mod tests {
     fn some_interference_exists_on_the_shared_level() {
         // Both tenants use the near-storage accelerators; at least one of
         // them must feel the other.
-        let r = co_run_interference(4, &query());
+        let r = co_run_interference_with(&SequentialExecutor, 4, &query());
         let total = r.cbir_slowdown().max(r.scan_slowdown());
         assert!(
             total > 1.02,

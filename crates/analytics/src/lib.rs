@@ -30,7 +30,7 @@ pub mod queries;
 pub mod table;
 pub mod templates;
 
-pub use co_run::{co_run_interference, co_run_interference_with, CoRunReport};
+pub use co_run::{co_run_interference_with, CoRunReport};
 pub use queries::{AnalyticsPlacement, ScanQuery};
 pub use table::{Aggregate, Predicate, Table};
 pub use templates::{analytics_blueprint, analytics_registry};

@@ -1,7 +1,8 @@
 //! Microbenchmarks of the simulator hot paths: event-queue throughput
 //! (calendar queue), machine steady-state event processing, the parallel
 //! CBIR kernels (GEMM micro-kernel, k-means, top-K), the cross-batch
-//! distance cache, and the batched DDR stream timing model.
+//! distance cache, the batched DDR stream timing model, and host graph
+//! generation (RMAT and uniform edge draws plus the CSR build).
 //!
 //! Set `REACH_BENCH_QUICK=1` to shrink every problem size (the CI
 //! perf-smoke mode); the full sizes are meant for local before/after
@@ -13,6 +14,7 @@ use reach_cbir::linalg::{gemm_nt, Matrix};
 use reach_cbir::scenarios::blueprint_with;
 use reach_cbir::top_k;
 use reach_cbir::{CbirMapping, CbirPipeline, CbirWorkload};
+use reach_graph::{GraphKind, GraphSpec};
 use reach_sim::rng::seeded;
 use reach_sim::{EventQueue, SimDuration, SimTime};
 
@@ -258,6 +260,27 @@ fn bench_topk(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_graph(c: &mut Criterion) {
+    let mut g = c.benchmark_group("hotpath/graph");
+    // One `extension-graph` sweep graph per generator at its largest
+    // scale: the edge draws plus the CSR build, per generated edge.
+    let nodes = scaled(16_384, 2_048) as u32;
+    for (name, kind) in [
+        ("rmat_16k_build", GraphKind::Rmat),
+        ("uniform_16k_build", GraphKind::Uniform),
+    ] {
+        let spec = GraphSpec {
+            nodes,
+            avg_degree: reach_graph::scenarios::GRAPH_DEGREE,
+            kind,
+            seed: reach_sim::rng::DEFAULT_SEED,
+        };
+        g.throughput(Throughput::Elements(spec.edge_count()));
+        g.bench_function(name, |b| b.iter(|| black_box(spec.build())));
+    }
+    g.finish();
+}
+
 criterion_group!(
     hotpath,
     bench_event_queue,
@@ -266,6 +289,7 @@ criterion_group!(
     bench_kmeans,
     bench_cache,
     bench_ddr_stream,
-    bench_topk
+    bench_topk,
+    bench_graph
 );
 criterion_main!(hotpath);

@@ -10,7 +10,7 @@
 use crate::pipeline::{CbirMapping, CbirPipeline};
 use crate::scenarios::CbirScenario;
 use crate::workload::CbirWorkload;
-use reach::{MachineBlueprint, Scenario, ScenarioExecutor, SequentialExecutor, SimDuration};
+use reach::{MachineBlueprint, Scenario, ScenarioExecutor, SimDuration};
 use std::fmt;
 
 /// A generic ablation row: one parameter value and its outcomes.
@@ -86,12 +86,6 @@ fn measure_points(executor: &dyn ScenarioExecutor, points: Vec<Point>) -> Vec<Ab
 /// observation lazier, a finer one floods the interconnect with packets for
 /// under-estimated tasks.
 #[must_use]
-pub fn poll_interval() -> Vec<AblationRow> {
-    poll_interval_with(&SequentialExecutor)
-}
-
-/// [`poll_interval`] through an explicit executor.
-#[must_use]
 pub fn poll_interval_with(executor: &dyn ScenarioExecutor) -> Vec<AblationRow> {
     let p = CbirPipeline::new(CbirWorkload::paper_setup(), CbirMapping::Proper);
     let base = MachineBlueprint::paper();
@@ -112,12 +106,6 @@ pub fn poll_interval_with(executor: &dyn ScenarioExecutor) -> Vec<AblationRow> {
 /// what that assumption is worth on the single-slot on-chip baseline, which
 /// swaps CNN -> GeMM -> KNN every batch.
 #[must_use]
-pub fn reconfig_delay() -> Vec<AblationRow> {
-    reconfig_delay_with(&SequentialExecutor)
-}
-
-/// [`reconfig_delay`] through an explicit executor.
-#[must_use]
 pub fn reconfig_delay_with(executor: &dyn ScenarioExecutor) -> Vec<AblationRow> {
     let p = CbirPipeline::new(CbirWorkload::paper_setup(), CbirMapping::AllOnChip);
     let base = MachineBlueprint::paper();
@@ -135,12 +123,6 @@ pub fn reconfig_delay_with(executor: &dyn ScenarioExecutor) -> Vec<AblationRow> 
 
 /// GAM cross-job pipelining on vs off, per mapping — quantifying "assigns
 /// tasks from the next job … without waiting".
-#[must_use]
-pub fn pipelining() -> Vec<AblationRow> {
-    pipelining_with(&SequentialExecutor)
-}
-
-/// [`pipelining`] through an explicit executor.
 #[must_use]
 pub fn pipelining_with(executor: &dyn ScenarioExecutor) -> Vec<AblationRow> {
     let w = CbirWorkload::paper_setup();
@@ -193,12 +175,6 @@ pub fn pipelining_with(executor: &dyn ScenarioExecutor) -> Vec<AblationRow> {
 /// decides when a short-list shard must be re-streamed — the mechanism
 /// behind Figure 10's single-instance penalty.
 #[must_use]
-pub fn sl_tile_budget() -> Vec<AblationRow> {
-    sl_tile_budget_with(&SequentialExecutor)
-}
-
-/// [`sl_tile_budget`] through an explicit executor.
-#[must_use]
 pub fn sl_tile_budget_with(executor: &dyn ScenarioExecutor) -> Vec<AblationRow> {
     let points = [275u64, 550, 1_100, 2_200]
         .into_iter()
@@ -218,12 +194,6 @@ pub fn sl_tile_budget_with(executor: &dyn ScenarioExecutor) -> Vec<AblationRow> 
 
 /// Sweep the query batch size. Larger batches amortize transfers but
 /// lengthen every stage; the paper fixes 16.
-#[must_use]
-pub fn batch_size() -> Vec<AblationRow> {
-    batch_size_with(&SequentialExecutor)
-}
-
-/// [`batch_size`] through an explicit executor.
 #[must_use]
 pub fn batch_size_with(executor: &dyn ScenarioExecutor) -> Vec<AblationRow> {
     let sizes = [4usize, 8, 16, 32, 64];
@@ -252,12 +222,6 @@ pub fn batch_size_with(executor: &dyn ScenarioExecutor) -> Vec<AblationRow> {
 /// make the simulation time manageable"): more candidates shift the
 /// bottleneck toward the storage level and amplify ReACH's advantage.
 #[must_use]
-pub fn candidate_volume() -> Vec<AblationRow> {
-    candidate_volume_with(&SequentialExecutor)
-}
-
-/// [`candidate_volume`] through an explicit executor.
-#[must_use]
 pub fn candidate_volume_with(executor: &dyn ScenarioExecutor) -> Vec<AblationRow> {
     let points = [1_024usize, 4_096, 16_384, 65_536]
         .into_iter()
@@ -280,12 +244,6 @@ pub fn candidate_volume_with(executor: &dyn ScenarioExecutor) -> Vec<AblationRow
 /// a fraction of its shard locally and drags the rest over the shared
 /// AIMbus.
 #[must_use]
-pub fn interleave_reorganization() -> Vec<AblationRow> {
-    interleave_reorganization_with(&SequentialExecutor)
-}
-
-/// [`interleave_reorganization`] through an explicit executor.
-#[must_use]
 pub fn interleave_reorganization_with(executor: &dyn ScenarioExecutor) -> Vec<AblationRow> {
     let w = CbirWorkload::paper_setup();
     let base = MachineBlueprint::paper();
@@ -307,12 +265,6 @@ pub fn interleave_reorganization_with(executor: &dyn ScenarioExecutor) -> Vec<Ab
 
 /// Sweep the rerank stage's placement with everything else mapped properly
 /// — is near-storage really the right home? (Section IV-B's argument.)
-#[must_use]
-pub fn rerank_placement() -> Vec<AblationRow> {
-    rerank_placement_with(&SequentialExecutor)
-}
-
-/// [`rerank_placement`] through an explicit executor.
 #[must_use]
 pub fn rerank_placement_with(executor: &dyn ScenarioExecutor) -> Vec<AblationRow> {
     use crate::pipeline::CbirStage as S;
@@ -349,10 +301,11 @@ pub fn rerank_placement_with(executor: &dyn ScenarioExecutor) -> Vec<AblationRow
 #[cfg(test)]
 mod tests {
     use super::*;
+    use reach::SequentialExecutor;
 
     #[test]
     fn poll_interval_has_a_sweet_spot() {
-        let rows = poll_interval();
+        let rows = poll_interval_with(&SequentialExecutor);
         // Very coarse polling must hurt latency relative to the default.
         let fine = &rows[1]; // 50 us (default)
         let coarse = rows.last().unwrap(); // 20 ms
@@ -366,7 +319,7 @@ mod tests {
 
     #[test]
     fn reconfig_delay_matters_only_when_large() {
-        let rows = reconfig_delay();
+        let rows = reconfig_delay_with(&SequentialExecutor);
         let zero = &rows[0];
         let sub_ms = &rows[1]; // 0.5 ms
         let huge = rows.last().unwrap(); // 100 ms
@@ -383,7 +336,7 @@ mod tests {
 
     #[test]
     fn pipelining_always_helps_throughput() {
-        let rows = pipelining();
+        let rows = pipelining_with(&SequentialExecutor);
         for pair in rows.chunks(2) {
             assert!(
                 pair[1].throughput >= pair[0].throughput * 0.999,
@@ -397,7 +350,7 @@ mod tests {
 
     #[test]
     fn bigger_tile_budget_never_hurts() {
-        let rows = sl_tile_budget();
+        let rows = sl_tile_budget_with(&SequentialExecutor);
         for w in rows.windows(2) {
             assert!(
                 w[1].throughput >= w[0].throughput * 0.99,
@@ -410,7 +363,7 @@ mod tests {
 
     #[test]
     fn candidate_volume_widens_reach_advantage() {
-        let rows = candidate_volume();
+        let rows = candidate_volume_with(&SequentialExecutor);
         // gain(c) = proper/onchip throughput at candidate volume c.
         let gain = |i: usize| rows[2 * i + 1].throughput / rows[2 * i].throughput;
         let small = gain(0); // 1k candidates
@@ -423,7 +376,7 @@ mod tests {
 
     #[test]
     fn tile_reorganization_pays() {
-        let rows = interleave_reorganization();
+        let rows = interleave_reorganization_with(&SequentialExecutor);
         assert!(
             rows[0].throughput > rows[1].throughput,
             "tiled {} should beat cache-line {} (AIMbus contention)",
@@ -434,7 +387,7 @@ mod tests {
 
     #[test]
     fn rerank_home_is_near_storage() {
-        let rows = rerank_placement();
+        let rows = rerank_placement_with(&SequentialExecutor);
         let ns = rows
             .iter()
             .find(|r| r.setting.contains("NearStor"))

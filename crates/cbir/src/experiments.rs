@@ -9,10 +9,7 @@
 use crate::pipeline::{CbirMapping, CbirPipeline, CbirStage};
 use crate::scenarios::{blueprint_with, CbirScenario};
 use crate::workload::CbirWorkload;
-use reach::{
-    ComputeLevel, EnergyLedger, RunReport, Scenario, ScenarioExecutor, SequentialExecutor,
-    SystemConfig,
-};
+use reach::{ComputeLevel, EnergyLedger, RunReport, Scenario, ScenarioExecutor, SystemConfig};
 use std::fmt;
 
 /// Instance counts swept in Figures 9–11.
@@ -40,12 +37,6 @@ pub struct Fig8 {
 }
 
 /// Runs the fully-on-chip CBIR batch and decomposes its energy.
-#[must_use]
-pub fn fig8() -> Fig8 {
-    fig8_with(&SequentialExecutor)
-}
-
-/// [`fig8`] through an explicit executor.
 #[must_use]
 pub fn fig8_with(executor: &dyn ScenarioExecutor) -> Fig8 {
     let p = CbirPipeline::new(CbirWorkload::paper_setup(), CbirMapping::AllOnChip);
@@ -101,13 +92,7 @@ impl fmt::Display for StageScalingRow {
 
 /// Runs one pipeline stage at near-memory and near-storage with the
 /// Figure 9–11 instance sweep, normalized to the on-chip accelerator.
-#[must_use]
-pub fn stage_scaling(stage: CbirStage) -> Vec<StageScalingRow> {
-    stage_scaling_with(&SequentialExecutor, stage)
-}
-
-/// [`stage_scaling`] through an explicit executor: every sweep point is an
-/// independent scenario, so a parallel executor runs the whole figure
+/// Every sweep point is an independent scenario, so a parallel executor runs the whole figure
 /// concurrently.
 #[must_use]
 pub fn stage_scaling_with(
@@ -162,35 +147,17 @@ pub fn stage_scaling_with(
 
 /// Figure 9: feature extraction scaling.
 #[must_use]
-pub fn fig9() -> Vec<StageScalingRow> {
-    stage_scaling(CbirStage::FeatureExtraction)
-}
-
-/// [`fig9`] through an explicit executor.
-#[must_use]
 pub fn fig9_with(executor: &dyn ScenarioExecutor) -> Vec<StageScalingRow> {
     stage_scaling_with(executor, CbirStage::FeatureExtraction)
 }
 
 /// Figure 10: short-list retrieval scaling.
 #[must_use]
-pub fn fig10() -> Vec<StageScalingRow> {
-    stage_scaling(CbirStage::ShortList)
-}
-
-/// [`fig10`] through an explicit executor.
-#[must_use]
 pub fn fig10_with(executor: &dyn ScenarioExecutor) -> Vec<StageScalingRow> {
     stage_scaling_with(executor, CbirStage::ShortList)
 }
 
 /// Figure 11: rerank scaling.
-#[must_use]
-pub fn fig11() -> Vec<StageScalingRow> {
-    stage_scaling(CbirStage::Rerank)
-}
-
-/// [`fig11`] through an explicit executor.
 #[must_use]
 pub fn fig11_with(executor: &dyn ScenarioExecutor) -> Vec<StageScalingRow> {
     stage_scaling_with(executor, CbirStage::Rerank)
@@ -232,12 +199,6 @@ impl fmt::Display for Fig12Row {
 }
 
 /// Runs the end-to-end pipeline on each single level with 1/2/4 instances.
-#[must_use]
-pub fn fig12() -> Vec<Fig12Row> {
-    fig12_with(&SequentialExecutor)
-}
-
-/// [`fig12`] through an explicit executor.
 #[must_use]
 pub fn fig12_with(executor: &dyn ScenarioExecutor) -> Vec<Fig12Row> {
     let w = CbirWorkload::paper_setup();
@@ -343,13 +304,8 @@ pub const FIG13_BATCHES: usize = 16;
 /// acceleration: one batch completes before the next starts); the
 /// near-data options run under the GAM with cross-batch pipelining — the
 /// paper's "GAM assigns tasks from the next job … without waiting".
-#[must_use]
-pub fn fig13() -> Vec<Fig13Row> {
-    fig13_with(&SequentialExecutor)
-}
-
-/// [`fig13`] through an explicit executor: each mapping contributes a
-/// steady-state scenario and a single-batch scenario, all independent.
+/// Each mapping contributes a steady-state scenario and a single-batch
+/// scenario, all independent.
 #[must_use]
 pub fn fig13_with(executor: &dyn ScenarioExecutor) -> Vec<Fig13Row> {
     let w = CbirWorkload::paper_setup();
@@ -694,6 +650,7 @@ pub fn table4() -> reach_energy::EnergyPresets {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use reach::SequentialExecutor;
 
     /// Word-wise FNV-1a over the bits of everything `extension-recall`
     /// trains and encodes: IVF centroids and postings, PQ codebooks and
@@ -747,7 +704,7 @@ mod tests {
 
     #[test]
     fn fig8_movement_dominates() {
-        let f = fig8();
+        let f = fig8_with(&SequentialExecutor);
         // Paper: 79% movement. Acceptance band from DESIGN.md: 70-85%.
         assert!(
             f.movement_fraction > 0.70 && f.movement_fraction < 0.85,
@@ -766,7 +723,7 @@ mod tests {
 
     #[test]
     fn fig9_shapes() {
-        let rows = fig9();
+        let rows = fig9_with(&SequentialExecutor);
         let nm1 = rows
             .iter()
             .find(|r| r.level == ComputeLevel::NearMemory && r.instances == 1)
@@ -791,7 +748,7 @@ mod tests {
 
     #[test]
     fn fig10_shapes() {
-        let rows = fig10();
+        let rows = fig10_with(&SequentialExecutor);
         let nm = |n: usize| {
             rows.iter()
                 .find(|r| r.level == ComputeLevel::NearMemory && r.instances == n)
@@ -816,7 +773,7 @@ mod tests {
 
     #[test]
     fn fig11_shapes() {
-        let rows = fig11();
+        let rows = fig11_with(&SequentialExecutor);
         let nm = |n: usize| {
             rows.iter()
                 .find(|r| r.level == ComputeLevel::NearMemory && r.instances == n)
@@ -840,7 +797,7 @@ mod tests {
 
     #[test]
     fn fig13_headline_numbers() {
-        let rows = fig13();
+        let rows = fig13_with(&SequentialExecutor);
         let reach = rows
             .iter()
             .find(|r| r.mapping == CbirMapping::Proper)

@@ -23,21 +23,54 @@ use std::sync::OnceLock;
 /// worker count, or per-chunk code could see different slice extents.
 pub(crate) const CHUNK_ROWS: usize = 64;
 
+/// What `REACH_KERNEL_JOBS` asked for.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum JobsRequest {
+    /// Unset or empty: use the machine's available parallelism.
+    Auto,
+    /// A positive worker count.
+    Exact(usize),
+    /// Anything else (`0`, `abc`, `-1`): warned about, then treated as
+    /// [`JobsRequest::Auto`].
+    Invalid,
+}
+
+/// Parses a `REACH_KERNEL_JOBS` value. Pure so the table is unit-testable
+/// without touching the process environment or the `OnceLock`.
+fn parse_jobs(value: Option<&str>) -> JobsRequest {
+    match value {
+        None | Some("") => JobsRequest::Auto,
+        Some(v) => match v.parse::<usize>() {
+            Ok(n) if n >= 1 => JobsRequest::Exact(n),
+            _ => JobsRequest::Invalid,
+        },
+    }
+}
+
 /// Worker threads used by the parallel kernels: `REACH_KERNEL_JOBS` if set
 /// (use `1` to force the sequential path), otherwise the machine's available
-/// parallelism.
+/// parallelism. An invalid value gets one stderr note and the default.
 pub(crate) fn kernel_jobs() -> usize {
     static JOBS: OnceLock<usize> = OnceLock::new();
     *JOBS.get_or_init(|| {
-        std::env::var("REACH_KERNEL_JOBS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-            })
+        let var = std::env::var("REACH_KERNEL_JOBS").ok();
+        let available = || {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+        };
+        match parse_jobs(var.as_deref()) {
+            JobsRequest::Exact(n) => n,
+            JobsRequest::Auto => available(),
+            JobsRequest::Invalid => {
+                let jobs = available();
+                eprintln!(
+                    "(kernel jobs: {jobs} — invalid REACH_KERNEL_JOBS={:?}, expected a positive integer)",
+                    var.as_deref().unwrap_or_default()
+                );
+                jobs
+            }
+        }
     })
 }
 
@@ -80,6 +113,24 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn kernel_jobs_values_parse() {
+        use JobsRequest::{Auto, Exact, Invalid};
+        for (value, want) in [
+            (None, Auto),
+            (Some(""), Auto),
+            (Some("1"), Exact(1)),
+            (Some("8"), Exact(8)),
+            (Some("0"), Invalid),
+            (Some("abc"), Invalid),
+            (Some("-1"), Invalid),
+            (Some(" 4"), Invalid),
+            (Some("4.0"), Invalid),
+        ] {
+            assert_eq!(parse_jobs(value), want, "{value:?}");
+        }
+    }
 
     #[test]
     fn all_items_run_exactly_once() {

@@ -9,7 +9,7 @@
 //! graph, bit for bit, at any thread count.
 
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{Rng, RngCore};
 
 /// Which generator family a [`GraphSpec`] draws from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -118,10 +118,10 @@ impl GraphSpec {
         let count = self.edge_count() as usize;
         match self.kind {
             GraphKind::Uniform => {
-                Graph::from_edges(self.nodes, &uniform_edges(self.nodes, count, self.seed))
+                Graph::from_edges(self.nodes, uniform_edges(self.nodes, count, self.seed))
             }
             GraphKind::Rmat => {
-                Graph::from_edges(self.nodes, &rmat_edges(self.nodes, count, self.seed))
+                Graph::from_edges(self.nodes, rmat_edges(self.nodes, count, self.seed))
             }
             GraphKind::Golden => Graph::golden(),
         }
@@ -153,7 +153,9 @@ const GOLDEN_EDGES: [(u32, u32); 8] = [
     (3, 5), // cross edge
 ];
 
-/// The generator's raw output: `count` directed edges.
+/// The uniform generator's raw output: `count` directed edges. Its two
+/// `u128 %` draws per edge stay: a bit-identical rewrite as three `u64`
+/// mods measured slower (DESIGN.md, "Graph generation").
 fn uniform_edges(nodes: u32, count: usize, seed: u64) -> Vec<(u32, u32)> {
     let mut rng = reach_sim::rng::derived(seed, "graph-uniform");
     let mut edges = Vec::with_capacity(count);
@@ -167,29 +169,53 @@ fn uniform_edges(nodes: u32, count: usize, seed: u64) -> Vec<(u32, u32)> {
     edges
 }
 
+/// One RMAT threshold as an integer bound on the raw 53-bit draw.
+///
+/// The vendored `gen_range(0.0..1.0)` returns exactly `m·2⁻⁵³`, where
+/// `m = next_u64() >> 11`. Every canonical threshold lies in `[0.5, 1)`,
+/// where consecutive `f64`s are `2⁻⁵³` apart, so `t·2⁵³` is an integer `T`
+/// and `m·2⁻⁵³ < t` holds exactly when `m < T`. The assert makes the
+/// exactness a compile-time check.
+const fn rmat_threshold(t: f64) -> u64 {
+    let scaled = t * (1u64 << 53) as f64;
+    let bound = scaled as u64;
+    assert!(
+        bound as f64 == scaled,
+        "RMAT threshold is not exact in 53 bits"
+    );
+    bound
+}
+
+/// Quadrant a ends here: the canonical skew is (a, b, c, d) =
+/// (0.57, 0.19, 0.19, 0.05).
+const RMAT_A: u64 = rmat_threshold(0.57);
+/// Quadrant b ends here.
+const RMAT_AB: u64 = rmat_threshold(0.76);
+/// Quadrant c ends here; quadrant d takes the rest.
+const RMAT_ABC: u64 = rmat_threshold(0.95);
+
 /// One RMAT endpoint pair: descend `log2(n)` quadrant levels with the
-/// canonical skew (a=0.57, b=0.19, c=0.19, d=0.05).
+/// canonical skew. Each level consumes one draw and picks its quadrant
+/// with three compares and no branch: `u`'s bit is set in quadrants c and
+/// d (`m ≥ AB`), `v`'s in b and d.
 fn rmat_edge(rng: &mut StdRng, levels: u32) -> (u32, u32) {
     let (mut u, mut v) = (0u32, 0u32);
     for _ in 0..levels {
-        u <<= 1;
-        v <<= 1;
-        let p: f64 = rng.gen_range(0.0..1.0);
-        if p < 0.57 {
-            // quadrant a: (0, 0)
-        } else if p < 0.76 {
-            v |= 1; // quadrant b: (0, 1)
-        } else if p < 0.95 {
-            u |= 1; // quadrant c: (1, 0)
-        } else {
-            u |= 1;
-            v |= 1; // quadrant d: (1, 1)
-        }
+        let m = rng.next_u64() >> 11;
+        let u_bit = m >= RMAT_AB;
+        let v_bit = ((m >= RMAT_A) & !u_bit) | (m >= RMAT_ABC);
+        u = (u << 1) | u32::from(u_bit);
+        v = (v << 1) | u32::from(v_bit);
     }
     (u, v)
 }
 
-fn rmat_edges(nodes: u32, count: usize, seed: u64) -> Vec<(u32, u32)> {
+/// The RMAT generator's raw output: `count` directed edges, in draw order.
+/// Public only so the equivalence tests can compare it with the `f64`
+/// reference descent.
+#[doc(hidden)]
+#[must_use]
+pub fn rmat_edges(nodes: u32, count: usize, seed: u64) -> Vec<(u32, u32)> {
     let mut rng = reach_sim::rng::derived(seed, "graph-rmat");
     let levels = 32 - (nodes - 1).leading_zeros().min(31);
     let mut edges = Vec::with_capacity(count);
@@ -202,6 +228,15 @@ fn rmat_edges(nodes: u32, count: usize, seed: u64) -> Vec<(u32, u32)> {
         }
     }
     edges
+}
+
+/// Turns per-node counts into running totals in place.
+fn inclusive_sums(counts: &mut [u32]) {
+    let mut acc = 0u32;
+    for c in counts {
+        acc += *c;
+        *c = acc;
+    }
 }
 
 /// A directed graph in compressed-sparse-row form.
@@ -225,40 +260,56 @@ pub struct Graph {
 impl Graph {
     /// Builds the CSR from a directed edge list (duplicates kept — a
     /// multigraph stays a multigraph, which is what makes the round trip
-    /// through [`Graph::edges`] exact).
+    /// through [`Graph::edges`] exact). Rows are sorted, so equal edge
+    /// multisets yield equal CSRs whatever order the edges come in.
+    ///
+    /// The build is a two-pass counting sort, with no per-row sort:
+    ///
+    /// - pass one buckets every edge's source by destination;
+    /// - pass two walks the destinations from the highest down and places
+    ///   each at the back of its sources' rows. Every row fills back to
+    ///   front in descending order, so it reads ascending.
+    ///
+    /// Both passes fill from the ends, so the inclusive degree sums walk
+    /// down to the exclusive ones and no cursor array is needed. An owned
+    /// `Vec` (as [`GraphSpec::build`] passes) is freed between the passes,
+    /// so the edge list and the column array are never alive at once.
     ///
     /// # Panics
     ///
     /// Panics if an endpoint is out of range.
     #[must_use]
-    pub fn from_edges(nodes: u32, edges: &[(u32, u32)]) -> Self {
+    pub fn from_edges<E: AsRef<[(u32, u32)]>>(nodes: u32, edges: E) -> Self {
         let n = nodes as usize;
-        let mut degree = vec![0u32; n];
-        for &(u, v) in edges {
+        let list = edges.as_ref();
+        let mut row_ptr = vec![0u32; n + 1];
+        let mut bucket_ptr = vec![0u32; n + 1];
+        for &(u, v) in list {
             assert!(
                 u < nodes && v < nodes,
                 "Graph::from_edges: endpoint {u}->{v} out of range"
             );
-            degree[u as usize] += 1;
+            row_ptr[u as usize] += 1;
+            bucket_ptr[v as usize] += 1;
         }
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut acc = 0u32;
-        row_ptr.push(0);
-        for &d in &degree {
-            acc += d;
-            row_ptr.push(acc);
+        inclusive_sums(&mut row_ptr);
+        inclusive_sums(&mut bucket_ptr);
+
+        let mut srcs = vec![0u32; list.len()];
+        for &(u, v) in list {
+            let end = &mut bucket_ptr[v as usize];
+            *end -= 1;
+            srcs[*end as usize] = u;
         }
-        let mut cursor: Vec<u32> = row_ptr[..n].to_vec();
-        let mut col = vec![0u32; edges.len()];
-        for &(u, v) in edges {
-            let c = &mut cursor[u as usize];
-            col[*c as usize] = v;
-            *c += 1;
-        }
-        // Sort each row so equal edge *sets* yield equal CSRs regardless of
-        // the generator's emission order.
-        for u in 0..n {
-            col[row_ptr[u] as usize..row_ptr[u + 1] as usize].sort_unstable();
+        drop(edges);
+
+        let mut col = vec![0u32; srcs.len()];
+        for v in (0..n).rev() {
+            for &u in &srcs[bucket_ptr[v] as usize..bucket_ptr[v + 1] as usize] {
+                let end = &mut row_ptr[u as usize];
+                *end -= 1;
+                col[*end as usize] = v as u32;
+            }
         }
         Graph {
             nodes,
@@ -272,7 +323,7 @@ impl Graph {
     /// `[0, 1, 1, 2, 2, 2, 3, unreachable]`.
     #[must_use]
     pub fn golden() -> Self {
-        Graph::from_edges(GOLDEN_NODES, &GOLDEN_EDGES)
+        Graph::from_edges(GOLDEN_NODES, GOLDEN_EDGES)
     }
 
     /// Node count.
@@ -305,6 +356,12 @@ impl Graph {
     #[must_use]
     pub fn neighbors(&self, u: u32) -> &[u32] {
         &self.col[self.row_ptr[u as usize] as usize..self.row_ptr[u as usize + 1] as usize]
+    }
+
+    /// The raw CSR arrays `(row_ptr, col)`, for the digest tests.
+    #[cfg(test)]
+    pub(crate) fn csr(&self) -> (&[u32], &[u32]) {
+        (&self.row_ptr, &self.col)
     }
 
     /// Reconstructs the edge list, sorted by `(source, destination)` —

@@ -257,6 +257,32 @@ mod tests {
         }
     }
 
+    #[test]
+    fn sweep_graphs_are_bit_pinned() {
+        // The golden stdout pins only BFS frontiers and PageRank residuals;
+        // this pins every row pointer and column of the six sweep graphs.
+        // The digest was taken before the branch-free RMAT descent and the
+        // counting-sort CSR build replaced the f64 descent and per-row sort.
+        let mut fp = FingerprintBuilder::new("graph-sweep-csr");
+        for (_, kind) in SWEEP {
+            for nodes in GRAPH_SCALES {
+                let g = GraphSpec {
+                    nodes,
+                    avg_degree: GRAPH_DEGREE,
+                    kind,
+                    seed: reach_sim::rng::DEFAULT_SEED,
+                }
+                .build();
+                let (row_ptr, col) = g.csr();
+                for array in [row_ptr, col] {
+                    let bytes: Vec<u8> = array.iter().flat_map(|x| x.to_le_bytes()).collect();
+                    fp.write_bytes(&bytes);
+                }
+            }
+        }
+        assert_eq!(fp.finish().to_string(), "043f0656fd3e1fa14cd0e8f2280b9f7d");
+    }
+
     fn point() -> GraphScenario {
         GraphScenario::new(spec(), GraphWorkload::Bfs, GraphPlacement::NearMemory)
     }

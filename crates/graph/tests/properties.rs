@@ -1,6 +1,8 @@
 //! Property tests over the graph structures and reference algorithms.
 
 use proptest::prelude::*;
+use rand::Rng;
+use reach_graph::csr::rmat_edges;
 use reach_graph::{
     bfs_levels, pagerank, pagerank_pipeline, Graph, GraphKind, GraphPlacement, GraphSpec,
     GraphWorkload, Traversal, PAGERANK_DAMPING,
@@ -43,6 +45,116 @@ fn spec_of(nodes: u32, avg_degree: u32, rmat: bool, seed: u64) -> GraphSpec {
         },
         seed,
     }
+}
+
+/// The RMAT generator as it was before its integer-threshold descent: one
+/// `gen_range(0.0..1.0)` draw per level and a three-way branch on the
+/// canonical (0.57, 0.19, 0.19, 0.05) skew. The reference the branch-free
+/// descent must equal edge for edge.
+fn rmat_edges_f64(nodes: u32, count: usize, seed: u64) -> Vec<(u32, u32)> {
+    let mut rng = reach_sim::rng::derived(seed, "graph-rmat");
+    let levels = 32 - (nodes - 1).leading_zeros().min(31);
+    let mut edges = Vec::with_capacity(count);
+    while edges.len() < count {
+        let (mut u, mut v) = (0u32, 0u32);
+        for _ in 0..levels {
+            u <<= 1;
+            v <<= 1;
+            let p: f64 = rng.gen_range(0.0..1.0);
+            if p < 0.57 {
+                // quadrant a: (0, 0)
+            } else if p < 0.76 {
+                v |= 1;
+            } else if p < 0.95 {
+                u |= 1;
+            } else {
+                u |= 1;
+                v |= 1;
+            }
+        }
+        if u < nodes && v < nodes && u != v {
+            edges.push((u, v));
+        }
+    }
+    edges
+}
+
+/// The CSR build as it was before the counting sort: scatter by source,
+/// then sort every row. Returns each node's neighbor list.
+fn sorted_rows(nodes: u32, edges: &[(u32, u32)]) -> Vec<Vec<u32>> {
+    let mut rows = vec![Vec::new(); nodes as usize];
+    for &(u, v) in edges {
+        rows[u as usize].push(v);
+    }
+    for row in &mut rows {
+        row.sort_unstable();
+    }
+    rows
+}
+
+/// Asserts that `Graph::from_edges` equals the sort-per-row reference:
+/// equal node and edge counts and equal rows fix `row_ptr` and `col`.
+fn assert_csr_matches_reference(nodes: u32, edges: &[(u32, u32)]) {
+    let g = Graph::from_edges(nodes, edges);
+    assert_eq!(g.node_count(), nodes);
+    assert_eq!(g.edge_count(), edges.len() as u64);
+    for (u, row) in sorted_rows(nodes, edges).iter().enumerate() {
+        assert_eq!(g.neighbors(u as u32), row.as_slice(), "row {u}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The branch-free RMAT descent draws the same edges, in the same
+    /// order, as the f64 reference — at power-of-two node counts and at
+    /// counts whose quadrant descent overshoots and resamples.
+    #[test]
+    fn rmat_descent_matches_the_f64_reference(
+        nodes in 2u32..70_001,
+        log2 in 1u32..17,
+        power_of_two in any::<bool>(),
+        avg_degree in 1u32..9,
+        seed in any::<u64>(),
+    ) {
+        let nodes = if power_of_two { 1 << log2 } else { nodes };
+        let count = (nodes * avg_degree) as usize;
+        prop_assert_eq!(
+            rmat_edges(nodes, count, seed),
+            rmat_edges_f64(nodes, count, seed),
+            "{} nodes, degree {}, seed {}", nodes, avg_degree, seed
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The counting-sort CSR equals the sort-per-row reference on random
+    /// multigraphs. Small node counts force duplicate edges and
+    /// self-loops; short edge lists leave nodes isolated, down to none.
+    #[test]
+    fn csr_build_matches_sort_per_row(
+        nodes in 1u32..48,
+        raw in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..200),
+    ) {
+        let edges: Vec<(u32, u32)> = raw.iter().map(|&(u, v)| (u % nodes, v % nodes)).collect();
+        assert_csr_matches_reference(nodes, &edges);
+    }
+}
+
+#[test]
+fn csr_build_handles_empty_and_degenerate_edge_lists() {
+    assert_csr_matches_reference(0, &[]);
+    assert_csr_matches_reference(5, &[]);
+    assert_csr_matches_reference(1, &[(0, 0), (0, 0)]);
+    assert_csr_matches_reference(4, &[(3, 1), (3, 1), (3, 0), (3, 3), (0, 3), (3, 1)]);
+}
+
+#[test]
+#[should_panic(expected = "Graph::from_edges: endpoint 2->5 out of range")]
+fn csr_build_rejects_out_of_range_endpoints() {
+    let _ = Graph::from_edges(5, [(0, 1), (2, 5)]);
 }
 
 proptest! {

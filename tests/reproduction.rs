@@ -4,14 +4,14 @@
 //! here against the acceptance bands recorded in DESIGN.md. If a model or
 //! calibration change drifts outside a band, this suite fails.
 
-use reach::ComputeLevel;
+use reach::{ComputeLevel, SequentialExecutor};
 use reach_cbir::experiments as exp;
 use reach_cbir::{CbirMapping, CbirPipeline, CbirWorkload};
 
 /// "ReACH achieves 4.5x throughput gain" — band [3.5, 5.5].
 #[test]
 fn headline_throughput_gain() {
-    let rows = exp::fig13();
+    let rows = exp::fig13_with(&SequentialExecutor);
     let reach = rows
         .iter()
         .find(|r| r.mapping == CbirMapping::Proper)
@@ -26,7 +26,7 @@ fn headline_throughput_gain() {
 /// "2.2x improvement in query response latency" — band [1.8, 2.8].
 #[test]
 fn headline_latency_gain() {
-    let rows = exp::fig13();
+    let rows = exp::fig13_with(&SequentialExecutor);
     let reach = rows
         .iter()
         .find(|r| r.mapping == CbirMapping::Proper)
@@ -41,7 +41,7 @@ fn headline_latency_gain() {
 /// "reducing energy consumption by 52%" — band [45%, 60%].
 #[test]
 fn headline_energy_reduction() {
-    let rows = exp::fig13();
+    let rows = exp::fig13_with(&SequentialExecutor);
     let base = rows
         .iter()
         .find(|r| r.mapping == CbirMapping::AllOnChip)
@@ -63,7 +63,7 @@ fn headline_energy_reduction() {
 /// data movements of the Rerank step" (rerank must dominate).
 #[test]
 fn fig8_movement_and_rerank_dominance() {
-    let f = exp::fig8();
+    let f = exp::fig8_with(&SequentialExecutor);
     assert!(
         f.movement_fraction > 0.70 && f.movement_fraction < 0.85,
         "data movement {:.1}% outside [70, 85] (paper: 79%)",
@@ -80,7 +80,7 @@ fn fig8_movement_and_rerank_dominance() {
 /// instances collectively surpass it; on-chip keeps the best energy.
 #[test]
 fn fig9_feature_extraction_bands() {
-    let rows = exp::fig9();
+    let rows = exp::fig9_with(&SequentialExecutor);
     let get = |level, n| {
         rows.iter()
             .find(|r| r.level == level && r.instances == n)
@@ -113,7 +113,7 @@ fn fig9_feature_extraction_bands() {
 /// near-storage runs slightly slower than near-memory.
 #[test]
 fn fig10_shortlist_bands() {
-    let rows = exp::fig10();
+    let rows = exp::fig10_with(&SequentialExecutor);
     let nm = |n| {
         rows.iter()
             .find(|r| r.level == ComputeLevel::NearMemory && r.instances == n)
@@ -153,7 +153,7 @@ fn fig10_shortlist_bands() {
 /// off-chip saves up to ~60% of its energy.
 #[test]
 fn fig11_rerank_bands() {
-    let rows = exp::fig11();
+    let rows = exp::fig11_with(&SequentialExecutor);
     let nm = |n| {
         rows.iter()
             .find(|r| r.level == ComputeLevel::NearMemory && r.instances == n)
@@ -197,7 +197,7 @@ fn fig11_rerank_bands() {
 /// win at 4 (aggregated bandwidth), for both runtime and energy.
 #[test]
 fn fig12_single_level_bands() {
-    let rows = exp::fig12();
+    let rows = exp::fig12_with(&SequentialExecutor);
     let find = |mapping, n| {
         rows.iter()
             .find(|r| r.mapping == mapping && r.instances == n)
@@ -225,15 +225,15 @@ fn fig12_single_level_bands() {
 /// Determinism: the whole evaluation is reproducible bit-for-bit.
 #[test]
 fn experiments_are_deterministic() {
-    let a = exp::fig13();
-    let b = exp::fig13();
+    let a = exp::fig13_with(&SequentialExecutor);
+    let b = exp::fig13_with(&SequentialExecutor);
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.throughput_gain.to_bits(), y.throughput_gain.to_bits());
         assert_eq!(x.latency_gain.to_bits(), y.latency_gain.to_bits());
         assert_eq!(x.energy_total.to_bits(), y.energy_total.to_bits());
     }
-    let f1 = exp::fig8();
-    let f2 = exp::fig8();
+    let f1 = exp::fig8_with(&SequentialExecutor);
+    let f2 = exp::fig8_with(&SequentialExecutor);
     assert_eq!(f1.ledger.to_string(), f2.ledger.to_string());
 }
 
