@@ -169,6 +169,12 @@ fn main() -> ExitCode {
         "fleet result cache: {} hit(s), {} miss(es)",
         fleet_cache.hits, fleet_cache.misses
     );
+    if runner.disk_cache_enabled() {
+        eprintln!(
+            "scenario result store: {} flush(es), {} byte(s) written",
+            disk_cache.flushes, disk_cache.bytes_written
+        );
+    }
 
     if let Some(path) = metrics_path {
         let mut process = MetricsSnapshot::new(0);
@@ -186,6 +192,11 @@ fn main() -> ExitCode {
         process.set_counter("runner.result_cache_misses", result_cache.misses);
         process.set_counter("runner.result_cache_disk_hits", disk_cache.hits);
         process.set_counter("runner.result_cache_disk_misses", disk_cache.misses);
+        process.set_counter("runner.result_cache_disk_flushes", disk_cache.flushes);
+        process.set_counter(
+            "runner.result_cache_disk_bytes_written",
+            disk_cache.bytes_written,
+        );
         process.set_counter("runner.fleet_cache_hits", fleet_cache.hits);
         process.set_counter("runner.fleet_cache_misses", fleet_cache.misses);
         let doc = reach_bench::run_metrics_json(&captured, Some(&process));

@@ -29,9 +29,27 @@
 //! "every lookup misses", with a single warning on stderr per failure
 //! class. Partial corruption keeps the valid record prefix (the framing is
 //! length-prefixed and checksummed, so a torn tail write cannot poison
-//! earlier records). Writes go to a temporary file in the same directory
-//! and land via atomic rename, so a crashed or concurrent process can tear
-//! the *tail* of a store but never leave a half-renamed one.
+//! earlier records).
+//!
+//! ## Writes: append, compact when in doubt
+//!
+//! A flush appends only the records added since the last one, in one
+//! `write_all` on an append-mode handle followed by one `sync_data`. It
+//! does so only while the file is exactly what this process last read or
+//! wrote: this build's header followed by the records it knows, at the
+//! length it recorded. In every other case the flush *compacts* instead —
+//! it writes the whole table to a temporary file in the same directory,
+//! syncs it and renames it over the store. Compaction runs when the file
+//! is new or missing, carries a foreign stamp or bad magic, has a torn or
+//! corrupt tail, holds duplicate fingerprints, held a record that no
+//! longer decodes, or changed length since this process saw it (another
+//! writer touched it: the last writer wins, as with whole-file rewrites).
+//! A failed append falls back to one compaction before the store is
+//! declared unwritable.
+//!
+//! So a concurrent reader always sees a valid record prefix, possibly
+//! followed by a torn tail it discards; a first write or a compaction
+//! replaces the store atomically and is never seen half-written.
 
 use reach::{decode_report, encode_report, simulator_version_stamp, RunReport};
 use reach_sim::checksum64;
@@ -45,15 +63,30 @@ pub const DISKCACHE_MAGIC: &[u8] = b"reach-diskcache-v1\n";
 /// Name of the store file inside the cache directory.
 pub const DISKCACHE_FILE: &str = "results.reach-diskcache";
 
-/// Hit/miss counters of the disk tier. Like the in-memory
-/// [`crate::CacheStats`], counting is the *runner's* policy — lookups
-/// themselves never count, so the ledger stays identical at any job count.
+/// Hit/miss and write counters of the disk tier. Like the in-memory
+/// [`crate::CacheStats`], hit/miss counting is the *runner's* policy —
+/// lookups themselves never count, so the ledger stays identical at any
+/// job count. Flushes run only in the runner's sequential phases, so the
+/// write counters are job-count independent too.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DiskCacheStats {
     /// Lookups answered from disk.
     pub hits: u64,
     /// Lookups that fell through to simulation.
     pub misses: u64,
+    /// Flushes that wrote to the store, appends and compactions alike.
+    pub flushes: u64,
+    /// Bytes those flushes wrote, including each compaction's header.
+    pub bytes_written: u64,
+}
+
+/// What the store file held when this process last read or wrote it.
+#[derive(Clone, Copy, Debug)]
+struct OnDisk {
+    /// Leading records of `DiskCache::order` the file holds, in order.
+    records: usize,
+    /// The file's length in bytes.
+    len: u64,
 }
 
 /// A persistent fingerprint-to-report store with fail-open semantics.
@@ -69,13 +102,17 @@ pub struct DiskCache {
     entries: HashMap<u128, Vec<u8>>,
     /// Insertion order, so a rewritten store lays records out stably.
     order: Vec<u128>,
-    /// Entries added since the last successful flush.
+    /// `Some` while the file is exactly this build's header followed by a
+    /// prefix of `order`, so a flush may append the rest; `None` makes the
+    /// next flush compact.
+    on_disk: Option<OnDisk>,
+    /// Something to write since the last successful flush: new records,
+    /// or a dropped record to purge from the file.
     dirty: bool,
     /// Cleared after the first failed flush so an unwritable directory
     /// warns once, not once per batch.
     writable: bool,
-    hits: u64,
-    misses: u64,
+    stats: DiskCacheStats,
 }
 
 fn warn(path: &Path, what: &str) {
@@ -103,10 +140,10 @@ impl DiskCache {
             stamp,
             entries: HashMap::new(),
             order: Vec::new(),
+            on_disk: None,
             dirty: false,
             writable: true,
-            hits: 0,
-            misses: 0,
+            stats: DiskCacheStats::default(),
         };
         if let Err(e) = std::fs::create_dir_all(dir) {
             warn(&cache.path, &format!("cannot create directory ({e})"));
@@ -116,6 +153,8 @@ impl DiskCache {
         cache
     }
 
+    /// Reads the store. Leaves `on_disk` unset — so the next flush
+    /// compacts — unless the whole file parsed cleanly.
     fn load(&mut self) {
         let bytes = match std::fs::read(&self.path) {
             Ok(bytes) => bytes,
@@ -145,6 +184,7 @@ impl DiskCache {
             return;
         }
         // Records: keep the longest valid prefix; stop at the first tear.
+        let mut duplicates = false;
         while pos < bytes.len() {
             let Some(frame) = bytes.get(pos..pos + 12) else {
                 warn(&self.path, "truncated record header, keeping valid prefix");
@@ -163,14 +203,23 @@ impl DiskCache {
             let fp = u128::from_le_bytes(payload[..16].try_into().expect("16 bytes"));
             if self.entries.insert(fp, payload[16..].to_vec()).is_none() {
                 self.order.push(fp);
+            } else {
+                duplicates = true;
             }
             pos += 12 + len;
+        }
+        if !duplicates {
+            self.on_disk = Some(OnDisk {
+                records: self.order.len(),
+                len: bytes.len() as u64,
+            });
         }
     }
 
     /// Looks up a fingerprint, decoding the stored report. A record whose
     /// payload no longer decodes (possible only if corruption defeats the
-    /// checksum) is dropped and treated as absent.
+    /// checksum) is dropped, treated as absent, and purged from the file
+    /// by the next flush.
     #[must_use]
     pub fn get(&mut self, fp: u128) -> Option<RunReport> {
         let payload = self.entries.get(&fp)?;
@@ -180,6 +229,8 @@ impl DiskCache {
                 warn(&self.path, &format!("undecodable record dropped ({e})"));
                 self.entries.remove(&fp);
                 self.order.retain(|&k| k != fp);
+                self.on_disk = None;
+                self.dirty = true;
                 None
             }
         }
@@ -197,15 +248,32 @@ impl DiskCache {
         self.dirty = true;
     }
 
-    /// Rewrites the store if anything was inserted since the last flush.
-    /// Uses write-to-temp + atomic rename; a failure warns once and
-    /// disables further write attempts (reads keep working).
+    /// Persists whatever changed since the last flush: appends the new
+    /// records when the file is as this process left it, compacts
+    /// otherwise (see the module docs). A failed append falls back to one
+    /// compaction; if that fails too, the store warns once and disables
+    /// further write attempts (reads keep working).
     pub fn flush(&mut self) {
         if !self.dirty || !self.writable {
             return;
         }
-        match self.try_flush() {
-            Ok(()) => self.dirty = false,
+        let written = match self.on_disk {
+            Some(seen) => self
+                .try_append(seen)
+                .map(|n| (n, seen.len + n))
+                .or_else(|_| self.try_compact().map(|n| (n, n))),
+            None => self.try_compact().map(|n| (n, n)),
+        };
+        match written {
+            Ok((bytes, len)) => {
+                self.on_disk = Some(OnDisk {
+                    records: self.order.len(),
+                    len,
+                });
+                self.dirty = false;
+                self.stats.flushes += 1;
+                self.stats.bytes_written += bytes;
+            }
             Err(e) => {
                 warn(
                     &self.path,
@@ -216,47 +284,76 @@ impl DiskCache {
         }
     }
 
-    fn try_flush(&self) -> std::io::Result<()> {
-        // Temp name includes the pid so concurrent processes flushing the
-        // same directory never interleave partial writes; rename keeps the
-        // store itself atomic (last full write wins).
+    /// Appends `order[seen.records..]` to a store that still has the
+    /// length `seen` recorded; returns the bytes appended.
+    fn try_append(&self, seen: OnDisk) -> std::io::Result<u64> {
+        let mut f = std::fs::OpenOptions::new().append(true).open(&self.path)?;
+        if f.metadata()?.len() != seen.len {
+            return Err(std::io::Error::other("store changed since it was read"));
+        }
+        let mut buf = Vec::new();
+        self.encode_records(&self.order[seen.records..], &mut buf);
+        f.write_all(&buf)?;
+        f.sync_data()?;
+        Ok(buf.len() as u64)
+    }
+
+    /// Rewrites the whole store via write-to-temp + atomic rename; returns
+    /// the new file length.
+    fn try_compact(&self) -> std::io::Result<u64> {
+        // Temp name includes the pid so concurrent processes compacting
+        // the same directory never interleave partial writes; rename keeps
+        // the store itself atomic (last full write wins).
         let tmp = self
             .path
             .with_extension(format!("tmp.{}", std::process::id()));
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(DISKCACHE_MAGIC)?;
-        f.write_all(&self.stamp.to_le_bytes())?;
-        for fp in &self.order {
-            let report = &self.entries[fp];
-            let mut payload = Vec::with_capacity(16 + report.len());
-            payload.extend_from_slice(&fp.to_le_bytes());
-            payload.extend_from_slice(report);
-            f.write_all(&(payload.len() as u32).to_le_bytes())?;
-            f.write_all(&checksum64(&payload).to_le_bytes())?;
-            f.write_all(&payload)?;
+        let mut buf = Vec::new();
+        buf.extend_from_slice(DISKCACHE_MAGIC);
+        buf.extend_from_slice(&self.stamp.to_le_bytes());
+        self.encode_records(&self.order, &mut buf);
+        let written = std::fs::File::create(&tmp)
+            .and_then(|mut f| {
+                f.write_all(&buf)?;
+                f.sync_all()
+            })
+            .and_then(|()| std::fs::rename(&tmp, &self.path));
+        if written.is_err() {
+            let _ = std::fs::remove_file(&tmp);
         }
-        f.sync_all()?;
-        drop(f);
-        std::fs::rename(&tmp, &self.path)
+        written.map(|()| buf.len() as u64)
+    }
+
+    /// Frames the records of `fps` onto `out`:
+    /// `[len u32][checksum u64][fingerprint u128][report]` each.
+    fn encode_records(&self, fps: &[u128], out: &mut Vec<u8>) {
+        out.reserve(fps.iter().map(|fp| 28 + self.entries[fp].len()).sum());
+        for fp in fps {
+            let report = &self.entries[fp];
+            let len = u32::try_from(16 + report.len()).expect("record fits its u32 length frame");
+            let start = out.len();
+            out.extend_from_slice(&len.to_le_bytes());
+            out.extend_from_slice(&[0; 8]);
+            out.extend_from_slice(&fp.to_le_bytes());
+            out.extend_from_slice(report);
+            let checksum = checksum64(&out[start + 12..]);
+            out[start + 4..start + 12].copy_from_slice(&checksum.to_le_bytes());
+        }
     }
 
     /// Counts one disk hit (the runner's sequential resolution phase).
     pub fn record_hit(&mut self) {
-        self.hits += 1;
+        self.stats.hits += 1;
     }
 
     /// Counts one disk miss.
     pub fn record_miss(&mut self) {
-        self.misses += 1;
+        self.stats.misses += 1;
     }
 
-    /// Hit/miss counters so far.
+    /// Hit/miss and write counters so far.
     #[must_use]
     pub fn stats(&self) -> DiskCacheStats {
-        DiskCacheStats {
-            hits: self.hits,
-            misses: self.misses,
-        }
+        self.stats
     }
 
     /// Number of reports currently held (loaded + inserted).
@@ -444,6 +541,164 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The store a single flush of `fps` (each holding `report(fp)`)
+    /// writes into a fresh directory.
+    fn one_rewrite_of(tag: &str, fps: &[u128]) -> Vec<u8> {
+        let dir = temp_dir(tag);
+        let mut cache = DiskCache::open_with_stamp(&dir, 1);
+        for &fp in fps {
+            cache.insert(fp, &report(fp as u64));
+        }
+        cache.flush();
+        let bytes = std::fs::read(dir.join(DISKCACHE_FILE)).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        bytes
+    }
+
+    #[test]
+    fn appends_across_reopens_match_one_full_rewrite() {
+        let dir = temp_dir("append");
+        let mut first = DiskCache::open_with_stamp(&dir, 1);
+        first.insert(1, &report(1));
+        first.flush();
+        first.insert(2, &report(2));
+        first.flush();
+        let mut second = DiskCache::open_with_stamp(&dir, 1);
+        second.insert(3, &report(3));
+        second.insert(4, &report(4));
+        second.flush();
+        let bytes = std::fs::read(dir.join(DISKCACHE_FILE)).unwrap();
+        assert_eq!(bytes, one_rewrite_of("append-ref", &[1, 2, 3, 4]));
+        // Each record was written once: the appends added only new bytes.
+        let written = first.stats().bytes_written + second.stats().bytes_written;
+        assert_eq!(written, bytes.len() as u64);
+        assert_eq!((first.stats().flushes, second.stats().flushes), (2, 1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn torn_or_duplicated_store_is_compacted_by_the_next_flush() {
+        type Damage = fn(&[u8]) -> Vec<u8>;
+        let cases: [(&str, Damage, &[u128]); 2] = [
+            ("torn", |bytes| bytes[..bytes.len() - 10].to_vec(), &[1, 3]),
+            (
+                "duplicated",
+                |bytes| {
+                    let header = DISKCACHE_MAGIC.len() + 16;
+                    let first = header + 28 + encode_report(&report(1)).len();
+                    [bytes, &bytes[header..first]].concat()
+                },
+                &[1, 2, 3],
+            ),
+        ];
+        for (tag, damage, survivors) in cases {
+            let dir = temp_dir(tag);
+            let mut cache = DiskCache::open_with_stamp(&dir, 1);
+            cache.insert(1, &report(1));
+            cache.insert(2, &report(2));
+            cache.flush();
+            let path = dir.join(DISKCACHE_FILE);
+            std::fs::write(&path, damage(&std::fs::read(&path).unwrap())).unwrap();
+            let mut cache = DiskCache::open_with_stamp(&dir, 1);
+            cache.insert(3, &report(3));
+            cache.flush();
+            // No garbage between records: the file is the clean table.
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                one_rewrite_of(&format!("{tag}-ref"), survivors),
+                "{tag} store was not compacted"
+            );
+            let mut reopened = DiskCache::open_with_stamp(&dir, 1);
+            assert_eq!(reopened.len(), survivors.len());
+            assert!(survivors.iter().all(|&fp| reopened.get(fp).is_some()));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn a_store_another_writer_changed_is_rewritten_not_appended_to() {
+        type Change = fn(&Path);
+        let changes: [(&str, Change); 2] = [
+            ("grown", |path| {
+                let mut f = std::fs::OpenOptions::new().append(true).open(path).unwrap();
+                f.write_all(b"bytes this process never saw").unwrap();
+            }),
+            ("shrunk", |path| {
+                let f = std::fs::OpenOptions::new().write(true).open(path).unwrap();
+                f.set_len((DISKCACHE_MAGIC.len() + 16) as u64).unwrap();
+            }),
+        ];
+        for (tag, change) in changes {
+            let dir = temp_dir(tag);
+            let mut cache = DiskCache::open_with_stamp(&dir, 1);
+            cache.insert(1, &report(1));
+            cache.flush();
+            change(&dir.join(DISKCACHE_FILE));
+            cache.insert(2, &report(2));
+            cache.flush();
+            assert_eq!(
+                std::fs::read(dir.join(DISKCACHE_FILE)).unwrap(),
+                one_rewrite_of(&format!("{tag}-ref"), &[1, 2]),
+                "{tag} store was not rewritten"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn failed_append_falls_back_to_a_rewrite() {
+        let dir = temp_dir("fallback");
+        let mut cache = DiskCache::open_with_stamp(&dir, 1);
+        cache.insert(1, &report(1));
+        cache.flush();
+        std::fs::remove_file(dir.join(DISKCACHE_FILE)).unwrap();
+        cache.insert(2, &report(2));
+        cache.flush();
+        assert_eq!(
+            std::fs::read(dir.join(DISKCACHE_FILE)).unwrap(),
+            one_rewrite_of("fallback-ref", &[1, 2])
+        );
+        // Still writable: the next batch appends as usual.
+        cache.insert(3, &report(3));
+        cache.flush();
+        assert_eq!(cache.stats().flushes, 3);
+        assert_eq!(DiskCache::open_with_stamp(&dir, 1).len(), 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn undecodable_record_is_purged_by_the_next_flush() {
+        let dir = temp_dir("undecodable");
+        let mut cache = DiskCache::open_with_stamp(&dir, 1);
+        cache.insert(1, &report(1));
+        cache.insert(2, &report(2));
+        cache.flush();
+        // Break the second record's codec version, then re-checksum it so
+        // the load accepts the frame and only decoding fails.
+        let path = dir.join(DISKCACHE_FILE);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let second = DISKCACHE_MAGIC.len() + 16 + 28 + encode_report(&report(1)).len();
+        bytes[second + 28] ^= 0xff;
+        let checksum = checksum64(&bytes[second + 12..]);
+        bytes[second + 4..second + 12].copy_from_slice(&checksum.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+
+        let mut cache = DiskCache::open_with_stamp(&dir, 1);
+        assert_eq!(cache.len(), 2, "the frame itself is valid");
+        assert!(cache.get(2).is_none(), "undecodable record must miss");
+        cache.flush();
+        // The file now holds only valid, decodable records, so no later
+        // open or lookup has anything to warn about.
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            one_rewrite_of("undecodable-ref", &[1])
+        );
+        let mut reopened = DiskCache::open_with_stamp(&dir, 1);
+        assert_eq!(reopened.len(), 1);
+        assert!(reopened.get(1).is_some());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn stats_count_what_the_caller_records() {
         let dir = temp_dir("stats");
@@ -452,7 +707,14 @@ mod tests {
         cache.record_hit();
         cache.record_miss();
         cache.record_miss();
-        assert_eq!(cache.stats(), DiskCacheStats { hits: 1, misses: 2 });
+        assert_eq!(
+            cache.stats(),
+            DiskCacheStats {
+                hits: 1,
+                misses: 2,
+                ..DiskCacheStats::default()
+            }
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

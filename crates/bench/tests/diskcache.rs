@@ -76,6 +76,26 @@ fn warm_runner_replays_from_disk_without_simulating() {
     assert_eq!(warm_disk.misses, 0, "warm run must not simulate");
 }
 
+/// A cold run that flushes several batches writes each record exactly
+/// once: the bytes it reports writing equal the final store's length.
+#[test]
+fn cold_multi_batch_run_writes_each_record_once() {
+    let dir = temp_dir("append");
+    let runner = ScenarioRunner::new(2).with_disk_cache(&dir);
+    for nm in 1..=3 {
+        let mut grid = grid();
+        grid.nm = vec![nm];
+        runner.run_all(grid.scenarios());
+    }
+    let disk = runner.disk_cache_stats();
+    assert_eq!(disk.misses, 3);
+    assert_eq!(disk.flushes, 3, "one flush per batch");
+    let len = std::fs::metadata(dir.join(DISKCACHE_FILE))
+        .expect("store written")
+        .len();
+    assert_eq!(disk.bytes_written, len, "a record was written twice");
+}
+
 #[test]
 fn ledgers_and_output_are_job_count_independent() {
     let grid = grid();

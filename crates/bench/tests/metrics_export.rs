@@ -33,6 +33,8 @@ fn metrics_export_keeps_stdout_and_carries_the_process_block() {
         "runner.result_cache_misses",
         "runner.result_cache_disk_hits",
         "runner.result_cache_disk_misses",
+        "runner.result_cache_disk_flushes",
+        "runner.result_cache_disk_bytes_written",
         "runner.fleet_cache_hits",
         "runner.fleet_cache_misses",
     ] {
