@@ -27,6 +27,11 @@
 //! observable in the output, only in the wall clock. Build with
 //! [`ScenarioRunner::without_cache`] (the `--no-result-cache` flag) to
 //! force every scenario to simulate.
+//!
+//! Between resolution and fan-out the runner calls `Scenario::prepare` on
+//! the calling thread, in submission order, for each scenario it will
+//! simulate — and only those, so a cache hit never pays a scenario's host
+//! set-up (a graph scenario's traversal, for one).
 
 use crate::cache::{CacheStats, EvictionPolicy, ResultCache};
 use crate::diskcache::{DiskCache, DiskCacheStats};
@@ -306,13 +311,17 @@ impl ScenarioExecutor for ScenarioRunner {
             }
         }
 
-        // Phase 2 (parallel): simulate only what phase 1 could not answer.
+        // Phase 2 (parallel): simulate only what phase 1 could not answer,
+        // after preparing those scenarios here, in submission order.
         let to_run: Vec<usize> = slots
             .iter()
             .enumerate()
             .filter(|(_, slot)| matches!(slot, Slot::Run | Slot::Lead(_)))
             .map(|(i, _)| i)
             .collect();
+        for &i in &to_run {
+            scenarios[i].prepare();
+        }
         let mut reports = self.execute_subset(&scenarios, &to_run);
 
         // Phase 3 (sequential, submission order): assemble results, store
@@ -685,6 +694,70 @@ mod tests {
         let lru_runner = ScenarioRunner::with_cache_policy(4, EvictionPolicy::Lru);
         assert_eq!(fifo, rendered(&lru_runner.run_all(batch())));
         assert_eq!(fifo, rendered(&lru_runner.run_all(batch())), "warm replay");
+    }
+
+    /// Delegates to `inner`, logging each `prepare` call's label and thread.
+    struct PrepareProbe {
+        inner: Box<dyn Scenario>,
+        log: Arc<Mutex<Vec<(String, std::thread::ThreadId)>>>,
+    }
+
+    impl Scenario for PrepareProbe {
+        fn label(&self) -> String {
+            self.inner.label()
+        }
+
+        fn blueprint(&self) -> reach::MachineBlueprint {
+            self.inner.blueprint()
+        }
+
+        fn prepare(&self) {
+            let entry = (self.label(), std::thread::current().id());
+            self.log.lock().unwrap().push(entry);
+        }
+
+        fn run(&self, machine: &mut reach::Machine) -> RunReport {
+            self.inner.run(machine)
+        }
+
+        fn config_fingerprint(&self) -> Option<ConfigFingerprint> {
+            self.inner.config_fingerprint()
+        }
+    }
+
+    #[test]
+    fn prepare_runs_on_the_calling_thread_for_simulated_scenarios_only() {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let probes = || -> Vec<Box<dyn Scenario>> {
+            // The batch, then a duplicate of its first point (a follower).
+            let mut inner = batch();
+            inner.extend(batch().into_iter().take(1));
+            inner
+                .into_iter()
+                .map(|inner| {
+                    Box::new(PrepareProbe {
+                        inner,
+                        log: Arc::clone(&log),
+                    }) as Box<dyn Scenario>
+                })
+                .collect()
+        };
+        let leaders: Vec<String> = batch().iter().map(|s| s.label()).collect();
+        let here = std::thread::current().id();
+        let runner = ScenarioRunner::new(4);
+
+        let _ = runner.run_all(probes());
+        let cold = std::mem::take(&mut *log.lock().unwrap());
+        let labels: Vec<String> = cold.iter().map(|(l, _)| l.clone()).collect();
+        assert_eq!(labels, leaders, "leaders only, in submission order");
+        assert!(cold.iter().all(|(_, t)| *t == here), "prepared off-thread");
+
+        let _ = runner.run_all(probes());
+        assert!(log.lock().unwrap().is_empty(), "a cache hit was prepared");
+
+        // Without a cache every scenario simulates, so every one prepares.
+        let _ = ScenarioRunner::without_cache(4).run_all(probes());
+        assert_eq!(log.lock().unwrap().len(), leaders.len() + 1);
     }
 
     #[test]

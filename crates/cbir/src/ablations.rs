@@ -127,19 +127,20 @@ pub fn reconfig_delay_with(executor: &dyn ScenarioExecutor) -> Vec<AblationRow> 
 pub fn pipelining_with(executor: &dyn ScenarioExecutor) -> Vec<AblationRow> {
     let w = CbirWorkload::paper_setup();
     let batches = 8;
+    let paper = MachineBlueprint::paper();
     let scenarios: Vec<Box<dyn Scenario>> = CbirMapping::ALL
         .iter()
         .flat_map(|&mapping| {
             let p = CbirPipeline::new(w, mapping);
             let seq: Box<dyn Scenario> = Box::new(CbirScenario::synchronous(
                 format!("ablation/{}/synchronous", mapping.name()),
-                MachineBlueprint::paper(),
+                paper.clone(),
                 p,
                 batches,
             ));
             let pipe: Box<dyn Scenario> = Box::new(CbirScenario::full(
                 format!("ablation/{}/pipelined", mapping.name()),
-                MachineBlueprint::paper(),
+                paper.clone(),
                 p,
                 batches,
             ));
@@ -176,6 +177,7 @@ pub fn pipelining_with(executor: &dyn ScenarioExecutor) -> Vec<AblationRow> {
 /// behind Figure 10's single-instance penalty.
 #[must_use]
 pub fn sl_tile_budget_with(executor: &dyn ScenarioExecutor) -> Vec<AblationRow> {
+    let paper = MachineBlueprint::paper();
     let points = [275u64, 550, 1_100, 2_200]
         .into_iter()
         .map(|mb| {
@@ -183,7 +185,7 @@ pub fn sl_tile_budget_with(executor: &dyn ScenarioExecutor) -> Vec<AblationRow> 
             w.embedded_sl_fit_bytes = mb * 1_000_000;
             Point {
                 setting: format!("GEMM tile budget {mb} MB"),
-                blueprint: MachineBlueprint::paper(),
+                blueprint: paper.clone(),
                 pipeline: CbirPipeline::new(w, CbirMapping::Proper),
                 batches: 8,
             }
@@ -196,6 +198,7 @@ pub fn sl_tile_budget_with(executor: &dyn ScenarioExecutor) -> Vec<AblationRow> 
 /// lengthen every stage; the paper fixes 16.
 #[must_use]
 pub fn batch_size_with(executor: &dyn ScenarioExecutor) -> Vec<AblationRow> {
+    let paper = MachineBlueprint::paper();
     let sizes = [4usize, 8, 16, 32, 64];
     let points = sizes
         .into_iter()
@@ -204,7 +207,7 @@ pub fn batch_size_with(executor: &dyn ScenarioExecutor) -> Vec<AblationRow> {
             w.batch = b;
             Point {
                 setting: format!("batch size {b}"),
-                blueprint: MachineBlueprint::paper(),
+                blueprint: paper.clone(),
                 pipeline: CbirPipeline::new(w, CbirMapping::Proper),
                 batches: 8,
             }
@@ -223,6 +226,7 @@ pub fn batch_size_with(executor: &dyn ScenarioExecutor) -> Vec<AblationRow> {
 /// bottleneck toward the storage level and amplify ReACH's advantage.
 #[must_use]
 pub fn candidate_volume_with(executor: &dyn ScenarioExecutor) -> Vec<AblationRow> {
+    let paper = MachineBlueprint::paper();
     let points = [1_024usize, 4_096, 16_384, 65_536]
         .into_iter()
         .flat_map(|c| {
@@ -230,7 +234,7 @@ pub fn candidate_volume_with(executor: &dyn ScenarioExecutor) -> Vec<AblationRow
             w.candidates_per_query = c;
             [CbirMapping::AllOnChip, CbirMapping::Proper].map(|mapping| Point {
                 setting: format!("{} candidates / {}", c, mapping.name()),
-                blueprint: MachineBlueprint::paper(),
+                blueprint: paper.clone(),
                 pipeline: CbirPipeline::new(w, mapping),
                 batches: 6,
             })
@@ -269,6 +273,7 @@ pub fn interleave_reorganization_with(executor: &dyn ScenarioExecutor) -> Vec<Ab
 pub fn rerank_placement_with(executor: &dyn ScenarioExecutor) -> Vec<AblationRow> {
     use crate::pipeline::CbirStage as S;
     let w = CbirWorkload::paper_setup();
+    let paper = MachineBlueprint::paper();
     // Build three custom mappings by reusing the named ones for FE/SL and
     // measuring rerank at each level through single-stage runs relative to
     // the full pipeline.
@@ -277,7 +282,7 @@ pub fn rerank_placement_with(executor: &dyn ScenarioExecutor) -> Vec<AblationRow
         .map(|&mapping| {
             let boxed: Box<dyn Scenario> = Box::new(CbirScenario::stage(
                 format!("ablation/rerank-at-{}", mapping.level_of(S::Rerank)),
-                MachineBlueprint::paper(),
+                paper.clone(),
                 CbirPipeline::new(w, mapping),
                 S::Rerank,
                 1,

@@ -12,17 +12,32 @@ use crate::pipeline::{CbirPipeline, CbirStage};
 use reach::fingerprint::ConfigFingerprint;
 use reach::{ExecMode, Machine, MachineBlueprint, RunReport, Scenario, SystemConfig};
 use reach_sim::FingerprintBuilder;
+use std::sync::Mutex;
 
 /// Blueprint for `mapping`-style runs with the given number of
 /// near-memory / near-storage instances (the paper's Table II shape
 /// otherwise).
+///
+/// Blueprints are immutable, so every call for one shape returns a clone
+/// of the first one built: all points of all figures on that shape share
+/// one fingerprint memo, and all shapes share one template registry.
 #[must_use]
 pub fn blueprint_with(nm: usize, ns: usize) -> MachineBlueprint {
-    MachineBlueprint::new(
-        SystemConfig::paper_table2()
-            .with_near_memory(nm.max(1))
-            .with_near_storage(ns.max(1)),
-    )
+    static BUILT: Mutex<Vec<((usize, usize), MachineBlueprint)>> = Mutex::new(Vec::new());
+    let shape = (nm.max(1), ns.max(1));
+    let mut built = BUILT.lock().expect("blueprint table poisoned");
+    if let Some((_, blueprint)) = built.iter().find(|(s, _)| *s == shape) {
+        return blueprint.clone();
+    }
+    let cfg = SystemConfig::paper_table2()
+        .with_near_memory(shape.0)
+        .with_near_storage(shape.1);
+    let blueprint = match built.first() {
+        Some((_, first)) => first.map_config(|c| *c = cfg),
+        None => MachineBlueprint::new(cfg),
+    };
+    built.push((shape, blueprint.clone()));
+    blueprint
 }
 
 /// One CBIR simulation point: which machine, which deployment, how many

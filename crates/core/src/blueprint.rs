@@ -7,6 +7,10 @@
 //! which is what makes fan-out across threads safe: each run owns a fresh
 //! `Machine`, while the blueprint (and the `Arc`-shared registry inside
 //! it) is shared read-only.
+//!
+//! A blueprint's [`fingerprint`](MachineBlueprint::fingerprint) is computed
+//! once and memoized in a cell its clones share, so a renderer that clones
+//! one blueprint into every point pays for one digest, not one per point.
 
 use crate::config::SystemConfig;
 use crate::fingerprint::ConfigFingerprint;
@@ -14,7 +18,8 @@ use crate::machine::Machine;
 use reach_accel::TemplateRegistry;
 use reach_energy::EnergyPresets;
 use reach_sim::FingerprintBuilder;
-use std::sync::Arc;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// An immutable recipe for building [`Machine`]s.
 ///
@@ -26,11 +31,25 @@ use std::sync::Arc;
 /// let b = blueprint.instantiate(); // independent machine, same shape
 /// assert_eq!(a.config().onchip_accelerators, b.config().onchip_accelerators);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct MachineBlueprint {
     cfg: SystemConfig,
     registry: Arc<TemplateRegistry>,
     presets: EnergyPresets,
+    /// Memoized [`MachineBlueprint::fingerprint`], shared by clones. Every
+    /// way of deriving a blueprint with different parts starts a fresh one.
+    fingerprint: Arc<OnceLock<ConfigFingerprint>>,
+}
+
+/// The three parts only: the memo cell is a cache, not part of the recipe.
+impl fmt::Debug for MachineBlueprint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("MachineBlueprint")
+            .field("cfg", &self.cfg)
+            .field("registry", &self.registry)
+            .field("presets", &self.presets)
+            .finish()
+    }
 }
 
 impl MachineBlueprint {
@@ -75,6 +94,7 @@ impl MachineBlueprint {
             cfg,
             registry,
             presets: EnergyPresets::paper_table4(),
+            fingerprint: Arc::default(),
         }
     }
 
@@ -89,6 +109,7 @@ impl MachineBlueprint {
         let mut next = self.clone();
         adjust(&mut next.cfg);
         next.cfg.validate();
+        next.fingerprint = Arc::default();
         next
     }
 
@@ -96,6 +117,7 @@ impl MachineBlueprint {
     #[must_use]
     pub fn with_presets(mut self, presets: EnergyPresets) -> Self {
         self.presets = presets;
+        self.fingerprint = Arc::default();
         self
     }
 
@@ -109,6 +131,12 @@ impl MachineBlueprint {
     #[must_use]
     pub fn registry(&self) -> &TemplateRegistry {
         &self.registry
+    }
+
+    /// The energy presets this blueprint builds with.
+    #[must_use]
+    pub fn presets(&self) -> &EnergyPresets {
+        &self.presets
     }
 
     /// Builds a fresh machine. Every call returns an independent runtime;
@@ -125,14 +153,18 @@ impl MachineBlueprint {
     ///
     /// The three parts are plain-data structs with derived `Debug`, so the
     /// digest covers every field they have — including ones added after
-    /// this method was written.
+    /// this method was written. Formatting them is the expensive part, so
+    /// the digest is computed on the first call and replayed from a memo
+    /// that clones share.
     #[must_use]
     pub fn fingerprint(&self) -> ConfigFingerprint {
-        let mut b = FingerprintBuilder::new("reach-blueprint-v1");
-        b.write_debug(&self.cfg);
-        b.write_debug(&*self.registry);
-        b.write_debug(&self.presets);
-        ConfigFingerprint::from_builder(b)
+        *self.fingerprint.get_or_init(|| {
+            let mut b = FingerprintBuilder::new("reach-blueprint-v1");
+            b.write_debug(&self.cfg);
+            b.write_debug(&*self.registry);
+            b.write_debug(&self.presets);
+            ConfigFingerprint::from_builder(b)
+        })
     }
 }
 
@@ -162,6 +194,84 @@ mod tests {
             base.config().near_memory_accelerators,
             wide.config().near_memory_accelerators
         );
+    }
+
+    /// The digest as computed before it was memoized: the reference every
+    /// memoized value must equal.
+    fn reference_fingerprint(bp: &MachineBlueprint) -> ConfigFingerprint {
+        let mut b = FingerprintBuilder::new("reach-blueprint-v1");
+        b.write_debug(&bp.cfg);
+        b.write_debug(&*bp.registry);
+        b.write_debug(&bp.presets);
+        ConfigFingerprint::from_builder(b)
+    }
+
+    #[test]
+    fn clones_share_the_fingerprint_memo() {
+        let bp = MachineBlueprint::paper();
+        let clone = bp.clone();
+        assert!(Arc::ptr_eq(&bp.fingerprint, &clone.fingerprint));
+        assert!(clone.fingerprint.get().is_none());
+        let fp = bp.fingerprint();
+        assert_eq!(clone.fingerprint.get(), Some(&fp), "clone missed the memo");
+        assert_eq!(fp, reference_fingerprint(&bp));
+    }
+
+    #[test]
+    fn derived_blueprints_recompute_the_fingerprint() {
+        let base = MachineBlueprint::paper();
+        let base_fp = base.fingerprint();
+
+        let wide = base.map_config(|cfg| cfg.near_memory_accelerators = 16);
+        assert!(wide.fingerprint.get().is_none(), "map_config kept the memo");
+        assert_ne!(wide.fingerprint(), base_fp);
+        assert_eq!(wide.fingerprint(), reference_fingerprint(&wide));
+
+        // An identity adjustment still starts afresh, and lands on the same
+        // digest.
+        let same = base.map_config(|_| {});
+        assert!(same.fingerprint.get().is_none());
+        assert_eq!(same.fingerprint(), base_fp);
+
+        let mut presets = EnergyPresets::paper_table4();
+        presets.accel_idle_fraction *= 2.0;
+        let hot = base.clone().with_presets(presets);
+        assert!(
+            hot.fingerprint.get().is_none(),
+            "with_presets kept the memo"
+        );
+        assert_ne!(hot.fingerprint(), base_fp);
+        assert_eq!(hot.fingerprint(), reference_fingerprint(&hot));
+        assert_eq!(base.fingerprint(), base_fp, "the base memo moved");
+    }
+
+    #[test]
+    fn memoized_fingerprint_equals_a_direct_recomputation() {
+        let paper = MachineBlueprint::paper();
+        let variants = [
+            paper.clone(),
+            paper.map_config(|cfg| cfg.near_storage_accelerators = 8),
+            MachineBlueprint::new(SystemConfig::paper_table2().with_near_memory(2)),
+            MachineBlueprint::with_registry(
+                SystemConfig::paper_table2(),
+                TemplateRegistry::paper_table3(),
+            ),
+        ];
+        for bp in &variants {
+            // Twice: the first call fills the memo, the second replays it.
+            assert_eq!(bp.fingerprint(), reference_fingerprint(bp));
+            assert_eq!(bp.fingerprint(), reference_fingerprint(bp));
+        }
+    }
+
+    #[test]
+    fn debug_output_leaves_out_the_memo() {
+        let bp = MachineBlueprint::paper();
+        let before = format!("{bp:?}");
+        let _ = bp.fingerprint();
+        assert_eq!(format!("{bp:?}"), before);
+        assert!(before.starts_with("MachineBlueprint { cfg: "));
+        assert!(!before.contains("OnceLock") && !before.contains("fingerprint"));
     }
 
     #[test]

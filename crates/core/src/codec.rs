@@ -531,6 +531,23 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes decode to an error or a report, never a panic —
+        /// raw, and behind a valid version word so the noise reaches the
+        /// sequence lengths, tags, strings and floats past the header.
+        #[test]
+        fn random_bytes_never_panic(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..512),
+        ) {
+            let _ = decode_report(&bytes);
+            let mut versioned = REPORT_CODEC_VERSION.to_le_bytes().to_vec();
+            versioned.extend_from_slice(&bytes);
+            let _ = decode_report(&versioned);
+        }
+    }
+
     #[test]
     fn trailing_bytes_are_rejected() {
         let mut bytes = encode_report(&sample_report());

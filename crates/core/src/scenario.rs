@@ -36,6 +36,17 @@ pub trait Scenario: Send + Sync {
     /// The machine this scenario runs on.
     fn blueprint(&self) -> MachineBlueprint;
 
+    /// Host-side work `run` will need, done ahead of time. Optional and
+    /// idempotent: the default does nothing, `run` must work whether or
+    /// not this was called, and calling it twice does the work once.
+    ///
+    /// Executors that fan scenarios out across threads call it on the
+    /// calling thread, in submission order, for exactly the scenarios they
+    /// are about to simulate (never for one a result cache answers), so
+    /// large host allocations happen on one thread instead of in every
+    /// worker's allocator arena.
+    fn prepare(&self) {}
+
     /// Drives `machine` and reports. The machine is freshly instantiated
     /// from [`Scenario::blueprint`] and owned by this call.
     fn run(&self, machine: &mut Machine) -> RunReport;

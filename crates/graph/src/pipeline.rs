@@ -20,10 +20,11 @@
 //!   because random 8-byte reads at 4 KiB flash-page granularity would be
 //!   catastrophically worse than a full rescan.
 
-use crate::algo::{bfs_levels, pagerank, BfsResult, PAGERANK_DAMPING};
+use crate::algo::{bfs_levels, pagerank, PAGERANK_DAMPING};
 use crate::csr::GraphSpec;
 use crate::templates::graph_registry;
 use reach::{Level, Pipeline, ReachConfig, StreamType, TaskWork};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Bytes per CSR edge record the kernels move (4 B destination id + 4 B
 /// mark / rank-share payload).
@@ -124,16 +125,47 @@ impl GraphPlacement {
 }
 
 /// The shape of a host traversal — everything the experiment rows print
-/// about the host-side computation.
-#[derive(Clone, Debug)]
+/// about the host-side computation, and nothing per node.
+#[derive(Clone, Debug, PartialEq)]
 pub enum WorkloadShape {
     /// BFS: the per-level frontier structure.
-    Bfs(BfsResult),
+    Bfs {
+        /// Frontier size per level, starting with `[1]` for the source.
+        /// Every entry is positive; the sum is the reachable-node count.
+        frontier_sizes: Vec<u32>,
+        /// Edges scanned expanding each frontier (the gather volume of the
+        /// corresponding simulated task).
+        edges_scanned: Vec<u64>,
+    },
     /// PageRank: the per-iteration L1 residuals.
     Pagerank {
         /// L1 distance between successive iterates.
         residuals: Vec<f64>,
     },
+}
+
+impl WorkloadShape {
+    /// Edge-traversal events a run of this shape performs on a graph of
+    /// `edges` edges (BFS: edges scanned over all frontiers; PageRank:
+    /// edges × iterations).
+    #[must_use]
+    pub fn events(&self, edges: u64) -> u64 {
+        match self {
+            WorkloadShape::Bfs { edges_scanned, .. } => edges_scanned.iter().sum(),
+            WorkloadShape::Pagerank { residuals } => edges * residuals.len() as u64,
+        }
+    }
+}
+
+/// Process-wide count of [`Traversal::run`] calls.
+static TRAVERSALS: AtomicU64 = AtomicU64::new(0);
+
+/// How many host traversals ([`Traversal::run`]) this process has run —
+/// the observable behind "a cache hit builds no graph".
+#[doc(hidden)]
+#[must_use]
+pub fn traversals_run() -> u64 {
+    TRAVERSALS.load(Ordering::Relaxed)
 }
 
 /// One host traversal of a generated graph: the shape the rows print and
@@ -157,9 +189,16 @@ impl Traversal {
     /// Panics if the spec is degenerate (see [`GraphSpec::edge_count`]).
     #[must_use]
     pub fn run(spec: &GraphSpec, workload: GraphWorkload) -> Self {
+        TRAVERSALS.fetch_add(1, Ordering::Relaxed);
         let g = spec.build();
         let shape = match workload {
-            GraphWorkload::Bfs => WorkloadShape::Bfs(bfs_levels(&g, 0)),
+            GraphWorkload::Bfs => {
+                let r = bfs_levels(&g, 0);
+                WorkloadShape::Bfs {
+                    frontier_sizes: r.frontier_sizes,
+                    edges_scanned: r.edges_scanned,
+                }
+            }
             GraphWorkload::Pagerank => WorkloadShape::Pagerank {
                 residuals: pagerank(&g, PAGERANK_ITERATIONS, PAGERANK_DAMPING).residuals,
             },
@@ -177,12 +216,14 @@ impl Traversal {
     #[must_use]
     pub fn lower(&self, placement: GraphPlacement) -> Pipeline {
         match &self.shape {
-            WorkloadShape::Bfs(r) => {
+            WorkloadShape::Bfs {
+                frontier_sizes,
+                edges_scanned,
+            } => {
                 let (trav_tpl, _) = placement.templates();
-                let steps: Vec<Step> = r
-                    .edges_scanned
+                let steps: Vec<Step> = edges_scanned
                     .iter()
-                    .zip(&r.frontier_sizes)
+                    .zip(frontier_sizes)
                     .map(|(&scanned, &frontier)| {
                         (
                             trav_tpl,
@@ -290,7 +331,7 @@ mod tests {
     #[test]
     fn bfs_pipeline_has_one_task_per_level() {
         let t = Traversal::run(&spec(), GraphWorkload::Bfs);
-        let WorkloadShape::Bfs(r) = &t.shape else {
+        let WorkloadShape::Bfs { frontier_sizes, .. } = &t.shape else {
             panic!("bfs shape expected")
         };
         let mut machine = graph_blueprint().instantiate();
@@ -302,7 +343,43 @@ mod tests {
             .iter()
             .find(|s| s.name == "frontier")
             .expect("frontier stage");
-        assert_eq!(frontier.tasks, r.frontier_sizes.len() as u64);
+        assert_eq!(frontier.tasks, frontier_sizes.len() as u64);
+    }
+
+    #[test]
+    fn bfs_traversal_shape_accounts_for_every_reached_node() {
+        // The shape keeps no per-node levels, so hold it to the full BFS
+        // result on the swept graph kinds and scales: as many levels, every
+        // frontier non-empty, and the frontiers summing to the nodes BFS
+        // reached.
+        use crate::scenarios::{GRAPH_DEGREE, GRAPH_SCALES};
+        for kind in [GraphKind::Rmat, GraphKind::Uniform] {
+            for nodes in GRAPH_SCALES {
+                let spec = GraphSpec {
+                    nodes,
+                    avg_degree: GRAPH_DEGREE,
+                    kind,
+                    seed: reach_sim::rng::DEFAULT_SEED,
+                };
+                let t = Traversal::run(&spec, GraphWorkload::Bfs);
+                let WorkloadShape::Bfs {
+                    frontier_sizes,
+                    edges_scanned,
+                } = &t.shape
+                else {
+                    panic!("bfs shape expected")
+                };
+                let full = bfs_levels(&spec.build(), 0);
+                assert_eq!(frontier_sizes, &full.frontier_sizes);
+                assert_eq!(edges_scanned, &full.edges_scanned);
+                assert!(frontier_sizes.iter().all(|&f| f > 0));
+                let visited: u64 = frontier_sizes.iter().map(|&f| u64::from(f)).sum();
+                let by_levels = full.levels.iter().filter(|&&l| l != u32::MAX).count() as u64;
+                assert_eq!(visited, by_levels, "{}", spec.label());
+                assert_eq!(t.nodes, spec.node_count());
+                assert_eq!(t.edges, spec.edge_count());
+            }
+        }
     }
 
     #[test]

@@ -9,18 +9,30 @@
 //! (frontiers positive and summing to the visited count; residuals
 //! strictly decreasing) pinned by the committed golden stdout.
 //!
+//! A point is keyed on its spec, not on its graph: the fingerprint
+//! (`reach-graph-v2`) covers the blueprint, the [`GraphSpec`] (seed
+//! included), workload, placement, batch count and session seed. The
+//! lowered pipeline is a pure function of those plus code, and the
+//! simulator version stamp keys code. So the graph is generated and
+//! traversed only when a point actually simulates, and the traversal's
+//! host-side numbers ride back in the report's `graph.*` metrics: every
+//! row is built from its report alone, and a warm replay builds no graph.
+//!
 //! Determinism contract: graphs derive from fixed seeds through
 //! [`reach_sim::rng`] streams, simulation from the event queue — every row
 //! is byte-identical at any `--jobs` and replays through the
-//! scenario-result cache (fingerprint `reach-graph-v1`).
+//! scenario-result cache.
 
 use crate::csr::{GraphKind, GraphSpec};
 use crate::pipeline::{GraphPlacement, GraphWorkload, Traversal, WorkloadShape};
 use crate::templates::graph_blueprint;
 use reach::fingerprint::ConfigFingerprint;
-use reach::{Machine, MachineBlueprint, Pipeline, RunReport, Scenario, ScenarioExecutor};
+use reach::{
+    Machine, MachineBlueprint, MetricValue, MetricsSnapshot, RunReport, Scenario, ScenarioExecutor,
+};
 use reach_sim::FingerprintBuilder;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Node counts swept per workload × placement.
 pub const GRAPH_SCALES: [u32; 3] = [1024, 4096, 16384];
@@ -36,8 +48,10 @@ pub struct GraphScenario {
     spec: GraphSpec,
     workload: GraphWorkload,
     placement: GraphPlacement,
-    /// Lowered once at construction; `run` and `config_fingerprint` share it.
-    pipeline: Pipeline,
+    /// The host traversal, run on first use by `prepare` or `run` and
+    /// shared by every placement of one (spec, workload) in a sweep. A
+    /// point the result cache answers never fills it.
+    traversal: Arc<OnceLock<Traversal>>,
     batches: usize,
     seed: u64,
 }
@@ -46,23 +60,28 @@ impl GraphScenario {
     /// A sweep point on the paper-shape machine with the graph kernels
     /// registered, traversing `spec`'s graph for this point alone. The
     /// graph seed derives from the session seed, so `--seed N` reshuffles
-    /// every generated graph at once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec is degenerate (see [`GraphSpec::edge_count`]).
+    /// every generated graph at once. Nothing is generated until the point
+    /// is prepared or run.
     #[must_use]
     pub fn new(spec: GraphSpec, workload: GraphWorkload, placement: GraphPlacement) -> Self {
-        Self::lowered(spec, workload, placement, &Traversal::run(&spec, workload))
+        Self::sharing(
+            &graph_blueprint(),
+            spec,
+            workload,
+            placement,
+            &Arc::default(),
+        )
     }
 
-    /// A sweep point lowered from `traversal`, which must be `workload` run
-    /// on `spec`'s graph.
-    fn lowered(
+    /// A sweep point on (a clone of) `blueprint` whose traversal lives in
+    /// `traversal`, which every point sharing it must key on the same
+    /// `spec` and `workload`.
+    fn sharing(
+        blueprint: &MachineBlueprint,
         spec: GraphSpec,
         workload: GraphWorkload,
         placement: GraphPlacement,
-        traversal: &Traversal,
+        traversal: &Arc<OnceLock<Traversal>>,
     ) -> Self {
         GraphScenario {
             label: format!(
@@ -71,11 +90,11 @@ impl GraphScenario {
                 placement.name(),
                 spec.label()
             ),
-            blueprint: graph_blueprint(),
+            blueprint: blueprint.clone(),
             spec,
             workload,
             placement,
-            pipeline: traversal.lower(placement),
+            traversal: Arc::clone(traversal),
             batches: 1,
             seed: reach_sim::rng::session_seed(),
         }
@@ -85,6 +104,16 @@ impl GraphScenario {
     #[must_use]
     pub fn spec(&self) -> &GraphSpec {
         &self.spec
+    }
+
+    /// The host traversal, run on the first call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec is degenerate (see [`GraphSpec::edge_count`]).
+    fn traversal(&self) -> &Traversal {
+        self.traversal
+            .get_or_init(|| Traversal::run(&self.spec, self.workload))
     }
 }
 
@@ -101,23 +130,63 @@ impl Scenario for GraphScenario {
         self.blueprint.clone()
     }
 
-    fn run(&self, machine: &mut Machine) -> RunReport {
-        self.pipeline.run(machine, self.batches)
+    /// Generates and traverses the graph, unless a point sharing this
+    /// traversal already did.
+    fn prepare(&self) {
+        let _ = self.traversal();
     }
 
-    /// Everything `run` consumes: machine shape, the compiled pipeline
-    /// (which itself digests the traversal shape, hence the graph), the
-    /// generating spec, workload, placement, batch count and seed.
+    /// Lowers the traversal at this placement, simulates it, and records
+    /// the traversal's host-side numbers in the report's `graph.*` metrics
+    /// (see [`GraphRow::from_report`]).
+    fn run(&self, machine: &mut Machine) -> RunReport {
+        let traversal = self.traversal();
+        let mut report = traversal.lower(self.placement).run(machine, self.batches);
+        record_traversal(traversal, &mut report.metrics);
+        report
+    }
+
+    /// Everything `run` consumes, as a spec: machine shape, the generating
+    /// spec (its seed included), workload, placement, batch count and
+    /// seed. The graph, its traversal and the lowered pipeline are pure
+    /// functions of these plus code, and the simulator version stamp keys
+    /// code — so this fingerprint is complete without building anything.
     fn config_fingerprint(&self) -> Option<ConfigFingerprint> {
-        let mut b = FingerprintBuilder::new("reach-graph-v1");
+        let mut b = FingerprintBuilder::new("reach-graph-v2");
         self.blueprint.fingerprint().write_into(&mut b);
-        self.pipeline.fingerprint().write_into(&mut b);
         b.write_debug(&self.spec);
         b.write_str(self.workload.name());
         b.write_str(self.placement.name());
         b.write_usize(self.batches);
         b.write_u64(self.seed);
         Some(ConfigFingerprint::from_builder(b))
+    }
+}
+
+/// Writes `t`'s host-side numbers into `metrics`: `graph.edges`, then BFS's
+/// `graph.bfs.levels` and per-level `graph.bfs.NN.{frontier,edges_scanned}`
+/// counters, or PageRank's `graph.pagerank.iterations` counter and
+/// per-iteration `graph.pagerank.NN.residual` gauges (exact through the
+/// report codec, which stores `f64` bits).
+fn record_traversal(t: &Traversal, metrics: &mut MetricsSnapshot) {
+    metrics.set_counter("graph.edges", t.edges);
+    match &t.shape {
+        WorkloadShape::Bfs {
+            frontier_sizes,
+            edges_scanned,
+        } => {
+            metrics.set_counter("graph.bfs.levels", frontier_sizes.len() as u64);
+            for (i, (&frontier, &scanned)) in frontier_sizes.iter().zip(edges_scanned).enumerate() {
+                metrics.set_counter(&format!("graph.bfs.{i:02}.frontier"), u64::from(frontier));
+                metrics.set_counter(&format!("graph.bfs.{i:02}.edges_scanned"), scanned);
+            }
+        }
+        WorkloadShape::Pagerank { residuals } => {
+            metrics.set_counter("graph.pagerank.iterations", residuals.len() as u64);
+            for (i, &r) in residuals.iter().enumerate() {
+                metrics.set_gauge(&format!("graph.pagerank.{i:02}.residual"), r);
+            }
+        }
     }
 }
 
@@ -141,13 +210,68 @@ pub struct GraphRow {
 }
 
 impl GraphRow {
-    /// Edge-traversal events this row's run performed (BFS: edges scanned
-    /// over all frontiers; PageRank: edges × iterations).
+    /// The row of `workload` on `spec`'s graph at `placement`, from the
+    /// report its [`GraphScenario`] produced — fresh or replayed, since the
+    /// traversal's numbers travel in the report's `graph.*` metrics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the report lacks those metrics — possible only if a result
+    /// cache replayed a report from a different scenario under a graph
+    /// fingerprint.
     #[must_use]
-    pub fn events(&self) -> u64 {
-        match &self.shape {
-            WorkloadShape::Bfs(r) => r.edges_scanned.iter().sum(),
-            WorkloadShape::Pagerank { residuals } => self.edges * residuals.len() as u64,
+    pub fn from_report(
+        workload: GraphWorkload,
+        placement: GraphPlacement,
+        spec: &GraphSpec,
+        report: &RunReport,
+    ) -> Self {
+        let metric = |name: &str| match report.metrics.get(name) {
+            Some(value) => value,
+            None => panic!("graph report missing {name}"),
+        };
+        let counter = |name: &str| match metric(name) {
+            MetricValue::Counter { value } => *value,
+            other => panic!("graph report: {name} is not a counter: {other:?}"),
+        };
+        let edges = counter("graph.edges");
+        let shape = match workload {
+            GraphWorkload::Bfs => {
+                let levels = 0..counter("graph.bfs.levels");
+                WorkloadShape::Bfs {
+                    frontier_sizes: levels
+                        .clone()
+                        .map(|i| {
+                            let f = counter(&format!("graph.bfs.{i:02}.frontier"));
+                            u32::try_from(f).expect("frontier size fits u32")
+                        })
+                        .collect(),
+                    edges_scanned: levels
+                        .map(|i| counter(&format!("graph.bfs.{i:02}.edges_scanned")))
+                        .collect(),
+                }
+            }
+            GraphWorkload::Pagerank => WorkloadShape::Pagerank {
+                residuals: (0..counter("graph.pagerank.iterations"))
+                    .map(|i| {
+                        let name = format!("graph.pagerank.{i:02}.residual");
+                        match metric(&name) {
+                            MetricValue::Gauge { last, .. } => *last,
+                            other => panic!("graph report: {name} is not a gauge: {other:?}"),
+                        }
+                    })
+                    .collect(),
+            },
+        };
+        let makespan = report.makespan;
+        GraphRow {
+            workload: workload.name(),
+            placement: placement.name(),
+            graph: spec.label(),
+            edges,
+            makespan_ms: makespan.as_ms_f64(),
+            events_per_sec: shape.events(edges) as f64 / makespan.as_secs_f64(),
+            shape,
         }
     }
 }
@@ -165,15 +289,16 @@ impl fmt::Display for GraphRow {
             self.events_per_sec
         )?;
         match &self.shape {
-            WorkloadShape::Bfs(r) => {
+            WorkloadShape::Bfs { frontier_sizes, .. } => {
                 write!(f, "frontiers [")?;
-                for (i, s) in r.frontier_sizes.iter().enumerate() {
+                for (i, s) in frontier_sizes.iter().enumerate() {
                     if i > 0 {
                         write!(f, " ")?;
                     }
                     write!(f, "{s}")?;
                 }
-                write!(f, "] visited {}", r.visited())
+                let visited: u64 = frontier_sizes.iter().map(|&s| u64::from(s)).sum();
+                write!(f, "] visited {visited}")
             }
             WorkloadShape::Pagerank { residuals } => {
                 write!(f, "residuals [")?;
@@ -196,16 +321,18 @@ const SWEEP: [(GraphWorkload, GraphKind); 2] = [
 ];
 
 /// Runs the placement × scale sweep through `executor` and reduces each
-/// point to a [`GraphRow`]. Each (workload, scale) graph is generated and
-/// traversed once; its placements, their fingerprints and its rows all
-/// share that traversal.
+/// point's report to a [`GraphRow`]. The points share one blueprint (so its
+/// fingerprint is computed once), and the three placements of each
+/// (workload, scale) share one traversal cell: a cold pass generates and
+/// traverses each of the 6 graphs once, a warm replay none.
 #[must_use]
 pub fn graph_sweep_with(executor: &dyn ScenarioExecutor) -> Vec<GraphRow> {
+    let blueprint = graph_blueprint();
     let seed = reach_sim::rng::session_seed();
     let mut scenarios: Vec<Box<dyn Scenario>> = Vec::new();
-    let mut rows = Vec::new();
+    let mut points = Vec::new();
     for (workload, kind) in SWEEP {
-        let traversals: Vec<(GraphSpec, Traversal)> = GRAPH_SCALES
+        let graphs: Vec<(GraphSpec, Arc<OnceLock<Traversal>>)> = GRAPH_SCALES
             .iter()
             .map(|&nodes| {
                 let spec = GraphSpec {
@@ -214,33 +341,26 @@ pub fn graph_sweep_with(executor: &dyn ScenarioExecutor) -> Vec<GraphRow> {
                     kind,
                     seed,
                 };
-                (spec, Traversal::run(&spec, workload))
+                (spec, Arc::default())
             })
             .collect();
         for placement in GraphPlacement::ALL {
-            for (spec, t) in &traversals {
-                scenarios.push(Box::new(GraphScenario::lowered(
-                    *spec, workload, placement, t,
+            for (spec, traversal) in &graphs {
+                scenarios.push(Box::new(GraphScenario::sharing(
+                    &blueprint, *spec, workload, placement, traversal,
                 )));
-                rows.push(GraphRow {
-                    workload: workload.name(),
-                    placement: placement.name(),
-                    graph: spec.label(),
-                    edges: t.edges,
-                    makespan_ms: 0.0,
-                    events_per_sec: 0.0,
-                    shape: t.shape.clone(),
-                });
+                points.push((workload, placement, *spec));
             }
         }
     }
 
-    for (row, res) in rows.iter_mut().zip(executor.run_all(scenarios)) {
-        let makespan = res.report.makespan;
-        row.makespan_ms = makespan.as_ms_f64();
-        row.events_per_sec = row.events() as f64 / makespan.as_secs_f64();
-    }
-    rows
+    points
+        .iter()
+        .zip(executor.run_all(scenarios))
+        .map(|(&(workload, placement, spec), res)| {
+            GraphRow::from_report(workload, placement, &spec, &res.report)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -340,22 +460,50 @@ mod tests {
     }
 
     #[test]
+    fn fingerprinting_builds_no_graph_and_prepare_traverses_once() {
+        let a = point();
+        let _ = a.config_fingerprint();
+        assert!(a.traversal.get().is_none(), "fingerprinting traversed");
+
+        // Placements sharing a cell traverse once between them, and a
+        // second `prepare` is free.
+        let cell = Arc::default();
+        let bp = graph_blueprint();
+        let at =
+            |placement| GraphScenario::sharing(&bp, spec(), GraphWorkload::Bfs, placement, &cell);
+        let (nm, ns) = (
+            at(GraphPlacement::NearMemory),
+            at(GraphPlacement::NearStorage),
+        );
+        nm.prepare();
+        let first = nm.traversal() as *const Traversal;
+        nm.prepare();
+        ns.prepare();
+        assert!(std::ptr::eq(first, nm.traversal()));
+        assert!(std::ptr::eq(first, ns.traversal()));
+    }
+
+    #[test]
     fn equal_fingerprints_mean_byte_identical_rows() {
         let a = point();
         let b = point();
         assert_eq!(a.config_fingerprint(), b.config_fingerprint());
+        let (ra, rb) = (a.execute(), b.execute());
         assert_eq!(
-            a.execute().makespan,
-            b.execute().makespan,
+            ra.makespan, rb.makespan,
             "equal fingerprints must replay identically"
         );
+        assert_eq!(ra.metrics, rb.metrics);
 
-        // The sweep lowers every placement from one shared traversal; each
-        // such point must be the point built on its own.
+        // The sweep's points share a blueprint and a traversal; each such
+        // point must be the point built on its own, and `prepare` must not
+        // change what it reports.
+        let bp = graph_blueprint();
         for workload in GraphWorkload::ALL {
-            let t = Traversal::run(&spec(), workload);
+            let cell = Arc::default();
             for placement in GraphPlacement::ALL {
-                let shared = GraphScenario::lowered(spec(), workload, placement, &t);
+                let shared = GraphScenario::sharing(&bp, spec(), workload, placement, &cell);
+                shared.prepare();
                 let alone = GraphScenario::new(spec(), workload, placement);
                 let what = format!("{} at {}", workload.name(), placement.name());
                 assert_eq!(
@@ -363,13 +511,42 @@ mod tests {
                     alone.config_fingerprint(),
                     "{what}"
                 );
-                assert_eq!(
-                    shared.execute().makespan,
-                    alone.execute().makespan,
-                    "{what}"
-                );
+                let (s, a) = (shared.execute(), alone.execute());
+                assert_eq!(s.makespan, a.makespan, "{what}");
+                assert_eq!(s.metrics, a.metrics, "{what}");
             }
         }
+    }
+
+    #[test]
+    fn rows_from_replayed_reports_equal_rows_from_fresh_ones() {
+        // A row is a function of its report alone, and the report codec
+        // carries every number it needs bit-exactly.
+        for workload in GraphWorkload::ALL {
+            let point = GraphScenario::new(spec(), workload, GraphPlacement::OnChip);
+            let fresh = point.execute();
+            let replayed =
+                reach::codec::decode_report(&reach::codec::encode_report(&fresh)).expect("decode");
+            let row = |r| GraphRow::from_report(workload, GraphPlacement::OnChip, &spec(), r);
+            let (a, b) = (row(&fresh), row(&replayed));
+            assert_eq!(a.to_string(), b.to_string());
+            assert_eq!(a.shape, b.shape);
+            assert_eq!(a.shape, point.traversal().shape, "{}", workload.name());
+            assert_eq!(a.edges, point.traversal().edges);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "graph report missing graph.edges")]
+    fn a_report_without_graph_metrics_is_rejected() {
+        let mut report = point().execute();
+        report.metrics = MetricsSnapshot::new(report.metrics.horizon_ps());
+        let _ = GraphRow::from_report(
+            GraphWorkload::Bfs,
+            GraphPlacement::NearMemory,
+            &spec(),
+            &report,
+        );
     }
 
     #[test]
@@ -379,10 +556,12 @@ mod tests {
         for row in &rows {
             assert!(row.makespan_ms > 0.0, "{}: empty run", row.graph);
             match &row.shape {
-                WorkloadShape::Bfs(r) => {
-                    assert!(r.frontier_sizes.iter().all(|&f| f > 0));
-                    let by_levels = r.levels.iter().filter(|&&l| l != u32::MAX).count() as u64;
-                    assert_eq!(r.visited(), by_levels);
+                WorkloadShape::Bfs {
+                    frontier_sizes,
+                    edges_scanned,
+                } => {
+                    assert!(frontier_sizes.iter().all(|&f| f > 0));
+                    assert_eq!(frontier_sizes.len(), edges_scanned.len());
                 }
                 WorkloadShape::Pagerank { residuals } => {
                     assert!(residuals.len() >= 2, "too few residuals in {}", row.graph);

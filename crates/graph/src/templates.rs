@@ -130,6 +130,37 @@ mod tests {
         );
     }
 
+    /// The blueprint digest computed the way it was before it was
+    /// memoized.
+    fn reference_fingerprint(bp: &MachineBlueprint) -> reach::ConfigFingerprint {
+        let mut b = reach_sim::FingerprintBuilder::new("reach-blueprint-v1");
+        b.write_debug(bp.config());
+        b.write_debug(bp.registry());
+        b.write_debug(bp.presets());
+        reach::ConfigFingerprint::from_builder(b)
+    }
+
+    #[test]
+    fn memoized_blueprint_fingerprints_equal_the_old_digest() {
+        use reach_cbir::blueprint_with;
+        let blueprints = [
+            MachineBlueprint::paper(),
+            blueprint_with(4, 4),
+            blueprint_with(1, 16),
+            blueprint_with(16, 2),
+            // A shape built before comes back as a clone; the memo it
+            // shares must still be this shape's digest.
+            blueprint_with(1, 16),
+            graph_blueprint(),
+            crate::co_run::corun_blueprint(),
+        ];
+        for bp in &blueprints {
+            assert_eq!(bp.fingerprint(), reference_fingerprint(bp), "{bp:?}");
+            assert_eq!(bp.fingerprint(), reference_fingerprint(bp), "{bp:?}");
+        }
+        assert_ne!(blueprints[2].fingerprint(), blueprints[3].fingerprint());
+    }
+
     #[test]
     fn graph_kernels_fit_their_parts() {
         for k in graph_registry().iter() {

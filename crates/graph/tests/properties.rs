@@ -2,12 +2,14 @@
 
 use proptest::prelude::*;
 use rand::Rng;
+use reach::Scenario;
 use reach_graph::csr::rmat_edges;
 use reach_graph::{
-    bfs_levels, pagerank, pagerank_pipeline, Graph, GraphKind, GraphPlacement, GraphSpec,
-    GraphWorkload, Traversal, PAGERANK_DAMPING,
+    bfs_levels, pagerank, pagerank_pipeline, Graph, GraphKind, GraphPlacement, GraphScenario,
+    GraphSpec, GraphWorkload, Traversal, PAGERANK_DAMPING,
 };
 use std::collections::BinaryHeap;
+use std::sync::OnceLock;
 
 /// Dijkstra with unit edge weights: the independent oracle for BFS levels.
 /// Same reachability semantics, completely different traversal order.
@@ -261,6 +263,44 @@ proptest! {
                 "{}", placement.name()
             );
         }
+    }
+}
+
+/// The encoded reports of two real graph scenarios (BFS, PageRank),
+/// `graph.*` metrics and all, simulated once per test process.
+fn encoded_graph_reports() -> &'static [Vec<u8>; 2] {
+    static REPORTS: OnceLock<[Vec<u8>; 2]> = OnceLock::new();
+    REPORTS.get_or_init(|| {
+        GraphWorkload::ALL.map(|workload| {
+            let spec = spec_of(256, 4, true, 11);
+            let report = GraphScenario::new(spec, workload, GraphPlacement::NearMemory).execute();
+            assert!(
+                report
+                    .metrics
+                    .iter()
+                    .any(|(name, _)| name.starts_with("graph.")),
+                "no graph metrics to corrupt"
+            );
+            reach::codec::encode_report(&report)
+        })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Graph rows are rebuilt from replayed reports, so the codec must
+    /// survive any single-bit corruption of one: an error or a report,
+    /// never a panic.
+    #[test]
+    fn bit_flipped_graph_reports_decode_or_error(
+        pagerank in any::<bool>(),
+        bit in 0usize..usize::MAX,
+    ) {
+        let mut bytes = encoded_graph_reports()[usize::from(pagerank)].clone();
+        let bit = bit % (bytes.len() * 8);
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        let _ = reach::codec::decode_report(&bytes);
     }
 }
 
