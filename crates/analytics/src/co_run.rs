@@ -14,7 +14,7 @@ use reach::{
     FnScenario, Level, Pipeline, ReachConfig, Scenario, ScenarioExecutor, StreamType, TaskWork,
 };
 use reach_cbir::pipeline::CbirStage;
-use reach_cbir::{CbirMapping, CbirPipeline, CbirWorkload};
+use reach_cbir::{pipeline_fingerprint, CbirMapping, CbirPipeline, CbirWorkload};
 use reach_sim::{FingerprintBuilder, SimDuration};
 
 /// Results of the co-run experiment.
@@ -112,14 +112,14 @@ pub fn co_run_interference_with(
     // every tag over-keys the two "alone" points slightly, which costs
     // nothing (the suite never varies one input while expecting the others
     // to hit) and can never under-key.
-    let cbir_compiled = cbir.compile(blueprint.config(), blueprint.registry(), &CbirStage::ALL);
+    let cbir_fp = pipeline_fingerprint(&blueprint, &cbir, &CbirStage::ALL);
     let scan_p = scan_pipeline(&query, shards);
     let seed = reach_sim::rng::session_seed();
     let vouch = |tag: &str| {
         let mut b = FingerprintBuilder::new("reach-corun-v1");
         b.write_str(tag);
         blueprint.fingerprint().write_into(&mut b);
-        cbir_compiled.fingerprint().write_into(&mut b);
+        cbir_fp.write_into(&mut b);
         scan_p.fingerprint().write_into(&mut b);
         b.write_usize(cbir_batches);
         b.write_u64(seed);

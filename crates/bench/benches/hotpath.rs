@@ -227,20 +227,30 @@ fn bench_ddr_stream(c: &mut Criterion) {
     });
     // A 1 GiB scan through one of the paper's memory controllers: spread
     // over all four DIMMs at cache-line interleave (the CPU / on-chip
-    // shape), and walked 1 MiB tile by tile (the near-memory shape).
+    // shape), and walked 1 MiB tile by tile (the near-memory shape). The
+    // 64 MiB tile walk is suite-shaped: about 16 tiles per DIMM, the size
+    // of the experiments' near-memory DMAs.
     let gib = (scaled(1024, 64) as u64) << 20;
-    g.throughput(Throughput::Bytes(gib));
-    for (name, interleave) in [
-        ("controller_1gib_cache_line", Interleave::CacheLine),
-        ("controller_1gib_tile_1mib", Interleave::Tile(1 << 20)),
+    for (name, interleave, bytes) in [
+        ("controller_1gib_cache_line", Interleave::CacheLine, gib),
+        ("controller_1gib_tile_1mib", Interleave::Tile(1 << 20), gib),
+        (
+            "controller_64mib_tile_1mib",
+            Interleave::Tile(1 << 20),
+            64 << 20,
+        ),
     ] {
+        g.throughput(Throughput::Bytes(bytes));
         g.bench_function(name, |b| {
             b.iter(|| {
                 let mut mc = MemoryController::new(MemoryControllerConfig {
                     interleave,
                     ..MemoryControllerConfig::paper_mc()
                 });
-                black_box(mc.stream(SimTime::ZERO, 0, gib, AccessKind::Read).complete)
+                black_box(
+                    mc.stream(SimTime::ZERO, 0, bytes, AccessKind::Read)
+                        .complete,
+                )
             });
         });
     }

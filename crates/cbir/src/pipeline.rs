@@ -121,7 +121,7 @@ fn template_for(stage: CbirStage, level: Level) -> &'static str {
 }
 
 /// A CBIR deployment: workload + mapping, compilable onto any machine.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CbirPipeline {
     workload: CbirWorkload,
     mapping: CbirMapping,

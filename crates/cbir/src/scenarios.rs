@@ -40,6 +40,54 @@ pub fn blueprint_with(nm: usize, ns: usize) -> MachineBlueprint {
     blueprint
 }
 
+/// Digest of `pipeline` compiled for `blueprint` with `stages` — exactly
+/// `pipeline.compile(config, registry, stages).fingerprint()` — memoized
+/// process-wide.
+///
+/// Every CBIR scenario key embeds this digest, and compiling plus
+/// `Debug`-formatting a pipeline costs tens of microseconds, while a
+/// suite pass asks for far fewer distinct pipelines than it has points.
+/// The memo is keyed on exactly what `compile` reads: the blueprint
+/// fingerprint (which covers the config and the template registry), the
+/// pipeline (workload and mapping) and which stages are present. So a
+/// digest is only ever replayed for an identical compile, and no scenario
+/// key moves.
+#[must_use]
+pub fn pipeline_fingerprint(
+    blueprint: &MachineBlueprint,
+    pipeline: &CbirPipeline,
+    stages: &[CbirStage],
+) -> ConfigFingerprint {
+    type Entry = (ConfigFingerprint, CbirPipeline, u8, ConfigFingerprint);
+    static DIGESTS: Mutex<Vec<Entry>> = Mutex::new(Vec::new());
+    let machine = blueprint.fingerprint();
+    // `compile` asks only whether each stage is present.
+    let mask = CbirStage::ALL
+        .iter()
+        .enumerate()
+        .filter(|(_, stage)| stages.contains(stage))
+        .fold(0u8, |mask, (i, _)| mask | 1 << i);
+    let find = |digests: &[Entry]| {
+        digests
+            .iter()
+            .find(|(m, p, s, _)| *m == machine && p == pipeline && *s == mask)
+            .map(|entry| entry.3)
+    };
+    if let Some(digest) = find(&DIGESTS.lock().expect("pipeline digests poisoned")) {
+        return digest;
+    }
+    // Compile outside the lock, so callers on other threads digesting
+    // other pipelines do not wait on this one.
+    let digest = pipeline
+        .compile(blueprint.config(), blueprint.registry(), stages)
+        .fingerprint();
+    let mut digests = DIGESTS.lock().expect("pipeline digests poisoned");
+    if find(&digests).is_none() {
+        digests.push((machine, *pipeline, mask, digest));
+    }
+    digest
+}
+
 /// One CBIR simulation point: which machine, which deployment, how many
 /// batches, which execution mode, optionally restricted to one stage.
 #[derive(Clone, Debug)]
@@ -136,12 +184,9 @@ impl Scenario for CbirScenario {
             Some(stage) => std::slice::from_ref(stage),
             None => &CbirStage::ALL,
         };
-        let compiled =
-            self.pipeline
-                .compile(self.blueprint.config(), self.blueprint.registry(), stages);
         let mut b = FingerprintBuilder::new("reach-cbir-scenario-v1");
         self.blueprint.fingerprint().write_into(&mut b);
-        compiled.fingerprint().write_into(&mut b);
+        pipeline_fingerprint(&self.blueprint, &self.pipeline, stages).write_into(&mut b);
         b.write_usize(self.batches);
         b.write_debug(&self.mode);
         b.write_u64(self.seed());
@@ -274,6 +319,127 @@ mod tests {
                 "variant {i} did not change the fingerprint"
             );
             seen.push(fp);
+        }
+    }
+
+    /// Every non-empty stage subset, multi-stage ones in both orders.
+    fn stage_subsets() -> Vec<Vec<CbirStage>> {
+        let mut subsets = Vec::new();
+        for mask in 1..8u32 {
+            let subset: Vec<CbirStage> = CbirStage::ALL
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| mask & (1 << i) != 0)
+                .map(|(_, s)| *s)
+                .collect();
+            if subset.len() > 1 {
+                subsets.push(subset.iter().rev().copied().collect());
+            }
+            subsets.push(subset);
+        }
+        subsets
+    }
+
+    /// The direct digest the memo stands in for.
+    fn compiled_digest(
+        blueprint: &MachineBlueprint,
+        pipeline: &CbirPipeline,
+        stages: &[CbirStage],
+    ) -> ConfigFingerprint {
+        pipeline
+            .compile(blueprint.config(), blueprint.registry(), stages)
+            .fingerprint()
+    }
+
+    #[test]
+    fn memoized_pipeline_digest_equals_a_direct_compile() {
+        let w = CbirWorkload::paper_setup();
+        let mut blueprints: Vec<MachineBlueprint> =
+            [(1, 1), (2, 2), (4, 4), (8, 4), (4, 8), (16, 2)]
+                .iter()
+                .map(|&(nm, ns)| blueprint_with(nm, ns))
+                .collect();
+        blueprints.push(blueprint_with(4, 4).map_config(|c| c.near_memory_accelerators = 6));
+        for blueprint in &blueprints {
+            for mapping in CbirMapping::ALL {
+                let pipeline = CbirPipeline::new(w, mapping);
+                for stages in stage_subsets() {
+                    let direct = compiled_digest(blueprint, &pipeline, &stages);
+                    // The first call may fill the memo; the second replays it.
+                    for _ in 0..2 {
+                        assert_eq!(
+                            pipeline_fingerprint(blueprint, &pipeline, &stages),
+                            direct,
+                            "{:?} {mapping:?} {stages:?}",
+                            blueprint.config().near_memory_accelerators
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn workloads_differing_in_one_field_never_share_a_digest() {
+        let base = CbirWorkload::paper_setup();
+        let variants = [
+            CbirWorkload { batch: 8, ..base },
+            CbirWorkload { dim: 64, ..base },
+            CbirWorkload {
+                centroids: 500,
+                ..base
+            },
+            CbirWorkload {
+                candidates_per_query: 1024,
+                ..base
+            },
+            CbirWorkload { k: 5, ..base },
+            CbirWorkload {
+                centroid_store_bytes: 1_000_000_000,
+                ..base
+            },
+            CbirWorkload {
+                rerank_page_bytes: 8192,
+                ..base
+            },
+            CbirWorkload {
+                feature_macs_per_image: base.feature_macs_per_image + 1,
+                ..base
+            },
+            CbirWorkload {
+                onchip_sl_restream_pct: 150,
+                ..base
+            },
+            CbirWorkload {
+                embedded_sl_fit_bytes: 500_000_000,
+                ..base
+            },
+        ];
+        let blueprint = blueprint_with(4, 4);
+        // Fill the memo with the base workload's digests first, so an entry
+        // that aliased a variant with its base would be replayed below.
+        for mapping in CbirMapping::ALL {
+            for stages in stage_subsets() {
+                let _ =
+                    pipeline_fingerprint(&blueprint, &CbirPipeline::new(base, mapping), &stages);
+            }
+        }
+        for (i, variant) in variants.iter().enumerate() {
+            let mut moved = false;
+            for mapping in CbirMapping::ALL {
+                let pipeline = CbirPipeline::new(*variant, mapping);
+                for stages in stage_subsets() {
+                    let direct = compiled_digest(&blueprint, &pipeline, &stages);
+                    assert_eq!(
+                        pipeline_fingerprint(&blueprint, &pipeline, &stages),
+                        direct,
+                        "variant {i}, {mapping:?} {stages:?}"
+                    );
+                    moved |= direct
+                        != compiled_digest(&blueprint, &CbirPipeline::new(base, mapping), &stages);
+                }
+            }
+            assert!(moved, "variant {i} never changes a compiled pipeline");
         }
     }
 

@@ -19,7 +19,7 @@
 //! covers the arrival process, offered count, queue depth and seed).
 
 use crate::pipeline::{CbirMapping, CbirPipeline, CbirStage};
-use crate::scenarios::blueprint_with;
+use crate::scenarios::{blueprint_with, pipeline_fingerprint};
 use crate::workload::CbirWorkload;
 use reach::fingerprint::ConfigFingerprint;
 use reach::traffic::ArrivalProcess;
@@ -130,14 +130,9 @@ impl Scenario for CbirTrafficScenario {
     /// arrival process (variant, parameters and its embedded seed, via the
     /// debug rendering), offered count, queue depth and the scenario seed.
     fn config_fingerprint(&self) -> Option<ConfigFingerprint> {
-        let compiled = self.pipeline.compile(
-            self.blueprint.config(),
-            self.blueprint.registry(),
-            &CbirStage::ALL,
-        );
         let mut b = FingerprintBuilder::new("reach-cbir-traffic-v1");
         self.blueprint.fingerprint().write_into(&mut b);
-        compiled.fingerprint().write_into(&mut b);
+        pipeline_fingerprint(&self.blueprint, &self.pipeline, &CbirStage::ALL).write_into(&mut b);
         b.write_debug(&self.arrival);
         b.write_usize(self.offered);
         b.write_usize(self.queue_depth);

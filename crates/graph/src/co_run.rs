@@ -26,7 +26,7 @@ use reach::{
     SystemConfig,
 };
 use reach_cbir::pipeline::CbirStage;
-use reach_cbir::{CbirMapping, CbirPipeline, CbirWorkload};
+use reach_cbir::{pipeline_fingerprint, CbirMapping, CbirPipeline, CbirWorkload};
 use reach_sim::{FingerprintBuilder, SimDuration};
 use std::fmt;
 
@@ -178,14 +178,14 @@ pub fn graph_corun_rows_with(executor: &dyn ScenarioExecutor) -> Vec<CorunRow> {
     // rendering), the offered count, the admission depth, the graph batch
     // schedule and the session seed. Over-keying the solo points with the
     // graph pipeline costs nothing and can never under-key.
-    let cbir_compiled = cbir.compile(blueprint.config(), blueprint.registry(), &CbirStage::ALL);
+    let cbir_fp = pipeline_fingerprint(&blueprint, &cbir, &CbirStage::ALL);
     let graph = corun_graph_pipeline();
     let graph_fp = graph.fingerprint();
     let vouch = |tag: &str, arrival: &ArrivalProcess| {
         let mut b = FingerprintBuilder::new("reach-graph-corun-v1");
         b.write_str(tag);
         blueprint.fingerprint().write_into(&mut b);
-        cbir_compiled.fingerprint().write_into(&mut b);
+        cbir_fp.write_into(&mut b);
         graph_fp.write_into(&mut b);
         b.write_debug(arrival);
         b.write_usize(CORUN_OFFERED);
@@ -292,6 +292,23 @@ pub fn graph_corun_rows_with(executor: &dyn ScenarioExecutor) -> Vec<CorunRow> {
 mod tests {
     use super::*;
     use reach::SequentialExecutor;
+
+    #[test]
+    fn corun_cbir_digest_is_the_direct_compile() {
+        // The co-run machine carries the graph registry, so its CBIR side
+        // has a memo entry of its own, and it must be the direct digest.
+        let blueprint = corun_blueprint();
+        let cbir = CbirPipeline::new(CbirWorkload::paper_setup(), CbirMapping::Proper);
+        let direct = cbir
+            .compile(blueprint.config(), blueprint.registry(), &CbirStage::ALL)
+            .fingerprint();
+        for _ in 0..2 {
+            assert_eq!(
+                pipeline_fingerprint(&blueprint, &cbir, &CbirStage::ALL),
+                direct
+            );
+        }
+    }
 
     #[test]
     fn corun_shows_measurable_contention() {

@@ -241,34 +241,127 @@ impl MemoryController {
                 }
             }
             Interleave::Tile(tile) => {
-                // Walk the range tile by tile, streaming each from its DIMM.
+                // Every tile is requested at `now`, and channel buses and
+                // DIMMs are independent calendars, so the walk regroups
+                // without changing any result: a partial head tile first,
+                // then each channel's and each DIMM's share of the whole
+                // tiles in one step, then a partial tail tile — the order
+                // each calendar saw them in, tile by tile.
                 let mut offset = addr;
                 let mut remaining = bytes;
-                while remaining > 0 {
-                    let in_tile = (tile - (offset % tile)).min(remaining);
-                    let (ch, slot, local) = self.map(offset);
-                    let bus_time = self
-                        .config
-                        .dimm
-                        .timing
-                        .burst_time()
-                        .scaled(in_tile.div_ceil(self.config.dimm.line_bytes));
-                    let channel = &mut self.channels[ch];
-                    let bus = channel.bus.reserve(now, bus_time);
-                    channel.stats.bytes += in_tile;
-                    channel.stats.contended += bus.queueing(now);
-                    let r =
-                        channel.dimms[slot].stream(now, local, in_tile, kind, RowPolicy::OpenPage);
+                let mut walk = |mc: &mut Self, offset: u64, len: u64, count: u64| {
+                    let r = mc.stream_tiles(now, tile, offset, len, count, kind);
                     start = start.min(r.start);
-                    complete = complete.max(r.complete).max(bus.ready);
-                    offset += in_tile;
-                    remaining -= in_tile;
+                    complete = complete.max(r.complete);
+                };
+                if !offset.is_multiple_of(tile) {
+                    let head = (tile - offset % tile).min(remaining);
+                    walk(self, offset, head, 1);
+                    offset += head;
+                    remaining -= head;
+                }
+                let whole = remaining / tile;
+                if whole > 0 {
+                    walk(self, offset, tile, whole);
+                    offset += tile * whole;
+                }
+                if !remaining.is_multiple_of(tile) {
+                    walk(self, offset, remaining % tile, 1);
                 }
             }
         }
 
         Reservation {
             start: if start == SimTime::MAX { now } else { start },
+            ready: complete,
+            complete,
+        }
+    }
+
+    /// Streams `count` ranges of `len` bytes at `offset + i·tile`, each
+    /// inside one tile (so `len == tile` whenever `count > 1`), as the
+    /// tile-by-tile walk would: each range reserves its channel bus at
+    /// `now` and streams from its DIMM.
+    ///
+    /// Work is proportional to the channels and DIMMs touched, not to
+    /// `count`: a channel's ranges are identical bus reservations at
+    /// `now`, made with one `reserve_many` whose queueing sums in closed
+    /// form, and a DIMM's ranges are contiguous in its local space, so
+    /// [`Dimm::stream_repeated`] streams them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the summed queueing of one channel's ranges overflows,
+    /// naming its values.
+    fn stream_tiles(
+        &mut self,
+        now: SimTime,
+        tile: u64,
+        offset: u64,
+        len: u64,
+        count: u64,
+        kind: AccessKind,
+    ) -> Reservation {
+        let channels = self.config.channels as u64;
+        let n = self.dimm_count() as u64;
+        let line = self.config.dimm.line_bytes;
+        let bus_time = self
+            .config
+            .dimm
+            .timing
+            .burst_time()
+            .scaled(len.div_ceil(line));
+        let mut start = SimTime::MAX;
+        let mut complete = now;
+
+        // `channels` divides the DIMM count, so range `i` rides channel
+        // `(first + i) mod channels`.
+        let first = offset / tile;
+        for c in 0..count.min(channels) {
+            let ch = ((first + c) % channels) as usize;
+            let on_channel = (count - c).div_ceil(channels);
+            let channel = &mut self.channels[ch];
+            let bus = channel.bus.reserve_many(now, bus_time, on_channel);
+            // The k-th range starts `k·bus_time` after the first, so the
+            // ranges queue `on_channel·lag + bus_time·on_channel(on_channel−1)/2`.
+            let lag = bus.queueing(now).as_ps();
+            let pairs = if on_channel.is_multiple_of(2) {
+                (on_channel / 2) * (on_channel - 1)
+            } else {
+                on_channel * ((on_channel - 1) / 2)
+            };
+            let queued = on_channel
+                .checked_mul(lag)
+                .zip(pairs.checked_mul(bus_time.as_ps()))
+                .and_then(|(lags, spread)| lags.checked_add(spread))
+                .unwrap_or_else(|| {
+                    panic!(
+                        "MemoryController::stream: {on_channel} ranges of {bus_time:?} \
+                         queued {lag} ps behind channel {ch} overflow its queueing sum"
+                    )
+                });
+            channel.stats.bytes += on_channel * len;
+            channel.stats.contended += SimDuration::from_ps(queued);
+            complete = complete.max(bus.ready);
+        }
+
+        for d in 0..count.min(n) {
+            let (ch, slot, local) = self.map(offset + d * tile);
+            let on_dimm = (count - d).div_ceil(n);
+            let r = self.channels[ch].dimms[slot].stream_repeated(
+                now,
+                local,
+                len,
+                on_dimm,
+                kind,
+                RowPolicy::OpenPage,
+            );
+            start = start.min(r.start);
+            complete = complete.max(r.complete);
+        }
+
+        Reservation {
+            start,
             ready: complete,
             complete,
         }
@@ -373,6 +466,8 @@ impl std::fmt::Debug for MemoryController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ddr::tests::regime_config;
+    use proptest::prelude::*;
 
     fn mc() -> MemoryController {
         MemoryController::new(MemoryControllerConfig::paper_mc())
@@ -508,6 +603,191 @@ mod tests {
         config.dimm.capacity = 1 << 20;
         let mut m = MemoryController::new(config);
         m.stream(SimTime::ZERO, 0, (4 << 20) + 64, AccessKind::Read);
+    }
+
+    /// The tile-by-tile walk `stream` made before the walk was regrouped,
+    /// kept verbatim as the equivalence oracle for `Interleave::Tile`.
+    fn tile_stream_reference(
+        m: &mut MemoryController,
+        now: SimTime,
+        addr: u64,
+        bytes: u64,
+        kind: AccessKind,
+    ) -> Reservation {
+        let Interleave::Tile(tile) = m.config.interleave else {
+            panic!("reference walk needs tile interleave")
+        };
+        let mut start = SimTime::MAX;
+        let mut complete = now;
+        let mut offset = addr;
+        let mut remaining = bytes;
+        while remaining > 0 {
+            let in_tile = (tile - (offset % tile)).min(remaining);
+            let (ch, slot, local) = m.map(offset);
+            let bus_time = m
+                .config
+                .dimm
+                .timing
+                .burst_time()
+                .scaled(in_tile.div_ceil(m.config.dimm.line_bytes));
+            let channel = &mut m.channels[ch];
+            let bus = channel.bus.reserve(now, bus_time);
+            channel.stats.bytes += in_tile;
+            channel.stats.contended += bus.queueing(now);
+            let r = channel.dimms[slot].stream(now, local, in_tile, kind, RowPolicy::OpenPage);
+            start = start.min(r.start);
+            complete = complete.max(r.complete).max(bus.ready);
+            offset += in_tile;
+            remaining -= in_tile;
+        }
+        Reservation {
+            start: if start == SimTime::MAX { now } else { start },
+            ready: complete,
+            complete,
+        }
+    }
+
+    /// Streams on `fast` with [`MemoryController::stream`] and on `slow`
+    /// with the per-tile reference, then asserts the same reservation and
+    /// the same state on every channel and DIMM.
+    fn assert_tile_stream_matches_reference(
+        fast: &mut MemoryController,
+        slow: &mut MemoryController,
+        now: SimTime,
+        addr: u64,
+        bytes: u64,
+        kind: AccessKind,
+    ) -> Reservation {
+        let rf = fast.stream(now, addr, bytes, kind);
+        let rs = tile_stream_reference(slow, now, addr, bytes, kind);
+        assert_eq!(rf, rs, "reservation");
+        for (ch, (f, s)) in fast.channels.iter().zip(&slow.channels).enumerate() {
+            assert_eq!(f.stats, s.stats, "channel {ch} bytes and contended time");
+            assert_eq!(f.bus.free_at(), s.bus.free_at(), "channel {ch} bus free");
+            assert_eq!(f.bus.busy_time(), s.bus.busy_time(), "channel {ch} busy");
+            assert_eq!(f.bus.served(), s.bus.served(), "channel {ch} served");
+            for (slot, (fd, sd)) in f.dimms.iter().zip(&s.dimms).enumerate() {
+                fd.assert_same_state(sd, &format!("DIMM ({ch}, {slot})"));
+            }
+        }
+        rf
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The regrouped tile walk is identical to the per-tile walk for
+        /// random timings in every refresh regime plus the paper DIMM, tile
+        /// sizes that are and are not row multiples, 1–4 channels x 1–4
+        /// DIMMs, unaligned starts with partial head and tail tiles, and
+        /// buses and DIMMs loaded by earlier streams — down to a follow-up
+        /// line access and every DIMM's hand-over.
+        #[test]
+        fn tile_walk_matches_per_tile_reference(
+            regime in 0u64..5,
+            geometry in (200u64..2_000, 1u64..9, 4u64..9, 1u64..33),
+            draws in (0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
+            shape in (1usize..5, 1usize..5),
+            tile_rows in 1u64..24,
+            tile_extra_lines in 0u64..3,
+            walks in proptest::collection::vec((0u64..(1u64 << 26), 1u64..(1u64 << 24), 0u64..4_000_000), 1..4),
+            write in any::<bool>(),
+        ) {
+            let (mhz, burst_half, row_log, banks) = geometry;
+            let dimm = regime_config(regime, mhz, burst_half, row_log, banks, [draws.0, draws.1, draws.2]);
+            let (channels, dimms_per_channel) = shape;
+            let tile = tile_rows * dimm.row_bytes + tile_extra_lines * dimm.line_bytes;
+            let mut fast = MemoryController::new(MemoryControllerConfig {
+                channels,
+                dimms_per_channel,
+                dimm,
+                interleave: Interleave::Tile(tile),
+                ..MemoryControllerConfig::paper_mc()
+            });
+            let mut slow = MemoryController::new(*fast.config());
+            let kind = if write { AccessKind::Write } else { AccessKind::Read };
+            // Earlier walks load the buses and DIMMs the last one meets.
+            let mut last = None;
+            for &(addr, bytes, at_ps) in &walks {
+                let now = SimTime::from_ps(at_ps);
+                last = Some(assert_tile_stream_matches_reference(&mut fast, &mut slow, now, addr, bytes, kind));
+            }
+            let done = last.expect("at least one walk").complete;
+            let (addr, _, _) = walks[0];
+            prop_assert_eq!(
+                fast.access_line(done, addr, kind),
+                slow.access_line(done, addr, kind)
+            );
+            for ch in 0..channels {
+                for slot in 0..dimms_per_channel {
+                    prop_assert_eq!(fast.dimm_mut(ch, slot).hand_over(done), slow.dimm_mut(ch, slot).hand_over(done));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gib_tile_walk_makes_bounded_dimm_calls() {
+        // A 1 GiB walk in 1 MiB tiles over the paper controller puts 256
+        // tiles on each DIMM. Each DIMM's whole tiles jump the 9-tile
+        // DDR4-2400 phase cycle, so the genuine `Dimm::stream` calls per
+        // DIMM stay bounded whatever the tile count — for a walk 16x
+        // smaller too. The unaligned start adds a head and a tail tile.
+        for bytes in [1u64 << 30, 64 << 20] {
+            let config = MemoryControllerConfig {
+                interleave: Interleave::Tile(1 << 20),
+                ..MemoryControllerConfig::paper_mc()
+            };
+            let mut fast = MemoryController::new(config);
+            let mut slow = MemoryController::new(config);
+            assert_tile_stream_matches_reference(
+                &mut fast,
+                &mut slow,
+                SimTime::from_ps(1_234_567),
+                4_160,
+                bytes,
+                AccessKind::Read,
+            );
+            for ch in 0..2 {
+                for slot in 0..2 {
+                    let calls = fast.dimm(ch, slot).stream_calls();
+                    assert!(
+                        calls <= 20,
+                        "{bytes} bytes: DIMM ({ch}, {slot}) made {calls} calls"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow its queueing sum")]
+    fn tile_walk_queueing_overflow_names_its_values() {
+        // Both channel buses busy until ~2^62 ps: four tiles per channel
+        // requested at zero queue ~2^64 ps between them, which the
+        // per-tile walk could not have summed either.
+        let mut m = mc();
+        m.set_interleave(Interleave::Tile(1 << 20));
+        m.stream(SimTime::from_ps(1 << 62), 0, 2 << 20, AccessKind::Read);
+        m.stream(SimTime::ZERO, 0, 8 << 20, AccessKind::Read);
+    }
+
+    #[test]
+    fn wide_controller_walk_touches_only_its_dimms() {
+        // 4,096 near-memory DIMMs: a 3-tile walk streams three of them
+        // and leaves the rest idle.
+        let mut m = MemoryController::new(MemoryControllerConfig {
+            channels: 2,
+            dimms_per_channel: 2_048,
+            interleave: Interleave::Tile(1 << 20),
+            ..MemoryControllerConfig::paper_mc()
+        });
+        m.stream(SimTime::ZERO, 0, 3 << 20, AccessKind::Read);
+        let busy: Vec<(usize, usize)> = (0..2)
+            .flat_map(|ch| (0..2_048).map(move |slot| (ch, slot)))
+            .filter(|&(ch, slot)| m.dimm(ch, slot).stream_calls() > 0)
+            .collect();
+        assert_eq!(busy, [(0, 0), (0, 1), (1, 0)]);
     }
 
     #[test]

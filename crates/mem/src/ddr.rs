@@ -7,6 +7,9 @@
 //! each refresh period and, once the periods repeat, reserves all of them
 //! in closed form. A multi-gigabyte scan therefore costs the host a bounded
 //! number of steps, without losing bus-contention fidelity.
+//! [`Dimm::stream_repeated`] does the same one level up for the back-to-back
+//! equal ranges of a tile-interleaved walk: once the bus phase recurs, it
+//! takes whole cycles of ranges in one step.
 //!
 //! The timing parameters follow the JEDEC DDR4-2400 speed grade the paper's
 //! configuration (8 DDR4 DIMMs, 2 memory controllers) implies.
@@ -149,6 +152,33 @@ pub struct DimmStats {
     pub bytes: u64,
 }
 
+impl DimmStats {
+    /// Adds `times` more copies of what accrued since `earlier`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a repeated total overflows, naming its values.
+    fn repeat_since(&mut self, earlier: &DimmStats, times: u64) {
+        let repeat = |now: &mut u64, then: u64, what: &str| {
+            let total = (*now - then)
+                .checked_mul(times)
+                .and_then(|step| now.checked_add(step));
+            *now = total.unwrap_or_else(|| {
+                panic!("DimmStats::repeat_since: {what} {then} -> {now} repeated {times} more times overflows")
+            });
+        };
+        repeat(&mut self.activations, earlier.activations, "activations");
+        repeat(&mut self.read_bursts, earlier.read_bursts, "read bursts");
+        repeat(&mut self.write_bursts, earlier.write_bursts, "write bursts");
+        repeat(&mut self.row_hits, earlier.row_hits, "row hits");
+        repeat(&mut self.bytes, earlier.bytes, "bytes");
+    }
+}
+
+/// Calls [`Dimm::stream_repeated`] searches for a recurring bus phase
+/// before it falls back to one call per range.
+const CYCLE_SEARCH_CALLS: usize = 64;
+
 /// State of one DRAM bank.
 #[derive(Clone, Copy, Debug, Default)]
 struct Bank {
@@ -179,6 +209,10 @@ pub struct Dimm {
     /// Loop trips taken by [`Dimm::stream`], for tests that bound them.
     #[cfg(test)]
     stream_trips: u64,
+    /// Genuine [`Dimm::stream`] calls, for tests that bound the calls
+    /// [`Dimm::stream_repeated`] makes.
+    #[cfg(test)]
+    stream_calls: u64,
 }
 
 impl Dimm {
@@ -202,6 +236,8 @@ impl Dimm {
             stats: DimmStats::default(),
             #[cfg(test)]
             stream_trips: 0,
+            #[cfg(test)]
+            stream_calls: 0,
         }
     }
 
@@ -348,6 +384,10 @@ impl Dimm {
         policy: RowPolicy,
     ) -> Reservation {
         assert!(bytes > 0, "Dimm::stream: empty transfer");
+        #[cfg(test)]
+        {
+            self.stream_calls += 1;
+        }
         let capacity = self.config.capacity;
         assert!(
             addr.checked_add(bytes).is_some_and(|end| end <= capacity),
@@ -468,6 +508,104 @@ impl Dimm {
         }
     }
 
+    /// Streams `count` back-to-back ranges of `bytes` each, starting at
+    /// `addr`, all requested at `now` — the whole tiles a tile-interleaved
+    /// controller walk finds in this DIMM.
+    ///
+    /// Exactly equivalent to `count` [`Dimm::stream`] calls at
+    /// `addr + i·bytes`; the returned reservation spans them all (`start`
+    /// is the first call's start, `ready`/`complete` the last call's
+    /// finish). Once the bus is busy past `now`, a call's timing depends
+    /// only on the bus's phase modulo `t_refi`, and `stream` only writes
+    /// bank state, never reads it. So when a call would start at a phase
+    /// an earlier call started at, the calls in between form a cycle that
+    /// every later call repeats, shifted by whole refresh periods. All
+    /// remaining whole cycles are taken in one step: the bus calendar is
+    /// moved on with [`SerialResource::repeat_since`] and the stats billed
+    /// by multiplication. The final calls, enough to cover `banks` rows,
+    /// run for real, so every bank's open row and ready time are written
+    /// by the genuine last row touching it. At DDR4-2400 a 1 MiB range has
+    /// a 9-call cycle. The jump needs `bytes` to be a multiple of the row
+    /// size (so every call splits into rows alike); other sizes, and
+    /// cycles not found within the first 64 calls, keep one call per
+    /// range.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` or `count` is zero, or if the ranges run beyond
+    /// the DIMM capacity (naming `count`, `bytes`, `addr` and the
+    /// capacity).
+    pub fn stream_repeated(
+        &mut self,
+        now: SimTime,
+        addr: u64,
+        bytes: u64,
+        count: u64,
+        kind: AccessKind,
+        policy: RowPolicy,
+    ) -> Reservation {
+        assert!(count > 0, "Dimm::stream_repeated: no ranges");
+        let capacity = self.config.capacity;
+        assert!(
+            bytes
+                .checked_mul(count)
+                .and_then(|total| total.checked_add(addr))
+                .is_some_and(|end| end <= capacity),
+            "Dimm::stream_repeated: {count} x {bytes} bytes at {addr:#x} run beyond capacity {capacity}"
+        );
+        let refi = self.config.timing.t_refi.as_ps();
+        let row_bytes = self.config.row_bytes;
+        // Real calls kept at the end: enough consecutive rows to touch
+        // every bank.
+        let tail = if bytes.is_multiple_of(row_bytes) {
+            self.config.banks.div_ceil(bytes / row_bytes)
+        } else {
+            0
+        };
+        // (call index, bus, stats) before each call searched so far.
+        let mut seen: Vec<(u64, SerialResource, DimmStats)> = Vec::new();
+        let mut searching = tail > 0;
+
+        let first = self.stream(now, addr, bytes, kind, policy);
+        let mut complete = first.complete;
+        let mut i = 1;
+        while i < count {
+            if searching {
+                // The first call leaves the bus busy past `now`, so from
+                // here on the phase decides each call's timing.
+                let phase = self.bus.free_at().as_ps() % refi;
+                let repeat = seen
+                    .iter()
+                    .position(|(_, bus, _)| bus.free_at().as_ps() % refi == phase);
+                if let Some(at) = repeat {
+                    let (since, bus, stats) = &seen[at];
+                    let len = i - since;
+                    let cycles = (count - i).saturating_sub(tail) / len;
+                    if cycles > 0 {
+                        self.bus.repeat_since(bus, cycles);
+                        self.stats.repeat_since(stats, cycles);
+                        i += cycles * len;
+                    }
+                    searching = false;
+                } else if seen.len() < CYCLE_SEARCH_CALLS {
+                    seen.push((i, self.bus.clone(), self.stats));
+                } else {
+                    searching = false;
+                }
+            }
+            complete = self
+                .stream(now, addr + i * bytes, bytes, kind, policy)
+                .complete;
+            i += 1;
+        }
+
+        Reservation {
+            start: first.start,
+            ready: complete,
+            complete,
+        }
+    }
+
     /// Leaves every bank precharged and returns when the hand-over to a new
     /// owner is complete (all in-flight work drained plus one precharge).
     pub fn hand_over(&mut self, now: SimTime) -> SimTime {
@@ -484,6 +622,30 @@ impl Dimm {
         done
     }
 
+    /// Genuine [`Dimm::stream`] calls so far.
+    #[cfg(test)]
+    pub(crate) fn stream_calls(&self) -> u64 {
+        self.stream_calls
+    }
+
+    /// Asserts that `self` and `other` are in the same state: stats, bus
+    /// calendar and every bank's open row and ready time.
+    #[cfg(test)]
+    pub(crate) fn assert_same_state(&self, other: &Dimm, what: &str) {
+        assert_eq!(self.stats, other.stats, "{what}: stats");
+        assert_eq!(self.bus.free_at(), other.bus.free_at(), "{what}: bus free");
+        assert_eq!(
+            self.bus.busy_time(),
+            other.bus.busy_time(),
+            "{what}: bus busy"
+        );
+        assert_eq!(self.bus.served(), other.bus.served(), "{what}: bus served");
+        for (b, (f, s)) in self.banks.iter().zip(&other.banks).enumerate() {
+            assert_eq!(f.open_row, s.open_row, "{what}: bank {b} open row");
+            assert_eq!(f.ready_at, s.ready_at, "{what}: bank {b} ready");
+        }
+    }
+
     /// Total time the data bus was occupied (for utilization / energy).
     #[must_use]
     pub fn bus_busy_time(&self) -> SimDuration {
@@ -492,7 +654,7 @@ impl Dimm {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
@@ -803,7 +965,7 @@ mod tests {
     /// 3. `t_rfc` and `t_refi` drawn freely around `s`.
     /// 4. The paper's DDR4-2400 DIMM (`s` = 426,752 ps > `t_rfc`, yet
     ///    phase `t_rfc` is a fixed point).
-    fn regime_config(
+    pub(crate) fn regime_config(
         regime: u64,
         mhz: u64,
         burst_half: u64,
@@ -873,14 +1035,7 @@ mod tests {
         let rf = fast.stream(now, addr, bytes, kind, policy);
         let rs = stream_reference(slow, now, addr, bytes, kind, policy);
         assert_eq!(rf, rs);
-        assert_eq!(fast.stats, slow.stats);
-        assert_eq!(fast.bus.free_at(), slow.bus.free_at());
-        assert_eq!(fast.bus.busy_time(), slow.bus.busy_time());
-        assert_eq!(fast.bus.served(), slow.bus.served());
-        for (b, (f, s)) in fast.banks.iter().zip(&slow.banks).enumerate() {
-            assert_eq!(f.open_row, s.open_row, "bank {b} open row");
-            assert_eq!(f.ready_at, s.ready_at, "bank {b} ready");
-        }
+        fast.assert_same_state(slow, "stream");
         let f2 = fast.access(rf.complete, addr, kind, policy);
         let s2 = slow.access(rs.complete, addr, kind, policy);
         assert_eq!(f2, s2);
@@ -967,6 +1122,141 @@ mod tests {
                 fast.stream_trips
             );
         }
+    }
+
+    /// Streams `count` ranges on `fast` with [`Dimm::stream_repeated`] and
+    /// on a clone of it with one [`Dimm::stream`] per range, then asserts
+    /// the same envelope, the same DIMM state and the same follow-up
+    /// access.
+    fn assert_repeated_matches_loop(
+        fast: &mut Dimm,
+        now: SimTime,
+        addr: u64,
+        bytes: u64,
+        count: u64,
+        kind: AccessKind,
+        policy: RowPolicy,
+    ) {
+        let mut slow = fast.clone();
+        let rf = fast.stream_repeated(now, addr, bytes, count, kind, policy);
+        let first = slow.stream(now, addr, bytes, kind, policy);
+        let mut last = first;
+        for i in 1..count {
+            last = slow.stream(now, addr + i * bytes, bytes, kind, policy);
+        }
+        assert_eq!(rf.start, first.start, "start");
+        assert_eq!(rf.complete, last.complete, "complete");
+        fast.assert_same_state(&slow, "stream_repeated");
+        let f2 = fast.access(rf.complete, addr, kind, policy);
+        let s2 = slow.access(last.complete, addr, kind, policy);
+        assert_eq!(f2, s2);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(100))]
+
+        /// `stream_repeated` equals its loop of `stream` calls for random
+        /// timings and geometry in every refresh regime, ranges that are
+        /// and are not row multiples, unaligned starts, either policy and
+        /// prior traffic.
+        #[test]
+        fn repeated_stream_matches_loop_of_streams(
+            regime in 0u64..5,
+            geometry in (200u64..2_000, 1u64..9, 4u64..9, 1u64..33),
+            draws in (0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
+            addr_lines in 0u64..(1u64 << 14),
+            misalign in 0u64..64,
+            rows in 1u64..48,
+            extra_lines in 0u64..4,
+            count in 1u64..300,
+            write in any::<bool>(),
+            closed in any::<bool>(),
+            pre in proptest::collection::vec(0u64..(1u64 << 20), 0..6),
+        ) {
+            let (mhz, burst_half, row_log, banks) = geometry;
+            let config = regime_config(regime, mhz, burst_half, row_log, banks, [draws.0, draws.1, draws.2]);
+            let mut fast = Dimm::new(config);
+            let kind = if write { AccessKind::Write } else { AccessKind::Read };
+            let policy = if closed { RowPolicy::ClosedRow } else { RowPolicy::OpenPage };
+            let mut now = SimTime::ZERO;
+            for &a in &pre {
+                now = fast.access(now, a, kind, policy).complete;
+            }
+            // A quarter of the cases are row multiples, which may jump
+            // cycles.
+            let bytes = rows * config.row_bytes + extra_lines * config.line_bytes;
+            let addr = addr_lines * 64 + misalign;
+            assert_repeated_matches_loop(&mut fast, now, addr, bytes, count, kind, policy);
+        }
+    }
+
+    #[test]
+    fn repeated_mib_ranges_jump_the_ddr4_cycle() {
+        // At DDR4-2400 a 1 MiB range (128 rows) leaves the bus at a phase
+        // that recurs every 9 ranges, so 1,024 ranges — 1 GiB on one DIMM —
+        // make a bounded number of genuine calls, as do 16.
+        for count in [1_024u64, 16] {
+            let mut fast = dimm();
+            fast.stream(
+                SimTime::ZERO,
+                1 << 30,
+                4_160,
+                AccessKind::Write,
+                RowPolicy::OpenPage,
+            );
+            let calls_before = fast.stream_calls();
+            assert_repeated_matches_loop(
+                &mut fast,
+                SimTime::from_ps(1_234_567),
+                0,
+                1 << 20,
+                count,
+                AccessKind::Read,
+                RowPolicy::OpenPage,
+            );
+            let calls = fast.stream_calls() - calls_before;
+            assert!(calls <= 20, "{count} ranges made {calls} calls");
+        }
+    }
+
+    #[test]
+    fn ddr4_mib_phase_map_has_a_nine_range_cycle() {
+        // The bus phase before each 1 MiB range, once the bus is busy.
+        let mut d = dimm();
+        let refi = d.config.timing.t_refi.as_ps();
+        let mut phases = Vec::new();
+        for i in 0..40u64 {
+            d.stream(
+                SimTime::ZERO,
+                i << 20,
+                1 << 20,
+                AccessKind::Read,
+                RowPolicy::OpenPage,
+            );
+            phases.push(d.bus.free_at().as_ps() % refi);
+        }
+        let last = phases[39];
+        let cycle = (1..40)
+            .find(|k| phases[39 - k] == last)
+            .expect("phase recurs");
+        assert_eq!(cycle, 9);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "Dimm::stream_repeated: 3 x 8192 bytes at 0x3ffffc000 run beyond capacity 17179869184"
+    )]
+    fn repeated_stream_out_of_range_names_its_ranges() {
+        let mut d = dimm();
+        let cap = d.config().capacity;
+        d.stream_repeated(
+            SimTime::ZERO,
+            cap - 16_384,
+            8_192,
+            3,
+            AccessKind::Read,
+            RowPolicy::OpenPage,
+        );
     }
 
     #[test]

@@ -158,6 +158,45 @@ impl SerialResource {
         }
     }
 
+    /// Repeats, `times` more times, the reservations made since `earlier`
+    /// (a clone of this resource taken before them), in one operation.
+    ///
+    /// Exactly equivalent to making those reservations again `times` over
+    /// when each repetition finds the resource in the state the previous
+    /// one left, shifted by how far `free_at` moved since `earlier` — a
+    /// cycle in a periodic schedule, such as a DRAM stream whose refresh
+    /// phase recurs. `free_at` moves on by `times` such steps, and busy
+    /// time and served count grow by `times` copies of what accrued since
+    /// `earlier`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `earlier` is not an earlier state of this resource, or if
+    /// a repeated total overflows, naming its values.
+    pub fn repeat_since(&mut self, earlier: &SerialResource, times: u64) {
+        assert!(
+            earlier.free_at <= self.free_at
+                && earlier.busy <= self.busy
+                && earlier.served <= self.served,
+            "SerialResource::repeat_since: {earlier:?} is not an earlier state of {self:?}"
+        );
+        let repeat = |now: u64, then: u64, what: &str| {
+            (now - then)
+                .checked_mul(times)
+                .and_then(|step| now.checked_add(step))
+                .unwrap_or_else(|| {
+                    panic!("SerialResource::repeat_since: {what} {then} -> {now} repeated {times} more times overflows")
+                })
+        };
+        self.free_at = SimTime::from_ps(repeat(
+            self.free_at.as_ps(),
+            earlier.free_at.as_ps(),
+            "free_at",
+        ));
+        self.busy = SimDuration::from_ps(repeat(self.busy.as_ps(), earlier.busy.as_ps(), "busy"));
+        self.served = repeat(self.served, earlier.served, "served");
+    }
+
     /// The instant the resource next becomes free.
     #[must_use]
     pub fn free_at(&self) -> SimTime {
@@ -533,6 +572,45 @@ mod tests {
     fn reserve_periodic_overrun_rejected() {
         let mut r = SerialResource::new();
         let _ = r.reserve_periodic(at(0), ns(10), ns(4), 3, 2);
+    }
+
+    #[test]
+    fn repeat_since_matches_repeated_reservations() {
+        // A cycle of two reservations requested while the server is busy,
+        // so every repetition is the first shifted by 15 ns.
+        let mut seq = SerialResource::new();
+        seq.reserve(at(0), ns(40));
+        let mut bat = seq.clone();
+        for _ in 0..6 {
+            seq.reserve(at(3), ns(10));
+            seq.reserve(at(3), ns(5));
+        }
+        let earlier = bat.clone();
+        bat.reserve(at(3), ns(10));
+        bat.reserve(at(3), ns(5));
+        bat.repeat_since(&earlier, 5);
+        assert_eq!(bat.free_at(), seq.free_at());
+        assert_eq!(bat.busy_time(), seq.busy_time());
+        assert_eq!(bat.served(), seq.served());
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "repeat_since: free_at 0 -> 10000 repeated 18446744073709551615 more times overflows"
+    )]
+    fn repeat_since_overflow_names_its_values() {
+        let earlier = SerialResource::new();
+        let mut r = earlier.clone();
+        r.reserve(at(0), ns(10));
+        r.repeat_since(&earlier, u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not an earlier state")]
+    fn repeat_since_rejects_a_later_snapshot() {
+        let mut later = SerialResource::new();
+        later.reserve(at(0), ns(10));
+        SerialResource::new().repeat_since(&later, 1);
     }
 
     #[test]
