@@ -7,15 +7,14 @@
 //! measures what each pays for the other's presence — the interference the
 //! buffer-table isolation and per-level queues are meant to bound.
 
-use crate::queries::ScanQuery;
-use crate::templates::{analytics_blueprint, analytics_registry};
-use reach::fingerprint::ConfigFingerprint;
+use crate::queries::{AnalyticsPlacement, ScanQuery};
+use crate::templates::analytics_blueprint;
 use reach::{
-    FnScenario, Level, Pipeline, ReachConfig, Scenario, ScenarioExecutor, StreamType, TaskWork,
+    ExecMode, JobSource, LoweredPipeline, Scenario, ScenarioExecutor, ScenarioSpec, Tenant,
 };
 use reach_cbir::pipeline::CbirStage;
-use reach_cbir::{pipeline_fingerprint, CbirMapping, CbirPipeline, CbirWorkload};
-use reach_sim::{FingerprintBuilder, SimDuration};
+use reach_cbir::{lowered, CbirMapping, CbirPipeline, CbirWorkload};
+use reach_sim::SimDuration;
 
 /// Results of the co-run experiment.
 #[derive(Clone, Debug)]
@@ -44,56 +43,18 @@ impl CoRunReport {
     }
 }
 
-/// Builds the near-storage scan pipeline used by the co-run (the analytics
-/// accelerators live alongside the CBIR ones, so both fit one machine).
-fn scan_pipeline(query: &ScanQuery, shards: u64) -> Pipeline {
-    let mut rc = ReachConfig::new();
-    let table = rc.create_fixed_buffer("table", Level::NearStor, query.table_bytes);
-    let survivors = rc.create_stream(
-        Level::NearStor,
-        Level::OnChip,
-        StreamType::Collect,
-        query.survivor_bytes().max(1),
-        2,
-    );
-    let result = rc.create_stream(Level::OnChip, Level::Cpu, StreamType::Pair, 4 << 10, 2);
-    let scans: Vec<_> = (0..shards)
-        .map(|_| {
-            let s = rc.register_acc("SCAN-ZCU9", Level::NearStor);
-            rc.set_arg(s, 0, table);
-            rc.set_arg(s, 1, survivors);
-            s
-        })
-        .collect();
-    let agg = rc.register_acc("AGG-VU9P", Level::OnChip);
-    rc.set_arg(agg, 0, survivors);
-    rc.set_arg(agg, 1, result);
-    let mut p = Pipeline::new(
-        rc.build_with(&analytics_registry())
-            .expect("co-run scan config"),
-    );
-    for s in scans {
-        p.call(
-            s,
-            TaskWork::stream(query.scan_macs() / shards, query.table_bytes / shards),
-            "scan",
-        );
-    }
-    p.call(
-        agg,
-        TaskWork::stream(query.survivor_bytes() / 8, query.survivor_bytes().max(1)),
-        "aggregate",
-    );
-    p
-}
+/// First job id of the scan tenant in the shared run (CBIR batches count
+/// up from 0).
+const SCAN_JOB_BASE: u64 = 512;
 
 /// Runs CBIR (proper mapping, `cbir_batches` batches) and a near-storage
 /// scan, each alone and then together on one machine, and reports the
 /// mutual slowdown.
 ///
-/// Job-id spaces are disjoint (CBIR batches from 0, the scan at 512+), so
-/// the GAM schedules both tenants through the same per-level queues. The
-/// two isolated runs and the shared run are three independent scenarios.
+/// The three runs are [`ScenarioSpec`]s over the same two tenants: each
+/// alone, then both sharing the machine with disjoint job ids (CBIR from
+/// 0, the scan at [`SCAN_JOB_BASE`]), so the GAM schedules them through
+/// the same per-level queues.
 #[must_use]
 pub fn co_run_interference_with(
     executor: &dyn ScenarioExecutor,
@@ -101,63 +62,40 @@ pub fn co_run_interference_with(
     query: &ScanQuery,
 ) -> CoRunReport {
     let blueprint = analytics_blueprint();
-    let shards = blueprint.config().near_storage_accelerators as u64;
     let cbir = CbirPipeline::new(CbirWorkload::paper_setup(), CbirMapping::Proper);
-    let query = *query;
-
-    // Vouched fingerprints for the closures below. Each closure's report is
-    // fully determined by the blueprint, the two compiled pipelines, the
-    // CBIR batch count and the session seed; the scan job-id base (512) is
-    // a constant covered by the domain string. Digesting all of them for
-    // every tag over-keys the two "alone" points slightly, which costs
-    // nothing (the suite never varies one input while expecting the others
-    // to hit) and can never under-key.
-    let cbir_fp = pipeline_fingerprint(&blueprint, &cbir, &CbirStage::ALL);
-    let scan_p = scan_pipeline(&query, shards);
-    let seed = reach_sim::rng::session_seed();
-    let vouch = |tag: &str| {
-        let mut b = FingerprintBuilder::new("reach-corun-v1");
-        b.write_str(tag);
-        blueprint.fingerprint().write_into(&mut b);
-        cbir_fp.write_into(&mut b);
-        scan_p.fingerprint().write_into(&mut b);
-        b.write_usize(cbir_batches);
-        b.write_u64(seed);
-        ConfigFingerprint::from_builder(b)
+    let closed = |batches| JobSource::Closed {
+        batches,
+        mode: ExecMode::Pipelined,
     };
-
+    let cbir = Tenant::new(
+        "cbir",
+        lowered(&blueprint, &cbir, &CbirStage::ALL),
+        closed(cbir_batches),
+    );
+    let scan = Tenant::new(
+        "scan",
+        LoweredPipeline::new(query.lower(AnalyticsPlacement::NearStorage, &blueprint)),
+        closed(1),
+    );
+    let shared = vec![
+        cbir.clone(),
+        Tenant {
+            first_job: SCAN_JOB_BASE,
+            ..scan.clone()
+        },
+    ];
     let scenarios: Vec<Box<dyn Scenario>> = vec![
-        Box::new(
-            FnScenario::new("corun/cbir-alone", blueprint.clone(), move |machine| {
-                cbir.run(machine, cbir_batches)
-            })
-            .with_fingerprint(vouch("cbir-alone")),
-        ),
-        Box::new(
-            FnScenario::new("corun/scan-alone", blueprint.clone(), move |machine| {
-                scan_pipeline(&query, shards).run(machine, 1)
-            })
-            .with_fingerprint(vouch("scan-alone")),
-        ),
-        Box::new(
-            FnScenario::new(
-                "corun/shared",
-                blueprint.clone(),
-                // Shared run: submit both tenants' jobs up front.
-                move |machine| {
-                    let cbir_p = cbir.build(machine);
-                    for batch in 0..cbir_batches {
-                        let (job, works) = cbir_p.job_for_batch(batch as u64);
-                        machine.submit(job, works);
-                    }
-                    let scan_p = scan_pipeline(&query, shards);
-                    let (scan_job, scan_works) = scan_p.job_for_batch(512);
-                    machine.submit(scan_job, scan_works);
-                    machine.run()
-                },
-            )
-            .with_fingerprint(vouch("shared")),
-        ),
+        Box::new(ScenarioSpec::new(
+            "corun/cbir-alone",
+            blueprint.clone(),
+            vec![cbir],
+        )),
+        Box::new(ScenarioSpec::new(
+            "corun/scan-alone",
+            blueprint.clone(),
+            vec![scan],
+        )),
+        Box::new(ScenarioSpec::new("corun/shared", blueprint, shared)),
     ];
     let results = executor.run_all(scenarios);
     let [cbir_alone_r, scan_alone_r, shared] = &results[..] else {
@@ -165,7 +103,7 @@ pub fn co_run_interference_with(
     };
 
     // Completions are reported in job-id order: CBIR batches first, the
-    // scan job (id-space 512) last.
+    // scan job last.
     let completions = shared.report.job_completions();
     assert_eq!(completions.len(), cbir_batches + 1);
     let cbir_shared = completions[cbir_batches - 1].since(reach_sim::SimTime::ZERO);

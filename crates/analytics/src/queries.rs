@@ -1,15 +1,18 @@
 //! Timed analytics queries on the compute hierarchy.
 //!
 //! A [`ScanQuery`] describes a selective scan-and-aggregate over a table
-//! resident on the SSD array; [`ScanQuery::run`] deploys it either
+//! resident on the SSD array; [`ScanQuery::lower`] deploys it either
 //! host-side (data hauled through the shared IO interface to the on-chip
 //! accelerator) or near-storage (each SSD's accelerator scans its own shard
 //! and only survivors travel). The speedup tracks the ratio between the
 //! aggregate SSD bandwidth and the shared host interface — the
 //! Netezza-style offloading result the paper cites as prior evidence.
 
-use crate::templates::{analytics_blueprint, analytics_registry};
-use reach::{Level, Pipeline, ReachConfig, RunReport, StreamType, TaskWork};
+use crate::templates::analytics_blueprint;
+use reach::{
+    ExecMode, JobSource, Level, LoweredPipeline, MachineBlueprint, Pipeline, ReachConfig,
+    RunReport, Scenario, ScenarioSpec, StreamType, TaskWork, Tenant,
+};
 
 /// Where the scan runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -75,50 +78,32 @@ impl ScanQuery {
         self.table_bytes / 8
     }
 
-    /// Runs the query once under `placement` and returns the machine report.
+    /// The query's pipeline under `placement`, lowered for `blueprint`
+    /// (whose registry must hold the analytics kernels, and whose
+    /// near-storage accelerators each scan one shard).
     ///
     /// # Panics
     ///
     /// Panics on a degenerate query (no rows, selectivity > 100%).
     #[must_use]
-    pub fn run(&self, placement: AnalyticsPlacement) -> RunReport {
+    pub fn lower(&self, placement: AnalyticsPlacement, blueprint: &MachineBlueprint) -> Pipeline {
         assert!(self.table_bytes > 0 && self.row_bytes > 0, "empty query");
         assert!(self.selectivity_pct <= 100, "selectivity over 100%");
-        let blueprint = analytics_blueprint();
-        let shards = blueprint.config().near_storage_accelerators as u64;
-        let mut machine = blueprint.instantiate();
-
         let mut rc = ReachConfig::new();
         let result = rc.create_stream(Level::OnChip, Level::Cpu, StreamType::Pair, 4 << 10, 2);
-
-        let mut pipeline = match placement {
+        let table = rc.create_fixed_buffer("table", Level::NearStor, self.table_bytes);
+        let (survivors, scans) = match placement {
             AnalyticsPlacement::Host => {
                 // The whole table is dragged to the on-chip accelerator.
-                let table = rc.create_fixed_buffer("table", Level::NearStor, self.table_bytes);
                 let scan = rc.register_acc("SCAN-VU9P", Level::OnChip);
                 rc.set_arg(scan, 0, table);
-                let agg = rc.register_acc("AGG-VU9P", Level::OnChip);
-                rc.set_arg(agg, 0, result);
-                let mut p = Pipeline::new(
-                    rc.build_with(&analytics_registry())
-                        .expect("host scan config"),
-                );
-                p.call(
-                    scan,
-                    TaskWork::gather(self.scan_macs(), self.table_bytes, 4096),
-                    "1-scan",
-                );
-                p.call(
-                    agg,
-                    TaskWork::stream(self.survivor_bytes() / 8, self.survivor_bytes().max(1)),
-                    "2-aggregate",
-                );
-                p
+                let work = TaskWork::gather(self.scan_macs(), self.table_bytes, 4096);
+                (None, vec![(scan, work)])
             }
             AnalyticsPlacement::NearStorage => {
                 // Each SSD's accelerator scans its shard; survivors collect
                 // on-chip for the final aggregation.
-                let table = rc.create_fixed_buffer("table", Level::NearStor, self.table_bytes);
+                let shards = blueprint.config().near_storage_accelerators as u64;
                 let survivors = rc.create_stream(
                     Level::NearStor,
                     Level::OnChip,
@@ -126,39 +111,73 @@ impl ScanQuery {
                     self.survivor_bytes().max(1),
                     2,
                 );
-                let scans: Vec<_> = (0..shards)
+                let work = TaskWork::stream(self.scan_macs() / shards, self.table_bytes / shards);
+                let scans = (0..shards)
                     .map(|_| {
                         let s = rc.register_acc("SCAN-ZCU9", Level::NearStor);
                         rc.set_arg(s, 0, table);
                         rc.set_arg(s, 1, survivors);
-                        s
+                        (s, work.clone())
                     })
                     .collect();
-                let agg = rc.register_acc("AGG-VU9P", Level::OnChip);
-                rc.set_arg(agg, 0, survivors);
-                rc.set_arg(agg, 1, result);
-                let mut p = Pipeline::new(
-                    rc.build_with(&analytics_registry())
-                        .expect("near-storage scan config"),
-                );
-                for s in scans {
-                    p.call(
-                        s,
-                        TaskWork::stream(self.scan_macs() / shards, self.table_bytes / shards),
-                        "1-scan",
-                    );
-                }
-                p.call(
-                    agg,
-                    TaskWork::stream(self.survivor_bytes() / 8, self.survivor_bytes().max(1)),
-                    "2-aggregate",
-                );
-                p
+                (Some(survivors), scans)
             }
         };
-        // `Pipeline::call` chains return &mut Self; rebind to run.
-        let pipeline = &mut pipeline;
-        pipeline.run(&mut machine, 1)
+        // The aggregate reads the collected survivors, if any, and writes
+        // the result.
+        let agg = rc.register_acc("AGG-VU9P", Level::OnChip);
+        for (slot, arg) in survivors.into_iter().chain([result]).enumerate() {
+            rc.set_arg(agg, slot, arg);
+        }
+        let mut p = Pipeline::new(rc.build_with(blueprint.registry()).expect("scan config"));
+        for (scan, work) in scans {
+            p.call(scan, work, "1-scan");
+        }
+        p.call(
+            agg,
+            TaskWork::stream(self.survivor_bytes() / 8, self.survivor_bytes().max(1)),
+            "2-aggregate",
+        );
+        p
+    }
+
+    /// One run of the query under `placement` on [`analytics_blueprint`],
+    /// as a single-batch [`ScenarioSpec`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on a degenerate query (no rows, selectivity > 100%).
+    #[must_use]
+    pub fn scenario(&self, placement: AnalyticsPlacement) -> ScenarioSpec {
+        let blueprint = analytics_blueprint();
+        let scan = LoweredPipeline::new(self.lower(placement, &blueprint));
+        ScenarioSpec::new(
+            format!(
+                "analytics/{}/{}GiB/sel{}",
+                placement.name(),
+                self.table_bytes >> 30,
+                self.selectivity_pct
+            ),
+            blueprint,
+            vec![Tenant::new(
+                "scan",
+                scan,
+                JobSource::Closed {
+                    batches: 1,
+                    mode: ExecMode::Pipelined,
+                },
+            )],
+        )
+    }
+
+    /// Runs the query once under `placement` and returns the machine report.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a degenerate query (no rows, selectivity > 100%).
+    #[must_use]
+    pub fn run(&self, placement: AnalyticsPlacement) -> RunReport {
+        self.scenario(placement).execute()
     }
 
     /// Near-storage speedup over the host placement for this query.

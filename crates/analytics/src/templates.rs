@@ -9,12 +9,21 @@
 use reach::{MachineBlueprint, SystemConfig, TemplateRegistry};
 use reach_accel::{ComputeLevel, FpgaPart, KernelClass, KernelSpec, Utilization};
 use reach_sim::Frequency;
+use std::sync::OnceLock;
 
 /// The machine every analytics experiment runs on: the paper's Table II
 /// shape with the analytics kernels registered alongside the CBIR ones.
+///
+/// Every call returns a clone of the first one built, so all analytics
+/// points share one blueprint fingerprint memo.
 #[must_use]
 pub fn analytics_blueprint() -> MachineBlueprint {
-    MachineBlueprint::with_registry(SystemConfig::paper_table2(), analytics_registry())
+    static BUILT: OnceLock<MachineBlueprint> = OnceLock::new();
+    BUILT
+        .get_or_init(|| {
+            MachineBlueprint::with_registry(SystemConfig::paper_table2(), analytics_registry())
+        })
+        .clone()
 }
 
 /// The Table III registry extended with the analytics kernels.

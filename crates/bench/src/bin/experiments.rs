@@ -15,14 +15,13 @@
 //!
 //! A scenario-result cache replays reports for repeated configurations
 //! (several figures and ablations share points); `--no-result-cache`
-//! disables it and `--result-cache-policy fifo|lru` picks the eviction
-//! policy (default fifo). Stdout is byte-identical either way.
+//! disables it. Stdout is byte-identical either way.
 //!
 //! `--result-cache-dir PATH` backs the cache with a persistent on-disk
 //! store keyed by fingerprint + simulator build stamp, so a *second
 //! process* replays previously simulated scenarios too (a warm run of the
-//! full suite performs zero simulations). `--no-disk-cache` keeps the flag
-//! parsed but inert. Stdout is byte-identical cold or warm.
+//! full suite performs zero simulations). Stdout is byte-identical cold or
+//! warm.
 //!
 //! `--seed N` overrides the session RNG seed (default
 //! `reach_sim::rng::DEFAULT_SEED`) for every stochastic scenario — traffic

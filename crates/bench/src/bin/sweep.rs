@@ -30,7 +30,7 @@ fn main() -> ExitCode {
                 "usage: sweep [--nm N[,N..]] [--ns N[,N..]] [--batches N] [--batch-size N] \
                  [--candidates N] [--mapping onchip|near-mem|near-stor|proper] [--sequential] \
                  [--jobs N] [--seed N] [--metrics-dir DIR] [--repeat N] [--no-result-cache] \
-                 [--result-cache-policy fifo|lru] [--result-cache-dir PATH] [--no-disk-cache]"
+                 [--result-cache-dir PATH]"
             );
             return ExitCode::FAILURE;
         }

@@ -8,51 +8,17 @@
 //! fingerprints mean byte-identical [`RunReport`]s — so the runner can
 //! replay a stored report instead of simulating again.
 //!
-//! The cache is bounded and supports two [`EvictionPolicy`]s: FIFO (the
-//! default — insertion order is eviction order, no recency tracking) and
-//! LRU (a hit moves the entry to the back of the eviction queue). Either
-//! way the contents after a run depend only on the submission sequence —
-//! lookups happen in the runner's **sequential** fingerprint phase, never
-//! from worker threads, so recency order is deterministic too. Hit/miss
-//! counters are maintained by the same sequential phase, which keeps them
-//! identical at any `--jobs` count.
+//! The cache is bounded and evicts first-in, first-out: insertion order is
+//! eviction order. Inserts happen only in the runner's **sequential**
+//! phases, never from worker threads, so the contents after a run depend
+//! only on the submission sequence. Hit/miss counters are maintained by
+//! the same sequential phase, which keeps them identical at any `--jobs`
+//! count.
 
 use reach::{ConfigFingerprint, RunReport};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// How a full [`ResultCache`] chooses its victim.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EvictionPolicy {
-    /// Evict the oldest *insertion*: hits never reorder the queue.
-    #[default]
-    Fifo,
-    /// Evict the least recently *used*: every hit (and every re-insert)
-    /// moves the entry to the back of the eviction queue.
-    Lru,
-}
-
-impl EvictionPolicy {
-    /// Parses a `--result-cache-policy` value (`"fifo"` or `"lru"`).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "fifo" => Some(EvictionPolicy::Fifo),
-            "lru" => Some(EvictionPolicy::Lru),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling of this policy.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            EvictionPolicy::Fifo => "fifo",
-            EvictionPolicy::Lru => "lru",
-        }
-    }
-}
 
 /// Hit/miss counters of a [`ResultCache`], cheap to copy out.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -70,22 +36,20 @@ struct CacheInner {
 }
 
 /// A bounded map from configuration fingerprint to finished run report,
-/// with FIFO or LRU eviction. Thread-safe; shared behind an `Arc` by every
-/// clone of a `ScenarioRunner`.
+/// with FIFO eviction. Thread-safe; shared behind an `Arc` by every clone
+/// of a `ScenarioRunner`.
 #[derive(Debug)]
 pub struct ResultCache {
     capacity: usize,
-    policy: EvictionPolicy,
     inner: Mutex<CacheInner>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl ResultCache {
-    /// Default bound: comfortably holds the full experiment suite
-    /// (126 single-machine scenarios plus the fleet shard expansions) and
-    /// a generous sweep grid without growing unbounded in a long-running
-    /// process.
+    /// Default bound: holds a cold full-suite pass (164 scenario reports
+    /// and 10 fleet reports) without evicting, and keeps a long-running
+    /// process from growing unbounded.
     pub const DEFAULT_CAPACITY: usize = 256;
 
     /// An empty FIFO cache bounded to [`Self::DEFAULT_CAPACITY`] entries.
@@ -97,16 +61,8 @@ impl ResultCache {
     /// An empty FIFO cache holding at most `capacity` reports (minimum 1).
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_policy(capacity, EvictionPolicy::Fifo)
-    }
-
-    /// An empty cache with an explicit eviction policy (minimum capacity
-    /// 1).
-    #[must_use]
-    pub fn with_policy(capacity: usize, policy: EvictionPolicy) -> Self {
         ResultCache {
             capacity: capacity.max(1),
-            policy,
             inner: Mutex::new(CacheInner {
                 map: HashMap::new(),
                 order: VecDeque::new(),
@@ -116,47 +72,26 @@ impl ResultCache {
         }
     }
 
-    /// The configured eviction policy.
-    #[must_use]
-    pub fn policy(&self) -> EvictionPolicy {
-        self.policy
-    }
-
-    /// The stored report for `fp`, if any. Under [`EvictionPolicy::Lru`] a
-    /// hit refreshes the entry's recency. Does **not** touch the hit/miss
+    /// The stored report for `fp`, if any. Does **not** touch the hit/miss
     /// counters — accounting is the caller's policy (the runner counts
     /// in-batch duplicates as hits even though the leader's report is not
     /// stored yet).
     #[must_use]
     pub fn get(&self, fp: &ConfigFingerprint) -> Option<RunReport> {
-        let mut inner = self.inner.lock().expect("result cache poisoned");
-        let found = inner.map.get(fp).cloned();
-        if found.is_some() && self.policy == EvictionPolicy::Lru {
-            Self::touch(&mut inner, fp);
-        }
-        found
+        self.inner
+            .lock()
+            .expect("result cache poisoned")
+            .map
+            .get(fp)
+            .cloned()
     }
 
-    /// Moves `fp` to the back of the eviction queue. O(capacity), which is
-    /// fine at the bounds this cache runs at; eviction order stays
-    /// deterministic because all callers run in the sequential phase.
-    fn touch(inner: &mut CacheInner, fp: &ConfigFingerprint) {
-        if let Some(pos) = inner.order.iter().position(|k| k == fp) {
-            let key = inner.order.remove(pos).expect("position just found");
-            inner.order.push_back(key);
-        }
-    }
-
-    /// Stores `report` under `fp`, evicting per the configured policy if
-    /// the cache is full. Re-inserting an existing key refreshes the
-    /// report without consuming capacity (and, under LRU, refreshes its
-    /// recency).
+    /// Stores `report` under `fp`, evicting the oldest entry if the cache
+    /// is full. Re-inserting an existing key refreshes the report without
+    /// consuming capacity.
     pub fn insert(&self, fp: ConfigFingerprint, report: RunReport) {
         let mut inner = self.inner.lock().expect("result cache poisoned");
         if inner.map.insert(fp, report).is_some() {
-            if self.policy == EvictionPolicy::Lru {
-                Self::touch(&mut inner, &fp);
-            }
             return;
         }
         inner.order.push_back(fp);
@@ -267,58 +202,6 @@ mod tests {
         cache.record_hit();
         cache.record_hit();
         assert_eq!(cache.stats(), CacheStats { hits: 2, misses: 1 });
-    }
-
-    /// The policies diverge exactly where they should: after `a b`,
-    /// touching `a` and inserting `c` evicts `b` under LRU but still `a`
-    /// under FIFO — and repeating the sequence replays the same eviction
-    /// every time (deterministic order, no thread timing involved).
-    #[test]
-    fn lru_and_fifo_evict_deterministically_and_differently() {
-        for _ in 0..3 {
-            let lru = ResultCache::with_policy(2, EvictionPolicy::Lru);
-            let fifo = ResultCache::with_policy(2, EvictionPolicy::Fifo);
-            let (fp_a, r_a) = fp_of(1);
-            let (fp_b, r_b) = fp_of(2);
-            let (fp_c, r_c) = fp_of(3);
-            for cache in [&lru, &fifo] {
-                cache.insert(fp_a, r_a.clone());
-                cache.insert(fp_b, r_b.clone());
-                let _ = cache.get(&fp_a); // recency touch (LRU only)
-                cache.insert(fp_c, r_c.clone());
-                assert_eq!(cache.len(), 2);
-                assert!(cache.get(&fp_c).is_some());
-            }
-            assert!(lru.get(&fp_a).is_some(), "LRU keeps the touched entry");
-            assert!(lru.get(&fp_b).is_none(), "LRU evicts the cold entry");
-            assert!(fifo.get(&fp_a).is_none(), "FIFO ignores recency");
-            assert!(fifo.get(&fp_b).is_some());
-        }
-    }
-
-    #[test]
-    fn lru_reinsert_refreshes_recency() {
-        let cache = ResultCache::with_policy(2, EvictionPolicy::Lru);
-        let (fp_a, r_a) = fp_of(1);
-        let (fp_b, r_b) = fp_of(2);
-        let (fp_c, r_c) = fp_of(3);
-        cache.insert(fp_a, r_a.clone());
-        cache.insert(fp_b, r_b);
-        cache.insert(fp_a, r_a); // refresh, not a new entry
-        assert_eq!(cache.len(), 2);
-        cache.insert(fp_c, r_c);
-        assert!(cache.get(&fp_b).is_none(), "b was least recently used");
-        assert!(cache.get(&fp_a).is_some());
-    }
-
-    #[test]
-    fn policy_parse_and_name_round_trip() {
-        assert_eq!(EvictionPolicy::parse("fifo"), Some(EvictionPolicy::Fifo));
-        assert_eq!(EvictionPolicy::parse("lru"), Some(EvictionPolicy::Lru));
-        assert_eq!(EvictionPolicy::parse("mru"), None);
-        assert_eq!(EvictionPolicy::Lru.name(), "lru");
-        assert_eq!(EvictionPolicy::default(), EvictionPolicy::Fifo);
-        assert_eq!(ResultCache::new().policy(), EvictionPolicy::Fifo);
     }
 
     #[test]

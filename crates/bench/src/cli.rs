@@ -4,12 +4,11 @@
 //! the binary.
 //!
 //! The flags shared by every runner-driving binary (`--jobs`,
-//! `--no-result-cache`, `--result-cache-policy`, `--seed`) live in
+//! `--no-result-cache`, `--result-cache-dir`, `--seed`) live in
 //! [`CommonRunnerArgs`]: one accept-loop, one set of rejection messages,
 //! embedded by both [`ExperimentsArgs`] and [`crate::sweep::SweepArgs`] so
 //! the two grammars cannot drift.
 
-use crate::cache::EvictionPolicy;
 use crate::runner::ScenarioRunner;
 use std::fmt;
 
@@ -20,8 +19,6 @@ pub struct CommonRunnerArgs {
     pub jobs: usize,
     /// Disable the scenario-result cache (`--no-result-cache`).
     pub no_result_cache: bool,
-    /// Result-cache eviction policy (`--result-cache-policy fifo|lru`).
-    pub result_cache_policy: EvictionPolicy,
     /// Session-seed override (`--seed N`); `None` keeps
     /// [`reach_sim::rng::DEFAULT_SEED`]. Covered by every scenario
     /// fingerprint, so cached results never leak across seeds.
@@ -29,9 +26,6 @@ pub struct CommonRunnerArgs {
     /// Directory of the persistent result cache (`--result-cache-dir
     /// PATH`); `None` keeps the cache in-memory only.
     pub result_cache_dir: Option<String>,
-    /// Keep `--result-cache-dir` parsed but inert (`--no-disk-cache`) —
-    /// the escape hatch when a wrapper script always passes the dir.
-    pub no_disk_cache: bool,
 }
 
 impl Default for CommonRunnerArgs {
@@ -39,10 +33,8 @@ impl Default for CommonRunnerArgs {
         CommonRunnerArgs {
             jobs: 1,
             no_result_cache: false,
-            result_cache_policy: EvictionPolicy::Fifo,
             seed: None,
             result_cache_dir: None,
-            no_disk_cache: false,
         }
     }
 }
@@ -79,7 +71,6 @@ impl CommonRunnerArgs {
                 };
             }
             "--no-result-cache" => self.no_result_cache = true,
-            "--no-disk-cache" => self.no_disk_cache = true,
             "--result-cache-dir" => {
                 self.result_cache_dir = match it.next() {
                     Some(p) if !p.is_empty() => Some(p.clone()),
@@ -90,36 +81,25 @@ impl CommonRunnerArgs {
                     }
                 };
             }
-            "--result-cache-policy" => {
-                self.result_cache_policy = match it.next().map(|v| EvictionPolicy::parse(v)) {
-                    Some(Some(p)) => p,
-                    _ => {
-                        return Err(ParseArgsError(
-                            "--result-cache-policy needs 'fifo' or 'lru'".into(),
-                        ))
-                    }
-                };
-            }
             _ => return Ok(false),
         }
         Ok(true)
     }
 
     /// The runner these flags select: `jobs` workers, result cache on
-    /// (with the chosen eviction policy) unless `--no-result-cache`, and
-    /// the persistent disk tier attached when `--result-cache-dir` is set
-    /// (and neither `--no-disk-cache` nor `--no-result-cache` vetoes it —
-    /// the disk tier backs the in-memory cache, so disabling the cache
+    /// unless `--no-result-cache`, and the persistent disk tier attached
+    /// when `--result-cache-dir` is set (unless `--no-result-cache` — the
+    /// disk tier backs the in-memory cache, so disabling the cache
     /// disables persistence too).
     #[must_use]
     pub fn runner(&self) -> ScenarioRunner {
         if self.no_result_cache {
             return ScenarioRunner::without_cache(self.jobs);
         }
-        let runner = ScenarioRunner::with_cache_policy(self.jobs, self.result_cache_policy);
+        let runner = ScenarioRunner::new(self.jobs);
         match &self.result_cache_dir {
-            Some(dir) if !self.no_disk_cache => runner.with_disk_cache(std::path::Path::new(dir)),
-            _ => runner,
+            Some(dir) => runner.with_disk_cache(std::path::Path::new(dir)),
+            None => runner,
         }
     }
 
@@ -269,38 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_policy_parses_and_defaults_to_fifo() {
-        assert_eq!(
-            parse(&[]).unwrap().common.result_cache_policy,
-            EvictionPolicy::Fifo
-        );
-        assert_eq!(
-            parse(&["--result-cache-policy", "lru"])
-                .unwrap()
-                .common
-                .result_cache_policy,
-            EvictionPolicy::Lru
-        );
-        assert_eq!(
-            parse(&["--result-cache-policy", "fifo"])
-                .unwrap()
-                .common
-                .result_cache_policy,
-            EvictionPolicy::Fifo
-        );
-    }
-
-    #[test]
-    fn rejects_unknown_cache_policy() {
-        let err = parse(&["--result-cache-policy", "random"]).unwrap_err();
-        assert!(
-            err.to_string().contains("'fifo' or 'lru'"),
-            "unhelpful message: {err}"
-        );
-        assert!(parse(&["--result-cache-policy"]).is_err());
-    }
-
-    #[test]
     fn common_runner_selects_cache_mode() {
         assert!(parse(&[]).unwrap().common.runner().cache_enabled());
         assert!(!parse(&["--no-result-cache"])
@@ -317,7 +265,6 @@ mod tests {
             a.common.result_cache_dir.as_deref(),
             Some("/tmp/reach-cache")
         );
-        assert!(!a.common.no_disk_cache);
         let err = parse(&["--result-cache-dir"]).unwrap_err();
         assert!(
             err.to_string()
@@ -328,7 +275,7 @@ mod tests {
     }
 
     #[test]
-    fn disk_tier_attaches_only_when_asked_and_not_vetoed() {
+    fn disk_tier_attaches_only_when_asked_and_the_cache_is_on() {
         let dir = std::env::temp_dir().join(format!("reach-cli-disk-{}", std::process::id()));
         let dir_s = dir.to_str().unwrap();
         // No dir: memory-only.
@@ -339,12 +286,6 @@ mod tests {
             .common
             .runner();
         assert!(on.cache_enabled() && on.disk_cache_enabled());
-        // --no-disk-cache vetoes persistence but keeps the memory tier.
-        let vetoed = parse(&["--result-cache-dir", dir_s, "--no-disk-cache"])
-            .unwrap()
-            .common
-            .runner();
-        assert!(vetoed.cache_enabled() && !vetoed.disk_cache_enabled());
         // --no-result-cache disables both tiers.
         let off = parse(&["--result-cache-dir", dir_s, "--no-result-cache"])
             .unwrap()

@@ -1,14 +1,19 @@
 //! # reach-bench — experiment harness
 //!
-//! Two front doors to the paper's evaluation:
+//! The front doors to the paper's evaluation:
 //!
 //! * the **`experiments` binary** (`cargo run -p reach-bench --bin
 //!   experiments --release [-- fig13]`) prints every table and figure in
 //!   the paper's row/series format;
-//! * the **Criterion benches** (`cargo bench`) time the regeneration of
-//!   each figure plus the substrate and CBIR kernels.
+//! * the **`sweep` binary** runs an nm × ns grid of CBIR points;
+//! * the **Criterion benches** (`cargo bench`: `substrates`,
+//!   `cbir_kernels`, `hotpath`) time the simulation substrates, the
+//!   functional CBIR kernels and the simulator hot paths.
 //!
-//! This library holds the shared formatting used by both.
+//! This library holds what the binaries share: one renderer per
+//! experiment id, the thread-parallel [`ScenarioRunner`] with its
+//! two-tier result cache, the shared command-line grammar and the
+//! telemetry export.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,13 +25,13 @@ pub mod export;
 pub mod runner;
 pub mod sweep;
 
-pub use cache::{CacheStats, EvictionPolicy, ResultCache};
+pub use cache::{CacheStats, ResultCache};
 pub use cli::{CommonRunnerArgs, ExperimentsArgs};
 pub use diskcache::{DiskCache, DiskCacheStats};
 pub use export::{label_file_stem, run_metrics_json, scenario_metrics_json};
 pub use runner::{CapturedScenario, RecordingExecutor, ScenarioRunner};
 
-use reach::{ScenarioExecutor, SystemComponent};
+use reach::{Scenario, ScenarioExecutor, SystemComponent};
 use reach_cbir::experiments as exp;
 use reach_cbir::pipeline::CbirStage;
 use std::fmt::Write as _;
@@ -367,23 +372,32 @@ pub fn render_extension_recall(executor: &dyn ScenarioExecutor) -> String {
     s
 }
 
-/// Renders the analytics-offload extension experiment.
+/// Renders the analytics-offload extension experiment: a 16 GiB scan at
+/// four selectivities, host-side and near-storage, as eight scenarios
+/// through the executor.
 #[must_use]
-pub fn render_extension_analytics(_executor: &dyn ScenarioExecutor) -> String {
+pub fn render_extension_analytics(executor: &dyn ScenarioExecutor) -> String {
     use reach_analytics::{AnalyticsPlacement, ScanQuery};
+    const SELECTIVITIES: [u32; 4] = [1, 10, 50, 100];
+    let mut scenarios: Vec<Box<dyn Scenario>> = Vec::new();
+    for selectivity_pct in SELECTIVITIES {
+        let q = ScanQuery {
+            table_bytes: 16 << 30,
+            selectivity_pct,
+            row_bytes: 64,
+        };
+        for placement in [AnalyticsPlacement::Host, AnalyticsPlacement::NearStorage] {
+            scenarios.push(Box::new(q.scenario(placement)));
+        }
+    }
+    let results = executor.run_all(scenarios);
     let mut s = String::new();
     let _ = writeln!(
         s,
         "EXTENSION. NEAR-DATA ANALYTICS (selective scan + aggregate, 16 GB table)"
     );
-    for sel in [1u32, 10, 50, 100] {
-        let q = ScanQuery {
-            table_bytes: 16 << 30,
-            selectivity_pct: sel,
-            row_bytes: 64,
-        };
-        let host = q.run(AnalyticsPlacement::Host);
-        let near = q.run(AnalyticsPlacement::NearStorage);
+    for (sel, pair) in SELECTIVITIES.iter().zip(results.chunks(2)) {
+        let (host, near) = (&pair[0].report, &pair[1].report);
         let _ = writeln!(
             s,
             "  selectivity {:>3}%   host {:>12}   near-storage {:>12}   speedup {:>5.2}x",

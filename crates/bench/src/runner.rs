@@ -33,7 +33,7 @@
 //! simulate — and only those, so a cache hit never pays a scenario's host
 //! set-up (a graph scenario's traversal, for one).
 
-use crate::cache::{CacheStats, EvictionPolicy, ResultCache};
+use crate::cache::{CacheStats, ResultCache};
 use crate::diskcache::{DiskCache, DiskCacheStats};
 use reach::fleet::FleetScenario;
 use reach::{
@@ -46,7 +46,8 @@ use std::sync::{Arc, Mutex};
 
 /// How the sequential fingerprint pass resolved one scenario.
 enum Slot {
-    /// No fingerprint (e.g. closure-backed): simulate, don't store.
+    /// No fingerprint (a scenario that cannot describe itself): simulate,
+    /// don't store.
     Run,
     /// First sighting of this fingerprint: simulate and store.
     Lead(ConfigFingerprint),
@@ -104,24 +105,6 @@ impl ScenarioRunner {
     pub fn without_cache(jobs: usize) -> Self {
         ScenarioRunner {
             cache: None,
-            ..Self::new(jobs)
-        }
-    }
-
-    /// An executor whose cache evicts per `policy` (the
-    /// `--result-cache-policy` flag). [`ScenarioRunner::new`] is the FIFO
-    /// shorthand.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `jobs` is zero.
-    #[must_use]
-    pub fn with_cache_policy(jobs: usize, policy: EvictionPolicy) -> Self {
-        ScenarioRunner {
-            cache: Some(Arc::new(ResultCache::with_policy(
-                ResultCache::DEFAULT_CAPACITY,
-                policy,
-            ))),
             ..Self::new(jobs)
         }
     }
@@ -667,33 +650,29 @@ mod tests {
         assert_eq!(stats.hits, 2, "two followers replay");
     }
 
-    #[test]
-    fn uncacheable_scenarios_bypass_the_cache() {
-        use reach::{FnScenario, MachineBlueprint};
-        let point = || -> Box<dyn Scenario> {
-            Box::new(FnScenario::new(
-                "closure",
-                MachineBlueprint::paper(),
-                |machine| {
-                    let w = CbirWorkload::paper_setup();
-                    CbirPipeline::new(w, CbirMapping::AllOnChip).run(machine, 1)
-                },
-            ))
-        };
-        let runner = ScenarioRunner::new(2);
-        let _ = runner.run_all(vec![point(), point()]);
-        assert_eq!(runner.cache_stats(), crate::cache::CacheStats::default());
+    /// Runs `inner` but cannot describe itself: no fingerprint.
+    struct Unkeyed(Box<dyn Scenario>);
+
+    impl Scenario for Unkeyed {
+        fn label(&self) -> String {
+            self.0.label()
+        }
+
+        fn blueprint(&self) -> reach::MachineBlueprint {
+            self.0.blueprint()
+        }
+
+        fn run(&self, machine: &mut reach::Machine) -> RunReport {
+            self.0.run(machine)
+        }
     }
 
     #[test]
-    fn cache_policy_is_never_observable_in_output() {
-        // LRU vs FIFO changes *which* entries survive a full cache, never
-        // what a lookup returns — at these batch sizes both policies hold
-        // everything, and even at capacity a hit is a hit.
-        let fifo = rendered(&ScenarioRunner::new(4).run_all(batch()));
-        let lru_runner = ScenarioRunner::with_cache_policy(4, EvictionPolicy::Lru);
-        assert_eq!(fifo, rendered(&lru_runner.run_all(batch())));
-        assert_eq!(fifo, rendered(&lru_runner.run_all(batch())), "warm replay");
+    fn uncacheable_scenarios_bypass_the_cache() {
+        let point = || -> Box<dyn Scenario> { Box::new(Unkeyed(batch().remove(0))) };
+        let runner = ScenarioRunner::new(2);
+        let _ = runner.run_all(vec![point(), point()]);
+        assert_eq!(runner.cache_stats(), crate::cache::CacheStats::default());
     }
 
     /// Delegates to `inner`, logging each `prepare` call's label and thread.

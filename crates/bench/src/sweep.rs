@@ -2,10 +2,10 @@
 //! machine shape — or a grid of shapes — from the command line.
 //!
 //! `--nm` and `--ns` accept comma-separated lists; the sweep runs the cross
-//! product of shapes, one [`CbirScenario`] per point, fanned across
+//! product of shapes, one [`CbirScenario`] spec per point, fanned across
 //! `--jobs` threads by the [`ScenarioRunner`]. Results come back in grid
 //! order regardless of the job count. The runner-facing flags (`--jobs`,
-//! `--seed`, `--no-result-cache`, `--result-cache-policy`) are the shared
+//! `--seed`, `--no-result-cache`, `--result-cache-dir`) are the shared
 //! [`CommonRunnerArgs`] grammar, identical to the `experiments` binary.
 
 use crate::cli::CommonRunnerArgs;
@@ -78,7 +78,7 @@ impl SweepArgs {
     /// `--metrics-dir DIR` (one telemetry CSV per grid point),
     /// `--repeat N` (run the grid N times; later passes hit the result
     /// cache), plus the shared runner flags `--jobs`, `--seed`,
-    /// `--no-result-cache` and `--result-cache-policy fifo|lru`.
+    /// `--no-result-cache` and `--result-cache-dir PATH`.
     ///
     /// # Errors
     ///
@@ -194,7 +194,6 @@ impl SweepArgs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::EvictionPolicy;
 
     fn parse(tokens: &[&str]) -> Result<SweepArgs, ParseSweepError> {
         SweepArgs::parse(&tokens.iter().map(ToString::to_string).collect::<Vec<_>>())
@@ -270,20 +269,6 @@ mod tests {
         assert!(a.common.no_result_cache);
         assert!(!a.runner().cache_enabled());
         assert!(parse(&[]).unwrap().runner().cache_enabled());
-    }
-
-    #[test]
-    fn parses_cache_policy() {
-        assert_eq!(
-            parse(&[]).unwrap().common.result_cache_policy,
-            EvictionPolicy::Fifo
-        );
-        let a = parse(&["--result-cache-policy", "lru"]).unwrap();
-        assert_eq!(a.common.result_cache_policy, EvictionPolicy::Lru);
-        assert!(a.runner().cache_enabled());
-        let err = parse(&["--result-cache-policy", "mru"]).unwrap_err();
-        assert!(err.to_string().contains("'fifo' or 'lru'"), "got: {err}");
-        assert!(parse(&["--result-cache-policy"]).is_err());
     }
 
     #[test]

@@ -9,7 +9,12 @@
 use crate::pipeline::{CbirMapping, CbirPipeline, CbirStage};
 use crate::scenarios::{blueprint_with, CbirScenario};
 use crate::workload::CbirWorkload;
-use reach::{ComputeLevel, EnergyLedger, RunReport, Scenario, ScenarioExecutor, SystemConfig};
+use reach::fingerprint::ConfigFingerprint;
+use reach::{
+    ComputeLevel, EnergyLedger, GamStats, Machine, MachineBlueprint, MetricValue, MetricsSnapshot,
+    RunReport, Scenario, ScenarioExecutor, SimDuration, SystemConfig,
+};
+use reach_sim::FingerprintBuilder;
 use std::fmt;
 
 /// Instance counts swept in Figures 9–11.
@@ -502,14 +507,63 @@ fn recall_vs_compression_observed(
     rows
 }
 
-/// [`recall_vs_compression`] through an executor, as one cacheable
-/// [`Scenario`]: the rows travel inside a [`RunReport`]'s metrics (two
-/// gauges per row under `recall.NN.*`), so the runner's result cache —
-/// including the persistent disk tier — replays the whole evaluation
-/// instead of re-synthesizing the dataset and re-training every codec. The
-/// fingerprint covers the one input the constants don't pin (the seed the
-/// computation derives from); everything else is code, covered by the
-/// simulator version stamp that keys the disk store.
+/// [`recall_vs_compression`] as one cacheable [`Scenario`]: the rows
+/// travel inside a [`RunReport`]'s metrics (two gauges per row under
+/// `recall.NN.*`), so the runner's result cache — including the persistent
+/// disk tier — replays the whole evaluation instead of re-synthesizing the
+/// dataset and re-training every codec. It simulates nothing, so the
+/// machine it is handed goes unused.
+struct RecallScenario;
+
+impl Scenario for RecallScenario {
+    fn label(&self) -> String {
+        "extension/recall-vs-compression".into()
+    }
+
+    fn blueprint(&self) -> MachineBlueprint {
+        blueprint_with(1, 1)
+    }
+
+    fn run(&self, _machine: &mut Machine) -> RunReport {
+        let mut metrics = MetricsSnapshot::new(0);
+        for (i, row) in recall_vs_compression().iter().enumerate() {
+            let gauge = |v: f64| MetricValue::Gauge { mean: v, last: v };
+            metrics.set(
+                &format!("recall.{i:02}.bytes_per_vector"),
+                gauge(row.bytes_per_vector),
+            );
+            metrics.set(
+                &format!("recall.{i:02}.recall_at_10"),
+                gauge(row.recall_at_10),
+            );
+        }
+        RunReport {
+            makespan: SimDuration::ZERO,
+            jobs: 0,
+            job_latency_mean: SimDuration::ZERO,
+            job_latency_last: SimDuration::ZERO,
+            stages: Vec::new(),
+            ledger: EnergyLedger::new(),
+            gam: GamStats::default(),
+            completions: Vec::new(),
+            metrics,
+        }
+    }
+
+    /// The one input the constants don't pin — the seed the computation
+    /// derives from — and the method list; everything else is code,
+    /// covered by the simulator version stamp that keys the disk store.
+    fn config_fingerprint(&self) -> Option<ConfigFingerprint> {
+        let mut b = FingerprintBuilder::new("reach-recall-vs-compression-v1");
+        b.write_u64(reach_sim::rng::DEFAULT_SEED);
+        for method in RECALL_METHODS {
+            b.write_str(method);
+        }
+        Some(ConfigFingerprint::from_builder(b))
+    }
+}
+
+/// [`recall_vs_compression`] through an executor, as one [`RecallScenario`].
 ///
 /// # Panics
 ///
@@ -518,50 +572,10 @@ fn recall_vs_compression_observed(
 /// scenario under this fingerprint.
 #[must_use]
 pub fn recall_vs_compression_with(executor: &dyn ScenarioExecutor) -> Vec<RecallCompressionRow> {
-    use reach::fingerprint::ConfigFingerprint;
-    use reach::{FnScenario, GamStats, MetricValue, MetricsSnapshot, SimDuration};
-    use reach_sim::FingerprintBuilder;
-
-    let mut b = FingerprintBuilder::new("reach-recall-vs-compression-v1");
-    b.write_u64(reach_sim::rng::DEFAULT_SEED);
-    for method in RECALL_METHODS {
-        b.write_str(method);
-    }
-    let fingerprint = ConfigFingerprint::from_builder(b);
-
-    let scenario = FnScenario::new(
-        "extension/recall-vs-compression",
-        blueprint_with(1, 1),
-        |_machine| {
-            let rows = recall_vs_compression();
-            let mut metrics = MetricsSnapshot::new(0);
-            for (i, row) in rows.iter().enumerate() {
-                let gauge = |v: f64| MetricValue::Gauge { mean: v, last: v };
-                metrics.set(
-                    &format!("recall.{i:02}.bytes_per_vector"),
-                    gauge(row.bytes_per_vector),
-                );
-                metrics.set(
-                    &format!("recall.{i:02}.recall_at_10"),
-                    gauge(row.recall_at_10),
-                );
-            }
-            RunReport {
-                makespan: SimDuration::ZERO,
-                jobs: 0,
-                job_latency_mean: SimDuration::ZERO,
-                job_latency_last: SimDuration::ZERO,
-                stages: Vec::new(),
-                ledger: EnergyLedger::new(),
-                gam: GamStats::default(),
-                completions: Vec::new(),
-                metrics,
-            }
-        },
-    )
-    .with_fingerprint(fingerprint);
-
-    let report = executor.run_all(vec![Box::new(scenario)]).remove(0).report;
+    let report = executor
+        .run_all(vec![Box::new(RecallScenario)])
+        .remove(0)
+        .report;
     RECALL_METHODS
         .iter()
         .enumerate()

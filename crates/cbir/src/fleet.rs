@@ -20,7 +20,7 @@ use reach::fingerprint::ConfigFingerprint;
 use reach::fleet::{
     aggregate_scatter_gather, FleetBlueprint, FleetScenario, ScatterGatherSpec, ShardPlacement,
 };
-use reach::{RunReport, Scenario, ScenarioExecutor};
+use reach::{RunReport, Scenario, ScenarioExecutor, ScenarioSpec};
 use reach_sim::{FingerprintBuilder, SimDuration};
 use std::fmt;
 
@@ -88,7 +88,7 @@ impl CbirFleetScenario {
         }
     }
 
-    fn shard_cbir(&self, shard: usize) -> CbirScenario {
+    fn shard_cbir(&self, shard: usize) -> ScenarioSpec {
         CbirScenario::full(
             format!("{}/shard{shard}", self.label),
             self.fleet.node(shard).clone(),

@@ -55,7 +55,6 @@ pub use ivf::IvfIndex;
 pub use pca::Pca;
 pub use pipeline::{CbirMapping, CbirPipeline};
 pub use pq::ProductQuantizer;
-pub use scenarios::{blueprint_with, pipeline_fingerprint, CbirScenario};
+pub use scenarios::{blueprint_with, lowered, CbirScenario};
 pub use topk::{merge_top_k, top_k};
-pub use traffic::CbirTrafficScenario;
 pub use workload::CbirWorkload;

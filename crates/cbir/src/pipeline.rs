@@ -181,7 +181,7 @@ impl CbirPipeline {
     /// Compiles a pipeline against a machine *shape* rather than a live
     /// machine — the same result [`Self::build_stages`] produces for a
     /// machine instantiated from that shape. This is what lets a
-    /// [`crate::CbirScenario`] fingerprint its exact workload without
+    /// [`crate::CbirScenario`] lower (and key) its exact workload without
     /// paying for a machine instantiation.
     ///
     /// # Panics

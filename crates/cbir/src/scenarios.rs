@@ -1,8 +1,9 @@
-//! CBIR experiment points as [`Scenario`]s.
+//! CBIR experiment points as [`ScenarioSpec`]s.
 //!
-//! Every figure point, ablation point and sweep point in this crate is a
-//! [`CbirScenario`]: a machine blueprint, a [`CbirPipeline`] deployment,
-//! a batch count and an execution mode. The experiment functions in
+//! Every figure point, ablation point and sweep point in this crate is
+//! built by a [`CbirScenario`] constructor: a machine blueprint, a
+//! [`CbirPipeline`] deployment lowered for it, a batch count and an
+//! execution mode. The experiment functions in
 //! [`crate::experiments`] and [`crate::ablations`] build batches of these
 //! and hand them to a [`reach::ScenarioExecutor`] — the sequential one by
 //! default, or `reach-bench`'s thread-parallel `ScenarioRunner`, which by
@@ -10,8 +11,9 @@
 
 use crate::pipeline::{CbirPipeline, CbirStage};
 use reach::fingerprint::ConfigFingerprint;
-use reach::{ExecMode, Machine, MachineBlueprint, RunReport, Scenario, SystemConfig};
-use reach_sim::FingerprintBuilder;
+use reach::{
+    ExecMode, JobSource, LoweredPipeline, MachineBlueprint, ScenarioSpec, SystemConfig, Tenant,
+};
 use std::sync::Mutex;
 
 /// Blueprint for `mapping`-style runs with the given number of
@@ -40,26 +42,27 @@ pub fn blueprint_with(nm: usize, ns: usize) -> MachineBlueprint {
     blueprint
 }
 
-/// Digest of `pipeline` compiled for `blueprint` with `stages` — exactly
-/// `pipeline.compile(config, registry, stages).fingerprint()` — memoized
-/// process-wide.
+/// `pipeline` compiled for `blueprint` with `stages` — exactly
+/// `pipeline.compile(config, registry, stages)` — with its digest,
+/// memoized process-wide.
 ///
-/// Every CBIR scenario key embeds this digest, and compiling plus
-/// `Debug`-formatting a pipeline costs tens of microseconds, while a
-/// suite pass asks for far fewer distinct pipelines than it has points.
-/// The memo is keyed on exactly what `compile` reads: the blueprint
-/// fingerprint (which covers the config and the template registry), the
-/// pipeline (workload and mapping) and which stages are present. So a
-/// digest is only ever replayed for an identical compile, and no scenario
-/// key moves.
+/// Every CBIR scenario runs and keys on this lowering, and compiling plus
+/// digesting a pipeline costs tens of microseconds, while a suite pass asks
+/// for far fewer distinct pipelines than it has points. The memo is keyed
+/// on exactly what `compile` reads: the blueprint fingerprint (which
+/// covers the config and the template registry), the pipeline (workload
+/// and mapping) and which stages are present. So a lowering is only ever
+/// replayed for an identical compile, and stage-only points whose
+/// workloads differ only in fields that stage ignores still share one
+/// digest, and hence one cached result.
 #[must_use]
-pub fn pipeline_fingerprint(
+pub fn lowered(
     blueprint: &MachineBlueprint,
     pipeline: &CbirPipeline,
     stages: &[CbirStage],
-) -> ConfigFingerprint {
-    type Entry = (ConfigFingerprint, CbirPipeline, u8, ConfigFingerprint);
-    static DIGESTS: Mutex<Vec<Entry>> = Mutex::new(Vec::new());
+) -> LoweredPipeline {
+    type Entry = (ConfigFingerprint, CbirPipeline, u8, LoweredPipeline);
+    static LOWERED: Mutex<Vec<Entry>> = Mutex::new(Vec::new());
     let machine = blueprint.fingerprint();
     // `compile` asks only whether each stage is present.
     let mask = CbirStage::ALL
@@ -67,38 +70,33 @@ pub fn pipeline_fingerprint(
         .enumerate()
         .filter(|(_, stage)| stages.contains(stage))
         .fold(0u8, |mask, (i, _)| mask | 1 << i);
-    let find = |digests: &[Entry]| {
-        digests
+    let find = |entries: &[Entry]| {
+        entries
             .iter()
             .find(|(m, p, s, _)| *m == machine && p == pipeline && *s == mask)
-            .map(|entry| entry.3)
+            .map(|entry| entry.3.clone())
     };
-    if let Some(digest) = find(&DIGESTS.lock().expect("pipeline digests poisoned")) {
-        return digest;
+    if let Some(lowered) = find(&LOWERED.lock().expect("pipeline memo poisoned")) {
+        return lowered;
     }
-    // Compile outside the lock, so callers on other threads digesting
+    // Compile outside the lock, so callers on other threads lowering
     // other pipelines do not wait on this one.
-    let digest = pipeline
-        .compile(blueprint.config(), blueprint.registry(), stages)
-        .fingerprint();
-    let mut digests = DIGESTS.lock().expect("pipeline digests poisoned");
-    if find(&digests).is_none() {
-        digests.push((machine, *pipeline, mask, digest));
+    let lowered =
+        LoweredPipeline::new(pipeline.compile(blueprint.config(), blueprint.registry(), stages));
+    let mut entries = LOWERED.lock().expect("pipeline memo poisoned");
+    match find(&entries) {
+        Some(first) => first,
+        None => {
+            entries.push((machine, *pipeline, mask, lowered.clone()));
+            lowered
+        }
     }
-    digest
 }
 
-/// One CBIR simulation point: which machine, which deployment, how many
-/// batches, which execution mode, optionally restricted to one stage.
-#[derive(Clone, Debug)]
-pub struct CbirScenario {
-    label: String,
-    blueprint: MachineBlueprint,
-    pipeline: CbirPipeline,
-    stage: Option<CbirStage>,
-    batches: usize,
-    mode: ExecMode,
-}
+/// Constructors of CBIR points. Each returns a [`ScenarioSpec`] with one
+/// closed-loop tenant running the [`lowered`] pipeline; open-loop serving
+/// points are in [`crate::traffic`].
+pub enum CbirScenario {}
 
 impl CbirScenario {
     /// A full-pipeline point with GAM cross-batch pipelining.
@@ -108,15 +106,15 @@ impl CbirScenario {
         blueprint: MachineBlueprint,
         pipeline: CbirPipeline,
         batches: usize,
-    ) -> Self {
-        CbirScenario {
-            label: label.into(),
+    ) -> ScenarioSpec {
+        Self::closed(
+            label,
             blueprint,
             pipeline,
-            stage: None,
+            &CbirStage::ALL,
             batches,
-            mode: ExecMode::Pipelined,
-        }
+            ExecMode::Pipelined,
+        )
     }
 
     /// A full-pipeline point run synchronously (the conventional
@@ -127,11 +125,15 @@ impl CbirScenario {
         blueprint: MachineBlueprint,
         pipeline: CbirPipeline,
         batches: usize,
-    ) -> Self {
-        CbirScenario {
-            mode: ExecMode::Sequential,
-            ..Self::full(label, blueprint, pipeline, batches)
-        }
+    ) -> ScenarioSpec {
+        Self::closed(
+            label,
+            blueprint,
+            pipeline,
+            &CbirStage::ALL,
+            batches,
+            ExecMode::Sequential,
+        )
     }
 
     /// A single-stage point (Figures 9–11).
@@ -142,55 +144,35 @@ impl CbirScenario {
         pipeline: CbirPipeline,
         stage: CbirStage,
         batches: usize,
-    ) -> Self {
-        CbirScenario {
-            stage: Some(stage),
-            ..Self::full(label, blueprint, pipeline, batches)
-        }
+    ) -> ScenarioSpec {
+        Self::closed(
+            label,
+            blueprint,
+            pipeline,
+            &[stage],
+            batches,
+            ExecMode::Pipelined,
+        )
     }
 
-    /// The deployment this point runs.
-    #[must_use]
-    pub fn pipeline(&self) -> &CbirPipeline {
-        &self.pipeline
-    }
-}
-
-impl Scenario for CbirScenario {
-    fn label(&self) -> String {
-        self.label.clone()
-    }
-
-    fn blueprint(&self) -> MachineBlueprint {
-        self.blueprint.clone()
-    }
-
-    fn run(&self, machine: &mut Machine) -> RunReport {
-        let compiled = match self.stage {
-            Some(stage) => self.pipeline.build_stages(machine, &[stage]),
-            None => self.pipeline.build(machine),
-        };
-        compiled.run_mode(machine, self.batches, self.mode)
-    }
-
-    /// A CBIR point is fully described by its blueprint, the pipeline it
-    /// compiles for that shape, the batch count, the mode and the seed —
-    /// exactly what `run` consumes — so it is always cacheable. The label
-    /// is deliberately excluded: two points with different labels but the
-    /// same configuration produce byte-identical reports, and the sweep
-    /// result cache exists to exploit that.
-    fn config_fingerprint(&self) -> Option<ConfigFingerprint> {
-        let stages: &[CbirStage] = match &self.stage {
-            Some(stage) => std::slice::from_ref(stage),
-            None => &CbirStage::ALL,
-        };
-        let mut b = FingerprintBuilder::new("reach-cbir-scenario-v1");
-        self.blueprint.fingerprint().write_into(&mut b);
-        pipeline_fingerprint(&self.blueprint, &self.pipeline, stages).write_into(&mut b);
-        b.write_usize(self.batches);
-        b.write_debug(&self.mode);
-        b.write_u64(self.seed());
-        Some(ConfigFingerprint::from_builder(b))
+    fn closed(
+        label: impl Into<String>,
+        blueprint: MachineBlueprint,
+        pipeline: CbirPipeline,
+        stages: &[CbirStage],
+        batches: usize,
+        mode: ExecMode,
+    ) -> ScenarioSpec {
+        let lowered = lowered(&blueprint, &pipeline, stages);
+        ScenarioSpec::new(
+            label,
+            blueprint,
+            vec![Tenant::new(
+                "cbir",
+                lowered,
+                JobSource::Closed { batches, mode },
+            )],
+        )
     }
 }
 
@@ -200,6 +182,7 @@ mod tests {
     use crate::pipeline::CbirMapping;
     use crate::workload::CbirWorkload;
     use reach::scenario::{ScenarioExecutor, SequentialExecutor};
+    use reach::Scenario;
 
     #[test]
     fn scenario_matches_direct_run() {
@@ -260,7 +243,7 @@ mod tests {
         narrower_batch.batch = 8;
         let mut fewer_candidates = w;
         fewer_candidates.candidates_per_query = 1024;
-        let variants: Vec<CbirScenario> = vec![
+        let variants: Vec<ScenarioSpec> = vec![
             CbirScenario::full(
                 "x",
                 blueprint_with(8, 4),
@@ -368,7 +351,7 @@ mod tests {
                     // The first call may fill the memo; the second replays it.
                     for _ in 0..2 {
                         assert_eq!(
-                            pipeline_fingerprint(blueprint, &pipeline, &stages),
+                            lowered(blueprint, &pipeline, &stages).digest(),
                             direct,
                             "{:?} {mapping:?} {stages:?}",
                             blueprint.config().near_memory_accelerators
@@ -420,8 +403,7 @@ mod tests {
         // that aliased a variant with its base would be replayed below.
         for mapping in CbirMapping::ALL {
             for stages in stage_subsets() {
-                let _ =
-                    pipeline_fingerprint(&blueprint, &CbirPipeline::new(base, mapping), &stages);
+                let _ = lowered(&blueprint, &CbirPipeline::new(base, mapping), &stages);
             }
         }
         for (i, variant) in variants.iter().enumerate() {
@@ -431,7 +413,7 @@ mod tests {
                 for stages in stage_subsets() {
                     let direct = compiled_digest(&blueprint, &pipeline, &stages);
                     assert_eq!(
-                        pipeline_fingerprint(&blueprint, &pipeline, &stages),
+                        lowered(&blueprint, &pipeline, &stages).digest(),
                         direct,
                         "variant {i}, {mapping:?} {stages:?}"
                     );

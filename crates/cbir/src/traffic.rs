@@ -2,32 +2,30 @@
 //!
 //! The paper reports closed-loop throughput (fig. 13); this module measures
 //! what the north star actually promises — serving query traffic. A
-//! [`CbirTrafficScenario`] drives a Poisson / bursty / trace-driven
-//! [`ArrivalProcess`] of query batches into the GAM through a bounded
-//! admission queue ([`reach::OpenLoop`]) and reports the latency quantiles
-//! of the admitted jobs plus the rejection count. Sweeping the arrival rate
-//! across all four placements locates each placement's *saturation knee*:
-//! the offered load where queueing delay takes over and the admission queue
-//! starts bouncing arrivals. The proper ReACH mapping holds its knee at
+//! serving point ([`CbirScenario::poisson`], [`bursty_demo`],
+//! [`trace_demo`]) is a [`ScenarioSpec`] whose one tenant is open-loop: a
+//! Poisson / bursty / trace-driven [`ArrivalProcess`] of query batches
+//! offered to the GAM through a bounded admission queue. Its report holds
+//! the latency quantiles of the admitted jobs plus the rejection count.
+//! Sweeping the arrival rate across all four placements locates each
+//! placement's *saturation knee*: the offered load where queueing delay
+//! takes over and the admission queue starts bouncing arrivals. The proper ReACH mapping holds its knee at
 //! several times the on-chip baseline's rate — the serving-traffic
 //! restatement of the paper's throughput claim.
 //!
 //! Determinism contract: arrivals come from the scenario seed via
 //! [`reach_sim::rng`] streams, latency quantiles from integer-bucketed
 //! histograms, so every row is byte-identical at any `--jobs` and replays
-//! through the scenario-result cache (fingerprint `reach-cbir-traffic-v1`
-//! covers the arrival process, offered count, queue depth and seed).
+//! through the scenario-result cache (the spec's key covers the arrival
+//! process, offered count, queue depth and seed).
 
 use crate::pipeline::{CbirMapping, CbirPipeline, CbirStage};
-use crate::scenarios::{blueprint_with, pipeline_fingerprint};
+use crate::scenarios::{blueprint_with, lowered, CbirScenario};
 use crate::workload::CbirWorkload;
-use reach::fingerprint::ConfigFingerprint;
-use reach::traffic::ArrivalProcess;
 use reach::{
-    Machine, MachineBlueprint, MetricValue, OpenLoop, RunReport, Scenario, ScenarioExecutor,
-    SimDuration,
+    ArrivalProcess, JobSource, MetricValue, RunReport, Scenario, ScenarioExecutor, ScenarioSpec,
+    SimDuration, Tenant,
 };
-use reach_sim::FingerprintBuilder;
 use std::fmt;
 
 /// Offered arrival rates swept per placement, in query batches per second.
@@ -39,106 +37,49 @@ pub const TRAFFIC_OFFERED: usize = 24;
 /// Admission-queue depth: arrivals finding this many jobs in flight bounce.
 pub const TRAFFIC_QUEUE_DEPTH: usize = 4;
 
-/// One open-loop serving point: an arrival process offering query batches
-/// to a CBIR deployment behind a bounded admission queue.
-#[derive(Clone, Debug)]
-pub struct CbirTrafficScenario {
-    label: String,
-    blueprint: MachineBlueprint,
-    pipeline: CbirPipeline,
-    arrival: ArrivalProcess,
-    offered: usize,
-    queue_depth: usize,
-    seed: u64,
-}
-
-impl CbirTrafficScenario {
-    /// A Poisson point at `rate_per_sec` batch arrivals per second on the
-    /// paper-shape machine. The arrival stream derives from the session
-    /// seed, so `--seed N` reshuffles the arrivals of every point at once.
+impl CbirScenario {
+    /// A Poisson serving point at `rate_per_sec` batch arrivals per second
+    /// on the paper-shape machine. The arrival stream derives from the
+    /// session seed, so `--seed N` reshuffles the arrivals of every point
+    /// at once.
     ///
     /// # Panics
     ///
     /// Panics if `rate_per_sec` is zero.
     #[must_use]
-    pub fn poisson(mapping: CbirMapping, rate_per_sec: u64) -> Self {
-        assert!(rate_per_sec > 0, "CbirTrafficScenario: zero arrival rate");
-        let seed = reach_sim::rng::session_seed();
-        Self::with_arrival(
+    pub fn poisson(mapping: CbirMapping, rate_per_sec: u64) -> ScenarioSpec {
+        assert!(rate_per_sec > 0, "CbirScenario::poisson: zero arrival rate");
+        serving(
             format!("traffic/{}/{}qps", mapping.name(), rate_per_sec),
             mapping,
             ArrivalProcess::Poisson {
                 mean_gap: SimDuration::from_secs_f64(1.0 / rate_per_sec as f64),
-                seed,
+                seed: reach_sim::rng::session_seed(),
             },
-            TRAFFIC_OFFERED,
-            TRAFFIC_QUEUE_DEPTH,
         )
-    }
-
-    /// A point with an explicit arrival process and admission bound.
-    #[must_use]
-    pub fn with_arrival(
-        label: impl Into<String>,
-        mapping: CbirMapping,
-        arrival: ArrivalProcess,
-        offered: usize,
-        queue_depth: usize,
-    ) -> Self {
-        CbirTrafficScenario {
-            label: label.into(),
-            blueprint: blueprint_with(4, 4),
-            pipeline: CbirPipeline::new(CbirWorkload::paper_setup(), mapping),
-            arrival,
-            offered,
-            queue_depth,
-            seed: reach_sim::rng::session_seed(),
-        }
-    }
-
-    /// The arrival process this point offers.
-    #[must_use]
-    pub fn arrival(&self) -> &ArrivalProcess {
-        &self.arrival
     }
 }
 
-impl Scenario for CbirTrafficScenario {
-    fn label(&self) -> String {
-        self.label.clone()
-    }
-
-    fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    fn blueprint(&self) -> MachineBlueprint {
-        self.blueprint.clone()
-    }
-
-    fn run(&self, machine: &mut Machine) -> RunReport {
-        let compiled = self.pipeline.build(machine);
-        let open = OpenLoop {
-            arrival: self.arrival.clone(),
-            offered: self.offered,
-            queue_depth: self.queue_depth,
-        };
-        open.serve(&compiled, machine).run
-    }
-
-    /// Everything `run` consumes: machine shape, compiled pipeline, the
-    /// arrival process (variant, parameters and its embedded seed, via the
-    /// debug rendering), offered count, queue depth and the scenario seed.
-    fn config_fingerprint(&self) -> Option<ConfigFingerprint> {
-        let mut b = FingerprintBuilder::new("reach-cbir-traffic-v1");
-        self.blueprint.fingerprint().write_into(&mut b);
-        pipeline_fingerprint(&self.blueprint, &self.pipeline, &CbirStage::ALL).write_into(&mut b);
-        b.write_debug(&self.arrival);
-        b.write_usize(self.offered);
-        b.write_usize(self.queue_depth);
-        b.write_u64(self.seed);
-        Some(ConfigFingerprint::from_builder(b))
-    }
+/// [`TRAFFIC_OFFERED`] arrivals of `arrival`, one query batch each, served
+/// by `mapping` behind a [`TRAFFIC_QUEUE_DEPTH`]-deep admission queue.
+fn serving(label: String, mapping: CbirMapping, arrival: ArrivalProcess) -> ScenarioSpec {
+    let blueprint = blueprint_with(4, 4);
+    let pipeline = CbirPipeline::new(CbirWorkload::paper_setup(), mapping);
+    let lowered = lowered(&blueprint, &pipeline, &CbirStage::ALL);
+    ScenarioSpec::new(
+        label,
+        blueprint,
+        vec![Tenant::new(
+            "cbir",
+            lowered,
+            JobSource::Open {
+                arrival,
+                offered: TRAFFIC_OFFERED,
+                jobs_per_arrival: 1,
+                admission: Some(TRAFFIC_QUEUE_DEPTH),
+            },
+        )],
+    )
 }
 
 /// One rendered sweep row: a (source, rate) point's admission ledger and
@@ -211,22 +152,25 @@ fn row_from(source: &'static str, rate_per_sec: u64, offered: usize, r: &RunRepo
     }
 }
 
-/// The bursty demo point: MMPP on/off arrivals averaging `rate_per_sec`
-/// with a 1-in-3 duty cycle (3x the rate inside bursts).
+/// MMPP on/off arrivals averaging `rate_per_sec` with a 1-in-3 duty cycle
+/// (3x the rate inside bursts).
+fn bursty_arrival(rate_per_sec: u64) -> ArrivalProcess {
+    ArrivalProcess::Bursty {
+        on_gap: SimDuration::from_secs_f64(1.0 / (3.0 * rate_per_sec as f64)),
+        burst: SimDuration::from_ms(1_500),
+        idle: SimDuration::from_ms(3_000),
+        seed: reach_sim::rng::session_seed(),
+    }
+}
+
+/// The bursty demo point: the proper mapping serving
+/// [`bursty_arrival`]s.
 #[must_use]
-pub fn bursty_demo(rate_per_sec: u64) -> CbirTrafficScenario {
-    let seed = reach_sim::rng::session_seed();
-    CbirTrafficScenario::with_arrival(
+pub fn bursty_demo(rate_per_sec: u64) -> ScenarioSpec {
+    serving(
         format!("traffic/bursty/{rate_per_sec}qps"),
         CbirMapping::Proper,
-        ArrivalProcess::Bursty {
-            on_gap: SimDuration::from_secs_f64(1.0 / (3.0 * rate_per_sec as f64)),
-            burst: SimDuration::from_ms(1_500),
-            idle: SimDuration::from_ms(3_000),
-            seed,
-        },
-        TRAFFIC_OFFERED,
-        TRAFFIC_QUEUE_DEPTH,
+        bursty_arrival(rate_per_sec),
     )
 }
 
@@ -234,16 +178,13 @@ pub fn bursty_demo(rate_per_sec: u64) -> CbirTrafficScenario {
 /// [`bursty_demo`] at the same rate — proof that a captured trace
 /// reproduces a live process bit-for-bit.
 #[must_use]
-pub fn trace_demo(rate_per_sec: u64) -> CbirTrafficScenario {
-    let gaps = bursty_demo(rate_per_sec)
-        .arrival()
-        .record_trace(TRAFFIC_OFFERED);
-    CbirTrafficScenario::with_arrival(
+pub fn trace_demo(rate_per_sec: u64) -> ScenarioSpec {
+    serving(
         format!("traffic/trace/{rate_per_sec}qps"),
         CbirMapping::Proper,
-        ArrivalProcess::Trace { gaps },
-        TRAFFIC_OFFERED,
-        TRAFFIC_QUEUE_DEPTH,
+        ArrivalProcess::Trace {
+            gaps: bursty_arrival(rate_per_sec).record_trace(TRAFFIC_OFFERED),
+        },
     )
 }
 
@@ -256,7 +197,7 @@ pub fn traffic_knee_with(executor: &dyn ScenarioExecutor) -> Vec<TrafficRow> {
     let mut scenarios: Vec<Box<dyn Scenario>> = Vec::new();
     for mapping in CbirMapping::ALL {
         for &rate in &TRAFFIC_RATES_PER_SEC {
-            scenarios.push(Box::new(CbirTrafficScenario::poisson(mapping, rate)));
+            scenarios.push(Box::new(CbirScenario::poisson(mapping, rate)));
         }
     }
     scenarios.push(Box::new(bursty_demo(demo_rate)));
@@ -294,14 +235,14 @@ mod tests {
 
     #[test]
     fn low_rate_admits_everything() {
-        let r = CbirTrafficScenario::poisson(CbirMapping::Proper, 1).execute();
+        let r = CbirScenario::poisson(CbirMapping::Proper, 1).execute();
         assert_eq!(r.jobs, TRAFFIC_OFFERED as u64);
         assert_eq!(r.gam.jobs_rejected, 0);
     }
 
     #[test]
     fn saturating_rate_rejects_and_still_terminates() {
-        let r = CbirTrafficScenario::poisson(CbirMapping::AllOnChip, 16).execute();
+        let r = CbirScenario::poisson(CbirMapping::AllOnChip, 16).execute();
         assert!(r.gam.jobs_rejected > 0, "no rejections at 16 qps on-chip");
         assert_eq!(r.jobs + r.gam.jobs_rejected, TRAFFIC_OFFERED as u64);
     }
@@ -317,7 +258,7 @@ mod tests {
 
     #[test]
     fn reports_export_per_stage_quantiles() {
-        let r = CbirTrafficScenario::poisson(CbirMapping::Proper, 2).execute();
+        let r = CbirScenario::poisson(CbirMapping::Proper, 2).execute();
         for stage in ["1-feature-extraction", "2-short-list", "3-rerank"] {
             for q in ["p50_ps", "p95_ps", "p99_ps", "p999_ps", "samples"] {
                 let name = format!("latency.stage.{stage}.{q}");
@@ -332,23 +273,16 @@ mod tests {
         );
     }
 
+    /// Rate, placement and arrival shape each move a serving point's key
+    /// (the spec's own tests flip every field one by one).
     #[test]
     fn fingerprint_tracks_every_traffic_knob() {
-        let base = CbirTrafficScenario::poisson(CbirMapping::Proper, 4);
-        let mut deeper = base.clone();
-        deeper.queue_depth += 1;
-        let mut more_offered = base.clone();
-        more_offered.offered += 1;
-        let mut reseeded = base.clone();
-        reseeded.seed ^= 1;
-        let variants: Vec<CbirTrafficScenario> = vec![
-            CbirTrafficScenario::poisson(CbirMapping::Proper, 8),
-            CbirTrafficScenario::poisson(CbirMapping::AllOnChip, 4),
+        let base = CbirScenario::poisson(CbirMapping::Proper, 4);
+        let variants = [
+            CbirScenario::poisson(CbirMapping::Proper, 8),
+            CbirScenario::poisson(CbirMapping::AllOnChip, 4),
             bursty_demo(4),
             trace_demo(4),
-            deeper,
-            more_offered,
-            reseeded,
         ];
         let mut seen = vec![base.config_fingerprint().unwrap()];
         for (i, v) in variants.iter().enumerate() {
@@ -363,8 +297,8 @@ mod tests {
 
     #[test]
     fn equal_fingerprints_mean_byte_identical_reports() {
-        let a = CbirTrafficScenario::poisson(CbirMapping::AllNearStorage, 4);
-        let b = CbirTrafficScenario::poisson(CbirMapping::AllNearStorage, 4);
+        let a = CbirScenario::poisson(CbirMapping::AllNearStorage, 4);
+        let b = CbirScenario::poisson(CbirMapping::AllNearStorage, 4);
         assert_eq!(a.config_fingerprint(), b.config_fingerprint());
         assert_eq!(a.execute().to_string(), b.execute().to_string());
     }

@@ -32,6 +32,9 @@
 //!   (figures, ablations, co-runs, sweeps), plus the [`ScenarioExecutor`]
 //!   contract that lets `reach-bench` fan independent points across
 //!   threads with byte-identical results.
+//! * [`spec`] — [`ScenarioSpec`]: the one structural scenario — a
+//!   blueprint, a seed and one or more tenants (a lowered [`Pipeline`]
+//!   plus a closed or open-loop job source), keyed on those fields alone.
 //! * [`fleet`] — [`FleetBlueprint`]/[`FleetScenario`]: the topology layer
 //!   above single machines — N nodes with dataset shards, an inter-machine
 //!   link, and a deterministic scatter-gather aggregator.
@@ -70,6 +73,7 @@ pub mod host;
 pub mod machine;
 pub mod report;
 pub mod scenario;
+pub mod spec;
 pub mod telemetry;
 pub mod trace;
 pub mod traffic;
@@ -91,9 +95,9 @@ pub use fleet::{
 pub use host::{ArrivalProcess, Batcher};
 pub use machine::Machine;
 pub use report::{RunReport, StageSummary};
-pub use scenario::{FnScenario, Scenario, ScenarioExecutor, ScenarioResult, SequentialExecutor};
+pub use scenario::{Scenario, ScenarioExecutor, ScenarioResult, SequentialExecutor};
+pub use spec::{JobSource, LoweredPipeline, ScenarioSpec, Tenant};
 pub use trace::{Trace, TraceEvent, TraceKind};
-pub use traffic::{OpenLoop, TrafficReport};
 pub use work::{DataAccess, TaskWork};
 
 // Re-export the vocabulary types users need alongside the API.

@@ -60,7 +60,8 @@ pub trait Scenario: Send + Sync {
     /// A canonical digest of *everything* that determines this scenario's
     /// [`RunReport`] — machine blueprint, compiled pipeline, batch count,
     /// execution mode, seed — or `None` if the scenario cannot fully
-    /// describe itself (e.g. a closure-backed [`FnScenario`]).
+    /// describe itself. A [`crate::ScenarioSpec`] derives it from its
+    /// fields.
     ///
     /// The contract a `Some` return signs up for: two scenarios with equal
     /// fingerprints produce byte-identical reports, so executors may run
@@ -150,82 +151,11 @@ impl ScenarioExecutor for SequentialExecutor {
     }
 }
 
-/// A closure-backed scenario for one-off experiment points.
-pub struct FnScenario<F> {
-    label: String,
-    seed: u64,
-    blueprint: MachineBlueprint,
-    fingerprint: Option<ConfigFingerprint>,
-    body: F,
-}
-
-impl<F> FnScenario<F>
-where
-    F: Fn(&mut Machine) -> RunReport + Send + Sync,
-{
-    /// A scenario running `body` on a machine built from `blueprint`.
-    pub fn new(label: impl Into<String>, blueprint: MachineBlueprint, body: F) -> Self {
-        FnScenario {
-            label: label.into(),
-            seed: reach_sim::rng::session_seed(),
-            blueprint,
-            fingerprint: None,
-            body,
-        }
-    }
-
-    /// Overrides the seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Declares a [`Scenario::config_fingerprint`] for this closure.
-    ///
-    /// The executor cannot see inside `body`, so this is a *vouch*: the
-    /// caller asserts that `fingerprint` covers every input the closure's
-    /// report depends on (blueprint, pipelines, batch counts, seed, …) —
-    /// exactly the contract `config_fingerprint` documents. Hand-compose
-    /// the digest from the same fingerprint plumbing the structural
-    /// scenario types use; an under-keyed vouch silently poisons any
-    /// result cache, which with a persistent tier outlives the process.
-    #[must_use]
-    pub fn with_fingerprint(mut self, fingerprint: ConfigFingerprint) -> Self {
-        self.fingerprint = Some(fingerprint);
-        self
-    }
-}
-
-impl<F> Scenario for FnScenario<F>
-where
-    F: Fn(&mut Machine) -> RunReport + Send + Sync,
-{
-    fn label(&self) -> String {
-        self.label.clone()
-    }
-
-    fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    fn blueprint(&self) -> MachineBlueprint {
-        self.blueprint.clone()
-    }
-
-    fn run(&self, machine: &mut Machine) -> RunReport {
-        (self.body)(machine)
-    }
-
-    fn config_fingerprint(&self) -> Option<ConfigFingerprint> {
-        self.fingerprint
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::api::{ExecMode, Level, Pipeline, ReachConfig};
+    use crate::spec::{JobSource, LoweredPipeline, ScenarioSpec, Tenant};
     use crate::work::TaskWork;
 
     fn demo_scenario(batches: usize) -> impl Scenario {
@@ -233,10 +163,14 @@ mod tests {
         let acc = cfg.register_acc("VGG16-VU9P", Level::OnChip);
         let mut pipeline = Pipeline::new(cfg.build().expect("demo config"));
         pipeline.call(acc, TaskWork::compute(1_000_000_000), "fe");
-        FnScenario::new(
+        let jobs = JobSource::Closed {
+            batches,
+            mode: ExecMode::Pipelined,
+        };
+        ScenarioSpec::new(
             format!("demo/x{batches}"),
             MachineBlueprint::paper(),
-            move |machine| pipeline.run_mode(machine, batches, ExecMode::Pipelined),
+            vec![Tenant::new("demo", LoweredPipeline::new(pipeline), jobs)],
         )
     }
 

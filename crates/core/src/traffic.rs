@@ -1,29 +1,23 @@
-//! Open-loop traffic serving: arrival processes and admission control.
+//! Open-loop traffic: arrival processes.
 //!
-//! Everything before this module is closed-loop — a fixed number of batches
-//! submitted up front, so the machine always has work and latency reflects
-//! only the pipeline. Serving real traffic is open-loop: arrivals keep
-//! coming whether or not the hierarchy keeps up, and the interesting curve
-//! is latency (and rejections) versus *offered load*. This module supplies
-//! the two missing pieces:
-//!
-//! * [`ArrivalProcess`] — deterministic arrival-instant generators
-//!   (uniform, Poisson, MMPP-style on/off bursts, recorded traces), every
-//!   stochastic variant drawn from [`reach_sim::rng`] streams so a run
-//!   replays bit-for-bit from its seed;
-//! * [`OpenLoop`] — a job source that submits one pipeline batch per
-//!   arrival through a *bounded admission queue*
-//!   ([`Machine::submit_at_bounded`]): an arrival that finds `queue_depth`
-//!   jobs already in flight is rejected and counted, not queued forever —
-//!   which is what keeps a past-saturation simulation finite.
+//! Closed-loop runs submit a fixed number of batches up front, so the
+//! machine always has work and latency reflects only the pipeline. Serving
+//! real traffic is open-loop: arrivals keep coming whether or not the
+//! hierarchy keeps up, and the interesting curve is latency (and
+//! rejections) versus *offered load*. [`ArrivalProcess`] generates the
+//! arrival instants — uniform, Poisson, MMPP-style on/off bursts, recorded
+//! traces — every stochastic variant drawn from [`reach_sim::rng`] streams
+//! so a run replays bit-for-bit from its seed. A
+//! [`crate::spec::JobSource::Open`] tenant submits jobs at those instants,
+//! optionally through a bounded admission queue
+//! ([`crate::Machine::submit_at_bounded`]): an arrival that finds the
+//! queue full is rejected and counted, not queued forever — which is what
+//! keeps a past-saturation simulation finite.
 //!
 //! The per-stage and end-to-end latency distributions of the admitted jobs
 //! come out of the machine's [`reach_sim::LatencyHistogram`] telemetry
 //! (`latency.job.*` / `latency.stage.*` counters in the metrics snapshot).
 
-use crate::api::Pipeline;
-use crate::machine::Machine;
-use crate::report::RunReport;
 use rand::rngs::StdRng;
 use rand::Rng;
 use reach_sim::{SimDuration, SimTime};
@@ -151,63 +145,6 @@ impl ArrivalProcess {
                 gap
             })
             .collect()
-    }
-}
-
-/// An open-loop job source: `offered` arrivals drawn from `arrival`, each
-/// submitting one pipeline batch through an admission queue bounded at
-/// `queue_depth` in-flight jobs.
-#[derive(Clone, Debug)]
-pub struct OpenLoop {
-    /// When batches arrive.
-    pub arrival: ArrivalProcess,
-    /// Total batch arrivals offered (admitted + rejected).
-    pub offered: usize,
-    /// Maximum jobs in flight before arrivals bounce.
-    pub queue_depth: usize,
-}
-
-/// What became of an open-loop serving run.
-#[derive(Clone, Debug)]
-pub struct TrafficReport {
-    /// Arrivals offered.
-    pub offered: usize,
-    /// Arrivals admitted and simulated to completion.
-    pub admitted: u64,
-    /// Arrivals rejected at the admission queue.
-    pub rejected: u64,
-    /// The underlying machine report (admitted jobs only).
-    pub run: RunReport,
-}
-
-impl OpenLoop {
-    /// Serves the offered arrivals through `pipeline` on `machine`: one
-    /// [`Pipeline::job_for_batch`] job per arrival, submitted via
-    /// [`Machine::submit_at_bounded`], then runs the machine to completion.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `offered` or `queue_depth` is zero.
-    #[must_use]
-    pub fn serve(&self, pipeline: &Pipeline, machine: &mut Machine) -> TrafficReport {
-        assert!(self.offered > 0, "OpenLoop::serve: zero offered arrivals");
-        for (i, at) in self.arrival.arrivals(self.offered).into_iter().enumerate() {
-            let (job, works) = pipeline.job_for_batch(i as u64);
-            machine.submit_at_bounded(at, job, works, self.queue_depth);
-        }
-        let run = machine.run();
-        let rejected = run.gam.jobs_rejected;
-        assert_eq!(
-            run.jobs + rejected,
-            self.offered as u64,
-            "OpenLoop::serve: offered arrivals neither completed nor rejected"
-        );
-        TrafficReport {
-            offered: self.offered,
-            admitted: run.jobs,
-            rejected,
-            run,
-        }
     }
 }
 

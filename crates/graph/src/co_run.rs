@@ -4,7 +4,7 @@
 //! The GAM's reason to exist is coordinating *multiple* workloads on one
 //! reconfigurable hierarchy. This module measures what that coordination
 //! costs the latency-sensitive tenant: open-loop CBIR query traffic
-//! (PR 7's admission-queue serving) co-runs with a stream of PageRank
+//! (the admission-queue serving of `extension-traffic`) co-runs with a stream of PageRank
 //! batch jobs whose near-memory gathers occupy the same accelerator slots
 //! and DIMMs the CBIR short-list stage needs. Each swept rate produces a
 //! solo baseline and a co-run point with identical arrivals, so the p99
@@ -12,22 +12,21 @@
 //! (`mem.ddr.contended_cycles`, `mem.aimbus.queued_ps`) and per-tenant
 //! dispatch/latency attribution ([`reach_gam::tenant::TenantLedger`]).
 //!
-//! Job-id spaces are disjoint: CBIR arrivals from 0, graph batches from
-//! [`GRAPH_JOB_BASE`]. Both runs declare the same tenants and admission
-//! depth, so the ledgers line up row for row.
+//! Both runs are [`ScenarioSpec`]s with the same CBIR tenant and admission
+//! depth; the shared one adds the graph tenant, whose job ids start at
+//! [`GRAPH_JOB_BASE`], and attributes each tenant's dispatches, admissions
+//! and latency separately.
 
 use crate::csr::{GraphKind, GraphSpec};
 use crate::pipeline::{pagerank_pipeline, GraphPlacement};
 use crate::templates::graph_registry;
-use reach::fingerprint::ConfigFingerprint;
-use reach::traffic::ArrivalProcess;
 use reach::{
-    FnScenario, MachineBlueprint, MetricValue, Pipeline, RunReport, Scenario, ScenarioExecutor,
-    SystemConfig,
+    ArrivalProcess, JobSource, LoweredPipeline, MachineBlueprint, MetricValue, Pipeline, RunReport,
+    Scenario, ScenarioExecutor, ScenarioSpec, SystemConfig, Tenant,
 };
 use reach_cbir::pipeline::CbirStage;
-use reach_cbir::{pipeline_fingerprint, CbirMapping, CbirPipeline, CbirWorkload};
-use reach_sim::{FingerprintBuilder, SimDuration};
+use reach_cbir::{lowered, CbirMapping, CbirPipeline, CbirWorkload};
+use reach_sim::SimDuration;
 use std::fmt;
 
 /// Offered CBIR arrival rates swept, in query batches per second. Both
@@ -169,92 +168,54 @@ impl fmt::Display for CorunRow {
 #[must_use]
 pub fn graph_corun_rows_with(executor: &dyn ScenarioExecutor) -> Vec<CorunRow> {
     let blueprint = corun_blueprint();
-    let seed = reach_sim::rng::session_seed();
     let cbir = CbirPipeline::new(CbirWorkload::paper_setup(), CbirMapping::Proper);
-
-    // Vouched fingerprints for the closures below: each report is fully
-    // determined by the machine shape, the two compiled pipelines, the
-    // arrival process (variant + parameters + embedded seed via the debug
-    // rendering), the offered count, the admission depth, the graph batch
-    // schedule and the session seed. Over-keying the solo points with the
-    // graph pipeline costs nothing and can never under-key.
-    let cbir_fp = pipeline_fingerprint(&blueprint, &cbir, &CbirStage::ALL);
-    let graph = corun_graph_pipeline();
-    let graph_fp = graph.fingerprint();
-    let vouch = |tag: &str, arrival: &ArrivalProcess| {
-        let mut b = FingerprintBuilder::new("reach-graph-corun-v1");
-        b.write_str(tag);
-        blueprint.fingerprint().write_into(&mut b);
-        cbir_fp.write_into(&mut b);
-        graph_fp.write_into(&mut b);
-        b.write_debug(arrival);
-        b.write_usize(CORUN_OFFERED);
-        b.write_usize(CORUN_QUEUE_DEPTH);
-        b.write_usize(GRAPH_JOBS_PER_ARRIVAL);
-        b.write_u64(seed);
-        ConfigFingerprint::from_builder(b)
-    };
+    let cbir = lowered(&blueprint, &cbir, &CbirStage::ALL);
+    let graph = LoweredPipeline::new(corun_graph_pipeline());
 
     let mut scenarios: Vec<Box<dyn Scenario>> = Vec::new();
     for &rate in &CORUN_RATES_PER_SEC {
         let arrival = ArrivalProcess::Poisson {
             mean_gap: SimDuration::from_secs_f64(1.0 / rate as f64),
-            seed,
+            seed: reach_sim::rng::session_seed(),
         };
-
-        let solo_arrival = arrival.clone();
-        let solo_cbir = cbir;
-        scenarios.push(Box::new(
-            FnScenario::new(
-                format!("corun/{rate}qps/solo"),
-                blueprint.clone(),
-                move |machine| {
-                    machine.declare_tenant("cbir", 0, GRAPH_JOB_BASE);
-                    let compiled = solo_cbir.build(machine);
-                    for (i, at) in solo_arrival.arrivals(CORUN_OFFERED).into_iter().enumerate() {
-                        let (job, works) = compiled.job_for_batch(i as u64);
-                        machine.submit_at_bounded(at, job, works, CORUN_QUEUE_DEPTH);
-                    }
-                    machine.run()
+        let cbir = Tenant::new(
+            "cbir",
+            cbir.clone(),
+            JobSource::Open {
+                arrival: arrival.clone(),
+                offered: CORUN_OFFERED,
+                jobs_per_arrival: 1,
+                admission: Some(CORUN_QUEUE_DEPTH),
+            },
+        );
+        // The batch tenant submits its jobs at the query arrival instants
+        // (fully correlated phase): every serving point then measures
+        // interference by construction instead of leaving the overlap
+        // between the two tenants to the luck of the seed. Its jobs are
+        // never bounced, but count against the CBIR admission bound.
+        let graph = Tenant {
+            first_job: GRAPH_JOB_BASE,
+            ..Tenant::new(
+                "graph",
+                graph.clone(),
+                JobSource::Open {
+                    arrival,
+                    offered: CORUN_OFFERED,
+                    jobs_per_arrival: GRAPH_JOBS_PER_ARRIVAL,
+                    admission: None,
                 },
             )
-            .with_fingerprint(vouch("solo", &arrival)),
-        ));
-
-        let corun_arrival = arrival.clone();
-        let corun_cbir = cbir;
-        let corun_graph = graph.clone();
-        scenarios.push(Box::new(
-            FnScenario::new(
-                format!("corun/{rate}qps/shared"),
-                blueprint.clone(),
-                move |machine| {
-                    machine.declare_tenant("cbir", 0, GRAPH_JOB_BASE);
-                    machine.declare_tenant("graph", GRAPH_JOB_BASE, 2 * GRAPH_JOB_BASE);
-                    let compiled = corun_cbir.build(machine);
-                    // The batch tenant submits its jobs at the query
-                    // arrival instants (fully correlated phase): every
-                    // serving point then measures interference by
-                    // construction instead of leaving the overlap between
-                    // the two tenants to the luck of the seed.
-                    for (i, at) in corun_arrival
-                        .arrivals(CORUN_OFFERED)
-                        .into_iter()
-                        .enumerate()
-                    {
-                        let (job, works) = compiled.job_for_batch(i as u64);
-                        machine.submit_at_bounded(at, job, works, CORUN_QUEUE_DEPTH);
-                        for g in 0..GRAPH_JOBS_PER_ARRIVAL {
-                            let id = GRAPH_JOB_BASE + (i * GRAPH_JOBS_PER_ARRIVAL + g) as u64;
-                            let (job, works) = corun_graph.job_for_batch(id);
-                            machine.submit_at(at, job, works);
-                        }
-                    }
-                    machine.run()
-                },
-            )
-            .with_fingerprint(vouch("shared", &arrival)),
-        ));
+        };
+        scenarios.push(Box::new(ScenarioSpec::new(
+            format!("corun/{rate}qps/solo"),
+            blueprint.clone(),
+            vec![cbir.clone()],
+        )));
+        scenarios.push(Box::new(ScenarioSpec::new(
+            format!("corun/{rate}qps/shared"),
+            blueprint.clone(),
+            vec![cbir, graph],
+        )));
     }
 
     let results = executor.run_all(scenarios);
@@ -268,12 +229,14 @@ pub fn graph_corun_rows_with(executor: &dyn ScenarioExecutor) -> Vec<CorunRow> {
             };
             let s = &solo.report;
             let c = &shared.report;
+            // The solo run has one tenant, so its CBIR figures are the
+            // machine-wide ones.
             CorunRow {
                 rate_per_sec: rate,
                 offered: CORUN_OFFERED,
-                solo_admitted: counter(s, "tenant.cbir.jobs_completed"),
-                solo_rejected: counter(s, "tenant.cbir.jobs_rejected"),
-                solo_p99_ms: ms(counter(s, "tenant.cbir.latency.p99_ps")),
+                solo_admitted: s.jobs,
+                solo_rejected: s.gam.jobs_rejected,
+                solo_p99_ms: ms(counter(s, "latency.job.p99_ps")),
                 solo_ddr_contended: counter(s, "mem.ddr.contended_cycles"),
                 corun_admitted: counter(c, "tenant.cbir.jobs_completed"),
                 corun_rejected: counter(c, "tenant.cbir.jobs_rejected"),
@@ -303,10 +266,7 @@ mod tests {
             .compile(blueprint.config(), blueprint.registry(), &CbirStage::ALL)
             .fingerprint();
         for _ in 0..2 {
-            assert_eq!(
-                pipeline_fingerprint(&blueprint, &cbir, &CbirStage::ALL),
-                direct
-            );
+            assert_eq!(lowered(&blueprint, &cbir, &CbirStage::ALL).digest(), direct);
         }
     }
 

@@ -74,12 +74,13 @@ fn full_suite_fingerprints_match_golden_file() {
         "expected the full suite, saw {} scenarios",
         lines.len()
     );
-    // Every CBIR scenario must be cacheable; only closure-backed co-run
-    // points may opt out.
-    let opted_out = lines.iter().filter(|l| l.starts_with("----")).count();
+    // Every suite scenario is keyed: specs derive their keys from their
+    // fields, and the named scenarios write their own.
+    let unkeyed: Vec<&&str> = lines.iter().filter(|l| l.starts_with("----")).collect();
     assert!(
-        opted_out * 10 < lines.len(),
-        "{opted_out}/{} scenarios uncacheable — a fingerprint regression",
+        unkeyed.is_empty(),
+        "{}/{} scenarios unkeyed — a fingerprint regression: {unkeyed:?}",
+        unkeyed.len(),
         lines.len()
     );
     check_golden(

@@ -5,15 +5,15 @@
 
 use proptest::prelude::*;
 use reach::{ArrivalProcess, SequentialExecutor, SimDuration};
-use reach_bench::{EvictionPolicy, ScenarioRunner};
+use reach_bench::ScenarioRunner;
 use reach_cbir::traffic::{TRAFFIC_OFFERED, TRAFFIC_QUEUE_DEPTH, TRAFFIC_RATES_PER_SEC};
 use reach_sim::LatencyHistogram;
 
 /// The acceptance contract: the whole traffic sweep (four placements x
 /// five rates plus the bursty/trace demo pair) rendered through the
 /// `experiments` code path is byte-identical sequentially, at 1/4/8
-/// worker threads, with the result cache disabled, and under LRU
-/// eviction — arrivals, admission and quantiles leak no scheduling.
+/// worker threads and with the result cache disabled — arrivals,
+/// admission and quantiles leak no scheduling.
 #[test]
 fn traffic_suite_is_byte_identical_across_job_counts_and_cache_modes() {
     let reference = reach_bench::render_extension_traffic(&SequentialExecutor);
@@ -28,14 +28,6 @@ fn traffic_suite_is_byte_identical_across_job_counts_and_cache_modes() {
             reference,
             reach_bench::render_extension_traffic(&ScenarioRunner::without_cache(jobs)),
             "traffic suite diverged without the result cache at {jobs} jobs"
-        );
-        assert_eq!(
-            reference,
-            reach_bench::render_extension_traffic(&ScenarioRunner::with_cache_policy(
-                jobs,
-                EvictionPolicy::Lru
-            )),
-            "traffic suite diverged under LRU eviction at {jobs} jobs"
         );
     }
 }
