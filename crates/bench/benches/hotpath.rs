@@ -1,5 +1,5 @@
 //! Microbenchmarks of the simulator hot paths: event-queue throughput
-//! (calendar queue), machine steady-state event processing, the parallel
+//! (binary heap), machine steady-state event processing, the parallel
 //! CBIR kernels (GEMM micro-kernel, k-means, top-K), the cross-batch
 //! distance cache, the batched DDR stream timing model, and host graph
 //! generation (RMAT and uniform edge draws plus the CSR build).
@@ -62,6 +62,22 @@ fn bench_event_queue(c: &mut Criterion) {
                 drained += batch.len();
             }
             black_box(drained)
+        });
+    });
+
+    // One instant holding a poll per accelerator, sized the way `Machine`
+    // sizes its queue, drained by a single batch pop.
+    let pileup = scaled(16_384, 2_048);
+    g.throughput(Throughput::Elements(pileup as u64));
+    g.bench_function("same_instant_pileup", |b| {
+        b.iter(|| {
+            let mut q: EventQueue<u64> = EventQueue::with_capacity(4 * pileup + 32);
+            for i in 0..pileup as u64 {
+                q.push(SimTime::from_ps(1_000), i);
+            }
+            let mut batch = Vec::new();
+            q.pop_batch_into(&mut batch);
+            black_box(batch.len())
         });
     });
     g.finish();

@@ -6,15 +6,15 @@
 //! * [`SimTime`] / [`SimDuration`] — an integer picosecond timeline, so that
 //!   a 2 GHz core, 273/200/150 MHz FPGA kernels, DDR4 bus ticks and PCIe
 //!   serialization delays can share one clock without rounding drift.
-//! * [`EventQueue`] — a deterministic priority queue of timestamped events.
-//!   Ties are broken by insertion order, which makes every simulation in the
-//!   workspace reproducible bit-for-bit.
+//! * [`EventQueue`] — a deterministic priority queue of timestamped events,
+//!   kept in a binary heap. Ties are broken by insertion order, which makes
+//!   every simulation in the workspace reproducible bit-for-bit.
 //! * [`resource`] — *resource calendars*: the serial-server and bandwidth
 //!   models used for DRAM banks, memory channels, PCIe links, SSD flash
 //!   channels and accelerators. Contention, queueing delay and saturation
 //!   emerge from these calendars instead of being hard-coded.
-//! * [`stats`] — counters, accumulators, histograms and time-weighted
-//!   averages used to build the experiment reports.
+//! * [`stats`] — counters, histograms and time-weighted averages used to
+//!   build the experiment reports.
 //!
 //! The engine is *transaction-level*: components reserve time windows on
 //! resources rather than exchanging per-cycle messages. This reproduces the
@@ -37,7 +37,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod calendar;
 pub mod event;
 pub mod fingerprint;
 pub mod intern;
@@ -57,5 +56,5 @@ pub use metrics::{
 };
 pub use rate::{Bandwidth, Frequency, Link};
 pub use resource::{BandwidthResource, MultiResource, Reservation, SerialResource};
-pub use stats::{Accumulator, Counter, Histogram, LatencyHistogram, TimeWeighted};
+pub use stats::{Counter, Histogram, LatencyHistogram, TimeWeighted};
 pub use time::{SimDuration, SimTime};

@@ -1,8 +1,8 @@
 //! The metrics registry: hierarchical, handle-based telemetry.
 //!
-//! The primitives in [`crate::stats`] (counters, accumulators, histograms,
-//! time-weighted signals) describe *one* quantity each. This module binds
-//! them into a [`MetricsRegistry`] a simulation core can own: metrics are
+//! The primitives in [`crate::stats`] (counters, histograms, time-weighted
+//! signals) describe *one* quantity each. This module binds them into a
+//! [`MetricsRegistry`] a simulation core can own: metrics are
 //! created once under hierarchical dotted names (`mem.ddr.ch0.busy_ps`,
 //! `gam.queue.near_mem.depth`, `storage.ssd0.read_bytes`) and recorded
 //! through cheap index handles on the hot path — no string hashing per
@@ -237,12 +237,6 @@ impl MetricsRegistry {
     /// Records one occupancy window (may arrive out of time order).
     pub fn occupy(&mut self, id: OccupancyId, start: SimTime, end: SimTime, amount: f64) {
         self.occupancies[id.0].1.record(start, end, amount);
-    }
-
-    /// Current value of a counter.
-    #[must_use]
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0].get()
     }
 
     /// Folds every metric into a snapshot over the horizon `[0, until]`.
@@ -537,7 +531,10 @@ mod tests {
         assert_eq!(a, b);
         reg.add(a, 3);
         reg.inc(b);
-        assert_eq!(reg.counter_value(a), 4);
+        assert_eq!(
+            reg.snapshot(ps(0)).get("x.bytes"),
+            Some(&MetricValue::Counter { value: 4 })
+        );
     }
 
     #[test]

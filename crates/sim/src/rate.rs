@@ -69,12 +69,6 @@ impl Frequency {
         self.0
     }
 
-    /// Returns the frequency in (fractional) megahertz.
-    #[must_use]
-    pub fn as_mhz_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// The period of one clock cycle, rounded up to the next picosecond so a
     /// cycle is never under-billed.
     #[must_use]

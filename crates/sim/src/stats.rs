@@ -1,6 +1,6 @@
 //! Statistics primitives used to assemble the experiment reports.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use std::fmt;
 
 /// A monotonically increasing event counter.
@@ -56,113 +56,6 @@ impl Counter {
 impl fmt::Display for Counter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}={}", self.name, self.value)
-    }
-}
-
-/// Running summary (count / sum / min / max / mean) of a stream of samples.
-///
-/// # Example
-///
-/// ```
-/// use reach_sim::Accumulator;
-/// let mut lat = Accumulator::new("read_latency_ns");
-/// for v in [10.0, 20.0, 30.0] { lat.record(v); }
-/// assert_eq!(lat.mean(), 20.0);
-/// assert_eq!(lat.min(), Some(10.0));
-/// assert_eq!(lat.max(), Some(30.0));
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct Accumulator {
-    name: String,
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Accumulator {
-    /// Creates a named, empty accumulator.
-    #[must_use]
-    pub fn new(name: impl Into<String>) -> Self {
-        Accumulator {
-            name: name.into(),
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is NaN — a NaN sample silently poisons every later
-    /// aggregate, so it is rejected at the door.
-    pub fn record(&mut self, v: f64) {
-        assert!(
-            !v.is_nan(),
-            "Accumulator::record: NaN sample in {}",
-            self.name
-        );
-        self.count += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Number of samples recorded.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples.
-    #[must_use]
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Mean of the samples, or 0.0 when empty.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Smallest sample, `None` when empty.
-    #[must_use]
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest sample, `None` when empty.
-    #[must_use]
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// The accumulator's name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-impl fmt::Display for Accumulator {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: n={} mean={:.3} min={:.3} max={:.3}",
-            self.name,
-            self.count,
-            self.mean(),
-            self.min().unwrap_or(0.0),
-            self.max().unwrap_or(0.0)
-        )
     }
 }
 
@@ -537,13 +430,6 @@ impl TimeWeighted {
     }
 }
 
-/// Converts a busy duration and active power into joules — the shape every
-/// "power × time" energy term in the workspace uses.
-#[must_use]
-pub fn energy_joules(busy: SimDuration, watts: f64) -> f64 {
-    busy.as_secs_f64() * watts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -555,27 +441,6 @@ mod tests {
         c.add(9);
         assert_eq!(c.get(), 10);
         assert_eq!(c.to_string(), "c=10");
-    }
-
-    #[test]
-    fn accumulator_summary() {
-        let mut a = Accumulator::new("a");
-        assert_eq!(a.mean(), 0.0);
-        assert_eq!(a.min(), None);
-        for v in [4.0, 8.0, 0.0] {
-            a.record(v);
-        }
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.sum(), 12.0);
-        assert_eq!(a.mean(), 4.0);
-        assert_eq!(a.min(), Some(0.0));
-        assert_eq!(a.max(), Some(8.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "NaN")]
-    fn accumulator_rejects_nan() {
-        Accumulator::new("a").record(f64::NAN);
     }
 
     #[test]
@@ -685,11 +550,5 @@ mod tests {
                                           // [0, 50): 1.0; [50, 100): 2.0 -> avg 1.5
         assert!((s.average(SimTime::from_ps(100)) - 1.5).abs() < 1e-12);
         assert_eq!(s.current(), 2.0);
-    }
-
-    #[test]
-    fn energy_joules_is_watt_seconds() {
-        let e = energy_joules(SimDuration::from_ms(500), 10.0);
-        assert!((e - 5.0).abs() < 1e-12);
     }
 }

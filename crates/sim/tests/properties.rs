@@ -5,9 +5,9 @@ use reach_sim::{Bandwidth, EventQueue, Frequency, MultiResource, SimDuration, Si
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// The pre-calendar reference implementation of the event-queue contract: a
-/// binary heap ordered by `(time, seq)` with `now` advancing on pop. The
-/// calendar-backed [`EventQueue`] must be behaviorally indistinguishable
+/// An independent reference implementation of the event-queue contract: a
+/// binary heap of `Reverse((time, seq, payload))` tuples with `now`
+/// advancing on pop. [`EventQueue`] must be behaviorally indistinguishable
 /// from it.
 struct HeapQueue {
     heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
@@ -70,7 +70,7 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// The calendar-backed queue and the binary-heap reference produce
+    /// [`EventQueue`] and the binary-heap reference produce
     /// identical pop sequences (and identical `now`) over randomized
     /// push/pop/`push_in`/batch-pop interleavings, including same-instant
     /// ties — the ordering contract the simulator's determinism rests on.
@@ -93,8 +93,8 @@ proptest! {
                     heap.push(at, next_payload);
                     next_payload += 1;
                 }
-                // Relative scheduling, far-future included to exercise the
-                // calendar's overflow heap and day jumps.
+                // Relative scheduling, far-future included so pending
+                // times span several orders of magnitude.
                 3..=4 => {
                     let d = delta * 1_000_003; // up to ~50 us out
                     cal.push_in(SimDuration::from_ps(d), next_payload);
