@@ -33,9 +33,10 @@
 //! (queue depths, occupancy, link traffic) as `reach-run-metrics-v1` JSON
 //! to a file, never to stdout, so the determinism contract above holds.
 //!
-//! CI runs the full suite under every `--jobs`, cache and kernel setting
-//! it supports and compares stdout against the committed golden
-//! `tests/golden/experiments_stdout.txt` (see `ci/determinism.sh`).
+//! CI runs the full suite at several `--jobs` counts, in every cache mode
+//! and on the scalar and SIMD kernel tiers, and compares stdout against
+//! the committed golden `tests/golden/experiments_stdout.txt` (see
+//! `ci/determinism.sh`).
 
 use reach_bench::runner::RecordingExecutor;
 use reach_bench::ExperimentsArgs;

@@ -31,9 +31,8 @@ pub use diskcache::{DiskCache, DiskCacheStats};
 pub use export::{label_file_stem, run_metrics_json, scenario_metrics_json};
 pub use runner::{CapturedScenario, RecordingExecutor, ScenarioRunner};
 
-use reach::{Scenario, ScenarioExecutor, SystemComponent};
+use reach::{Scenario, ScenarioExecutor};
 use reach_cbir::experiments as exp;
-use reach_cbir::pipeline::CbirStage;
 use std::fmt::Write as _;
 
 /// Renders Table I in the paper's layout.
@@ -584,20 +583,6 @@ pub fn renderers() -> Vec<Renderer> {
         ("extension-graph", render_extension_graph),
         ("extension-graph-corun", render_extension_graph_corun),
     ]
-}
-
-/// The label of one CBIR stage for ad-hoc tools.
-#[must_use]
-pub fn stage_label(stage: CbirStage) -> &'static str {
-    stage.label()
-}
-
-/// Re-exported so binaries can format component names consistently.
-pub fn component_names() -> Vec<String> {
-    SystemComponent::ALL
-        .iter()
-        .map(ToString::to_string)
-        .collect()
 }
 
 #[cfg(test)]

@@ -57,9 +57,10 @@ enum Slot {
     Replay(RunReport),
 }
 
-/// A work-stealing, order-preserving executor over OS threads, with a
-/// two-tier scenario-result cache in front of the simulator: the
-/// in-memory [`ResultCache`], optionally backed by a persistent
+/// An order-preserving executor over OS threads (each worker claims the
+/// next scenario from one shared atomic index), with a two-tier
+/// scenario-result cache in front of the simulator: the in-memory
+/// [`ResultCache`], optionally backed by a persistent
 /// [`DiskCache`] (`--result-cache-dir`). Lookup order is memory →
 /// in-batch leader → disk → simulate; both tiers are consulted and filled
 /// only from the sequential phases, so their ledgers are identical at any
@@ -207,8 +208,9 @@ impl ScenarioRunner {
         }
     }
 
-    /// Persists any new disk-tier entries (atomic rename; warns once and
-    /// degrades on failure).
+    /// Persists any new disk-tier entries (an append with one `sync_data`,
+    /// or a compacting rewrite; warns once and degrades on failure — see
+    /// [`DiskCache::flush`]).
     fn disk_flush(&self) {
         if let Some(disk) = &self.disk {
             disk.lock().expect("disk cache poisoned").flush();

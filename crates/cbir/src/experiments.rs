@@ -711,8 +711,8 @@ mod tests {
         // Stdout prints recall to three decimals, which would not show a
         // kernel change that flips low bits of a centroid or a tie between
         // codewords. The digest is of the one-point reference kernels'
-        // output (GEMM-based k-means, one-point encoders) and must hold at
-        // any REACH_KERNEL_JOBS and on every SIMD tier.
+        // output (GEMM-based k-means, one-point encoders) and must hold on
+        // every SIMD tier.
         assert_eq!(recall_codec_digest(), 0x21b2_d6d3_ff4a_9942);
     }
 

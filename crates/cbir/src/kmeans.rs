@@ -39,34 +39,8 @@ pub struct Clustering {
 ///
 /// Panics if `k` is zero or exceeds the number of points.
 #[must_use]
-pub fn kmeans(points: &Matrix, k: usize, max_iters: usize, rng: &mut impl Rng) -> Clustering {
-    let n = points.rows();
-    // The assignment scan is embarrassingly parallel per point; fan out in
-    // fixed chunks (see `crate::par`) when the scan is worth a thread
-    // spawn. The FLOP estimate saturates, same as `gemm_fanout_jobs` —
-    // adversarial shapes must not overflow the gate.
-    let flops = n.saturating_mul(k).saturating_mul(points.cols());
-    let assign_jobs = if n > crate::par::CHUNK_ROWS && flops >= 1 << 20 {
-        crate::par::kernel_jobs()
-    } else {
-        1
-    };
-    kmeans_jobs(points, k, max_iters, rng, assign_jobs)
-}
-
-/// [`kmeans`] with an explicit assignment worker count, bypassing the size
-/// gate. Exposed (hidden) so the determinism suite can prove the parallel
-/// and sequential assignment paths produce bit-identical clusterings.
-#[doc(hidden)]
-#[must_use]
 #[allow(clippy::needless_range_loop)] // parallel-indexed arrays; enumerate obscures
-pub fn kmeans_jobs(
-    points: &Matrix,
-    k: usize,
-    max_iters: usize,
-    rng: &mut impl Rng,
-    assign_jobs: usize,
-) -> Clustering {
+pub fn kmeans(points: &Matrix, k: usize, max_iters: usize, rng: &mut impl Rng) -> Clustering {
     let n = points.rows();
     let d = points.cols();
     assert!(k > 0 && k <= n, "kmeans: k={k} out of range for {n} points");
@@ -105,27 +79,18 @@ pub fn kmeans_jobs(
     let mut assignments = vec![0usize; n];
     let mut best_dists = vec![0.0f32; n];
     // The assignment is the fused points-as-lanes kernel
-    // (`linalg::nearest_centroids_on`): fixed 64-row chunks, eight points
-    // per vector step, each scored against every centroid in the
-    // decomposed form (Equation 1) with `dot8`-order norms and dot
-    // products and a strict-`<` argmin in centroid order. Chunk boundaries
-    // do not depend on the worker count and every point sees the same
-    // operations whatever its block or kernel tier, so the clustering is
-    // byte-identical at any worker count.
+    // (`linalg::nearest_centroids_on`): eight points per vector step, each
+    // scored against every centroid in the decomposed form (Equation 1)
+    // with `dot8`-order norms and dot products and a strict-`<` argmin in
+    // centroid order. Every point sees the same operations whatever its
+    // block or kernel tier, so the clustering is byte-identical on any
+    // host.
     let mut inertia = f64::INFINITY;
     let mut iterations = 0;
     for it in 0..max_iters {
         iterations = it + 1;
-        nearest_centroids_on(
-            path,
-            points,
-            &centroids,
-            assign_jobs,
-            &mut assignments,
-            &mut best_dists,
-        );
-        // Reduce in point order — the same f64 accumulation sequence the
-        // sequential loop performed, regardless of chunk scheduling.
+        nearest_centroids_on(path, points, &centroids, &mut assignments, &mut best_dists);
+        // Reduce in point order — one fixed f64 accumulation sequence.
         let mut new_inertia = 0.0f64;
         for &bd in &best_dists {
             new_inertia += f64::from(bd);

@@ -36,7 +36,6 @@ pub mod fleet;
 pub mod ivf;
 pub mod kmeans;
 pub mod linalg;
-pub(crate) mod par;
 pub mod pca;
 pub mod pipeline;
 pub mod pq;

@@ -82,68 +82,28 @@ impl Matrix {
     }
 }
 
-/// `C = A x B^T` — blocked for cache reuse and parallelized over row
-/// chunks. `A` is `m x k`, `B` is `n x k` (both row-major), result is
-/// `m x n`. Taking `B` row-major with rows as the *right* operand's columns
-/// is an explicitly transposed layout: the inner loop walks two contiguous
-/// rows, which matches how the centroid matrix is stored "in columnar
-/// fashion" in the paper.
+/// `C = A x B^T` — blocked for cache reuse. `A` is `m x k`, `B` is
+/// `n x k` (both row-major), result is `m x n`. Taking `B` row-major with
+/// rows as the *right* operand's columns is an explicitly transposed
+/// layout: the inner loop walks two contiguous rows, which matches how the
+/// centroid matrix is stored "in columnar fashion" in the paper.
 ///
-/// Large products fan out across threads in fixed 64-row chunks (see
-/// [`crate::par`]); every output element is accumulated in the same
-/// `t`-ordered lane model on either path — and on either kernel tier,
-/// scalar or explicit SIMD (see [`crate::simd`]) — so the result is
-/// byte-identical at any worker count and on any host.
+/// Every output element is accumulated in the same `t`-ordered lane model
+/// on either kernel tier, scalar or explicit SIMD (see [`crate::simd`]),
+/// so the result is byte-identical on any host.
 ///
 /// # Panics
 ///
 /// Panics if the inner dimensions disagree.
 #[must_use]
 pub fn gemm_nt(a: &Matrix, b: &Matrix) -> Matrix {
-    gemm_nt_jobs(a, b, gemm_fanout_jobs(a.rows, b.rows, a.cols))
-}
-
-/// Worker count for an `m x k` by `n x k` product: fan out only when the
-/// product is worth a thread spawn and there is more than one chunk of
-/// output rows to hand out. The FLOP estimate saturates — adversarial
-/// huge-dimension [`Matrix`] shapes (degenerate zero-column matrices can
-/// carry arbitrarily large row counts) must not overflow the gate.
-#[doc(hidden)]
-#[must_use]
-pub fn gemm_fanout_jobs(m: usize, n: usize, k: usize) -> usize {
-    let flops = m.saturating_mul(n).saturating_mul(k);
-    if m > crate::par::CHUNK_ROWS && flops >= 1 << 20 {
-        crate::par::kernel_jobs()
-    } else {
-        1
-    }
-}
-
-/// [`gemm_nt`] with an explicit worker count, bypassing the size gate.
-/// Exposed (hidden) so the determinism suite can prove the parallel and
-/// sequential paths produce bit-identical output.
-#[doc(hidden)]
-#[must_use]
-pub fn gemm_nt_jobs(a: &Matrix, b: &Matrix, jobs: usize) -> Matrix {
     assert_eq!(
         a.cols, b.cols,
         "gemm_nt: inner dimensions {} vs {}",
         a.cols, b.cols
     );
     let mut c = Matrix::zeros(a.rows, b.rows);
-    let n = b.rows;
-    if a.rows == 0 || n == 0 {
-        return c;
-    }
-    let chunks: Vec<(usize, &mut [f32])> = c
-        .data
-        .chunks_mut(crate::par::CHUNK_ROWS * n)
-        .enumerate()
-        .map(|(ch, slice)| (ch * crate::par::CHUNK_ROWS, slice))
-        .collect();
-    crate::par::run_items(chunks, jobs, |(row0, out)| {
-        gemm_nt_rows(a, b, row0, out);
-    });
+    gemm_nt_rows_on(crate::simd::active(), a, b, &mut c.data);
     c
 }
 
@@ -212,38 +172,30 @@ pub(crate) fn dot8_scalar(a: &[f32], b: &[f32]) -> f32 {
     reduce(acc)
 }
 
-/// Computes rows `row0 ..` of `C = A x B^T` into `out` (a contiguous
-/// row-major slice of whole rows).
+/// The body of [`gemm_nt`] on an explicit kernel tier, writing the
+/// `a.rows() x b.rows()` product into `out`. Exposed (hidden) so the
+/// determinism suite can prove every available
+/// [`SimdPath`](crate::simd::SimdPath) produces bit-identical output
+/// without racing on the process-wide dispatch override.
 ///
 /// The inner kernel is register-blocked 4 columns x 8 lanes: four rows of
 /// `B` are packed into one contiguous panel (reused across the whole
 /// i-loop, so it stays cache-hot), and each `A` row accumulates into four
 /// independent 8-lane accumulators. Per output element the accumulation
 /// order is exactly [`dot8`]'s — lane `l` sums `t ≡ l (mod 8)` in order,
-/// then the fixed [`reduce`] tree — so the 4-wide kernel, the remainder
-/// columns (plain `dot8`) and any row-chunking all produce bit-identical
-/// results.
-pub(crate) fn gemm_nt_rows(a: &Matrix, b: &Matrix, row0: usize, out: &mut [f32]) {
-    gemm_nt_rows_on(crate::simd::active(), a, b, row0, out);
-}
-
-/// [`gemm_nt_rows`] with an explicit kernel tier, bypassing the dispatch
-/// cache. Exposed (hidden) so the determinism suite can prove every
-/// available [`SimdPath`](crate::simd::SimdPath) produces bit-identical
-/// output without racing on the process-wide dispatch override.
+/// then the fixed [`reduce`] tree — so the 4-wide kernel and the remainder
+/// columns (plain `dot8`) produce bit-identical results.
+///
+/// # Panics
+///
+/// Panics if `out` does not hold exactly `a.rows() x b.rows()` elements.
 #[doc(hidden)]
-pub fn gemm_nt_rows_on(
-    path: crate::simd::SimdPath,
-    a: &Matrix,
-    b: &Matrix,
-    row0: usize,
-    out: &mut [f32],
-) {
+pub fn gemm_nt_rows_on(path: crate::simd::SimdPath, a: &Matrix, b: &Matrix, out: &mut [f32]) {
     let n = b.rows;
     let k = a.cols;
-    let rows = out.len() / n;
+    assert_eq!(out.len(), a.rows * n, "gemm_nt_rows_on: output size");
     // Packed B panel: COLS rows of B, contiguous. One allocation per
-    // chunk, reused across every (i, j0) iteration.
+    // call, reused across every (i, j0) iteration.
     let mut panel = vec![0.0f32; COLS * k];
     for j0 in (0..n).step_by(COLS) {
         if n - j0 >= COLS {
@@ -253,8 +205,8 @@ pub fn gemm_nt_rows_on(
             let (b0, rest) = panel.split_at(k);
             let (b1, rest) = rest.split_at(k);
             let (b2, b3) = rest.split_at(k);
-            for i in 0..rows {
-                let ar = a.row(row0 + i);
+            for i in 0..a.rows {
+                let ar = a.row(i);
                 let vals = crate::simd::kernel4_on(path, ar, b0, b1, b2, b3);
                 out[i * n + j0..i * n + j0 + COLS].copy_from_slice(&vals);
             }
@@ -262,8 +214,8 @@ pub fn gemm_nt_rows_on(
             // Remainder columns: same order via the one-row dot kernel.
             for j in j0..n {
                 let br = b.row(j);
-                for i in 0..rows {
-                    out[i * n + j] = crate::simd::dot8_on(path, a.row(row0 + i), br);
+                for i in 0..a.rows {
+                    out[i * n + j] = crate::simd::dot8_on(path, a.row(i), br);
                 }
             }
         }
@@ -396,13 +348,12 @@ pub(crate) fn nearest_lanes_scalar(
 /// assignment step: writes each row's nearest centroid index into `best`
 /// and its decomposed squared distance into `best_d`.
 ///
-/// Rows fan out over `jobs` workers in fixed 64-row chunks (see
-/// [`crate::par`]) and go through the kernel eight at a time, transposed
-/// into one points-as-lanes panel; no `rows x k` dot-product buffer is
-/// ever materialized. Per row the result is bitwise the one-point scan
-/// `norm_sq(p) + norm_sq(c) - 2.0 * dot8(p, c)` in centroid order with a
-/// strict `<`, whatever the tier, chunk or worker count. Exposed (hidden)
-/// so the determinism suite can hold it to that reference.
+/// Rows go through the kernel eight at a time, transposed into one
+/// points-as-lanes panel that every block reuses; no `rows x k`
+/// dot-product buffer is ever materialized. Per row the result is bitwise
+/// the one-point scan `norm_sq(p) + norm_sq(c) - 2.0 * dot8(p, c)` in
+/// centroid order with a strict `<`, whatever the tier or block. Exposed
+/// (hidden) so the determinism suite can hold it to that reference.
 ///
 /// # Panics
 ///
@@ -412,7 +363,6 @@ pub fn nearest_centroids_on(
     path: crate::simd::SimdPath,
     points: &Matrix,
     centroids: &Matrix,
-    jobs: usize,
     best: &mut [usize],
     best_d: &mut [f32],
 ) {
@@ -424,26 +374,18 @@ pub fn nearest_centroids_on(
     let c_norms: Vec<f32> = (0..centroids.rows)
         .map(|c| norm_sq(centroids.row(c)))
         .collect();
-    let chunks: Vec<(usize, &mut [usize], &mut [f32])> = best
-        .chunks_mut(crate::par::CHUNK_ROWS)
-        .zip(best_d.chunks_mut(crate::par::CHUNK_ROWS))
+    let mut panel = vec![0.0f32; LANES * points.cols];
+    for (b, (idx, dist)) in best
+        .chunks_mut(LANES)
+        .zip(best_d.chunks_mut(LANES))
         .enumerate()
-        .map(|(ch, (idx, dist))| (ch * crate::par::CHUNK_ROWS, idx, dist))
-        .collect();
-    crate::par::run_items(chunks, jobs, |(row0, best, best_d)| {
-        let mut panel = vec![0.0f32; LANES * points.cols];
-        for (b, (idx, dist)) in best
-            .chunks_mut(LANES)
-            .zip(best_d.chunks_mut(LANES))
-            .enumerate()
-        {
-            pack_lanes(block_rows(points, row0 + b * LANES, idx.len()), &mut panel);
-            let (lane_idx, lane_dist) =
-                crate::simd::nearest_lanes_on(path, &panel, &centroids.data, &c_norms);
-            idx.copy_from_slice(&lane_idx[..idx.len()]);
-            dist.copy_from_slice(&lane_dist[..dist.len()]);
-        }
-    });
+    {
+        pack_lanes(block_rows(points, b * LANES, idx.len()), &mut panel);
+        let (lane_idx, lane_dist) =
+            crate::simd::nearest_lanes_on(path, &panel, &centroids.data, &c_norms);
+        idx.copy_from_slice(&lane_idx[..idx.len()]);
+        dist.copy_from_slice(&lane_dist[..dist.len()]);
+    }
 }
 
 /// The value `Iterator::sum` folds an `f32` sum from (`-0.0`): the
@@ -669,6 +611,17 @@ mod tests {
     }
 
     #[test]
+    fn zero_width_products_are_zero() {
+        // Zero-column operands are legal `Matrix` values: every dot
+        // product is empty, at any row count.
+        let a = Matrix::zeros(300, 0);
+        let b = Matrix::zeros(7, 0);
+        let c = gemm_nt(&a, &b);
+        assert_eq!((c.rows(), c.cols()), (300, 7));
+        assert!(c.as_slice().iter().all(|&x| x.to_bits() == 0));
+    }
+
+    #[test]
     fn self_distance_is_exactly_zero_in_decomposed_form() {
         // norm_sq and the GEMM kernel share one accumulation order, so
         // ||p||^2 + ||p||^2 - 2<p,p> cancels exactly — no epsilon.
@@ -687,23 +640,24 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "shape mismatch")]
-    fn bad_shape_rejected() {
-        let _ = Matrix::from_vec(2, 3, vec![0.0; 5]);
+    #[should_panic(expected = "inner dimensions")]
+    fn gemm_rejects_mismatched_inner_dimensions() {
+        let _ = gemm_nt(&Matrix::zeros(2, 3), &Matrix::zeros(2, 4));
     }
 
     #[test]
-    fn fanout_gate_survives_adversarial_shapes() {
-        // Regression: the FLOP estimate used to be `m * n * k`, which
-        // overflows (debug panic, release wrap) on degenerate shapes like
-        // zero-column matrices with astronomically many rows — legal
-        // `Matrix` values, since `rows * cols` still equals `data.len()`.
-        let jobs = gemm_fanout_jobs(usize::MAX, usize::MAX, usize::MAX);
-        assert!(jobs >= 1, "saturated estimate must still pick a job count");
-        // A zero-FLOP product never fans out, no matter the row counts...
-        assert_eq!(gemm_fanout_jobs(usize::MAX, usize::MAX, 0), 1);
-        // ...and neither does a single-row output, however wide.
-        assert_eq!(gemm_fanout_jobs(1, usize::MAX, usize::MAX), 1);
+    #[should_panic(expected = "one output per row")]
+    fn assignment_rejects_short_outputs() {
+        let points = Matrix::zeros(9, 2);
+        let (mut best, mut best_d) = (vec![0; 8], vec![0.0; 9]);
+        let path = crate::simd::SimdPath::Scalar;
+        nearest_centroids_on(path, &points, &Matrix::zeros(1, 2), &mut best, &mut best_d);
+    }
+
+    #[test]
+    #[should_panic(expected = "shape mismatch")]
+    fn bad_shape_rejected() {
+        let _ = Matrix::from_vec(2, 3, vec![0.0; 5]);
     }
 
     proptest! {

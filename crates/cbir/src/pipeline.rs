@@ -134,12 +134,6 @@ impl CbirPipeline {
         CbirPipeline { workload, mapping }
     }
 
-    /// The paper's optimized deployment of the paper's workload.
-    #[must_use]
-    pub fn paper_proper() -> Self {
-        Self::new(CbirWorkload::paper_setup(), CbirMapping::Proper)
-    }
-
     /// The workload.
     #[must_use]
     pub fn workload(&self) -> &CbirWorkload {

@@ -113,14 +113,6 @@ impl MachineBlueprint {
         next
     }
 
-    /// A copy with different energy presets.
-    #[must_use]
-    pub fn with_presets(mut self, presets: EnergyPresets) -> Self {
-        self.presets = presets;
-        self.fingerprint = Arc::default();
-        self
-    }
-
     /// The machine configuration this blueprint builds.
     #[must_use]
     pub fn config(&self) -> &SystemConfig {
@@ -232,17 +224,6 @@ mod tests {
         let same = base.map_config(|_| {});
         assert!(same.fingerprint.get().is_none());
         assert_eq!(same.fingerprint(), base_fp);
-
-        let mut presets = EnergyPresets::paper_table4();
-        presets.accel_idle_fraction *= 2.0;
-        let hot = base.clone().with_presets(presets);
-        assert!(
-            hot.fingerprint.get().is_none(),
-            "with_presets kept the memo"
-        );
-        assert_ne!(hot.fingerprint(), base_fp);
-        assert_eq!(hot.fingerprint(), reference_fingerprint(&hot));
-        assert_eq!(base.fingerprint(), base_fp, "the base memo moved");
     }
 
     #[test]

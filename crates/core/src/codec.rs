@@ -251,7 +251,9 @@ pub fn encode_report(report: &RunReport) -> Vec<u8> {
 ///
 /// Never panics: corrupt or truncated input (including input that would
 /// violate an invariant of the reconstructed types) yields a
-/// [`CodecError`].
+/// [`CodecError`]. Whatever decodes is canonical — it re-encodes to the
+/// input bytes — so out-of-order or repeated energy cells and metrics are
+/// errors too, not silently merged.
 pub fn decode_report(bytes: &[u8]) -> Result<RunReport, CodecError> {
     let mut r = Reader::new(bytes);
     let version = r.u32()?;
@@ -282,8 +284,12 @@ pub fn decode_report(bytes: &[u8]) -> Result<RunReport, CodecError> {
         });
     }
 
+    // Cells arrive in the ledger's own (component, stage) order, each
+    // once, and a cell never holds -0.0: anything else would decode to a
+    // report that re-encodes to different bytes.
     let n_cells = r.seq_len(1 + 8 + 8)?;
     let mut ledger = EnergyLedger::new();
+    let mut prev_cell: Option<(u8, String)> = None;
     for _ in 0..n_cells {
         let idx = r.u8()?;
         let component = *SystemComponent::ALL
@@ -291,10 +297,15 @@ pub fn decode_report(bytes: &[u8]) -> Result<RunReport, CodecError> {
             .ok_or(CodecError::BadTag(idx))?;
         let stage = r.str()?;
         let joules = r.f64_bits()?;
-        if !(joules.is_finite() && joules >= 0.0) {
+        if !(joules.is_finite() && joules.is_sign_positive()) {
             return Err(CodecError::Invalid("non-finite or negative energy"));
         }
         ledger.add(component, &stage, joules);
+        let cell = (idx, stage);
+        if prev_cell.as_ref().is_some_and(|prev| *prev >= cell) {
+            return Err(CodecError::Invalid("energy cells out of order"));
+        }
+        prev_cell = Some(cell);
     }
 
     let gam = GamStats {
@@ -317,8 +328,13 @@ pub fn decode_report(bytes: &[u8]) -> Result<RunReport, CodecError> {
     let horizon_ps = r.u64()?;
     let mut metrics = MetricsSnapshot::new(horizon_ps);
     let n_metrics = r.seq_len(8 + 1 + 8)?;
+    let mut prev_name: Option<String> = None;
     for _ in 0..n_metrics {
         let name = r.str()?;
+        // Names arrive sorted and unique, as the snapshot iterates them.
+        if prev_name.as_ref().is_some_and(|prev| *prev >= name) {
+            return Err(CodecError::Invalid("metrics out of order"));
+        }
         let value = match r.u8()? {
             METRIC_COUNTER => MetricValue::Counter { value: r.u64()? },
             METRIC_GAUGE => MetricValue::Gauge {
@@ -338,6 +354,7 @@ pub fn decode_report(bytes: &[u8]) -> Result<RunReport, CodecError> {
             tag => return Err(CodecError::BadTag(tag)),
         };
         metrics.set(&name, value);
+        prev_name = Some(name);
     }
 
     if r.remaining() != 0 {
@@ -588,6 +605,61 @@ mod tests {
             decode_report(&corrupt).unwrap_err(),
             CodecError::Invalid("non-finite or negative energy")
         );
+    }
+
+    /// Payloads the ledger or the metrics snapshot would re-sort, merge or
+    /// normalize decode to errors: whatever decodes re-encodes to its
+    /// input bytes.
+    #[test]
+    fn non_canonical_payloads_are_rejected() {
+        let payload = |cells: &[(u8, &str, f64)], metrics: &[&str]| {
+            let mut out = Vec::new();
+            put_u32(&mut out, REPORT_CODEC_VERSION);
+            for _ in 0..5 {
+                put_u64(&mut out, 0); // makespan, jobs, two latencies, stages
+            }
+            put_u64(&mut out, cells.len() as u64);
+            for &(c, stage, joules) in cells {
+                put_u8(&mut out, c);
+                put_str(&mut out, stage);
+                put_f64_bits(&mut out, joules);
+            }
+            for _ in 0..10 {
+                put_u64(&mut out, 0); // GAM counters, completions, horizon
+            }
+            put_u64(&mut out, metrics.len() as u64);
+            for name in metrics {
+                put_str(&mut out, name);
+                put_u8(&mut out, METRIC_COUNTER);
+                put_u64(&mut out, 1);
+            }
+            out
+        };
+        let canonical = payload(&[(0, "a", 1.0), (0, "b", 0.0), (1, "a", 2.0)], &["x", "y"]);
+        let report = decode_report(&canonical).expect("canonical payload decodes");
+        assert_eq!(encode_report(&report), canonical);
+        for (bad, why) in [
+            (
+                payload(&[(0, "b", 1.0), (0, "a", 1.0)], &[]),
+                "energy cells out of order",
+            ),
+            (
+                payload(&[(1, "a", 1.0), (0, "a", 1.0)], &[]),
+                "energy cells out of order",
+            ),
+            (
+                payload(&[(0, "a", 1.0), (0, "a", 1.0)], &[]),
+                "energy cells out of order",
+            ),
+            (
+                payload(&[(0, "a", -0.0)], &[]),
+                "non-finite or negative energy",
+            ),
+            (payload(&[], &["y", "x"]), "metrics out of order"),
+            (payload(&[], &["x", "x"]), "metrics out of order"),
+        ] {
+            assert_eq!(decode_report(&bad).unwrap_err(), CodecError::Invalid(why));
+        }
     }
 
     /// A corrupt sequence length can't cause a huge allocation or a panic:

@@ -49,15 +49,6 @@ impl ConfigFingerprint {
         self.0 .0
     }
 
-    /// Rebuilds a fingerprint from its raw 128-bit value — the inverse of
-    /// [`ConfigFingerprint::as_u128`], used when decoding persisted cache
-    /// keys. Not a hashing entry point: values should originate from a
-    /// builder or a previously persisted fingerprint.
-    #[must_use]
-    pub fn from_u128(raw: u128) -> Self {
-        ConfigFingerprint(Fingerprint(raw))
-    }
-
     /// Folds this fingerprint into an outer builder (used when a scenario
     /// fingerprint composes a blueprint digest and a pipeline digest).
     pub fn write_into(self, builder: &mut FingerprintBuilder) {

@@ -204,12 +204,6 @@ impl Gam {
         assert!(prev.is_none(), "Gam: accelerator {acc} registered twice");
     }
 
-    /// Number of registered instances at `level`.
-    #[must_use]
-    pub fn instances_at(&self, level: ComputeLevel) -> usize {
-        self.instances.keys().filter(|a| a.level == level).count()
-    }
-
     /// Current state of a task, if known.
     #[must_use]
     pub fn task_state(&self, task: TaskId) -> Option<TaskState> {

@@ -645,12 +645,6 @@ impl Dimm {
             assert_eq!(f.ready_at, s.ready_at, "{what}: bank {b} ready");
         }
     }
-
-    /// Total time the data bus was occupied (for utilization / energy).
-    #[must_use]
-    pub fn bus_busy_time(&self) -> SimDuration {
-        self.bus.busy_time()
-    }
 }
 
 #[cfg(test)]

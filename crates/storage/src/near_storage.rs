@@ -223,12 +223,6 @@ impl NearStorageDevice {
     pub fn device_link_bytes(&self) -> u64 {
         self.device_link.bytes_transferred()
     }
-
-    /// Occupied time of the private DRAM buffer port.
-    #[must_use]
-    pub fn buffer_busy(&self) -> SimDuration {
-        self.buffer.busy_time()
-    }
 }
 
 #[cfg(test)]

@@ -2,10 +2,20 @@
 //! for *every* workload shape, not just the paper's.
 
 use proptest::prelude::*;
-use reach::{ComputeLevel, MachineBlueprint, TaskWork};
+use reach::fleet::FleetScenario;
+use reach::{
+    encode_report, ComputeLevel, MachineBlueprint, RunReport, Scenario, ScenarioExecutor,
+    ScenarioResult, SystemComponent, TaskWork,
+};
+use reach_bench::diskcache::{DISKCACHE_FILE, DISKCACHE_MAGIC};
+use reach_bench::{DiskCache, ScenarioRunner};
 use reach_gam::JobBuilder;
-use reach_sim::{Bandwidth, BandwidthResource, SerialResource, SimDuration, SimTime};
+use reach_sim::{
+    checksum64, Bandwidth, BandwidthResource, MetricValue, SerialResource, SimDuration, SimTime,
+};
 use std::collections::HashMap;
+use std::path::{Path, PathBuf};
+use std::sync::{Mutex, OnceLock};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -181,4 +191,253 @@ fn full_stack_determinism() {
     assert_eq!(r1.makespan, r2.makespan);
     assert_eq!(r1.ledger.to_string(), r2.ledger.to_string());
     assert_eq!(r1.gam.polls_sent, r2.gam.polls_sent);
+}
+
+/// Records every result of the full suite — scenario results and fleet
+/// aggregates alike — while a [`ScenarioRunner`] does the work.
+struct Recording {
+    inner: ScenarioRunner,
+    results: Mutex<Vec<ScenarioResult>>,
+}
+
+impl Recording {
+    fn keep(&self, results: &[ScenarioResult]) {
+        self.results
+            .lock()
+            .expect("recording poisoned")
+            .extend_from_slice(results);
+    }
+}
+
+impl ScenarioExecutor for Recording {
+    fn run_all(&self, scenarios: Vec<Box<dyn Scenario>>) -> Vec<ScenarioResult> {
+        let results = self.inner.run_all(scenarios);
+        self.keep(&results);
+        results
+    }
+
+    fn run_fleets(&self, fleets: Vec<Box<dyn FleetScenario>>) -> Vec<ScenarioResult> {
+        let results = self.inner.run_fleets(fleets);
+        self.keep(&results);
+        results
+    }
+}
+
+/// Conservation over the whole experiments suite: every result's energy
+/// ledger sums to its total along both axes, and every simulated machine
+/// that exports `gam.jobs_completed` completed exactly the jobs its report
+/// counts.
+#[test]
+fn every_suite_result_conserves_energy_and_jobs() {
+    let recording = Recording {
+        inner: ScenarioRunner::new(2),
+        results: Mutex::new(Vec::new()),
+    };
+    for (_, render) in reach_bench::renderers() {
+        let _ = render(&recording);
+    }
+    let results = recording.results.into_inner().expect("recording poisoned");
+    assert!(results.len() > 100, "only {} results", results.len());
+    let close = |sum: f64, total: f64| (sum - total).abs() <= 1e-9 * total.abs();
+    let mut without_job_counter = Vec::new();
+    for r in &results {
+        let ledger = &r.report.ledger;
+        let total = ledger.total();
+        let by_component: f64 = SystemComponent::ALL
+            .iter()
+            .map(|&c| ledger.component_total(c))
+            .sum();
+        assert!(
+            close(by_component, total),
+            "{}: components sum to {by_component}, total {total}",
+            r.label
+        );
+        let by_stage: f64 = ledger.stages().iter().map(|s| ledger.stage_total(s)).sum();
+        assert!(
+            close(by_stage, total),
+            "{}: stages sum to {by_stage}, total {total}",
+            r.label
+        );
+        match r.report.metrics.get("gam.jobs_completed") {
+            Some(MetricValue::Counter { value }) => assert_eq!(
+                *value, r.report.jobs,
+                "{}: gam.jobs_completed vs report.jobs",
+                r.label
+            ),
+            _ => without_job_counter.push(r.label.as_str()),
+        }
+    }
+    // Fleet aggregates and the recall evaluation simulate no single
+    // machine of their own, so they export no GAM counter; every other
+    // result must.
+    let (fleets, others): (Vec<&str>, Vec<&str>) = without_job_counter
+        .into_iter()
+        .partition(|l| l.starts_with("fleet/"));
+    assert_eq!(fleets.len(), 8, "{fleets:?}");
+    assert_eq!(others, ["extension/recall-vs-compression"]);
+}
+
+/// Stamp every hostile store below is written under.
+const STORE_STAMP: u128 = 7;
+
+/// Three distinct simulated reports (fingerprints 1, 2, 3) for building
+/// valid stores.
+fn store_reports() -> &'static [(u128, RunReport)] {
+    static REPORTS: OnceLock<Vec<(u128, RunReport)>> = OnceLock::new();
+    REPORTS.get_or_init(|| {
+        (1..=3u64)
+            .map(|k| {
+                let mut m = MachineBlueprint::paper().instantiate();
+                let mut job = JobBuilder::new(0);
+                let t = job.task(
+                    "stage",
+                    "VGG16-VU9P",
+                    ComputeLevel::OnChip,
+                    SimDuration::from_ms(k),
+                    vec![],
+                    vec![],
+                    vec![],
+                );
+                let works = HashMap::from([(t, TaskWork::compute(k * 1_000_000_000))]);
+                m.submit(job.build(), works);
+                (u128::from(k), m.run())
+            })
+            .collect()
+    })
+}
+
+/// The bytes of a store holding [`store_reports`], as a flush writes them.
+fn valid_store_bytes(dir: &Path) -> Vec<u8> {
+    let mut cache = DiskCache::open_with_stamp(dir, STORE_STAMP);
+    for (fp, report) in store_reports() {
+        cache.insert(*fp, report);
+    }
+    cache.flush();
+    std::fs::read(cache.path()).expect("store written")
+}
+
+/// Opens a store over `bytes` and looks up every fingerprint in `probes`:
+/// each lookup must miss or return a report that re-encodes to the
+/// payload `probes` expects for it (when one is given).
+fn open_hostile_store(dir: &Path, bytes: &[u8], probes: &[(u128, Option<Vec<u8>>)]) {
+    std::fs::write(dir.join(DISKCACHE_FILE), bytes).expect("write store");
+    let mut cache = DiskCache::open_with_stamp(dir, STORE_STAMP);
+    for (fp, want) in probes {
+        if let Some(report) = cache.get(*fp) {
+            let got = encode_report(&report);
+            assert!(
+                want.as_ref().is_some_and(|w| *w == got),
+                "fingerprint {fp} replayed bytes the store does not hold"
+            );
+        }
+    }
+    cache.flush();
+}
+
+/// A fresh scratch directory per test thread, emptied by [`Drop`].
+struct HostileDir(PathBuf);
+
+impl HostileDir {
+    fn new(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!(
+            "reach-hostile-store-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        HostileDir(dir)
+    }
+}
+
+impl Drop for HostileDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A store file of random bytes — bare, or behind this build's valid
+    /// header — opens without a panic and answers nothing.
+    #[test]
+    fn random_store_bytes_never_panic(
+        raw in proptest::collection::vec(any::<u8>(), 0..600),
+        with_header in any::<bool>(),
+    ) {
+        let dir = HostileDir::new("random");
+        let mut bytes = Vec::new();
+        if with_header {
+            bytes.extend_from_slice(DISKCACHE_MAGIC);
+            bytes.extend_from_slice(&STORE_STAMP.to_le_bytes());
+        }
+        bytes.extend_from_slice(&raw);
+        let probes: Vec<(u128, Option<Vec<u8>>)> = (0..4).map(|fp| (fp, None)).collect();
+        open_hostile_store(&dir.0, &bytes, &probes);
+    }
+
+    /// A valid store cut at any length, with or without one flipped byte,
+    /// opens without a panic; every lookup misses or replays exactly the
+    /// report that was stored.
+    #[test]
+    fn truncated_or_flipped_stores_replay_only_what_was_stored(
+        keep in 0.0f64..1.0,
+        flip in 0.0f64..1.0,
+        do_flip in any::<bool>(),
+        mask in 1u8..255,
+    ) {
+        let dir = HostileDir::new("truncated");
+        let mut bytes = valid_store_bytes(&dir.0);
+        bytes.truncate((bytes.len() as f64 * keep) as usize);
+        if do_flip && !bytes.is_empty() {
+            let at = ((bytes.len() as f64 * flip) as usize).min(bytes.len() - 1);
+            bytes[at] ^= mask;
+        }
+        let probes: Vec<(u128, Option<Vec<u8>>)> = store_reports()
+            .iter()
+            .map(|(fp, report)| (*fp, Some(encode_report(report))))
+            .chain([(4, None)])
+            .collect();
+        open_hostile_store(&dir.0, &bytes, &probes);
+    }
+
+    /// A record whose payload was altered and re-checksummed — so the
+    /// store's framing accepts it and only the report codec stands in
+    /// the way — either misses or replays a report that re-encodes to
+    /// exactly the altered payload.
+    #[test]
+    fn rechecksummed_payload_edits_replay_canonically(
+        record in 0usize..3,
+        at in 0.0f64..1.0,
+        mask in 1u8..255,
+    ) {
+        let dir = HostileDir::new("rechecksummed");
+        let mut bytes = valid_store_bytes(&dir.0);
+        // Walk the frames `[len u32][checksum u64][fp u128][report]`.
+        let mut pos = DISKCACHE_MAGIC.len() + 16;
+        for _ in 0..record {
+            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+            pos += 12 + len;
+        }
+        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+        let report = pos + 12 + 16..pos + 12 + len;
+        let edit = report.start + ((report.len() as f64 * at) as usize).min(report.len() - 1);
+        bytes[edit] ^= mask;
+        let checksum = checksum64(&bytes[pos + 12..pos + 12 + len]);
+        bytes[pos + 4..pos + 12].copy_from_slice(&checksum.to_le_bytes());
+        let probes: Vec<(u128, Option<Vec<u8>>)> = store_reports()
+            .iter()
+            .enumerate()
+            .map(|(i, (fp, r))| {
+                let stored = if i == record {
+                    bytes[report.clone()].to_vec()
+                } else {
+                    encode_report(r)
+                };
+                (*fp, Some(stored))
+            })
+            .collect();
+        open_hostile_store(&dir.0, &bytes, &probes);
+    }
 }

@@ -310,17 +310,11 @@ mod simd_bitwise {
             .unzip()
     }
 
-    /// The fused assignment on tier `path` with `jobs` workers, as
-    /// `(indices, distances)`.
-    fn nearest_on(
-        path: SimdPath,
-        points: &Matrix,
-        centroids: &Matrix,
-        jobs: usize,
-    ) -> (Vec<usize>, Vec<f32>) {
+    /// The fused assignment on tier `path`, as `(indices, distances)`.
+    fn nearest_on(path: SimdPath, points: &Matrix, centroids: &Matrix) -> (Vec<usize>, Vec<f32>) {
         let mut idx = vec![0usize; points.rows()];
         let mut dist = vec![0.0f32; points.rows()];
-        nearest_centroids_on(path, points, centroids, jobs, &mut idx, &mut dist);
+        nearest_centroids_on(path, points, centroids, &mut idx, &mut dist);
         (idx, dist)
     }
 
@@ -338,7 +332,7 @@ mod simd_bitwise {
         let want = nearest_reference(&points, &centroids);
         assert!(want.0.iter().all(|&c| c == 0 || c == 2));
         for p in all_paths() {
-            let (idx, dist) = nearest_on(p, &points, &centroids, 1);
+            let (idx, dist) = nearest_on(p, &points, &centroids);
             assert_eq!(idx, want.0, "tie order diverged on {}", p.name());
             let bits: Vec<u32> = dist.iter().map(|v| v.to_bits()).collect();
             assert_eq!(bits, want.1, "tie distances diverged on {}", p.name());
@@ -511,10 +505,10 @@ mod simd_bitwise {
             let a = Matrix::from_vec(m, k, adversarial(m * k, salt));
             let b = Matrix::from_vec(n, k, adversarial(n * k, salt + 1));
             let mut want = vec![0.0f32; m * n];
-            gemm_nt_rows_on(SimdPath::Scalar, &a, &b, 0, &mut want);
+            gemm_nt_rows_on(SimdPath::Scalar, &a, &b, &mut want);
             for p in explicit_paths() {
                 let mut got = vec![0.0f32; m * n];
-                gemm_nt_rows_on(p, &a, &b, 0, &mut got);
+                gemm_nt_rows_on(p, &a, &b, &mut got);
                 prop_assert_eq!(
                     got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -528,7 +522,7 @@ mod simd_bitwise {
 
         /// The fused points-as-lanes assignment against its one-point
         /// reference on every tier: point counts straddling the 8-point
-        /// blocks and 64-row chunks, every dimension residue, centroid
+        /// blocks, every dimension residue, centroid
         /// counts past 64, and payloads that are adversarial, tie-heavy
         /// or ordinary. Index and distance bits must both match.
         #[test]
@@ -536,7 +530,6 @@ mod simd_bitwise {
             n in 1usize..140,
             d in 1usize..40,
             k in 1usize..70,
-            jobs in 1usize..4,
             mode in 0u8..3,
             salt in 0usize..1000,
         ) {
@@ -544,7 +537,7 @@ mod simd_bitwise {
             let centroids = Matrix::from_vec(k, d, lane_fill(k * d, salt + 1, mode));
             let want = nearest_reference(&points, &centroids);
             for p in all_paths() {
-                let (idx, dist) = nearest_on(p, &points, &centroids, jobs);
+                let (idx, dist) = nearest_on(p, &points, &centroids);
                 prop_assert_eq!(&idx, &want.0, "indices diverged on {}", p.name());
                 let bits: Vec<u32> = dist.iter().map(|v| v.to_bits()).collect();
                 prop_assert_eq!(&bits, &want.1, "distances diverged on {}", p.name());
@@ -665,90 +658,28 @@ mod simd_bitwise {
     }
 }
 
-mod kernel_chunking {
-    //! Parallel kernels must be *bit-for-bit* equal to their sequential
-    //! form at any worker count — the engine-level determinism contract
-    //! rests on it.
+mod lane_model {
+    //! `gemm_nt` must be *bit-for-bit* equal to a scalar model of the
+    //! crate's one accumulation order — the engine-level determinism
+    //! contract rests on it.
 
     use proptest::prelude::*;
-    use reach_cbir::kmeans::kmeans_jobs;
-    use reach_cbir::linalg::{gemm_nt_jobs, Matrix};
-    use reach_sim::rng::seeded;
+    use reach_cbir::linalg::{gemm_nt, Matrix};
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
-        /// GEMM row-chunking: sequential vs many workers, exact equality
-        /// on shapes that straddle chunk boundaries.
-        #[test]
-        fn gemm_parallel_matches_sequential_bitwise(
-            m in 1usize..200,
-            n in 1usize..40,
-            k in 1usize..24,
-            jobs in 2usize..9,
-            seedling in 0u64..1000,
-        ) {
-            let fill = |len: usize, salt: u64| -> Vec<f32> {
-                (0..len)
-                    .map(|i| {
-                        let x = (i as u64).wrapping_mul(2_654_435_761).wrapping_add(salt * 7919);
-                        ((x % 2003) as f32 - 1001.0) / 97.0
-                    })
-                    .collect()
-            };
-            let a = Matrix::from_vec(m, k, fill(m * k, seedling));
-            let b = Matrix::from_vec(n, k, fill(n * k, seedling + 1));
-            let seq = gemm_nt_jobs(&a, &b, 1);
-            let par = gemm_nt_jobs(&a, &b, jobs);
-            prop_assert_eq!(
-                seq.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                par.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
-        }
-
-        /// K-means assignment chunking: the full clustering (assignments,
-        /// centroids, inertia) is identical at any worker count.
-        #[test]
-        fn kmeans_parallel_matches_sequential_bitwise(
-            n in 8usize..300,
-            d in 1usize..40,
-            k_frac in 1usize..8,
-            jobs in 2usize..9,
-            seedling in 0u64..1000,
-        ) {
-            let k = (n / k_frac).max(1);
-            let pts = Matrix::from_vec(
-                n,
-                d,
-                (0..n * d)
-                    .map(|i| {
-                        let x = (i as u64).wrapping_mul(0x9E37_79B9).wrapping_add(seedling);
-                        ((x % 4001) as f32 - 2000.0) / 131.0
-                    })
-                    .collect(),
-            );
-            let seq = kmeans_jobs(&pts, k, 10, &mut seeded(seedling), 1);
-            let par = kmeans_jobs(&pts, k, 10, &mut seeded(seedling), jobs);
-            prop_assert_eq!(&seq.assignments, &par.assignments);
-            prop_assert_eq!(
-                seq.centroids.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                par.centroids.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
-            prop_assert_eq!(seq.inertia.to_bits(), par.inertia.to_bits());
-            prop_assert_eq!(seq.iterations, par.iterations);
-        }
-
         /// The register-blocked micro-kernel agrees bit-for-bit with a
         /// scalar model of its accumulation contract: lane `l` of an
         /// 8-lane accumulator sums products at `t ≡ l (mod 8)` in order,
-        /// then the lanes fold pairwise. Wide (4-column) blocks, the
-        /// remainder-column path and every chunking must all match it.
+        /// then the lanes fold pairwise. Wide (4-column) blocks and the
+        /// remainder-column path must both match it, over one pass of up
+        /// to 199 rows.
         #[test]
         fn micro_kernel_matches_lane_model_bitwise(
-            m in 1usize..40,
+            m in 1usize..200,
             n in 1usize..24,
             k in 1usize..40,
-            jobs in 1usize..9,
             seedling in 0u64..1000,
         ) {
             let fill = |len: usize, salt: u64| -> Vec<f32> {
@@ -761,7 +692,7 @@ mod kernel_chunking {
             };
             let a = Matrix::from_vec(m, k, fill(m * k, seedling));
             let b = Matrix::from_vec(n, k, fill(n * k, seedling + 1));
-            let got = gemm_nt_jobs(&a, &b, jobs);
+            let got = gemm_nt(&a, &b);
             for i in 0..m {
                 for j in 0..n {
                     let mut lanes = [0.0f32; 8];
@@ -779,39 +710,6 @@ mod kernel_chunking {
                         "({}, {}): {} vs {}", i, j, got.row(i)[j], want);
                 }
             }
-        }
-
-        /// Decomposed batch distances (GEMM + broadcast norms) are
-        /// bit-identical at any worker count — the short-list stage's
-        /// output cannot depend on REACH_KERNEL_JOBS.
-        #[test]
-        fn batch_dist_parallel_matches_sequential_bitwise(
-            nq in 1usize..150,
-            np in 1usize..40,
-            d in 1usize..24,
-            seedling in 0u64..1000,
-        ) {
-            let fill = |len: usize, salt: u64| -> Vec<f32> {
-                (0..len)
-                    .map(|i| {
-                        let x = (i as u64).wrapping_mul(2_654_435_761).wrapping_add(salt);
-                        ((x % 2003) as f32 - 1001.0) / 97.0
-                    })
-                    .collect()
-            };
-            let q = Matrix::from_vec(nq, d, fill(nq * d, seedling));
-            let p = Matrix::from_vec(np, d, fill(np * d, seedling + 1));
-            // batch_dist_sq reads REACH_KERNEL_JOBS via gemm_nt; emulate
-            // both paths through the explicit-jobs entry point instead of
-            // mutating the environment.
-            let dots_seq = gemm_nt_jobs(&q, &p, 1);
-            let dots_par = gemm_nt_jobs(&q, &p, 7);
-            prop_assert_eq!(
-                dots_seq.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                dots_par.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
-            let direct = reach_cbir::linalg::batch_dist_sq(&q, &p);
-            prop_assert_eq!((direct.rows(), direct.cols()), (nq, np));
         }
     }
 }
