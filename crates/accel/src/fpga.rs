@@ -160,4 +160,27 @@ mod tests {
         assert_eq!(util.to_string(), "(ff 10%, lut 10%, dsp 10%, bram 22%)");
         assert_eq!(FpgaPart::vu9p().to_string(), "XCVU9P");
     }
+
+    #[test]
+    fn full_utilization_still_fits() {
+        let util = Utilization::new(100, 100, 100, 100);
+        assert_eq!(util.peak(), 100);
+        assert!(FpgaPart::zu9eg().fits(util));
+        // Hand-built vectors past 100% do not.
+        let over = Utilization {
+            ff: 0,
+            lut: 0,
+            dsp: 101,
+            bram: 0,
+        };
+        assert!(!FpgaPart::zu9eg().fits(over));
+    }
+
+    #[test]
+    fn dsp_used_rounds_down() {
+        // 2,520 x 38% = 957.6 slices: a partial slice is not usable.
+        let util = Utilization::new(0, 0, 38, 0);
+        assert_eq!(FpgaPart::zu9eg().dsp_used(util), 957);
+        assert_eq!(FpgaPart::zu9eg().dsp_used(Utilization::new(0, 0, 0, 0)), 0);
+    }
 }

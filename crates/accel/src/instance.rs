@@ -234,4 +234,53 @@ mod tests {
         acc.load(SimTime::ZERO, *reg.get("VGG16-VU9P").unwrap());
         assert!((acc.active_power_w() - 25.0).abs() < 1e-9);
     }
+
+    #[test]
+    fn new_slot_is_idle_and_unconfigured() {
+        let acc = slot(ComputeLevel::NearMemory);
+        assert_eq!(
+            acc.id(),
+            AcceleratorId {
+                level: ComputeLevel::NearMemory,
+                index: 0
+            }
+        );
+        assert!(acc.loaded().is_none());
+        assert_eq!(acc.free_at(), SimTime::ZERO);
+        assert_eq!(acc.busy_time(), SimDuration::ZERO);
+        assert_eq!(*acc.stats(), AcceleratorStats::default());
+    }
+
+    #[test]
+    fn swap_waits_for_the_running_task() {
+        let reg = TemplateRegistry::paper_table3();
+        let mut acc = slot(ComputeLevel::OnChip);
+        let t0 = acc.load(SimTime::ZERO, *reg.get("KNN-VU9P").unwrap());
+        let task = acc.run(t0, SimDuration::from_ms(2));
+        // Reloading the resident kernel returns when the slot frees up.
+        assert_eq!(
+            acc.load(SimTime::ZERO, *reg.get("KNN-VU9P").unwrap()),
+            task.ready
+        );
+        // Swapping in a different one reconfigures after the task.
+        let swapped = acc.load(SimTime::ZERO, *reg.get("GEMM-VU9P").unwrap());
+        assert_eq!(swapped, task.ready + SimDuration::from_us(500));
+    }
+
+    #[test]
+    fn zero_reconfiguration_delay_is_free_but_counted() {
+        let reg = TemplateRegistry::paper_table3();
+        let mut acc = Accelerator::new(
+            AcceleratorId {
+                level: ComputeLevel::OnChip,
+                index: 0,
+            },
+            SimDuration::ZERO,
+        );
+        let now = SimTime::ZERO + SimDuration::from_us(7);
+        assert_eq!(acc.load(now, *reg.get("VGG16-VU9P").unwrap()), now);
+        assert_eq!(acc.load(now, *reg.get("GEMM-VU9P").unwrap()), now);
+        assert_eq!(acc.stats().reconfigurations, 2);
+        assert_eq!(acc.busy_time(), SimDuration::ZERO);
+    }
 }

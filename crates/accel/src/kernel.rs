@@ -244,4 +244,51 @@ mod tests {
         let s = vu9p_cnn().to_string();
         assert!(s.contains("VGG16-VU9P") && s.contains("273MHz") && s.contains("25"));
     }
+
+    #[test]
+    fn unbounded_datapath_leaves_the_mac_bound() {
+        let k = vu9p_cnn();
+        assert_eq!(k.io_rate_bytes_per_sec(), None);
+        assert_eq!(k.consume_bytes_per_sec(4.0), k.macs_per_sec() / 4.0);
+    }
+
+    #[test]
+    fn narrow_datapath_caps_the_consume_rate() {
+        let k = KernelSpec {
+            io_bytes_per_cycle: 8.0,
+            ..zu9_cnn()
+        };
+        // 8 B/cycle at 200 MHz.
+        let io = k.io_rate_bytes_per_sec().unwrap();
+        assert_eq!(io, 1.6e9);
+        // Low intensity: the datapath binds. High intensity: the MACs do.
+        assert_eq!(k.consume_bytes_per_sec(1e-3), io);
+        let heavy = 1e6;
+        assert_eq!(k.consume_bytes_per_sec(heavy), k.macs_per_sec() / heavy);
+    }
+
+    #[test]
+    #[should_panic(expected = "arithmetic intensity must be positive")]
+    fn zero_intensity_rejected() {
+        let _ = vu9p_cnn().consume_bytes_per_sec(0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "has no DSP fabric")]
+    fn kernel_without_dsps_cannot_be_timed() {
+        let k = KernelSpec {
+            utilization: Utilization::new(10, 10, 0, 10),
+            ..vu9p_cnn()
+        };
+        let _ = k.compute_time(1);
+    }
+
+    #[test]
+    fn class_labels() {
+        assert_eq!(KernelClass::Cnn.to_string(), "CNN");
+        assert_eq!(KernelClass::Gemm.to_string(), "GeMM");
+        assert_eq!(KernelClass::Knn.to_string(), "KNN");
+        assert_eq!(ComputeLevel::NearMemory.to_string(), "near-memory");
+        assert_eq!(ComputeLevel::NearStorage.to_string(), "near-storage");
+    }
 }

@@ -306,4 +306,49 @@ mod tests {
             );
         }
     }
+
+    #[test]
+    fn new_registry_is_empty() {
+        let reg = TemplateRegistry::new();
+        assert!(reg.is_empty());
+        assert_eq!(reg.len(), 0);
+        assert!(reg.get("VGG16-VU9P").is_none());
+        assert!(!TemplateRegistry::paper_table3().is_empty());
+    }
+
+    #[test]
+    fn resolve_index_agrees_with_resolve() {
+        let reg = TemplateRegistry::paper_table3();
+        for spec in reg.iter() {
+            let i = reg.resolve_index(spec.name, spec.level).unwrap();
+            assert_eq!(reg.spec_at(i), reg.resolve(spec.name, spec.level).unwrap());
+        }
+        assert_eq!(
+            reg.resolve_index("VGG16-VU9P", ComputeLevel::NearMemory),
+            None
+        );
+    }
+
+    #[test]
+    fn second_level_of_a_name_makes_it_ambiguous() {
+        let table = TemplateRegistry::paper_table3();
+        let mut reg = TemplateRegistry::new();
+        reg.register(*table.resolve("KNN-ZCU9", ComputeLevel::NearMemory).unwrap());
+        assert!(reg.get("KNN-ZCU9").is_some());
+        reg.register(
+            *table
+                .resolve("KNN-ZCU9", ComputeLevel::NearStorage)
+                .unwrap(),
+        );
+        assert!(reg.get("KNN-ZCU9").is_none());
+        assert!(reg.resolve("KNN-ZCU9", ComputeLevel::NearStorage).is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn oversized_kernel_rejected() {
+        let mut spec = *TemplateRegistry::paper_table3().get("GEMM-VU9P").unwrap();
+        spec.utilization.lut = 120;
+        TemplateRegistry::new().register(spec);
+    }
 }

@@ -3,8 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use reach_mem::{
-    AccessKind, Cache, CacheConfig, Dimm, DimmConfig, MemoryController, MemoryControllerConfig,
-    RowPolicy,
+    AccessKind, Dimm, DimmConfig, MemoryController, MemoryControllerConfig, RowPolicy,
 };
 use reach_sim::{EventQueue, SimDuration, SimTime};
 use reach_storage::{PcieSwitch, Ssd, SsdConfig};
@@ -73,23 +72,6 @@ fn bench_controller(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_cache(c: &mut Criterion) {
-    let mut g = c.benchmark_group("mem/cache");
-    g.throughput(Throughput::Elements(10_000));
-    g.bench_function("access_10k", |b| {
-        let mut cache = Cache::new(CacheConfig::shared_l2_2mb());
-        let mut addr = 0u64;
-        b.iter(|| {
-            for _ in 0..10_000 {
-                cache.access(addr % (8 << 20), false);
-                addr += 64;
-            }
-            black_box(cache.stats().hits)
-        });
-    });
-    g.finish();
-}
-
 fn bench_ssd(c: &mut Criterion) {
     let mut g = c.benchmark_group("storage/ssd");
     g.throughput(Throughput::Bytes(256 << 20));
@@ -137,7 +119,6 @@ criterion_group!(
     bench_event_queue,
     bench_dram,
     bench_controller,
-    bench_cache,
     bench_ssd,
     bench_pcie,
     bench_machine

@@ -215,4 +215,33 @@ mod tests {
         assert_eq!(a.points.as_slice(), b.points.as_slice());
         assert_eq!(a.labels, b.labels);
     }
+
+    #[test]
+    fn recall_reads_only_the_first_k_of_each_list() {
+        let truth = vec![vec![1, 2, 3]];
+        let retrieved = vec![vec![1, 2, 9, 3]];
+        assert_eq!(recall(&retrieved, &truth, 2).recall_at_k, 1.0);
+        let r = recall(&retrieved, &truth, 3);
+        assert!((r.recall_at_k - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!((r.queries, r.k), (1, 3));
+    }
+
+    #[test]
+    fn recall_of_no_queries_is_zero() {
+        let r = recall(&[], &[], 5);
+        assert_eq!(r.recall_at_k, 0.0);
+        assert_eq!(r.queries, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "query count mismatch")]
+    fn recall_query_count_mismatch_rejected() {
+        let _ = recall(&[vec![1]], &[], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "recall: k = 0")]
+    fn recall_zero_k_rejected() {
+        let _ = recall(&[vec![1]], &[vec![1]], 0);
+    }
 }

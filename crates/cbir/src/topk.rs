@@ -158,6 +158,17 @@ mod tests {
         assert!(merge_top_k(&shards, 0).is_empty());
     }
 
+    #[test]
+    fn infinities_rank_at_the_ends() {
+        let d = [(f32::INFINITY, 0), (1.0, 1), (f32::NEG_INFINITY, 2)];
+        assert_eq!(
+            top_k(d, 3),
+            vec![(f32::NEG_INFINITY, 2), (1.0, 1), (f32::INFINITY, 0)]
+        );
+        // An infinite distance still fills a slot when nothing beats it.
+        assert_eq!(top_k([(f32::INFINITY, 4)], 1), vec![(f32::INFINITY, 4)]);
+    }
+
     proptest! {
         /// top_k == sorted prefix, for every input and k.
         #[test]

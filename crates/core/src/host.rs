@@ -232,4 +232,53 @@ mod tests {
         }
         .form(&[at(5), at(1)]);
     }
+
+    #[test]
+    #[should_panic(expected = "zero batch size")]
+    fn zero_batch_size_rejected() {
+        let _ = Batcher {
+            batch_size: 0,
+            max_wait: None,
+        }
+        .form(&[at(0)]);
+    }
+
+    #[test]
+    fn no_arrivals_form_no_batches() {
+        let b = Batcher {
+            batch_size: 4,
+            max_wait: Some(ms(1)),
+        };
+        assert!(b.form(&[]).is_empty());
+    }
+
+    #[test]
+    fn arrival_on_the_deadline_joins_the_batch() {
+        let b = Batcher {
+            batch_size: 16,
+            max_wait: Some(ms(10)),
+        }
+        .form(&[at(0), at(10)]);
+        assert_eq!(
+            b,
+            vec![FormedBatch {
+                ready_at: at(10),
+                arrivals: vec![at(0), at(10)],
+            }]
+        );
+    }
+
+    #[test]
+    fn full_batch_closes_before_its_deadline() {
+        let b = Batcher {
+            batch_size: 2,
+            max_wait: Some(ms(10)),
+        }
+        .form(&[at(0), at(1), at(2)]);
+        assert_eq!(b.len(), 2);
+        assert_eq!(b[0].ready_at, at(1));
+        // The leftover query waits out its own deadline.
+        assert_eq!(b[1].ready_at, at(12));
+        assert_eq!(b[1].arrivals, vec![at(2)]);
+    }
 }

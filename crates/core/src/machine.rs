@@ -741,7 +741,7 @@ impl Machine {
                 let dev = &mut self.ns_devices[slot];
                 let addr = self.ns_cursor % (dev.config().ssd.capacity / 2);
                 self.ns_cursor = self.ns_cursor.wrapping_add(*bytes);
-                let (res, _) = dev.device_read(ready, addr, *bytes);
+                let res = dev.device_read(ready, addr, *bytes);
                 let acct = self.stages.entry(stage).or_default();
                 acct.ssd_bytes += bytes;
                 acct.ssd_busy += SimDuration::from_secs_f64(
@@ -764,7 +764,7 @@ impl Machine {
                     .div_ceil(QUEUE_DEPTH);
                 let addr = self.ns_cursor % (dev.config().ssd.capacity / 2);
                 self.ns_cursor = self.ns_cursor.wrapping_add(*bytes);
-                let (res, _) = dev.device_read(ready, addr, *bytes);
+                let res = dev.device_read(ready, addr, *bytes);
                 let acct = self.stages.entry(stage).or_default();
                 acct.ssd_bytes += bytes;
                 acct.ssd_busy += SimDuration::from_secs_f64(

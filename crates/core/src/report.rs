@@ -166,4 +166,41 @@ mod tests {
         assert!(text.contains("stage fe"));
         assert!(text.contains("4.00 J/job"));
     }
+
+    #[test]
+    fn energy_per_job_is_zero_without_jobs() {
+        let r = RunReport {
+            jobs: 0,
+            ..report()
+        };
+        assert_eq!(r.energy_per_job_j(), 0.0);
+        assert!((r.total_energy_j() - 8.0).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "throughput of an empty run")]
+    fn throughput_of_an_empty_run_rejected() {
+        let r = RunReport {
+            makespan: SimDuration::ZERO,
+            ..report()
+        };
+        let _ = r.throughput_jobs_per_sec();
+    }
+
+    #[test]
+    fn completions_stay_in_submission_order() {
+        let r = report();
+        assert_eq!(
+            r.job_completions(),
+            [
+                SimTime::ZERO + SimDuration::from_ms(250),
+                SimTime::ZERO + SimDuration::from_ms(500)
+            ]
+        );
+        let instant = StageSummary {
+            window: (SimTime::ZERO, SimTime::ZERO),
+            ..r.stages[0].clone()
+        };
+        assert_eq!(instant.span(), SimDuration::ZERO);
+    }
 }

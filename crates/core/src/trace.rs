@@ -202,4 +202,32 @@ mod tests {
         assert_eq!(t.events()[0].lane, 0);
         assert!(Trace::new().is_empty());
     }
+
+    #[test]
+    fn empty_trace_is_an_empty_array() {
+        assert_eq!(Trace::new().to_chrome_json(), "[\n\n]\n");
+    }
+
+    #[test]
+    fn poll_event_serializes_exactly() {
+        let mut t = Trace::new();
+        t.record(TraceEvent {
+            name: "poll".into(),
+            kind: TraceKind::Poll,
+            track: "gam".into(),
+            lane: 2,
+            start: SimTime::ZERO + SimDuration::from_us(3),
+            duration: SimDuration::from_ns(1),
+        });
+        assert_eq!(
+            t.to_chrome_json(),
+            "[\n  {\"name\":\"poll\",\"cat\":\"poll\",\"ph\":\"X\",\"ts\":3.000,\"dur\":0.001,\"pid\":\"gam\",\"tid\":2}\n]\n"
+        );
+    }
+
+    #[test]
+    fn non_ascii_text_passes_through() {
+        assert_eq!(escape("rerank→top-k é"), "rerank→top-k é");
+        assert_eq!(escape("tab\there"), "tab\\u0009here");
+    }
 }

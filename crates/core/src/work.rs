@@ -137,4 +137,16 @@ mod tests {
     fn zero_granule_rejected() {
         let _ = TaskWork::gather(0, 64, 0);
     }
+
+    #[test]
+    fn constructors_keep_macs_and_leave_the_label_unset() {
+        for w in [
+            TaskWork::compute(3),
+            TaskWork::stream(3, 64),
+            TaskWork::gather(3, 64, 8),
+        ] {
+            assert_eq!(w.macs, 3);
+            assert_eq!(w.stage_label, None);
+        }
+    }
 }

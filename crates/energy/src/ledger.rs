@@ -290,4 +290,52 @@ mod tests {
         assert!(text.contains("ACC") && text.contains("SSD"));
         assert!(text.contains("data movement 75.0%"));
     }
+
+    #[test]
+    fn only_the_accelerator_counts_as_compute() {
+        let compute: Vec<_> = SystemComponent::ALL
+            .iter()
+            .filter(|c| c.is_compute())
+            .collect();
+        assert_eq!(compute, vec![&SystemComponent::Accelerator]);
+    }
+
+    #[test]
+    fn component_labels_follow_the_figure_order() {
+        let labels: Vec<String> = SystemComponent::ALL
+            .iter()
+            .map(ToString::to_string)
+            .collect();
+        assert_eq!(
+            labels,
+            ["ACC", "Cache", "DRAM", "SSD", "MC+Interconnect", "PCIe"]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid energy")]
+    fn non_finite_energy_rejected() {
+        EnergyLedger::new().add(SystemComponent::Ssd, "x", f64::NAN);
+    }
+
+    #[test]
+    fn display_skips_components_with_no_energy() {
+        let mut l = EnergyLedger::new();
+        l.add(SystemComponent::Dram, "rr", 2.0);
+        let text = l.to_string();
+        assert!(text.contains("DRAM") && text.contains("rr=2.000"));
+        assert!(!text.contains("ACC") && !text.contains("PCIe"));
+        assert!(text.contains("total 2.000 J, data movement 100.0%"));
+    }
+
+    #[test]
+    fn merging_an_empty_ledger_changes_nothing() {
+        let mut l = sample();
+        l.merge(&EnergyLedger::new());
+        assert_eq!(l.total(), 12.0);
+        assert_eq!(l.cell_count(), 4);
+        let mut empty = EnergyLedger::new();
+        empty.merge(&sample());
+        assert_eq!(empty.cell(SystemComponent::Ssd, "rr"), 6.0);
+    }
 }

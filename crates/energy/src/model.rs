@@ -196,4 +196,34 @@ mod tests {
         let e = m.energy_j(1_000_000_000, ms(100));
         assert!((e - (0.08 + 0.05)).abs() < 1e-9, "{e}");
     }
+
+    #[test]
+    fn ssd_energy_splits_busy_across_drives() {
+        let m = SsdEnergy {
+            active_w: 12.0,
+            idle_w: 5.0,
+        };
+        // 100 ms busy out of 4 drives x 100 ms: 1.2 J active + 1.5 J idle.
+        let e = m.energy_j(ms(100), 4, ms(100));
+        assert!((e - 2.7).abs() < 1e-9, "{e}");
+    }
+
+    #[test]
+    fn empty_window_costs_nothing() {
+        let accel = AccelEnergy {
+            active_w: 25.0,
+            idle_w: 2.5,
+        };
+        let cache = CacheEnergy {
+            pj_per_access: 600.0,
+            leakage_w: 1.0,
+        };
+        let link = LinkEnergy {
+            pj_per_byte: 80.0,
+            static_w: 0.5,
+        };
+        assert_eq!(accel.energy_j(SimDuration::ZERO, SimDuration::ZERO), 0.0);
+        assert_eq!(cache.energy_j(0, SimDuration::ZERO), 0.0);
+        assert_eq!(link.energy_j(0, SimDuration::ZERO), 0.0);
+    }
 }

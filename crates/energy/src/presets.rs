@@ -122,4 +122,13 @@ mod tests {
     fn default_is_paper_preset() {
         assert_eq!(EnergyPresets::default(), EnergyPresets::paper_table4());
     }
+
+    #[test]
+    fn pcie_costs_more_per_byte_than_on_chip_links() {
+        let p = EnergyPresets::paper_table4();
+        assert!(p.pcie.pj_per_byte > p.mc_interconnect.pj_per_byte);
+        assert!(p.pcie.static_w > p.mc_interconnect.static_w);
+        // The idle draw of a zero-power kernel is zero.
+        assert_eq!(p.accel(0.0).idle_w, 0.0);
+    }
 }

@@ -301,4 +301,102 @@ mod tests {
         assert_eq!(TaskId(7).to_string(), "task7");
         assert_eq!(BufferId(2).to_string(), "buf2");
     }
+
+    #[test]
+    fn task_records_its_wiring() {
+        let mut b = JobBuilder::new(9);
+        let input = b.buffer("db", 1 << 20, Some(ComputeLevel::NearStorage));
+        let output = b.buffer("hits", 4096, None);
+        let first = b.task(
+            "short-list",
+            "GEMM-ZCU9",
+            ComputeLevel::NearStorage,
+            SimDuration::from_ms(3),
+            vec![input],
+            vec![output],
+            vec![],
+        );
+        let second = b.task(
+            "rerank",
+            "KNN-ZCU9",
+            ComputeLevel::NearStorage,
+            SimDuration::from_ms(5),
+            vec![output],
+            vec![],
+            vec![first],
+        );
+        let job = b.build();
+        let t = &job.tasks[1];
+        assert_eq!(t.id, second);
+        assert_eq!(second.0, first.0 + 1);
+        assert_eq!(t.job, JobId(9));
+        assert_eq!(t.stage.resolve(), "rerank");
+        assert_eq!(t.template.resolve(), "KNN-ZCU9");
+        assert_eq!(t.level, ComputeLevel::NearStorage);
+        assert_eq!(t.est_duration, SimDuration::from_ms(5));
+        assert_eq!(
+            (t.inputs.clone(), t.deps.clone()),
+            (vec![output], vec![first])
+        );
+        assert!(t.outputs.is_empty());
+    }
+
+    #[test]
+    fn buffers_keep_declaration_order_and_residency() {
+        let mut b = JobBuilder::new(1);
+        let a = b.buffer("a", 10, None);
+        let c = b.buffer("c", 30, Some(ComputeLevel::NearMemory));
+        let job = b.build();
+        assert_eq!(c.0, a.0 + 1);
+        assert_eq!(
+            job.buffers,
+            vec![
+                BufferDesc {
+                    id: a,
+                    name: "a".to_string(),
+                    bytes: 10,
+                    resident: None,
+                },
+                BufferDesc {
+                    id: c,
+                    name: "c".to_string(),
+                    bytes: 30,
+                    resident: Some(ComputeLevel::NearMemory),
+                },
+            ]
+        );
+        assert!(job.tasks.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "references undeclared buf")]
+    fn undeclared_output_rejected() {
+        let mut b = JobBuilder::new(0);
+        b.task(
+            "s",
+            "K",
+            ComputeLevel::OnChip,
+            SimDuration::ZERO,
+            vec![],
+            vec![BufferId(7)],
+            vec![],
+        );
+        let _ = b.build();
+    }
+
+    #[test]
+    #[should_panic(expected = "depends on undeclared task")]
+    fn undeclared_dependency_rejected() {
+        let mut b = JobBuilder::new(2);
+        b.task(
+            "s",
+            "K",
+            ComputeLevel::OnChip,
+            SimDuration::ZERO,
+            vec![],
+            vec![],
+            vec![TaskId(12345)],
+        );
+        let _ = b.build();
+    }
 }

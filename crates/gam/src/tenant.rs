@@ -241,4 +241,34 @@ mod tests {
         let names: Vec<&str> = l.iter().map(|(n, _)| n).collect();
         assert_eq!(names, ["z", "a"]);
     }
+
+    #[test]
+    fn new_ledger_is_empty_and_attributes_nothing() {
+        let mut l = TenantLedger::new();
+        assert!(l.is_empty());
+        assert_eq!(l.len(), 0);
+        l.on_dispatch(JobId(0));
+        assert_eq!(l.index_of(JobId(0)), None);
+        assert!(l.stats("a").is_none());
+    }
+
+    #[test]
+    fn declare_returns_the_index_name_and_stats_use() {
+        let mut l = TenantLedger::new();
+        assert_eq!(l.declare("cbir", 0, 512), 0);
+        assert_eq!(l.declare("graph", 512, 1024), 1);
+        assert_eq!(l.len(), 2);
+        assert_eq!(l.name(1), "graph");
+        l.on_reject(JobId(600));
+        assert_eq!(l.stats_at(1).jobs_rejected, 1);
+        assert_eq!(*l.stats_at(0), TenantStats::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "overlaps tenant 'inner'")]
+    fn enclosing_span_rejected() {
+        let mut l = TenantLedger::new();
+        l.declare("inner", 5, 6);
+        l.declare("outer", 0, 10);
+    }
 }

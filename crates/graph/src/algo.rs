@@ -191,4 +191,49 @@ mod tests {
         let by_levels = r.levels.iter().filter(|&&l| l != u32::MAX).count() as u64;
         assert_eq!(r.visited(), by_levels);
     }
+
+    #[test]
+    fn isolated_source_visits_only_itself() {
+        let g = Graph::from_edges(3, [(1, 2)]);
+        let r = bfs_levels(&g, 0);
+        assert_eq!(r.levels, vec![0, u32::MAX, u32::MAX]);
+        assert_eq!(r.frontier_sizes, vec![1]);
+        assert_eq!(r.edges_scanned, vec![0]);
+        assert_eq!(r.visited(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "source out of range")]
+    fn bfs_source_out_of_range_rejected() {
+        let _ = bfs_levels(&Graph::golden(), 8);
+    }
+
+    #[test]
+    fn pagerank_of_a_cycle_is_uniform_from_the_start() {
+        let g = Graph::from_edges(3, [(0, 1), (1, 2), (2, 0)]);
+        let r = pagerank(&g, 4, PAGERANK_DAMPING);
+        for &rank in &r.ranks {
+            assert!((rank - 1.0 / 3.0).abs() < 1e-15, "rank {rank}");
+        }
+        assert!(r.residuals.iter().all(|&x| x < 1e-15));
+    }
+
+    #[test]
+    fn edgeless_graph_redistributes_dangling_mass_uniformly() {
+        let g = Graph::from_edges(4, []);
+        let r = pagerank(&g, 2, 0.5);
+        assert!(r.ranks.iter().all(|&x| (x - 0.25).abs() < 1e-15));
+    }
+
+    #[test]
+    #[should_panic(expected = "damping 1 outside (0, 1)")]
+    fn pagerank_damping_of_one_rejected() {
+        let _ = pagerank(&Graph::golden(), 1, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "zero iterations")]
+    fn pagerank_zero_iterations_rejected() {
+        let _ = pagerank(&Graph::golden(), 0, PAGERANK_DAMPING);
+    }
 }

@@ -491,4 +491,26 @@ mod tests {
             "RMAT hub degree {rmat} not clearly above uniform max {uniform}"
         );
     }
+
+    #[test]
+    fn from_edges_keeps_duplicates_and_sorts_rows() {
+        let g = Graph::from_edges(3, [(0, 2), (2, 0), (0, 1), (0, 2)]);
+        assert_eq!(g.edge_count(), 4);
+        assert_eq!(g.neighbors(0), &[1, 2, 2]);
+        assert_eq!(g.out_degree(1), 0);
+        assert_eq!(g.edges(), vec![(0, 1), (0, 2), (0, 2), (2, 0)]);
+    }
+
+    #[test]
+    fn edge_order_does_not_change_the_csr() {
+        let mut edges = Graph::golden().edges();
+        edges.reverse();
+        assert_eq!(Graph::from_edges(GOLDEN_NODES, edges), Graph::golden());
+    }
+
+    #[test]
+    #[should_panic(expected = "endpoint 1->3 out of range")]
+    fn edge_endpoint_out_of_range_rejected() {
+        let _ = Graph::from_edges(3, [(0, 1), (1, 3)]);
+    }
 }

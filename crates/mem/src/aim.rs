@@ -349,4 +349,51 @@ mod tests {
             .access(t1, 0, AccessKind::Read, RowPolicy::OpenPage);
         assert_eq!(mc.dimm(0, 0).stats().row_hits, hits_before);
     }
+
+    #[test]
+    #[should_panic(expected = "DIMM not owned")]
+    fn release_without_ownership_rejected() {
+        let (mut mc, mut aim) = setup();
+        aim.release(SimTime::ZERO, &mut mc);
+    }
+
+    #[test]
+    #[should_panic(expected = "access_local: kernel not launched")]
+    fn line_access_requires_ownership() {
+        let (mut mc, mut aim) = setup();
+        aim.access_local(SimTime::ZERO, &mut mc, 0, AccessKind::Read);
+    }
+
+    #[test]
+    fn relaunch_counts_each_acquisition() {
+        let (mut mc, mut aim) = setup();
+        assert_eq!(aim.position(), (0, 0));
+        assert_eq!(AimModule::new(3, 1).position(), (3, 1));
+        for _ in 0..3 {
+            let t = aim.acquire(SimTime::ZERO, &mut mc);
+            aim.release(t, &mut mc);
+        }
+        assert_eq!(aim.stats().acquisitions, 3);
+        assert_eq!(aim.stats().launches, 3);
+        assert_eq!(aim.stats().local_bytes, 0);
+    }
+
+    #[test]
+    fn line_access_bills_one_line() {
+        let (mut mc, mut aim) = setup();
+        let t0 = aim.acquire(SimTime::ZERO, &mut mc);
+        aim.access_local(t0, &mut mc, 0, AccessKind::Write);
+        aim.access_local(t0, &mut mc, 4096, AccessKind::Read);
+        assert_eq!(aim.stats().local_bytes, 2 * mc.config().dimm.line_bytes);
+    }
+
+    #[test]
+    fn aimbus_bills_wire_time_and_hop_latency() {
+        let mut bus = AimBus::paper_default();
+        // 12.8 MB at 12.8 GB/s is 1 ms on the wire.
+        let r = bus.transfer(SimTime::ZERO, 12_800_000);
+        assert_eq!(r.ready, SimTime::ZERO + SimDuration::from_ms(1));
+        assert_eq!(r.complete, r.ready + SimDuration::from_ns(40));
+        assert_eq!(bus.busy_time(), SimDuration::from_ms(1));
+    }
 }

@@ -9,8 +9,9 @@
 //!   FR-FCFS-approximating scheduling model, and the two interleaving
 //!   policies the paper's GAM switches between (cache-line interleave for
 //!   CPU/on-chip traffic, tile interleave for near-memory accelerators).
-//! * [`cache`] — a set-associative write-back LRU cache used for the shared
-//!   LLC in front of the on-chip accelerator.
+//! * [`cache`] — the shared LLC's geometry. There is no hit/miss model:
+//!   on-chip cache traffic is billed per line against the on-chip
+//!   accelerator's 100 GB/s cache port.
 //! * [`noc`] — the on-chip crossbar tying cores, accelerator, GAM and the
 //!   shared cache together (Figure 2).
 //! * [`tlb`] — the on-chip accelerator's address translation (TLB +
@@ -35,7 +36,7 @@ pub mod noc;
 pub mod tlb;
 
 pub use aim::{AimBus, AimModule, DimmOwner};
-pub use cache::{Cache, CacheConfig, CacheOutcome};
+pub use cache::CacheConfig;
 pub use controller::{Interleave, MemoryController, MemoryControllerConfig};
 pub use ddr::{AccessKind, DdrTiming, Dimm, DimmConfig, RowPolicy};
 pub use noc::{Noc, NocConfig, NocPort};

@@ -240,4 +240,40 @@ mod tests {
     fn loopback_rejected() {
         noc().transfer(SimTime::ZERO, NocPort::Cpu, NocPort::Cpu, 64);
     }
+
+    #[test]
+    #[should_panic(expected = "empty transfer")]
+    fn empty_transfer_rejected() {
+        noc().transfer(SimTime::ZERO, NocPort::Cpu, NocPort::Cache, 0);
+    }
+
+    #[test]
+    fn opposite_directions_do_not_share_ports() {
+        let mut n = noc();
+        let bytes: u64 = 1 << 28;
+        let a = n.transfer(SimTime::ZERO, NocPort::Accelerator, NocPort::Cache, bytes);
+        let b = n.transfer(SimTime::ZERO, NocPort::Cache, NocPort::Accelerator, bytes);
+        // 200 GB/s of demand fits the 400 GB/s bisection: no queueing.
+        assert_eq!(a.complete, b.complete);
+    }
+
+    #[test]
+    fn same_destination_serializes_on_the_ejection_port() {
+        let mut n = noc();
+        let bytes: u64 = 1 << 28;
+        let a = n.transfer(SimTime::ZERO, NocPort::Accelerator, NocPort::Cache, bytes);
+        let b = n.transfer(SimTime::ZERO, NocPort::Cpu, NocPort::Cache, bytes);
+        assert_eq!(b.ready, a.ready + (a.ready - a.start));
+    }
+
+    #[test]
+    fn port_busy_is_the_sources_wire_time() {
+        let mut n = noc();
+        let bytes = 1_000_000_000; // 10 ms at 100 GB/s
+        n.transfer(SimTime::ZERO, NocPort::Pcie, NocPort::Cache, bytes);
+        assert_eq!(n.port_busy(NocPort::Pcie), SimDuration::from_ms(10));
+        // Ejection at the destination is not injection-port time.
+        assert_eq!(n.port_busy(NocPort::Cache), SimDuration::ZERO);
+        assert_eq!(n.config(), &NocConfig::paper_default());
+    }
 }

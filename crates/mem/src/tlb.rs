@@ -212,4 +212,52 @@ mod tests {
         assert_eq!(t.stats().misses, 48);
         assert_eq!(t.estimated_walks(480, 4096, 48 * 4096), 48);
     }
+
+    #[test]
+    fn hit_rate_is_zero_when_unused() {
+        let t = Tlb::new(TlbConfig::accelerator_64());
+        assert_eq!(t.stats().hit_rate(), 0.0);
+        assert_eq!(t.config().entries, 64);
+        assert_eq!(t.config().page_bytes, 4096);
+    }
+
+    #[test]
+    #[should_panic(expected = "zero entries")]
+    fn zero_entries_rejected() {
+        let _ = tlb(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "zero page size")]
+    fn zero_page_size_rejected() {
+        let _ = Tlb::new(TlbConfig {
+            entries: 4,
+            page_bytes: 0,
+        });
+    }
+
+    #[test]
+    fn estimated_walks_edge_geometry() {
+        let t = tlb(64);
+        // An empty span still counts as one page.
+        assert_eq!(t.estimated_walks(100, 4096, 0), 1);
+        // Records wider than a page each start a new page.
+        assert_eq!(t.estimated_walks(10, 8192, 1 << 30), 10);
+        // A zero granule is treated as one byte, not a division by zero.
+        assert_eq!(t.estimated_walks(8192, 0, 1 << 30), 2);
+        // Nothing gathered, nothing walked.
+        assert_eq!(t.estimated_walks(0, 64, 1 << 30), 0);
+    }
+
+    #[test]
+    fn thrashing_cycle_misses_every_access() {
+        // Cycling over one page more than the TLB holds evicts each page
+        // just before it is revisited.
+        let mut t = tlb(4);
+        for i in 0..50u64 {
+            assert!(!t.access((i % 5) * 4096));
+        }
+        assert_eq!(t.stats().hits, 0);
+        assert_eq!(t.stats().misses, 50);
+    }
 }

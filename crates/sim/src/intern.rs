@@ -140,4 +140,16 @@ mod tests {
         });
         assert!(ids.windows(2).all(|w| w[0] == w[1]));
     }
+
+    #[test]
+    fn from_str_and_ids_agree_with_intern() {
+        let a = Symbol::from("from-str-label");
+        let b = Symbol::intern("from-str-label");
+        let c = Symbol::intern("from-str-other");
+        assert_eq!(a, b);
+        assert_eq!(a.id(), b.id());
+        assert_ne!(a.id(), c.id());
+        // The empty string is a label like any other.
+        assert_eq!(Symbol::intern("").resolve(), "");
+    }
 }

@@ -106,4 +106,12 @@ mod tests {
         assert_eq!(a1, a2);
         assert_ne!(a1, b);
     }
+
+    #[test]
+    fn empty_stream_label_mixes_the_fnv_offset() {
+        // FNV-1a of "" is its offset basis, so the child seed is known.
+        let expected = seeded(7 ^ 0xcbf2_9ce4_8422_2325).gen::<u64>();
+        assert_eq!(derived(7, "").gen::<u64>(), expected);
+        assert_ne!(derived(7, "").gen::<u64>(), seeded(7).gen::<u64>());
+    }
 }

@@ -11,22 +11,19 @@
 //!   page-granular reads with realistic first-access latency, and separate
 //!   *host-path* (through the shared switch) and *device-path* (from the
 //!   attached near-storage accelerator) entry points.
-//! * [`ftl`] — a page-mapping flash translation layer with greedy garbage
-//!   collection, for write-path and write-amplification studies.
-//! * [`near_storage`] — the near-storage accelerator carrier: a private
-//!   DRAM buffer that caches accelerator parameters to limit disk traffic,
-//!   plus the pass-through logic that lets ordinary host IO bypass the
-//!   accelerator.
+//! * [`near_storage`] — the near-storage accelerator carrier: the device
+//!   link from the attached accelerator to flash, plus the pass-through
+//!   logic that lets ordinary host IO bypass the accelerator. Device reads
+//!   always come from flash; the carrier's private DRAM buffer is a
+//!   configured size only, with no parameter-caching model behind it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ftl;
 pub mod near_storage;
 pub mod pcie;
 pub mod ssd;
 
-pub use ftl::{Ftl, FtlConfig};
-pub use near_storage::{BufferOutcome, NearStorageDevice, NearStorageDeviceConfig};
+pub use near_storage::{NearStorageDevice, NearStorageDeviceConfig};
 pub use pcie::{PcieGen, PcieLink, PcieSwitch};
 pub use ssd::{Ssd, SsdConfig};

@@ -1,18 +1,20 @@
 //! The near-storage accelerator carrier device.
 //!
 //! Figure 4 of the paper: an embedded FPGA with a host interface, an
-//! FPGA-SSD interface over a local PCIe link, a private DRAM buffer that
-//! caches accelerator parameters "to limit disk accesses and exploit the
-//! parameters' reuse ratio", and pass-through logic that forwards ordinary
-//! host IO to the SSD with minimal overhead.
+//! FPGA-SSD interface over a local PCIe link, a private DRAM buffer, and
+//! pass-through logic that forwards ordinary host IO to the SSD with
+//! minimal overhead.
 //!
 //! The accelerator itself (kernel timing, power) lives in `reach-accel`;
-//! this module models the *data paths* the accelerator uses.
+//! this module models the *data paths* the accelerator uses: device reads
+//! from flash over the device link, and pass-through host reads. The
+//! paper's buffer caches accelerator parameters "to limit disk accesses";
+//! this module has no model of that caching, so device reads always come
+//! from flash and the buffer is carried as its configured size only.
 
 use crate::pcie::{PcieGen, PcieLink};
 use crate::ssd::{Ssd, SsdConfig};
-use reach_sim::{Bandwidth, BandwidthResource, Reservation, SimDuration, SimTime};
-use std::collections::BTreeMap;
+use reach_sim::{Bandwidth, Reservation, SimDuration, SimTime};
 
 /// Configuration of a near-storage device.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -21,7 +23,8 @@ pub struct NearStorageDeviceConfig {
     pub ssd: SsdConfig,
     /// Private DRAM buffer capacity (1 GB in Table II).
     pub buffer_capacity: u64,
-    /// Private DRAM buffer bandwidth.
+    /// Private DRAM buffer bandwidth. No data path bills it; it is kept
+    /// because every field is part of the machine blueprint's key.
     pub buffer_bandwidth: Bandwidth,
     /// Effective FPGA-SSD link bandwidth (12 GB/s in Table II).
     pub device_link: Bandwidth,
@@ -41,56 +44,30 @@ impl NearStorageDeviceConfig {
     }
 }
 
-/// Where a device-side read was served from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BufferOutcome {
-    /// The range was resident in the private DRAM buffer.
-    BufferHit,
-    /// The range came from flash over the device link (and was not cached).
-    Flash,
-}
-
-/// Statistics of the near-storage data paths.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NearStorageStats {
-    /// Device-side bytes served from the DRAM buffer.
-    pub buffer_bytes: u64,
-    /// Device-side bytes read from flash.
-    pub flash_bytes: u64,
-    /// Host IO bytes forwarded by the pass-through logic.
-    pub passthrough_bytes: u64,
-}
-
-/// A near-storage accelerator carrier: SSD + private DRAM buffer + links.
+/// A near-storage accelerator carrier: SSD + device link + pass-through.
 ///
 /// # Example
 ///
 /// ```
-/// use reach_storage::{NearStorageDevice, NearStorageDeviceConfig, BufferOutcome};
+/// use reach_storage::{NearStorageDevice, NearStorageDeviceConfig};
 /// use reach_sim::SimTime;
 ///
 /// let mut dev = NearStorageDevice::new(NearStorageDeviceConfig::paper_default());
-/// // Pin the kernel parameters into the private buffer…
-/// dev.pin(0, 16 << 20).unwrap();
-/// // …then device-side reads of that range hit DRAM instead of flash.
-/// let (r, outcome) = dev.device_read(SimTime::ZERO, 0, 1 << 20);
-/// assert_eq!(outcome, BufferOutcome::BufferHit);
-/// assert!(r.complete.as_us_f64() < 70.0); // faster than a flash read
+/// // The attached accelerator reads 1 MiB from flash over the device link.
+/// let r = dev.device_read(SimTime::ZERO, 0, 1 << 20);
+/// assert!(r.complete.as_us_f64() >= 70.0); // pays the flash read latency
+/// assert_eq!(dev.ssd().stats().bytes_read, 1 << 20);
+/// assert_eq!(dev.device_link_bytes(), 1 << 20);
 /// ```
 #[derive(Debug)]
 pub struct NearStorageDevice {
     config: NearStorageDeviceConfig,
     ssd: Ssd,
     device_link: PcieLink,
-    buffer: BandwidthResource,
-    /// Pinned ranges: start -> end (non-overlapping, coalesced).
-    pinned: BTreeMap<u64, u64>,
-    pinned_bytes: u64,
-    stats: NearStorageStats,
 }
 
 impl NearStorageDevice {
-    /// Creates an idle device with an empty buffer.
+    /// Creates an idle device.
     #[must_use]
     pub fn new(config: NearStorageDeviceConfig) -> Self {
         // Model the device link as a Gen3 x16 derated to the configured
@@ -100,10 +77,6 @@ impl NearStorageDevice {
         NearStorageDevice {
             ssd: Ssd::new(config.ssd),
             device_link: PcieLink::new(PcieGen::Gen3, 16, eff),
-            buffer: BandwidthResource::new(config.buffer_bandwidth, SimDuration::from_ns(100)),
-            pinned: BTreeMap::new(),
-            pinned_bytes: 0,
-            stats: NearStorageStats::default(),
             config,
         }
     }
@@ -114,100 +87,33 @@ impl NearStorageDevice {
         &self.config
     }
 
-    /// Accumulated statistics.
-    #[must_use]
-    pub fn stats(&self) -> &NearStorageStats {
-        &self.stats
-    }
-
     /// The attached SSD (for host-path IO and stats).
     #[must_use]
     pub fn ssd(&self) -> &Ssd {
         &self.ssd
     }
 
-    /// Bytes currently pinned in the private buffer.
-    #[must_use]
-    pub fn pinned_bytes(&self) -> u64 {
-        self.pinned_bytes
-    }
-
-    /// Pins `[addr, addr+len)` of the SSD's address space into the private
-    /// DRAM buffer (parameter caching). Returns an error message if the
-    /// buffer would overflow.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the pinned working set would exceed the buffer capacity.
-    pub fn pin(&mut self, addr: u64, len: u64) -> Result<(), String> {
-        if self.pinned_bytes + len > self.config.buffer_capacity {
-            return Err(format!(
-                "near-storage buffer overflow: {} + {} > {}",
-                self.pinned_bytes, len, self.config.buffer_capacity
-            ));
+    /// A device-side read issued by the attached accelerator: from flash
+    /// across the device link.
+    pub fn device_read(&mut self, now: SimTime, addr: u64, bytes: u64) -> Reservation {
+        let flash = self.ssd.read(now, addr, bytes);
+        // The PCIe hop is pipelined with the flash stream: the link starts
+        // forwarding as soon as the first page arrives and cannot finish
+        // before the flash array delivers the last byte.
+        let first_data = flash.start + self.config.ssd.read_latency;
+        let link = self.device_link.transfer(first_data, bytes);
+        let complete = link.complete.max(flash.complete);
+        Reservation {
+            start: flash.start,
+            ready: complete,
+            complete,
         }
-        self.pinned.insert(addr, addr + len);
-        self.pinned_bytes += len;
-        Ok(())
-    }
-
-    /// Releases every pinned range (e.g. on kernel reconfiguration).
-    pub fn unpin_all(&mut self) {
-        self.pinned.clear();
-        self.pinned_bytes = 0;
-    }
-
-    fn is_pinned(&self, addr: u64, len: u64) -> bool {
-        self.pinned
-            .range(..=addr)
-            .next_back()
-            .is_some_and(|(_, &end)| addr + len <= end)
-    }
-
-    /// A device-side read issued by the attached accelerator: served from the
-    /// private buffer when pinned, otherwise from flash across the device
-    /// link.
-    pub fn device_read(
-        &mut self,
-        now: SimTime,
-        addr: u64,
-        bytes: u64,
-    ) -> (Reservation, BufferOutcome) {
-        if self.is_pinned(addr, bytes) {
-            self.stats.buffer_bytes += bytes;
-            (self.buffer.transfer(now, bytes), BufferOutcome::BufferHit)
-        } else {
-            self.stats.flash_bytes += bytes;
-            let flash = self.ssd.read(now, addr, bytes);
-            // The PCIe hop is pipelined with the flash stream: the link
-            // starts forwarding as soon as the first page arrives and cannot
-            // finish before the flash array delivers the last byte.
-            let first_data = flash.start + self.config.ssd.read_latency;
-            let link = self.device_link.transfer(first_data, bytes);
-            let complete = link.complete.max(flash.complete);
-            (
-                Reservation {
-                    start: flash.start,
-                    ready: complete,
-                    complete,
-                },
-                BufferOutcome::Flash,
-            )
-        }
-    }
-
-    /// A device-side write from the accelerator to flash.
-    pub fn device_write(&mut self, now: SimTime, addr: u64, bytes: u64) -> Reservation {
-        let link = self.device_link.transfer(now, bytes);
-        self.stats.flash_bytes += bytes;
-        self.ssd.write(link.complete, addr, bytes)
     }
 
     /// Host IO forwarded through the pass-through logic (the near-storage
     /// module adds only its link hop; the host switch is billed by the
     /// caller, which owns the shared upstream port).
     pub fn passthrough_read(&mut self, now: SimTime, addr: u64, bytes: u64) -> Reservation {
-        self.stats.passthrough_bytes += bytes;
         let flash = self.ssd.read(now, addr, bytes);
         self.device_link.transfer(flash.complete, bytes)
     }
@@ -234,41 +140,12 @@ mod tests {
     }
 
     #[test]
-    fn pinned_reads_hit_buffer() {
-        let mut d = dev();
-        d.pin(0, 32 << 20).unwrap();
-        let (r, out) = d.device_read(SimTime::ZERO, 1 << 20, 1 << 20);
-        assert_eq!(out, BufferOutcome::BufferHit);
-        assert!(r.complete.as_us_f64() < 70.0);
-        assert_eq!(d.stats().buffer_bytes, 1 << 20);
-        assert_eq!(d.stats().flash_bytes, 0);
-    }
-
-    #[test]
     fn unpinned_reads_go_to_flash() {
         let mut d = dev();
-        let (r, out) = d.device_read(SimTime::ZERO, 0, 1 << 20);
-        assert_eq!(out, BufferOutcome::Flash);
+        let r = d.device_read(SimTime::ZERO, 0, 1 << 20);
         assert!(r.complete.as_us_f64() >= 70.0);
-        assert_eq!(d.stats().flash_bytes, 1 << 20);
-    }
-
-    #[test]
-    fn read_straddling_pin_boundary_misses() {
-        let mut d = dev();
-        d.pin(0, 1 << 20).unwrap();
-        let (_, out) = d.device_read(SimTime::ZERO, (1 << 20) - 512, 1024);
-        assert_eq!(out, BufferOutcome::Flash);
-    }
-
-    #[test]
-    fn pin_respects_capacity() {
-        let mut d = dev();
-        assert!(d.pin(0, 1 << 30).is_ok());
-        assert!(d.pin(1 << 30, 1).is_err());
-        d.unpin_all();
-        assert!(d.pin(0, 1 << 30).is_ok());
-        assert_eq!(d.pinned_bytes(), 1 << 30);
+        assert_eq!(d.ssd().stats().bytes_read, 1 << 20);
+        assert_eq!(d.ssd().stats().read_cmds, 1);
     }
 
     #[test]
@@ -278,7 +155,7 @@ mod tests {
         // the same time alone but halves when two devices compete — that
         // contention case is exercised at the machine level in reach-core.
         let mut d = dev();
-        let (r, _) = d.device_read(SimTime::ZERO, 0, 1 << 30);
+        let r = d.device_read(SimTime::ZERO, 0, 1 << 30);
         let secs = (r.complete - SimTime::ZERO).as_secs_f64();
         assert!(secs < 0.12, "device-path stream took {secs}s");
     }
@@ -287,17 +164,9 @@ mod tests {
     fn passthrough_counts_separately() {
         let mut d = dev();
         d.passthrough_read(SimTime::ZERO, 0, 4096);
-        assert_eq!(d.stats().passthrough_bytes, 4096);
-        assert_eq!(d.stats().flash_bytes, 0);
         assert_eq!(d.ssd().stats().read_cmds, 1);
-    }
-
-    #[test]
-    fn device_write_reaches_flash() {
-        let mut d = dev();
-        let r = d.device_write(SimTime::ZERO, 0, 8192);
-        assert!(r.complete.as_us_f64() >= 100.0);
-        assert_eq!(d.ssd().stats().bytes_written, 8192);
+        assert_eq!(d.ssd().stats().bytes_read, 4096);
+        assert_eq!(d.device_link_bytes(), 4096);
     }
 
     #[test]
@@ -306,5 +175,51 @@ mod tests {
         d.device_read(SimTime::ZERO, 0, 1 << 20);
         assert_eq!(d.device_link_bytes(), 1 << 20);
         assert!(d.device_link_busy() > SimDuration::ZERO);
+    }
+
+    #[test]
+    fn device_read_pipelines_link_with_flash() {
+        // The device path forwards pages as they arrive; pass-through starts
+        // the link hop only after the flash command completes.
+        let bytes = 64 << 20;
+        let device = dev().device_read(SimTime::ZERO, 0, bytes);
+        let host = dev().passthrough_read(SimTime::ZERO, 0, bytes);
+        assert!(device.complete < host.complete);
+        // Neither can beat the flash array alone.
+        let flash = Ssd::new(SsdConfig::nytro_class()).read(SimTime::ZERO, 0, bytes);
+        assert!(device.complete >= flash.complete);
+    }
+
+    #[test]
+    fn device_link_runs_at_the_configured_rate() {
+        let mut d = dev();
+        let bytes = 1_200_000_000; // 0.1 s at 12 GB/s
+        d.device_read(SimTime::ZERO, 0, bytes);
+        let busy = d.device_link_busy().as_secs_f64();
+        assert!((busy - 0.1).abs() < 0.001, "device link busy {busy}s");
+    }
+
+    #[test]
+    fn device_link_above_raw_x16_is_capped() {
+        let config = NearStorageDeviceConfig {
+            device_link: Bandwidth::from_gbps(100),
+            ..NearStorageDeviceConfig::paper_default()
+        };
+        let mut d = NearStorageDevice::new(config);
+        assert_eq!(d.config(), &config);
+        let bytes = 1 << 30;
+        d.device_read(SimTime::ZERO, 0, bytes);
+        let raw_x16 = Bandwidth::from_bytes_per_sec(PcieGen::Gen3.lane_bytes_per_sec() * 16);
+        assert_eq!(d.device_link_busy(), raw_x16.transfer_time(bytes));
+    }
+
+    #[test]
+    fn back_to_back_device_reads_queue() {
+        let mut d = dev();
+        let a = d.device_read(SimTime::ZERO, 0, 256 << 20);
+        let b = d.device_read(SimTime::ZERO, 256 << 20, 256 << 20);
+        assert!(b.complete > a.complete);
+        assert_eq!(d.ssd().stats().read_cmds, 2);
+        assert_eq!(d.device_link_bytes(), 512 << 20);
     }
 }

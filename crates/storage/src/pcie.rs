@@ -232,4 +232,61 @@ mod tests {
     fn zero_lanes_rejected() {
         let _ = PcieLink::new(PcieGen::Gen3, 0, 1.0);
     }
+
+    #[test]
+    fn link_reports_its_lanes_and_generation() {
+        let link = PcieLink::new(PcieGen::Gen4, 8, 1.0);
+        assert_eq!(link.lanes(), 8);
+        assert_eq!(link.gen(), PcieGen::Gen4);
+    }
+
+    #[test]
+    fn efficiency_derates_bandwidth_linearly() {
+        let full = PcieLink::new(PcieGen::Gen3, 8, 1.0)
+            .bandwidth()
+            .as_bytes_per_sec();
+        let half = PcieLink::new(PcieGen::Gen3, 8, 0.5)
+            .bandwidth()
+            .as_bytes_per_sec();
+        assert_eq!(half, full / 2);
+    }
+
+    #[test]
+    fn idle_link_starts_at_request_time_and_adds_propagation() {
+        let mut link = PcieLink::new(PcieGen::Gen3, 16, 1.0);
+        let now = SimTime::ZERO + SimDuration::from_us(3);
+        let r = link.transfer(now, 4096);
+        assert_eq!(r.start, now);
+        assert_eq!(r.ready, now + link.bandwidth().transfer_time(4096));
+        assert_eq!(r.complete, r.ready + SimDuration::from_ns(500));
+        assert_eq!(link.free_at(), r.ready);
+    }
+
+    #[test]
+    fn busy_time_is_wire_time_only() {
+        let mut link = PcieLink::new(PcieGen::Gen3, 4, 1.0);
+        let wire = link.bandwidth().transfer_time(1 << 20);
+        link.transfer(SimTime::ZERO, 1 << 20);
+        // A later request after an idle gap adds its own wire time, not the gap.
+        link.transfer(SimTime::ZERO + SimDuration::from_ms(1), 1 << 20);
+        assert_eq!(link.busy_time(), wire + wire);
+    }
+
+    #[test]
+    fn switch_reports_its_upstream_counters() {
+        let mut sw = PcieSwitch::paper_host_io();
+        assert_eq!(
+            sw.bandwidth(),
+            PcieLink::host_gen3_x16_effective().bandwidth()
+        );
+        assert_eq!(sw.bytes_transferred(), 0);
+        assert_eq!(sw.busy_time(), SimDuration::ZERO);
+        sw.host_transfer(SimTime::ZERO, 3_000);
+        sw.host_transfer(SimTime::ZERO, 5_000);
+        assert_eq!(sw.bytes_transferred(), 8_000);
+        assert_eq!(
+            sw.busy_time(),
+            sw.bandwidth().transfer_time(3_000) + sw.bandwidth().transfer_time(5_000)
+        );
+    }
 }

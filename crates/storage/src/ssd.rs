@@ -363,4 +363,59 @@ mod tests {
         let c = SsdConfig::nytro_class();
         assert_eq!(c.internal_bandwidth().as_bytes_per_sec(), 12_800_000_000);
     }
+
+    #[test]
+    fn small_write_pays_write_latency() {
+        let mut s = ssd();
+        let r = s.write(SimTime::ZERO, 0, 64);
+        assert_eq!(r.complete, SimTime::ZERO + SimDuration::from_us(100));
+        assert_eq!(s.stats().bytes_written, 4 << 10);
+    }
+
+    #[test]
+    fn idle_ssd_starts_io_at_request_time() {
+        let mut s = ssd();
+        let now = SimTime::ZERO + SimDuration::from_ms(2);
+        let r = s.read(now, 0, 4096);
+        assert_eq!(r.start, now);
+        assert_eq!(r.complete, now + SimDuration::from_us(70));
+    }
+
+    #[test]
+    fn flash_busy_time_counts_every_page() {
+        let mut s = ssd();
+        let cfg = *s.config();
+        s.read(SimTime::ZERO, 0, 20 * cfg.page_bytes);
+        let page_time = cfg.channel_bandwidth.transfer_time(cfg.page_bytes);
+        assert_eq!(s.flash_busy_time(), page_time.scaled(20));
+    }
+
+    #[test]
+    fn with_jitter_changes_only_the_jitter() {
+        let base = SsdConfig::nytro_class();
+        let jittered = base.with_jitter(15);
+        assert_eq!(jittered.latency_jitter_pct, 15);
+        assert_eq!(
+            SsdConfig {
+                latency_jitter_pct: 0,
+                ..jittered
+            },
+            base
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "empty IO")]
+    fn empty_io_rejected() {
+        ssd().read(SimTime::ZERO, 0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "need flash channels")]
+    fn zero_channels_rejected() {
+        let _ = Ssd::new(SsdConfig {
+            channels: 0,
+            ..SsdConfig::nytro_class()
+        });
+    }
 }
