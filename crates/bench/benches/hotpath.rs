@@ -1,8 +1,9 @@
 //! Microbenchmarks of the simulator hot paths: event-queue throughput
 //! (binary heap), machine steady-state event processing, the parallel
 //! CBIR kernels (GEMM micro-kernel, k-means, top-K), the cross-batch
-//! distance cache, the batched DDR stream timing model, and host graph
-//! generation (RMAT and uniform edge draws plus the CSR build).
+//! distance cache, the batched DDR stream timing model, host graph
+//! generation (RMAT and uniform edge draws plus the CSR build), and the
+//! warm-replay read path (report decode and result-store open).
 //!
 //! Set `REACH_BENCH_QUICK=1` to shrink every problem size (the CI
 //! perf-smoke mode); the full sizes are meant for local before/after
@@ -286,6 +287,46 @@ fn bench_topk(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_codec(c: &mut Criterion) {
+    use reach::{decode_report, encode_report, Scenario};
+    use reach_bench::DiskCache;
+    use reach_cbir::experiments::FIG13_BATCHES;
+    use reach_cbir::scenarios::CbirScenario;
+
+    let mut g = c.benchmark_group("hotpath/codec");
+    // One Figure 13 steady-state report, as the suite stores it.
+    let report = CbirScenario::full(
+        "fig13/proper/steady",
+        blueprint_with(4, 4),
+        CbirPipeline::new(CbirWorkload::paper_setup(), CbirMapping::Proper),
+        FIG13_BATCHES,
+    )
+    .execute();
+    let bytes = encode_report(&report);
+    g.throughput(Throughput::Bytes(bytes.len() as u64));
+    g.bench_function("decode_suite_report", |b| {
+        b.iter(|| black_box(decode_report(&bytes).expect("decodes").metrics.len()));
+    });
+
+    // A store of that report under as many fingerprints as a full suite
+    // pass writes records, opened as a warm process opens it.
+    let records = scaled(174, 16);
+    let dir = std::env::temp_dir().join(format!("reach-hotpath-codec-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut store = DiskCache::open_with_stamp(&dir, 1);
+    for fp in 0..records as u128 {
+        store.insert(fp, &report);
+    }
+    store.flush();
+    let store_bytes = std::fs::metadata(store.path()).map_or(0, |m| m.len());
+    g.throughput(Throughput::Bytes(store_bytes));
+    g.bench_function("open_filled_store", |b| {
+        b.iter(|| black_box(DiskCache::open_with_stamp(&dir, 1).len()));
+    });
+    g.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn bench_graph(c: &mut Criterion) {
     let mut g = c.benchmark_group("hotpath/graph");
     // One `extension-graph` sweep graph per generator at its largest
@@ -316,6 +357,7 @@ criterion_group!(
     bench_cache,
     bench_ddr_stream,
     bench_topk,
-    bench_graph
+    bench_graph,
+    bench_codec
 );
 criterion_main!(hotpath);

@@ -6,15 +6,24 @@
 //! `--result-cache-dir` directory. A warm process replays whole suites
 //! without simulating anything.
 //!
-//! ## On-disk format (`reach-diskcache-v1`)
+//! ## On-disk format (`reach-diskcache-v2`)
 //!
 //! ```text
-//! magic   b"reach-diskcache-v1\n"
+//! magic   b"reach-diskcache-v2\n"
 //! stamp   u128 LE   — reach::simulator_version_stamp()
 //! record* [len u32 LE][checksum u64 LE][payload]
 //!         payload = [fingerprint u128 LE][encoded RunReport]
-//!         checksum = reach_sim::checksum64(payload)
+//!         checksum = record_checksum(payload)
 //! ```
+//!
+//! [`record_checksum`] reads the payload as little-endian `u64` words,
+//! `h = rotl((h ^ w) * P, 29)` from the FNV-64 offset basis with the
+//! FNV-64 prime `P`, then folds each tail byte and finally the length the
+//! same way. Every step is a bijection of `h`, so two payloads of one
+//! length that differ inside a single word (any one flipped byte, say)
+//! always checksum differently. A `reach-diskcache-v1` store, which used
+//! byte-wise FNV-1a, is an unrecognized format: it starts empty and the
+//! next flush compacts it.
 //!
 //! The stamp makes invalidation trivial and total: a store written by any
 //! other build of the simulator (different workspace version, different
@@ -52,13 +61,31 @@
 //! replaces the store atomically and is never seen half-written.
 
 use reach::{decode_report, encode_report, simulator_version_stamp, RunReport};
-use reach_sim::checksum64;
 use std::collections::HashMap;
 use std::io::Write as _;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// Leading magic of the store file; doubles as the format version.
-pub const DISKCACHE_MAGIC: &[u8] = b"reach-diskcache-v1\n";
+pub const DISKCACHE_MAGIC: &[u8] = b"reach-diskcache-v2\n";
+
+const FNV64_OFFSET: u64 = 0xcbf29ce484222325;
+const FNV64_PRIME: u64 = 0x00000100000001b3;
+
+/// The checksum of one record payload (see the module docs): eight bytes
+/// per multiply, and any change inside one 8-byte word of a payload
+/// changes it.
+#[must_use]
+pub fn record_checksum(payload: &[u8]) -> u64 {
+    let step = |h: u64, w: u64| (h ^ w).wrapping_mul(FNV64_PRIME).rotate_left(29);
+    let words = payload.chunks_exact(8);
+    let tail = words.remainder();
+    let h = words.fold(FNV64_OFFSET, |h, w| {
+        step(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
+    });
+    let h = tail.iter().fold(h, |h, &b| step(h, u64::from(b)));
+    step(h, payload.len() as u64)
+}
 
 /// Name of the store file inside the cache directory.
 pub const DISKCACHE_FILE: &str = "results.reach-diskcache";
@@ -98,8 +125,12 @@ struct OnDisk {
 pub struct DiskCache {
     path: PathBuf,
     stamp: u128,
-    /// Decoded-on-demand payloads: fingerprint → encoded report.
-    entries: HashMap<u128, Vec<u8>>,
+    /// Every held report's encoding: the store file as loaded, then each
+    /// inserted report, back to back.
+    bytes: Vec<u8>,
+    /// Decoded-on-demand payloads: fingerprint → its encoded report's
+    /// range in `bytes`.
+    entries: HashMap<u128, Range<usize>>,
     /// Insertion order, so a rewritten store lays records out stably.
     order: Vec<u128>,
     /// `Some` while the file is exactly this build's header followed by a
@@ -138,6 +169,7 @@ impl DiskCache {
         let mut cache = DiskCache {
             path,
             stamp,
+            bytes: Vec::new(),
             entries: HashMap::new(),
             order: Vec::new(),
             on_disk: None,
@@ -184,6 +216,9 @@ impl DiskCache {
             return;
         }
         // Records: keep the longest valid prefix; stop at the first tear.
+        // The file's bytes stay as the backing store of what loads.
+        self.bytes = bytes;
+        let bytes = &self.bytes;
         let mut duplicates = false;
         while pos < bytes.len() {
             let Some(frame) = bytes.get(pos..pos + 12) else {
@@ -196,12 +231,12 @@ impl DiskCache {
                 warn(&self.path, "truncated record, keeping valid prefix");
                 return;
             };
-            if len < 16 || checksum64(payload) != checksum {
+            if len < 16 || record_checksum(payload) != checksum {
                 warn(&self.path, "corrupt record, keeping valid prefix");
                 return;
             }
             let fp = u128::from_le_bytes(payload[..16].try_into().expect("16 bytes"));
-            if self.entries.insert(fp, payload[16..].to_vec()).is_none() {
+            if self.entries.insert(fp, pos + 28..pos + 12 + len).is_none() {
                 self.order.push(fp);
             } else {
                 duplicates = true;
@@ -223,7 +258,7 @@ impl DiskCache {
     #[must_use]
     pub fn get(&mut self, fp: u128) -> Option<RunReport> {
         let payload = self.entries.get(&fp)?;
-        match decode_report(payload) {
+        match decode_report(&self.bytes[payload.clone()]) {
             Ok(report) => Some(report),
             Err(e) => {
                 warn(&self.path, &format!("undecodable record dropped ({e})"));
@@ -243,7 +278,9 @@ impl DiskCache {
         if self.entries.contains_key(&fp) {
             return;
         }
-        self.entries.insert(fp, encode_report(report));
+        let start = self.bytes.len();
+        self.bytes.extend_from_slice(&encode_report(report));
+        self.entries.insert(fp, start..self.bytes.len());
         self.order.push(fp);
         self.dirty = true;
     }
@@ -328,14 +365,14 @@ impl DiskCache {
     fn encode_records(&self, fps: &[u128], out: &mut Vec<u8>) {
         out.reserve(fps.iter().map(|fp| 28 + self.entries[fp].len()).sum());
         for fp in fps {
-            let report = &self.entries[fp];
+            let report = &self.bytes[self.entries[fp].clone()];
             let len = u32::try_from(16 + report.len()).expect("record fits its u32 length frame");
             let start = out.len();
             out.extend_from_slice(&len.to_le_bytes());
             out.extend_from_slice(&[0; 8]);
             out.extend_from_slice(&fp.to_le_bytes());
             out.extend_from_slice(report);
-            let checksum = checksum64(&out[start + 12..]);
+            let checksum = record_checksum(&out[start + 12..]);
             out[start + 4..start + 12].copy_from_slice(&checksum.to_le_bytes());
         }
     }
@@ -496,6 +533,42 @@ mod tests {
         let mut cache = DiskCache::open_with_stamp(&dir, 1);
         assert!(cache.is_empty(), "corrupt record must not load");
         assert!(cache.get(1).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn record_checksum_is_pinned() {
+        // Changing these values changes the store format: bump
+        // `DISKCACHE_MAGIC` with them.
+        assert_eq!(record_checksum(b""), 0x90c0_36fb_f5ec_77a9);
+        assert_eq!(
+            record_checksum(b"reach-diskcache-v2 record payload"),
+            0x026d_fe85_40e0_6b42
+        );
+        // The length is folded in: trailing zero bytes are seen.
+        assert_ne!(record_checksum(&[0; 9]), record_checksum(&[0; 10]));
+    }
+
+    #[test]
+    fn v1_store_starts_empty_and_the_next_flush_rewrites_it_as_v2() {
+        let dir = temp_dir("v1");
+        let mut cache = DiskCache::open_with_stamp(&dir, 1);
+        cache.insert(1, &report(1));
+        cache.flush();
+        let path = dir.join(DISKCACHE_FILE);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[..DISKCACHE_MAGIC.len()].copy_from_slice(b"reach-diskcache-v1\n");
+        std::fs::write(&path, &bytes).unwrap();
+
+        let mut cache = DiskCache::open_with_stamp(&dir, 1);
+        assert!(cache.is_empty(), "a v1 store must not load");
+        cache.insert(2, &report(2));
+        cache.flush();
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            one_rewrite_of("v1-ref", &[2]),
+            "the v1 store was not compacted"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -679,7 +752,7 @@ mod tests {
         let mut bytes = std::fs::read(&path).unwrap();
         let second = DISKCACHE_MAGIC.len() + 16 + 28 + encode_report(&report(1)).len();
         bytes[second + 28] ^= 0xff;
-        let checksum = checksum64(&bytes[second + 12..]);
+        let checksum = record_checksum(&bytes[second + 12..]);
         bytes[second + 4..second + 12].copy_from_slice(&checksum.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
 

@@ -529,11 +529,11 @@ impl Scenario for RecallScenario {
         for (i, row) in recall_vs_compression().iter().enumerate() {
             let gauge = |v: f64| MetricValue::Gauge { mean: v, last: v };
             metrics.set(
-                &format!("recall.{i:02}.bytes_per_vector"),
+                format!("recall.{i:02}.bytes_per_vector"),
                 gauge(row.bytes_per_vector),
             );
             metrics.set(
-                &format!("recall.{i:02}.recall_at_10"),
+                format!("recall.{i:02}.recall_at_10"),
                 gauge(row.recall_at_10),
             );
         }

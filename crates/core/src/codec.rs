@@ -164,6 +164,39 @@ const METRIC_GAUGE: u8 = 1;
 const METRIC_HISTOGRAM: u8 = 2;
 const METRIC_OCCUPANCY: u8 = 3;
 
+/// One metric: its name, then its kind tag and fields.
+fn put_metric(out: &mut Vec<u8>, name: &str, value: &MetricValue) {
+    put_str(out, name);
+    match value {
+        MetricValue::Counter { value } => {
+            put_u8(out, METRIC_COUNTER);
+            put_u64(out, *value);
+        }
+        MetricValue::Gauge { mean, last } => {
+            put_u8(out, METRIC_GAUGE);
+            put_f64_bits(out, *mean);
+            put_f64_bits(out, *last);
+        }
+        MetricValue::Histogram {
+            count,
+            mean,
+            p50,
+            p99,
+        } => {
+            put_u8(out, METRIC_HISTOGRAM);
+            put_u64(out, *count);
+            put_f64_bits(out, *mean);
+            put_u64(out, *p50);
+            put_u64(out, *p99);
+        }
+        MetricValue::Occupancy { mean, peak } => {
+            put_u8(out, METRIC_OCCUPANCY);
+            put_f64_bits(out, *mean);
+            put_f64_bits(out, *peak);
+        }
+    }
+}
+
 /// Serializes a report. The encoding is canonical: equal reports produce
 /// equal bytes, and `encode(decode(bytes)) == bytes` for any bytes this
 /// function produced.
@@ -214,35 +247,7 @@ pub fn encode_report(report: &RunReport) -> Vec<u8> {
     put_u64(&mut out, report.metrics.horizon_ps());
     put_u64(&mut out, report.metrics.len() as u64);
     for (name, value) in report.metrics.iter() {
-        put_str(&mut out, name);
-        match value {
-            MetricValue::Counter { value } => {
-                put_u8(&mut out, METRIC_COUNTER);
-                put_u64(&mut out, *value);
-            }
-            MetricValue::Gauge { mean, last } => {
-                put_u8(&mut out, METRIC_GAUGE);
-                put_f64_bits(&mut out, *mean);
-                put_f64_bits(&mut out, *last);
-            }
-            MetricValue::Histogram {
-                count,
-                mean,
-                p50,
-                p99,
-            } => {
-                put_u8(&mut out, METRIC_HISTOGRAM);
-                put_u64(&mut out, *count);
-                put_f64_bits(&mut out, *mean);
-                put_u64(&mut out, *p50);
-                put_u64(&mut out, *p99);
-            }
-            MetricValue::Occupancy { mean, peak } => {
-                put_u8(&mut out, METRIC_OCCUPANCY);
-                put_f64_bits(&mut out, *mean);
-                put_f64_bits(&mut out, *peak);
-            }
-        }
+        put_metric(&mut out, name, value);
     }
     out
 }
@@ -326,13 +331,12 @@ pub fn decode_report(bytes: &[u8]) -> Result<RunReport, CodecError> {
     }
 
     let horizon_ps = r.u64()?;
-    let mut metrics = MetricsSnapshot::new(horizon_ps);
     let n_metrics = r.seq_len(8 + 1 + 8)?;
-    let mut prev_name: Option<String> = None;
+    let mut metrics: Vec<(String, MetricValue)> = Vec::with_capacity(n_metrics);
     for _ in 0..n_metrics {
         let name = r.str()?;
         // Names arrive sorted and unique, as the snapshot iterates them.
-        if prev_name.as_ref().is_some_and(|prev| *prev >= name) {
+        if metrics.last().is_some_and(|(prev, _)| *prev >= name) {
             return Err(CodecError::Invalid("metrics out of order"));
         }
         let value = match r.u8()? {
@@ -353,9 +357,9 @@ pub fn decode_report(bytes: &[u8]) -> Result<RunReport, CodecError> {
             },
             tag => return Err(CodecError::BadTag(tag)),
         };
-        metrics.set(&name, value);
-        prev_name = Some(name);
+        metrics.push((name, value));
     }
+    let metrics = MetricsSnapshot::from_sorted(horizon_ps, metrics);
 
     if r.remaining() != 0 {
         return Err(CodecError::Invalid("trailing bytes"));
@@ -562,6 +566,81 @@ mod tests {
             let mut versioned = REPORT_CODEC_VERSION.to_le_bytes().to_vec();
             versioned.extend_from_slice(&bytes);
             let _ = decode_report(&versioned);
+        }
+    }
+
+    /// A metric of every kind, its fields drawn from `kind` and two raw
+    /// words (floats by bit pattern, NaNs included).
+    fn any_metric(kind: u8, a: u64, b: u64) -> MetricValue {
+        let (fa, fb) = (f64::from_bits(a), f64::from_bits(b));
+        match kind % 4 {
+            0 => MetricValue::Counter { value: a },
+            1 => MetricValue::Gauge { mean: fa, last: fb },
+            2 => MetricValue::Histogram {
+                count: a,
+                mean: fb,
+                p50: b,
+                p99: a ^ b,
+            },
+            _ => MetricValue::Occupancy { mean: fa, peak: fb },
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(128))]
+
+        /// Random name-sorted metric sets round-trip byte-exactly, and the
+        /// same payload with two neighbouring names swapped, or with one
+        /// name repeated, is rejected.
+        #[test]
+        fn random_metric_sets_round_trip_and_stay_canonical(
+            raw in proptest::collection::vec(
+                (0u32..5000, proptest::prelude::any::<u8>(),
+                 proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>()),
+                0..40,
+            ),
+            at in 0.0f64..1.0,
+        ) {
+            let mut metrics: Vec<(String, MetricValue)> = raw
+                .iter()
+                .map(|&(id, kind, a, b)| (format!("m.{id:04}"), any_metric(kind, a, b)))
+                .collect();
+            metrics.sort_by(|x, y| x.0.cmp(&y.0));
+            metrics.dedup_by(|x, y| x.0 == y.0);
+            let mut report = sample_report();
+            report.metrics = MetricsSnapshot::from_sorted(77, metrics.clone());
+            let bytes = encode_report(&report);
+            let decoded = decode_report(&bytes).expect("decode");
+            // `Debug`, not `==`: a NaN field is never equal to itself.
+            proptest::prop_assert_eq!(
+                format!("{:?}", decoded.metrics),
+                format!("{:?}", report.metrics)
+            );
+            proptest::prop_assert_eq!(encode_report(&decoded), bytes.clone());
+
+            if metrics.len() >= 2 {
+                let section = |list: &[(String, MetricValue)]| {
+                    let mut out = Vec::new();
+                    for (name, v) in list {
+                        put_metric(&mut out, name, v);
+                    }
+                    out
+                };
+                let tail = section(&metrics);
+                let head = &bytes[..bytes.len() - tail.len()];
+                proptest::prop_assert!(bytes.ends_with(&tail));
+                let k = ((metrics.len() - 1) as f64 * at) as usize;
+                let mut swapped = metrics.clone();
+                swapped.swap(k, k + 1);
+                let mut repeated = metrics.clone();
+                repeated[k + 1].0 = repeated[k].0.clone();
+                for bad in [swapped, repeated] {
+                    proptest::prop_assert_eq!(
+                        decode_report(&[head, &section(&bad)].concat()).unwrap_err(),
+                        CodecError::Invalid("metrics out of order")
+                    );
+                }
+            }
         }
     }
 

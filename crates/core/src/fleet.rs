@@ -383,8 +383,8 @@ pub fn aggregate_scatter_gather(
     metrics.set_counter("fleet.replication", fleet.replication() as u64);
     for (i, r) in reports.iter().enumerate() {
         let busy: SimDuration = r.stages.iter().map(|s| s.busy).sum();
-        metrics.set_counter(&format!("fleet.shard{i}.busy_ps"), busy.as_ps());
-        metrics.set_counter(&format!("fleet.shard{i}.makespan_ps"), r.makespan.as_ps());
+        metrics.set_counter(format!("fleet.shard{i}.busy_ps"), busy.as_ps());
+        metrics.set_counter(format!("fleet.shard{i}.makespan_ps"), r.makespan.as_ps());
     }
     let scatter_bytes_total = spec.scatter_bytes * n as u64;
     let gather_bytes_total = spec.gather_bytes * n as u64 * jobs;

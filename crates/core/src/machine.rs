@@ -969,9 +969,9 @@ impl Machine {
             ("mem.ddr.near_mem", &self.nm_mc),
         ] {
             for ch in 0..mc.config().channels {
-                snap.set_counter(&format!("{prefix}.ch{ch}.bytes"), mc.channel_bytes(ch));
+                snap.set_counter(format!("{prefix}.ch{ch}.bytes"), mc.channel_bytes(ch));
                 snap.set_counter(
-                    &format!("{prefix}.ch{ch}.busy_ps"),
+                    format!("{prefix}.ch{ch}.busy_ps"),
                     mc.channel_busy(ch).as_ps(),
                 );
             }
@@ -987,7 +987,7 @@ impl Machine {
         };
         for port in NocPort::ALL {
             snap.set_counter(
-                &format!("mem.noc.port.{}.busy_ps", port_slug(port)),
+                format!("mem.noc.port.{}.busy_ps", port_slug(port)),
                 self.noc.port_busy(port).as_ps(),
             );
         }
@@ -1021,18 +1021,18 @@ impl Machine {
         );
         for (i, dev) in self.ns_devices.iter().enumerate() {
             let ssd = dev.ssd().stats();
-            snap.set_counter(&format!("storage.ssd{i}.read_bytes"), ssd.bytes_read);
-            snap.set_counter(&format!("storage.ssd{i}.write_bytes"), ssd.bytes_written);
+            snap.set_counter(format!("storage.ssd{i}.read_bytes"), ssd.bytes_read);
+            snap.set_counter(format!("storage.ssd{i}.write_bytes"), ssd.bytes_written);
             snap.set_counter(
-                &format!("storage.ssd{i}.flash_busy_ps"),
+                format!("storage.ssd{i}.flash_busy_ps"),
                 dev.ssd().flash_busy_time().as_ps(),
             );
             snap.set_counter(
-                &format!("storage.ssd{i}.link.bytes"),
+                format!("storage.ssd{i}.link.bytes"),
                 dev.device_link_bytes(),
             );
             snap.set_counter(
-                &format!("storage.ssd{i}.link.busy_ps"),
+                format!("storage.ssd{i}.link.busy_ps"),
                 dev.device_link_busy().as_ps(),
             );
         }
@@ -1041,11 +1041,11 @@ impl Machine {
         for (id, acc) in &self.accelerators {
             let slug = level_slug(id.level);
             snap.set_counter(
-                &format!("accel.{slug}.{}.busy_ps", id.index),
+                format!("accel.{slug}.{}.busy_ps", id.index),
                 acc.busy_time().as_ps(),
             );
             snap.set_counter(
-                &format!("accel.{slug}.{}.reconfigs", id.index),
+                format!("accel.{slug}.{}.reconfigs", id.index),
                 acc.stats().reconfigurations,
             );
         }
@@ -1067,11 +1067,11 @@ impl Machine {
         // predate the traffic layer keep their exact metric schema.
         let quantiles =
             |snap: &mut reach_sim::MetricsSnapshot, prefix: &str, h: &LatencyHistogram| {
-                snap.set_counter(&format!("{prefix}.samples"), h.count());
-                snap.set_counter(&format!("{prefix}.p50_ps"), h.p50());
-                snap.set_counter(&format!("{prefix}.p95_ps"), h.p95());
-                snap.set_counter(&format!("{prefix}.p99_ps"), h.p99());
-                snap.set_counter(&format!("{prefix}.p999_ps"), h.p999());
+                snap.set_counter(format!("{prefix}.samples"), h.count());
+                snap.set_counter(format!("{prefix}.p50_ps"), h.p50());
+                snap.set_counter(format!("{prefix}.p95_ps"), h.p95());
+                snap.set_counter(format!("{prefix}.p99_ps"), h.p99());
+                snap.set_counter(format!("{prefix}.p999_ps"), h.p999());
             };
         if self.job_latency_hist.count() > 0 {
             quantiles(&mut snap, "latency.job", &self.job_latency_hist);
@@ -1089,12 +1089,12 @@ impl Machine {
         // Per-tenant attribution, only when a co-run scenario declared
         // tenants — single-workload runs keep their exact metric schema.
         for (i, (name, stats)) in self.tenants.iter().enumerate() {
-            snap.set_counter(&format!("tenant.{name}.dispatches"), stats.dispatches);
+            snap.set_counter(format!("tenant.{name}.dispatches"), stats.dispatches);
             snap.set_counter(
-                &format!("tenant.{name}.jobs_completed"),
+                format!("tenant.{name}.jobs_completed"),
                 stats.jobs_completed,
             );
-            snap.set_counter(&format!("tenant.{name}.jobs_rejected"), stats.jobs_rejected);
+            snap.set_counter(format!("tenant.{name}.jobs_rejected"), stats.jobs_rejected);
             if self.tenant_latency[i].count() > 0 {
                 quantiles(
                     &mut snap,

@@ -177,14 +177,14 @@ fn record_traversal(t: &Traversal, metrics: &mut MetricsSnapshot) {
         } => {
             metrics.set_counter("graph.bfs.levels", frontier_sizes.len() as u64);
             for (i, (&frontier, &scanned)) in frontier_sizes.iter().zip(edges_scanned).enumerate() {
-                metrics.set_counter(&format!("graph.bfs.{i:02}.frontier"), u64::from(frontier));
-                metrics.set_counter(&format!("graph.bfs.{i:02}.edges_scanned"), scanned);
+                metrics.set_counter(format!("graph.bfs.{i:02}.frontier"), u64::from(frontier));
+                metrics.set_counter(format!("graph.bfs.{i:02}.edges_scanned"), scanned);
             }
         }
         WorkloadShape::Pagerank { residuals } => {
             metrics.set_counter("graph.pagerank.iterations", residuals.len() as u64);
             for (i, &r) in residuals.iter().enumerate() {
-                metrics.set_gauge(&format!("graph.pagerank.{i:02}.residual"), r);
+                metrics.set_gauge(format!("graph.pagerank.{i:02}.residual"), r);
             }
         }
     }

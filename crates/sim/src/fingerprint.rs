@@ -23,11 +23,11 @@ const FNV128_PRIME: u128 = 0x0000000001000000000000000000013b;
 const FNV64_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV64_PRIME: u64 = 0x00000100000001b3;
 
-/// FNV-1a-64 over a raw byte slice: the record checksum used by persisted
-/// stores (e.g. the on-disk result cache). 64 bits is plenty for
-/// *corruption detection* — unlike [`FingerprintBuilder`] this is not an
-/// identity hash, so no framing and no domain seed; the bytes being
-/// checksummed already carry their own structure.
+/// FNV-1a-64 over a raw byte slice: a stable 64-bit digest of bytes that
+/// already carry their own structure (tests pin exported telemetry with
+/// it). Unlike [`FingerprintBuilder`] this is not an identity hash, so no
+/// framing and no domain seed. The on-disk result store checksums its
+/// records word by word instead (`reach_bench::diskcache::record_checksum`).
 #[must_use]
 pub fn checksum64(bytes: &[u8]) -> u64 {
     let mut state = FNV64_OFFSET;

@@ -33,6 +33,7 @@ use crate::stats::{Counter, Histogram, TimeWeighted};
 use crate::time::SimTime;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Handle to a monotonically increasing counter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -333,10 +334,13 @@ fn fmt_f64(v: f64) -> String {
 }
 
 /// A name-sorted, schema-stable summary of every metric in a registry.
+///
+/// Clones share one map and copy it on the first write to either side, so
+/// a replayed report is cloned without copying its metric names.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
     horizon_ps: u64,
-    metrics: BTreeMap<String, MetricValue>,
+    metrics: Arc<BTreeMap<String, MetricValue>>,
 }
 
 impl MetricsSnapshot {
@@ -345,7 +349,27 @@ impl MetricsSnapshot {
     pub fn new(horizon_ps: u64) -> Self {
         MetricsSnapshot {
             horizon_ps,
-            metrics: BTreeMap::new(),
+            metrics: Arc::default(),
+        }
+    }
+
+    /// A snapshot over `[0, horizon_ps]` holding `metrics`, which must be
+    /// in strictly ascending name order (as [`MetricsSnapshot::iter`]
+    /// yields them). The map is built in one pass, without a tree search
+    /// per name.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, panics if the names are not strictly ascending.
+    #[must_use]
+    pub fn from_sorted(horizon_ps: u64, metrics: Vec<(String, MetricValue)>) -> Self {
+        debug_assert!(
+            metrics.windows(2).all(|w| w[0].0 < w[1].0),
+            "MetricsSnapshot::from_sorted: names not strictly ascending"
+        );
+        MetricsSnapshot {
+            horizon_ps,
+            metrics: Arc::new(metrics.into_iter().collect()),
         }
     }
 
@@ -355,21 +379,22 @@ impl MetricsSnapshot {
         self.horizon_ps
     }
 
-    /// Inserts (or overwrites) a metric.
-    pub fn set(&mut self, name: &str, value: MetricValue) {
-        self.metrics.insert(name.to_string(), value);
+    /// Inserts (or overwrites) a metric. A map shared with a clone is
+    /// copied first, so the clone never sees the write.
+    pub fn set(&mut self, name: impl Into<String>, value: MetricValue) {
+        Arc::make_mut(&mut self.metrics).insert(name.into(), value);
     }
 
     /// Shorthand for inserting a [`MetricValue::Counter`] — the shape every
     /// end-of-run component pull uses.
-    pub fn set_counter(&mut self, name: &str, value: u64) {
+    pub fn set_counter(&mut self, name: impl Into<String>, value: u64) {
         self.set(name, MetricValue::Counter { value });
     }
 
     /// Shorthand for inserting a point-in-time [`MetricValue::Gauge`]
     /// (`mean == last == value`) — process-level facts recorded once per
     /// run, like the selected SIMD dispatch path.
-    pub fn set_gauge(&mut self, name: &str, value: f64) {
+    pub fn set_gauge(&mut self, name: impl Into<String>, value: f64) {
         self.set(
             name,
             MetricValue::Gauge {
@@ -459,7 +484,7 @@ impl MetricsSnapshot {
     #[must_use]
     pub fn to_csv(&self) -> String {
         let mut out = String::from("name,kind,value,count,mean,last,p50,p99,peak\n");
-        for (name, v) in &self.metrics {
+        for (name, v) in self.metrics.iter() {
             let kind = v.kind();
             match v {
                 MetricValue::Counter { value } => {
@@ -626,6 +651,69 @@ mod tests {
         let mut snap = MetricsSnapshot::new(0);
         snap.set("weird\"name", MetricValue::Counter { value: 1 });
         assert!(snap.to_json().contains("weird\\\"name"));
+    }
+
+    #[test]
+    fn a_write_to_either_clone_leaves_the_other_unchanged() {
+        let mut a = MetricsSnapshot::new(5);
+        a.set_counter("x", 1);
+        let mut b = a.clone();
+        b.set_counter("x", 2);
+        b.set_gauge("y", 0.5);
+        assert_eq!(a.get("x"), Some(&MetricValue::Counter { value: 1 }));
+        assert_eq!(a.len(), 1);
+        let c = a.clone();
+        a.set_counter(String::from("z"), 3);
+        assert_eq!(c.len(), 1);
+        assert!(c.get("z").is_none());
+        assert_eq!(b.get("x"), Some(&MetricValue::Counter { value: 2 }));
+        assert_eq!(b.len(), 2);
+    }
+
+    #[test]
+    fn from_sorted_equals_a_snapshot_built_with_set() {
+        let values = [
+            ("a.count", MetricValue::Counter { value: 7 }),
+            (
+                "b.depth",
+                MetricValue::Gauge {
+                    mean: 1.5,
+                    last: 3.0,
+                },
+            ),
+            (
+                "c.lat",
+                MetricValue::Histogram {
+                    count: 4,
+                    mean: 0.8,
+                    p50: 15,
+                    p99: 31,
+                },
+            ),
+            (
+                "d.occ",
+                MetricValue::Occupancy {
+                    mean: 0.25,
+                    peak: 2.0,
+                },
+            ),
+        ];
+        let mut by_set = MetricsSnapshot::new(9);
+        for (name, v) in values.iter().rev() {
+            by_set.set(*name, *v);
+        }
+        let sorted = MetricsSnapshot::from_sorted(
+            9,
+            values.iter().map(|(n, v)| (n.to_string(), *v)).collect(),
+        );
+        assert_eq!(sorted, by_set);
+        assert_eq!(format!("{sorted:?}"), format!("{by_set:?}"));
+        assert_eq!(sorted.to_json(), by_set.to_json());
+        assert_eq!(sorted.to_csv(), by_set.to_csv());
+        assert_eq!(
+            MetricsSnapshot::from_sorted(9, Vec::new()),
+            MetricsSnapshot::new(9)
+        );
     }
 
     #[test]

@@ -7,12 +7,10 @@ use reach::{
     encode_report, ComputeLevel, MachineBlueprint, RunReport, Scenario, ScenarioExecutor,
     ScenarioResult, SystemComponent, TaskWork,
 };
-use reach_bench::diskcache::{DISKCACHE_FILE, DISKCACHE_MAGIC};
+use reach_bench::diskcache::{record_checksum, DISKCACHE_FILE, DISKCACHE_MAGIC};
 use reach_bench::{DiskCache, ScenarioRunner};
 use reach_gam::JobBuilder;
-use reach_sim::{
-    checksum64, Bandwidth, BandwidthResource, MetricValue, SerialResource, SimDuration, SimTime,
-};
+use reach_sim::{Bandwidth, BandwidthResource, MetricValue, SerialResource, SimDuration, SimTime};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
@@ -318,10 +316,12 @@ fn valid_store_bytes(dir: &Path) -> Vec<u8> {
 
 /// Opens a store over `bytes` and looks up every fingerprint in `probes`:
 /// each lookup must miss or return a report that re-encodes to the
-/// payload `probes` expects for it (when one is given).
-fn open_hostile_store(dir: &Path, bytes: &[u8], probes: &[(u128, Option<Vec<u8>>)]) {
+/// payload `probes` expects for it (when one is given). Returns the
+/// number of records the open loaded.
+fn open_hostile_store(dir: &Path, bytes: &[u8], probes: &[(u128, Option<Vec<u8>>)]) -> usize {
     std::fs::write(dir.join(DISKCACHE_FILE), bytes).expect("write store");
     let mut cache = DiskCache::open_with_stamp(dir, STORE_STAMP);
+    let loaded = cache.len();
     for (fp, want) in probes {
         if let Some(report) = cache.get(*fp) {
             let got = encode_report(&report);
@@ -332,6 +332,7 @@ fn open_hostile_store(dir: &Path, bytes: &[u8], probes: &[(u128, Option<Vec<u8>>
         }
     }
     cache.flush();
+    loaded
 }
 
 /// A fresh scratch directory per test thread, emptied by [`Drop`].
@@ -424,7 +425,7 @@ proptest! {
         let report = pos + 12 + 16..pos + 12 + len;
         let edit = report.start + ((report.len() as f64 * at) as usize).min(report.len() - 1);
         bytes[edit] ^= mask;
-        let checksum = checksum64(&bytes[pos + 12..pos + 12 + len]);
+        let checksum = record_checksum(&bytes[pos + 12..pos + 12 + len]);
         bytes[pos + 4..pos + 12].copy_from_slice(&checksum.to_le_bytes());
         let probes: Vec<(u128, Option<Vec<u8>>)> = store_reports()
             .iter()
@@ -438,6 +439,32 @@ proptest! {
                 (*fp, Some(stored))
             })
             .collect();
-        open_hostile_store(&dir.0, &bytes, &probes);
+        // The forged frame loads, so the codec, not the framing, decides.
+        let loaded = open_hostile_store(&dir.0, &bytes, &probes);
+        prop_assert_eq!(loaded, store_reports().len());
+    }
+
+    /// Flipping any one byte of a record payload, or replacing any one
+    /// aligned 8-byte word of it, changes the record checksum.
+    #[test]
+    fn record_checksum_catches_any_one_byte_or_word_change(
+        payload in proptest::collection::vec(any::<u8>(), 1..300),
+        at in 0.0f64..1.0,
+        mask in 1u8..255,
+        word in any::<u64>(),
+    ) {
+        let base = record_checksum(&payload);
+        let i = ((payload.len() as f64 * at) as usize).min(payload.len() - 1);
+        let mut flipped = payload.clone();
+        flipped[i] ^= mask;
+        prop_assert!(record_checksum(&flipped) != base);
+        let w = i / 8 * 8;
+        if w + 8 <= payload.len() {
+            let old = u64::from_le_bytes(payload[w..w + 8].try_into().unwrap());
+            let new = if word == old { !word } else { word };
+            let mut changed = payload.clone();
+            changed[w..w + 8].copy_from_slice(&new.to_le_bytes());
+            prop_assert!(record_checksum(&changed) != base);
+        }
     }
 }
