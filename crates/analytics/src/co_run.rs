@@ -53,7 +53,7 @@ const SCAN_JOB_BASE: u64 = 512;
 ///
 /// The three runs are [`ScenarioSpec`]s over the same two tenants: each
 /// alone, then both sharing the machine with disjoint job ids (CBIR from
-/// 0, the scan at [`SCAN_JOB_BASE`]), so the GAM schedules them through
+/// 0, the scan at `SCAN_JOB_BASE`), so the GAM schedules them through
 /// the same per-level queues.
 #[must_use]
 pub fn co_run_interference_with(

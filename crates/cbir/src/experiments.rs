@@ -563,7 +563,7 @@ impl Scenario for RecallScenario {
     }
 }
 
-/// [`recall_vs_compression`] through an executor, as one [`RecallScenario`].
+/// [`recall_vs_compression`] through an executor, as one `RecallScenario`.
 ///
 /// # Panics
 ///

@@ -489,7 +489,7 @@ pub(crate) fn nearest_direct_lanes(panel: &[f32], book: &Matrix) -> [usize; LANE
     best
 }
 
-/// Squared L2 norm of a vector, accumulated in [`dot8`] order so that
+/// Squared L2 norm of a vector, accumulated in `dot8` order so that
 /// `norm_sq(v)` is bitwise the kernel's `<v, v>` — the identity
 /// `||p||^2 + ||p||^2 - 2<p, p> = 0` then holds *exactly* in `f32`.
 #[must_use]

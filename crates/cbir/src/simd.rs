@@ -9,7 +9,7 @@
 //! Every kernel in [`crate::linalg`] already accumulates through one fixed
 //! lane model: lane `l` of an 8-wide accumulator sums the products at
 //! indices `t ≡ l (mod 8)` in increasing `t` order, and the lanes fold
-//! through the shared [`crate::linalg::reduce`] tree. That model *is* one
+//! through the shared `linalg::reduce` tree. That model *is* one
 //! AVX2 `f32x8` register (or a NEON `float32x4_t` pair) updated with a
 //! per-lane multiply followed by a per-lane add. The kernels here therefore
 //! issue exactly `vmulps` + `vaddps` (`vmulq` + `vaddq` on NEON) —

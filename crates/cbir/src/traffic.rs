@@ -164,7 +164,7 @@ fn bursty_arrival(rate_per_sec: u64) -> ArrivalProcess {
 }
 
 /// The bursty demo point: the proper mapping serving
-/// [`bursty_arrival`]s.
+/// `bursty_arrival`s.
 #[must_use]
 pub fn bursty_demo(rate_per_sec: u64) -> ScenarioSpec {
     serving(

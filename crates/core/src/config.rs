@@ -205,7 +205,7 @@ mod tests {
         assert_eq!(c.near_memory_accelerators, 4);
         assert_eq!(c.near_storage_accelerators, 4);
         assert_eq!(c.host_mc.channels * c.host_mc.dimms_per_channel, 4);
-        assert_eq!(c.cache.capacity, 2 << 20);
+        assert_eq!(c.cache.line_bytes, 64);
         c.validate();
     }
 

@@ -1,7 +1,7 @@
 //! Canonical configuration fingerprints.
 //!
 //! A [`ConfigFingerprint`] is a stable 128-bit digest of *everything that
-//! determines a simulated outcome*: the machine shape ([`SystemConfig`]
+//! determines a simulated outcome*: the machine shape ([`crate::SystemConfig`]
 //! down to every timing and capacity knob), the kernel templates, the
 //! ReACH configuration (buffers, streams with their patterns and depths,
 //! accelerator registrations and argument bindings), the recorded host
@@ -20,7 +20,7 @@
 //! The encoding convention, per type:
 //!
 //! * plain-data config structs whose fields are all public and `Debug`
-//!   (e.g. [`SystemConfig`] and its nested component configs) are written
+//!   (e.g. [`crate::SystemConfig`] and its nested component configs) are written
 //!   via `write_debug` — derived `Debug` lists every field, so a knob
 //!   added next year flows into the fingerprint without anyone updating a
 //!   hand-written encoder;
@@ -233,7 +233,6 @@ mod tests {
                 "nm_tile_interleave",
                 Box::new(|c| c.nm_tile_interleave = false),
             ),
-            ("cache capacity", Box::new(|c| c.cache.capacity *= 2)),
             (
                 "aimbus latency",
                 Box::new(|c| c.aimbus_latency = SimDuration::from_ns(80)),

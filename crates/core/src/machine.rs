@@ -42,7 +42,7 @@ use reach_gam::{Job, JobId, TaskId, TenantLedger};
 use reach_mem::{
     AccessKind, AimBus, AimModule, MemoryController, Noc, NocConfig, NocPort, Tlb, TlbConfig,
 };
-use reach_sim::{EventQueue, LatencyHistogram, SimDuration, SimTime, Symbol};
+use reach_sim::{EventQueue, SimDuration, SimTime, Symbol};
 use reach_storage::{NearStorageDevice, PcieSwitch};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -132,18 +132,12 @@ pub struct Machine {
     host_switch: PcieSwitch,
     ns_devices: Vec<NearStorageDevice>,
     accelerators: BTreeMap<AcceleratorId, Accelerator>,
-    acc_stage_busy: BTreeMap<(AcceleratorId, Symbol), SimDuration>,
     gam: Gam,
     queue: EventQueue<Event>,
     tasks: HashMap<TaskId, TaskMeta>,
     dmas: HashMap<DmaId, DmaMeta>,
     job_submit: BTreeMap<JobId, SimTime>,
     job_done: BTreeMap<JobId, SimTime>,
-    job_latency: Vec<SimDuration>,
-    /// End-to-end job latency distribution (submission -> host interrupt).
-    job_latency_hist: LatencyHistogram,
-    /// Submission -> stage-completion latency distribution per stage.
-    stage_latency: HashMap<Symbol, LatencyHistogram>,
     /// Symbol-keyed so per-event accounting hashes a `u32`, not a string.
     /// Report building sorts by the resolved name to keep output stable.
     stages: HashMap<Symbol, StageAcct>,
@@ -154,12 +148,8 @@ pub struct Machine {
     /// Per-workload attribution for co-run scenarios; empty (and fully
     /// skipped) unless [`Machine::declare_tenant`] was called.
     tenants: TenantLedger,
-    /// Per-tenant end-to-end job latency, parallel to the ledger's tenants.
-    tenant_latency: Vec<LatencyHistogram>,
     trace: Option<Trace>,
     metrics: MachineMetrics,
-    events_processed: u64,
-    queue_depth_peak: usize,
 }
 
 impl Machine {
@@ -242,34 +232,21 @@ impl Machine {
                 .map(|_| NearStorageDevice::new(cfg.ns_device))
                 .collect(),
             accelerators,
-            acc_stage_busy: BTreeMap::new(),
-            gam: Gam::new(cfg.gam),
+            gam,
             queue: EventQueue::with_capacity(queue_capacity),
             tasks: HashMap::new(),
             dmas: HashMap::new(),
             job_submit: BTreeMap::new(),
             job_done: BTreeMap::new(),
-            job_latency: Vec::new(),
-            job_latency_hist: LatencyHistogram::new(),
-            stage_latency: HashMap::new(),
             stages: HashMap::new(),
             sym_transfer: Symbol::intern("transfer"),
             ns_cursor: 0,
             deferred: Vec::new(),
             tenants: TenantLedger::new(),
-            tenant_latency: Vec::new(),
             trace: None,
-            metrics: MachineMetrics::new(),
-            events_processed: 0,
-            queue_depth_peak: 0,
+            metrics: MachineMetrics::default(),
             cfg,
         }
-        .install_gam(gam)
-    }
-
-    fn install_gam(mut self, gam: Gam) -> Self {
-        self.gam = gam;
-        self
     }
 
     /// Declares a co-run tenant owning job ids `lo..hi`, so dispatches,
@@ -283,7 +260,7 @@ impl Machine {
     /// [`TenantLedger::declare`]).
     pub fn declare_tenant(&mut self, name: &str, lo: u64, hi: u64) {
         self.tenants.declare(name, lo, hi);
-        self.tenant_latency.push(LatencyHistogram::new());
+        self.metrics.declare_tenant();
     }
 
     /// The per-tenant ledger (empty unless [`Machine::declare_tenant`] ran).
@@ -418,9 +395,8 @@ impl Machine {
     pub fn run(&mut self) -> RunReport {
         let mut batch: Vec<Event> = Vec::new();
         while let Some(now) = self.queue.pop_batch_into(&mut batch) {
-            self.queue_depth_peak = self.queue_depth_peak.max(self.queue.len() + batch.len());
+            self.metrics.events_drained(batch.len(), self.queue.len());
             for ev in batch.drain(..) {
-                self.events_processed += 1;
                 match ev {
                     Event::TaskDone { task } => {
                         self.note_stage_latency(task, now);
@@ -509,10 +485,8 @@ impl Machine {
     fn note_stage_latency(&mut self, task: TaskId, now: SimTime) {
         let meta = &self.tasks[&task];
         let submitted = self.job_submit[&meta.job];
-        self.stage_latency
-            .entry(meta.stage)
-            .or_default()
-            .record(now.since(submitted).as_ps());
+        self.metrics
+            .stage_completed(meta.stage, now.since(submitted));
     }
 
     /// An arrival bounced off a full admission queue: drop its task state
@@ -534,14 +508,12 @@ impl Machine {
             if let GamAction::HostInterrupt { job } = a {
                 let submitted = self.job_submit[job];
                 let latency = now.since(submitted);
-                self.job_latency.push(latency);
-                self.job_latency_hist.record(latency.as_ps());
+                let mut tenant = None;
                 if !self.tenants.is_empty() {
-                    if let Some(i) = self.tenants.index_of(*job) {
-                        self.tenant_latency[i].record(latency.as_ps());
-                    }
+                    tenant = self.tenants.index_of(*job);
                     self.tenants.on_complete(*job);
                 }
+                self.metrics.job_completed(latency, tenant);
                 self.job_done.insert(*job, now);
             }
         }
@@ -612,10 +584,6 @@ impl Machine {
         acct.acc_busy += duration;
         acct.tasks += 1;
         acct.widen(res.start, finish);
-        *self
-            .acc_stage_busy
-            .entry((acc_id, stage))
-            .or_insert(SimDuration::ZERO) += duration;
 
         if self.trace.is_some() {
             self.record_task_trace(stage, acc_id, res.start, finish);
@@ -957,11 +925,12 @@ impl Machine {
     // Reporting
     // ----------------------------------------------------------------- //
 
-    /// Folds the hot-path telemetry with the statistics the substrate
-    /// models already keep (channel traffic, SSD flash bytes, per-instance
-    /// busy time) into one name-sorted snapshot.
+    /// Writes the hot-path telemetry, then pulls the statistics the
+    /// substrate models already keep (channel traffic, SSD flash bytes,
+    /// per-instance busy time, GAM counters) into the same name-sorted
+    /// snapshot.
     fn metrics_snapshot(&self) -> reach_sim::MetricsSnapshot {
-        let mut snap = self.metrics.snapshot(self.queue.now());
+        let mut snap = self.metrics.snapshot(self.queue.now(), &self.tenants);
 
         // Memory: host and near-memory DDR channels, NoC ports, AIMbus.
         for (prefix, mc) in [
@@ -1061,53 +1030,16 @@ impl Machine {
         snap.set_counter("gam.dma_bytes", g.dma_bytes);
         snap.set_counter("gam.jobs_rejected", g.jobs_rejected);
 
-        // Latency-distribution quantiles (submission -> completion, in
-        // picoseconds), from the deterministic log-bucketed histograms.
-        // Emitted only once something completed, so closed-loop runs that
-        // predate the traffic layer keep their exact metric schema.
-        let quantiles =
-            |snap: &mut reach_sim::MetricsSnapshot, prefix: &str, h: &LatencyHistogram| {
-                snap.set_counter(format!("{prefix}.samples"), h.count());
-                snap.set_counter(format!("{prefix}.p50_ps"), h.p50());
-                snap.set_counter(format!("{prefix}.p95_ps"), h.p95());
-                snap.set_counter(format!("{prefix}.p99_ps"), h.p99());
-                snap.set_counter(format!("{prefix}.p999_ps"), h.p999());
-            };
-        if self.job_latency_hist.count() > 0 {
-            quantiles(&mut snap, "latency.job", &self.job_latency_hist);
-        }
-        let mut stage_hists: Vec<(&'static str, &LatencyHistogram)> = self
-            .stage_latency
-            .iter()
-            .map(|(s, h)| (s.resolve(), h))
-            .collect();
-        stage_hists.sort_unstable_by_key(|&(name, _)| name);
-        for (name, h) in stage_hists {
-            quantiles(&mut snap, &format!("latency.stage.{name}"), h);
-        }
-
         // Per-tenant attribution, only when a co-run scenario declared
         // tenants — single-workload runs keep their exact metric schema.
-        for (i, (name, stats)) in self.tenants.iter().enumerate() {
+        for (name, stats) in self.tenants.iter() {
             snap.set_counter(format!("tenant.{name}.dispatches"), stats.dispatches);
             snap.set_counter(
                 format!("tenant.{name}.jobs_completed"),
                 stats.jobs_completed,
             );
             snap.set_counter(format!("tenant.{name}.jobs_rejected"), stats.jobs_rejected);
-            if self.tenant_latency[i].count() > 0 {
-                quantiles(
-                    &mut snap,
-                    &format!("tenant.{name}.latency"),
-                    &self.tenant_latency[i],
-                );
-            }
         }
-
-        // Event-loop throughput counters (fed to the experiments stderr
-        // summary; never printed on stdout).
-        snap.set_counter("engine.events_processed", self.events_processed);
-        snap.set_counter("engine.queue_depth_peak", self.queue_depth_peak as u64);
         snap
     }
 
@@ -1119,9 +1051,6 @@ impl Machine {
         // Usage totals for static-energy attribution weights.
         let total_ssd_bytes: u64 = self.stages.values().map(|a| a.ssd_bytes).sum();
         let total_pcie_bytes: u64 = self.stages.values().map(|a| a.pcie_bytes).sum();
-        let total_dram_bytes: u64 = self.stages.values().map(|a| a.dram_bytes).sum();
-        let total_ic_bytes: u64 = self.stages.values().map(|a| a.interconnect_bytes).sum();
-        let total_cache: u64 = self.stages.values().map(|a| a.cache_accesses).sum();
         let total_busy: SimDuration = self.stages.values().map(|a| a.acc_busy).sum();
 
         // Two static-energy attribution rules (see EXPERIMENTS.md):
@@ -1208,7 +1137,6 @@ impl Machine {
 
             // Static attributions: time-extent for memory-side components,
             // usage for storage-path components.
-            let _ = (total_dram_bytes, total_ic_bytes, total_cache);
             ledger.add(SystemComponent::Dram, name, dram_static * weight_time(acct));
             ledger.add(
                 SystemComponent::Cache,
@@ -1246,28 +1174,12 @@ impl Machine {
             });
         }
 
-        let jobs = self.job_latency.len() as u64;
-        let mean = if jobs > 0 {
-            SimDuration::from_ps(
-                (self
-                    .job_latency
-                    .iter()
-                    .map(|d| u128::from(d.as_ps()))
-                    .sum::<u128>()
-                    / u128::from(jobs)) as u64,
-            )
-        } else {
-            SimDuration::ZERO
-        };
+        let (jobs, job_latency_mean, job_latency_last) = self.metrics.job_latency();
         RunReport {
             makespan,
             jobs,
-            job_latency_mean: mean,
-            job_latency_last: self
-                .job_latency
-                .last()
-                .copied()
-                .unwrap_or(SimDuration::ZERO),
+            job_latency_mean,
+            job_latency_last,
             stages: summaries,
             ledger,
             gam: *self.gam.stats(),

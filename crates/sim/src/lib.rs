@@ -13,8 +13,10 @@
 //!   models used for DRAM banks, memory channels, PCIe links, SSD flash
 //!   channels and accelerators. Contention, queueing delay and saturation
 //!   emerge from these calendars instead of being hard-coded.
-//! * [`stats`] — counters, histograms and time-weighted averages used to
-//!   build the experiment reports.
+//! * [`stats`] — histograms and time-weighted averages, and [`metrics`] —
+//!   the windowed occupancy gauge and the [`MetricsSnapshot`] a run
+//!   exports. A simulation core holds these as typed fields and writes
+//!   them into one snapshot at the end of a run.
 //!
 //! The engine is *transaction-level*: components reserve time windows on
 //! resources rather than exchanging per-cycle messages. This reproduces the
@@ -50,11 +52,8 @@ pub mod time;
 pub use event::EventQueue;
 pub use fingerprint::{checksum64, Fingerprint, FingerprintBuilder};
 pub use intern::Symbol;
-pub use metrics::{
-    CounterId, GaugeId, HistogramId, MetricValue, MetricsRegistry, MetricsSnapshot, OccupancyId,
-    WindowedGauge,
-};
+pub use metrics::{MetricValue, MetricsSnapshot, WindowedGauge};
 pub use rate::{Bandwidth, Frequency, Link};
 pub use resource::{BandwidthResource, MultiResource, Reservation, SerialResource};
-pub use stats::{Counter, Histogram, LatencyHistogram, TimeWeighted};
+pub use stats::{Histogram, LatencyHistogram, TimeWeighted};
 pub use time::{SimDuration, SimTime};

@@ -1,59 +1,40 @@
-//! The metrics registry: hierarchical, handle-based telemetry.
+//! The snapshot a finished run exports, and the windowed occupancy gauge.
 //!
-//! The primitives in [`crate::stats`] (counters, histograms, time-weighted
-//! signals) describe *one* quantity each. This module binds them into a
-//! [`MetricsRegistry`] a simulation core can own: metrics are
-//! created once under hierarchical dotted names (`mem.ddr.ch0.busy_ps`,
-//! `gam.queue.near_mem.depth`, `storage.ssd0.read_bytes`) and recorded
-//! through cheap index handles on the hot path — no string hashing per
-//! sample.
-//!
-//! At the end of a run the registry folds into a [`MetricsSnapshot`]: a
-//! name-sorted, schema-stable map of scalar summaries with two exporters,
-//! a hand-rolled JSON dump (same no-dependency style as the Chrome trace
+//! A simulation core records into the primitives of [`crate::stats`]
+//! ([`Histogram`], [`TimeWeighted`]) and into [`WindowedGauge`], held as
+//! typed fields, and writes them once at the end of a run into a
+//! [`MetricsSnapshot`] under hierarchical dotted names
+//! (`mem.ddr.ch0.busy_ps`, `gam.queue.near_mem.depth`,
+//! `storage.ssd0.read_bytes`). The snapshot is a name-sorted,
+//! schema-stable map of scalar summaries with two exporters, a
+//! hand-rolled JSON dump (same no-dependency style as the Chrome trace
 //! serializer) and a flat CSV for sweep post-processing.
+//!
+//! [`Histogram`]: crate::stats::Histogram
+//! [`TimeWeighted`]: crate::stats::TimeWeighted
 //!
 //! # Example
 //!
 //! ```
-//! use reach_sim::metrics::MetricsRegistry;
-//! use reach_sim::SimTime;
+//! use reach_sim::{MetricsSnapshot, SimTime, TimeWeighted};
 //!
-//! let mut reg = MetricsRegistry::new();
-//! let bytes = reg.counter("mem.ddr.ch0.bytes");
-//! let depth = reg.gauge("gam.queue.near_mem.depth");
-//! reg.add(bytes, 4096);
-//! reg.gauge_set(depth, SimTime::from_ps(0), 2.0);
-//! reg.gauge_set(depth, SimTime::from_ps(50), 4.0);
-//! let snap = reg.snapshot(SimTime::from_ps(100));
-//! assert!(snap.to_json().contains("\"mem.ddr.ch0.bytes\""));
+//! let mut depth = TimeWeighted::new();
+//! depth.set(SimTime::from_ps(0), 2.0);
+//! depth.set(SimTime::from_ps(50), 4.0);
+//! let mut snap = MetricsSnapshot::new(100);
+//! snap.set_counter("mem.ddr.ch0.bytes", 4096);
+//! snap.set("gam.queue.near_mem.depth", depth.summary(SimTime::from_ps(100)));
+//! assert!(snap.to_json().contains("\"mean\":3.000000"));
 //! ```
 
-use crate::stats::{Counter, Histogram, TimeWeighted};
 use crate::time::SimTime;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-/// Handle to a monotonically increasing counter.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct CounterId(usize);
-
-/// Handle to a piecewise-constant gauge (time-weighted signal).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct GaugeId(usize);
-
-/// Handle to a power-of-two bucketed histogram.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct HistogramId(usize);
-
-/// Handle to a windowed occupancy gauge.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct OccupancyId(usize);
-
 /// A time-windowed occupancy signal built from `[start, end)` busy windows.
 ///
-/// Unlike [`TimeWeighted`], windows may be recorded **out of order** — a
+/// Unlike [`crate::TimeWeighted`], windows may be recorded **out of order** — a
 /// discrete-event core discovers resource busy intervals in completion
 /// order, not in start order. The gauge stores signed edges and sorts them
 /// once at snapshot time.
@@ -116,168 +97,12 @@ impl WindowedGauge {
         };
         (mean, peak)
     }
-}
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Kind {
-    Counter,
-    Gauge,
-    Histogram,
-    Occupancy,
-}
-
-/// A registry of named metrics with cheap handle-based recording.
-///
-/// Creating a metric is idempotent per name (the same handle comes back);
-/// recording through a handle is an index into a dense vector.
-#[derive(Clone, Debug, Default)]
-pub struct MetricsRegistry {
-    counters: Vec<Counter>,
-    gauges: Vec<TimeWeighted>,
-    histograms: Vec<Histogram>,
-    occupancies: Vec<(String, WindowedGauge)>,
-    index: BTreeMap<String, (Kind, usize)>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
+    /// The snapshot summary over `[0, horizon]`: mean and peak occupancy.
     #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn slot(&mut self, name: &str, kind: Kind, next: usize) -> usize {
-        match self.index.get(name) {
-            Some(&(k, i)) => {
-                assert!(
-                    k == kind,
-                    "MetricsRegistry: {name} already registered as {k:?}"
-                );
-                i
-            }
-            None => {
-                self.index.insert(name.to_string(), (kind, next));
-                next
-            }
-        }
-    }
-
-    /// Creates (or finds) a counter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is registered as a different metric kind.
-    pub fn counter(&mut self, name: &str) -> CounterId {
-        let i = self.slot(name, Kind::Counter, self.counters.len());
-        if i == self.counters.len() {
-            self.counters.push(Counter::new(name));
-        }
-        CounterId(i)
-    }
-
-    /// Creates (or finds) a gauge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is registered as a different metric kind.
-    pub fn gauge(&mut self, name: &str) -> GaugeId {
-        let i = self.slot(name, Kind::Gauge, self.gauges.len());
-        if i == self.gauges.len() {
-            self.gauges.push(TimeWeighted::new(name));
-        }
-        GaugeId(i)
-    }
-
-    /// Creates (or finds) a histogram.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is registered as a different metric kind.
-    pub fn histogram(&mut self, name: &str) -> HistogramId {
-        let i = self.slot(name, Kind::Histogram, self.histograms.len());
-        if i == self.histograms.len() {
-            self.histograms.push(Histogram::new(name));
-        }
-        HistogramId(i)
-    }
-
-    /// Creates (or finds) a windowed occupancy gauge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is registered as a different metric kind.
-    pub fn occupancy(&mut self, name: &str) -> OccupancyId {
-        let i = self.slot(name, Kind::Occupancy, self.occupancies.len());
-        if i == self.occupancies.len() {
-            self.occupancies
-                .push((name.to_string(), WindowedGauge::new()));
-        }
-        OccupancyId(i)
-    }
-
-    /// Adds `n` to a counter.
-    pub fn add(&mut self, id: CounterId, n: u64) {
-        self.counters[id.0].add(n);
-    }
-
-    /// Adds one to a counter.
-    pub fn inc(&mut self, id: CounterId) {
-        self.counters[id.0].inc();
-    }
-
-    /// Sets a gauge at `at` (samples must arrive in time order).
-    pub fn gauge_set(&mut self, id: GaugeId, at: SimTime, value: f64) {
-        self.gauges[id.0].set(at, value);
-    }
-
-    /// Records one histogram sample.
-    pub fn record(&mut self, id: HistogramId, v: u64) {
-        self.histograms[id.0].record(v);
-    }
-
-    /// Records one occupancy window (may arrive out of time order).
-    pub fn occupy(&mut self, id: OccupancyId, start: SimTime, end: SimTime, amount: f64) {
-        self.occupancies[id.0].1.record(start, end, amount);
-    }
-
-    /// Folds every metric into a snapshot over the horizon `[0, until]`.
-    #[must_use]
-    pub fn snapshot(&self, until: SimTime) -> MetricsSnapshot {
-        let horizon_ps = until.since(SimTime::ZERO).as_ps();
-        let mut snap = MetricsSnapshot::new(horizon_ps);
-        for c in &self.counters {
-            snap.set(c.name(), MetricValue::Counter { value: c.get() });
-        }
-        for g in &self.gauges {
-            let mean = if horizon_ps == 0 {
-                0.0
-            } else {
-                g.average(until)
-            };
-            snap.set(
-                g.name(),
-                MetricValue::Gauge {
-                    mean,
-                    last: g.current(),
-                },
-            );
-        }
-        for h in &self.histograms {
-            snap.set(
-                h.name(),
-                MetricValue::Histogram {
-                    count: h.count(),
-                    mean: h.mean(),
-                    p50: h.percentile_bound(50),
-                    p99: h.percentile_bound(99),
-                },
-            );
-        }
-        for (name, w) in &self.occupancies {
-            let (mean, peak) = w.summarize(until);
-            snap.set(name, MetricValue::Occupancy { mean, peak });
-        }
-        snap
+    pub fn summary(&self, horizon: SimTime) -> MetricValue {
+        let (mean, peak) = self.summarize(horizon);
+        MetricValue::Occupancy { mean, peak }
     }
 }
 
@@ -333,7 +158,7 @@ fn fmt_f64(v: f64) -> String {
     format!("{v:.6}")
 }
 
-/// A name-sorted, schema-stable summary of every metric in a registry.
+/// A name-sorted, schema-stable summary of every metric of a run.
 ///
 /// Clones share one map and copy it on the first write to either side, so
 /// a replayed report is cloned without copying its metric names.
@@ -543,47 +368,31 @@ fn escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::{Histogram, TimeWeighted};
 
     fn ps(n: u64) -> SimTime {
         SimTime::from_ps(n)
     }
 
     #[test]
-    fn handles_are_idempotent_per_name() {
-        let mut reg = MetricsRegistry::new();
-        let a = reg.counter("x.bytes");
-        let b = reg.counter("x.bytes");
-        assert_eq!(a, b);
-        reg.add(a, 3);
-        reg.inc(b);
-        assert_eq!(
-            reg.snapshot(ps(0)).get("x.bytes"),
-            Some(&MetricValue::Counter { value: 4 })
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "already registered")]
-    fn kind_collision_rejected() {
-        let mut reg = MetricsRegistry::new();
-        let _ = reg.counter("x");
-        let _ = reg.gauge("x");
-    }
-
-    #[test]
     fn gauge_summarizes_time_weighted() {
-        let mut reg = MetricsRegistry::new();
-        let g = reg.gauge("q.depth");
-        reg.gauge_set(g, ps(0), 2.0);
-        reg.gauge_set(g, ps(50), 4.0);
-        let snap = reg.snapshot(ps(100));
-        match snap.get("q.depth").unwrap() {
+        let mut g = TimeWeighted::new();
+        g.set(ps(0), 2.0);
+        g.set(ps(50), 4.0);
+        match g.summary(ps(100)) {
             MetricValue::Gauge { mean, last } => {
                 assert!((mean - 3.0).abs() < 1e-12);
-                assert_eq!(*last, 4.0);
+                assert_eq!(last, 4.0);
             }
             other => panic!("expected gauge, got {other:?}"),
         }
+        assert_eq!(
+            TimeWeighted::new().summary(SimTime::ZERO),
+            MetricValue::Gauge {
+                mean: 0.0,
+                last: 0.0
+            }
+        );
     }
 
     #[test]
@@ -616,12 +425,9 @@ mod tests {
 
     #[test]
     fn snapshot_orders_by_name_and_counts() {
-        let mut reg = MetricsRegistry::new();
-        let b = reg.counter("b.count");
-        let a = reg.counter("a.count");
-        reg.add(b, 1);
-        reg.add(a, 2);
-        let snap = reg.snapshot(ps(10));
+        let mut snap = MetricsSnapshot::new(10);
+        snap.set_counter("b.count", 1);
+        snap.set_counter("a.count", 2);
         let names: Vec<&str> = snap.iter().map(|(n, _)| n).collect();
         assert_eq!(names, ["a.count", "b.count"]);
         assert_eq!(snap.len(), 2);
@@ -631,19 +437,31 @@ mod tests {
 
     #[test]
     fn histogram_summary_in_snapshot() {
-        let mut reg = MetricsRegistry::new();
-        let h = reg.histogram("lat.ps");
+        let mut h = Histogram::new();
         for v in [8, 9, 10, 1 << 20] {
-            reg.record(h, v);
+            h.record(v);
         }
-        let snap = reg.snapshot(ps(1));
-        match snap.get("lat.ps").unwrap() {
+        match h.summary() {
             MetricValue::Histogram { count, p50, .. } => {
-                assert_eq!(*count, 4);
-                assert_eq!(*p50, 15);
+                assert_eq!(count, 4);
+                assert_eq!(p50, 15);
             }
             other => panic!("expected histogram, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn occupancy_summary_matches_summarize() {
+        let mut w = WindowedGauge::new();
+        w.record(ps(0), ps(50), 1.0);
+        w.record(ps(25), ps(100), 1.0);
+        assert_eq!(
+            w.summary(ps(100)),
+            MetricValue::Occupancy {
+                mean: 1.25,
+                peak: 2.0
+            }
+        );
     }
 
     #[test]

@@ -1,63 +1,8 @@
 //! Statistics primitives used to assemble the experiment reports.
 
+use crate::metrics::MetricValue;
 use crate::time::SimTime;
 use std::fmt;
-
-/// A monotonically increasing event counter.
-///
-/// # Example
-///
-/// ```
-/// use reach_sim::Counter;
-/// let mut hits = Counter::new("llc_hits");
-/// hits.add(3);
-/// hits.inc();
-/// assert_eq!(hits.get(), 4);
-/// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Counter {
-    name: String,
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a named, zeroed counter.
-    #[must_use]
-    pub fn new(name: impl Into<String>) -> Self {
-        Counter {
-            name: name.into(),
-            value: 0,
-        }
-    }
-
-    /// Adds `n` to the counter.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Adds one.
-    pub fn inc(&mut self) {
-        self.value += 1;
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-
-    /// The counter's name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}={}", self.name, self.value)
-    }
-}
 
 /// A power-of-two bucketed histogram for latency-like quantities.
 ///
@@ -67,7 +12,7 @@ impl fmt::Display for Counter {
 ///
 /// ```
 /// use reach_sim::Histogram;
-/// let mut h = Histogram::new("queue_delay_ps");
+/// let mut h = Histogram::new();
 /// h.record(5);   // bucket 2: [4, 8)
 /// h.record(6);
 /// h.record(100); // bucket 6: [64, 128)
@@ -76,18 +21,16 @@ impl fmt::Display for Counter {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Histogram {
-    name: String,
     buckets: [u64; 64],
     count: u64,
     sum: u128,
 }
 
 impl Histogram {
-    /// Creates a named, empty histogram.
+    /// Creates an empty histogram.
     #[must_use]
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new() -> Self {
         Histogram {
-            name: name.into(),
             buckets: [0; 64],
             count: 0,
             sum: 0,
@@ -157,24 +100,21 @@ impl Histogram {
         u64::MAX
     }
 
-    /// The histogram's name.
+    /// The snapshot summary: count, mean and the p50/p99 bounds.
     #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn summary(&self) -> MetricValue {
+        MetricValue::Histogram {
+            count: self.count,
+            mean: self.mean(),
+            p50: self.percentile_bound(50),
+            p99: self.percentile_bound(99),
+        }
     }
 }
 
-impl fmt::Display for Histogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: n={} mean={:.1} p50<={} p99<={}",
-            self.name,
-            self.count,
-            self.mean(),
-            self.percentile_bound(50),
-            self.percentile_bound(99)
-        )
+impl Default for Histogram {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -360,14 +300,13 @@ impl fmt::Display for LatencyHistogram {
 ///
 /// ```
 /// use reach_sim::{TimeWeighted, SimTime};
-/// let mut depth = TimeWeighted::new("queue_depth");
+/// let mut depth = TimeWeighted::new();
 /// depth.set(SimTime::from_ps(0), 2.0);
 /// depth.set(SimTime::from_ps(10), 4.0);
 /// assert_eq!(depth.average(SimTime::from_ps(20)), 3.0);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct TimeWeighted {
-    name: String,
     last_change: SimTime,
     value: f64,
     weighted_sum: f64,
@@ -376,13 +315,8 @@ pub struct TimeWeighted {
 impl TimeWeighted {
     /// Creates a signal that is 0.0 from the origin.
     #[must_use]
-    pub fn new(name: impl Into<String>) -> Self {
-        TimeWeighted {
-            name: name.into(),
-            last_change: SimTime::ZERO,
-            value: 0.0,
-            weighted_sum: 0.0,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Sets the signal value at time `at`.
@@ -396,12 +330,6 @@ impl TimeWeighted {
         self.weighted_sum += self.value * span.as_ps() as f64;
         self.last_change = at;
         self.value = value;
-    }
-
-    /// Adds `delta` to the current value at time `at`.
-    pub fn add(&mut self, at: SimTime, delta: f64) {
-        let next = self.value + delta;
-        self.set(at, next);
     }
 
     /// Current value of the signal.
@@ -423,10 +351,23 @@ impl TimeWeighted {
         total / until.as_ps() as f64
     }
 
-    /// The signal's name.
+    /// The snapshot summary over `[ZERO, until]`: the time-weighted mean
+    /// (0.0 over an empty horizon) and the current value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `until` precedes the last recorded change.
     #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn summary(&self, until: SimTime) -> MetricValue {
+        let mean = if until == SimTime::ZERO {
+            0.0
+        } else {
+            self.average(until)
+        };
+        MetricValue::Gauge {
+            mean,
+            last: self.value,
+        }
     }
 }
 
@@ -435,17 +376,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new("c");
-        c.inc();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-        assert_eq!(c.to_string(), "c=10");
-    }
-
-    #[test]
     fn histogram_buckets() {
-        let mut h = Histogram::new("h");
+        let mut h = Histogram::new();
         h.record(0);
         h.record(1);
         h.record(2);
@@ -460,7 +392,7 @@ mod tests {
 
     #[test]
     fn histogram_percentile_bounds() {
-        let mut h = Histogram::new("h");
+        let mut h = Histogram::new();
         for _ in 0..99 {
             h.record(10); // bucket 3: [8, 16)
         }
@@ -468,7 +400,7 @@ mod tests {
         assert_eq!(h.percentile_bound(50), 15);
         assert_eq!(h.percentile_bound(99), 15);
         assert_eq!(h.percentile_bound(100), (1 << 21) - 1);
-        assert_eq!(Histogram::new("empty").percentile_bound(99), 0);
+        assert_eq!(Histogram::new().percentile_bound(99), 0);
     }
 
     #[test]
@@ -544,10 +476,10 @@ mod tests {
 
     #[test]
     fn time_weighted_average() {
-        let mut s = TimeWeighted::new("q");
+        let mut s = TimeWeighted::new();
         s.set(SimTime::from_ps(0), 1.0);
-        s.add(SimTime::from_ps(50), 1.0); // value 2.0 from t=50
-                                          // [0, 50): 1.0; [50, 100): 2.0 -> avg 1.5
+        s.set(SimTime::from_ps(50), 2.0);
+        // [0, 50): 1.0; [50, 100): 2.0 -> avg 1.5
         assert!((s.average(SimTime::from_ps(100)) - 1.5).abs() < 1e-12);
         assert_eq!(s.current(), 2.0);
     }

@@ -23,9 +23,6 @@ pub struct NearStorageDeviceConfig {
     pub ssd: SsdConfig,
     /// Private DRAM buffer capacity (1 GB in Table II).
     pub buffer_capacity: u64,
-    /// Private DRAM buffer bandwidth. No data path bills it; it is kept
-    /// because every field is part of the machine blueprint's key.
-    pub buffer_bandwidth: Bandwidth,
     /// Effective FPGA-SSD link bandwidth (12 GB/s in Table II).
     pub device_link: Bandwidth,
 }
@@ -38,7 +35,6 @@ impl NearStorageDeviceConfig {
         NearStorageDeviceConfig {
             ssd: SsdConfig::nytro_class(),
             buffer_capacity: 1 << 30,
-            buffer_bandwidth: Bandwidth::from_gbps(19),
             device_link: Bandwidth::from_gbps(12),
         }
     }

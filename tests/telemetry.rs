@@ -9,7 +9,7 @@
 use reach::{Machine, MetricValue, MetricsSnapshot, TraceKind};
 use reach_cbir::pipeline::CbirStage;
 use reach_cbir::{blueprint_with, CbirMapping, CbirPipeline, CbirWorkload};
-use reach_sim::{MetricsRegistry, SimTime};
+use reach_sim::{Histogram, SimTime, TimeWeighted, WindowedGauge};
 
 fn proper_run() -> reach::RunReport {
     let w = CbirWorkload::paper_setup();
@@ -82,22 +82,24 @@ fn telemetry_is_deterministic_across_runs() {
 // Exporter golden files
 // ------------------------------------------------------------------ //
 
-/// A small registry exercising every metric kind with hand-checkable
+/// A small snapshot exercising every metric kind with hand-checkable
 /// numbers (the golden files pin the exact serialization).
 fn golden_snapshot() -> MetricsSnapshot {
-    let mut reg = MetricsRegistry::new();
-    let bytes = reg.counter("mem.ddr.ch0.bytes");
-    reg.add(bytes, 4096);
-    let depth = reg.gauge("gam.queue.near_mem.depth");
-    reg.gauge_set(depth, SimTime::ZERO, 1.0);
-    reg.gauge_set(depth, SimTime::from_ps(500), 3.0);
-    let lat = reg.histogram("accel.on_chip.task_ps");
-    reg.record(lat, 1000);
-    reg.record(lat, 3000);
-    let occ = reg.occupancy("accel.near_stor.occupancy");
-    reg.occupy(occ, SimTime::ZERO, SimTime::from_ps(500), 1.0);
-    reg.occupy(occ, SimTime::from_ps(250), SimTime::from_ps(1000), 1.0);
-    let mut snap = reg.snapshot(SimTime::from_ps(1000));
+    let until = SimTime::from_ps(1000);
+    let mut depth = TimeWeighted::new();
+    depth.set(SimTime::ZERO, 1.0);
+    depth.set(SimTime::from_ps(500), 3.0);
+    let mut lat = Histogram::new();
+    lat.record(1000);
+    lat.record(3000);
+    let mut occ = WindowedGauge::new();
+    occ.record(SimTime::ZERO, SimTime::from_ps(500), 1.0);
+    occ.record(SimTime::from_ps(250), until, 1.0);
+    let mut snap = MetricsSnapshot::new(until.as_ps());
+    snap.set_counter("mem.ddr.ch0.bytes", 4096);
+    snap.set("gam.queue.near_mem.depth", depth.summary(until));
+    snap.set("accel.on_chip.task_ps", lat.summary());
+    snap.set("accel.near_stor.occupancy", occ.summary(until));
     snap.set_counter("storage.ssd0.read_bytes", 1 << 20);
     snap
 }
