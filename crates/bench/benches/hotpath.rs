@@ -1,7 +1,8 @@
 //! Microbenchmarks of the simulator hot paths: event-queue throughput
 //! (binary heap), machine steady-state event processing, the parallel
-//! CBIR kernels (GEMM micro-kernel, k-means, top-K), the cross-batch
-//! distance cache, the batched DDR stream timing model, host graph
+//! CBIR kernels (GEMM micro-kernel, k-means, binary and PQ encode, top-K),
+//! the cross-batch distance cache, the batched DDR stream timing model,
+//! host graph
 //! generation (RMAT and uniform edge draws plus the CSR build), and the
 //! warm-replay read path (report decode and result-store open).
 //!
@@ -183,6 +184,34 @@ fn bench_kmeans(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_codecs(c: &mut Criterion) {
+    use reach_cbir::{BinaryCoder, ProductQuantizer};
+
+    let mut g = c.benchmark_group("hotpath/codecs");
+    g.sample_size(10);
+    // The recall experiment's encode shapes: 6,000 32-dim rows into
+    // 256-bit binary codes and into 8x64 PQ codes.
+    let n = scaled(6000, 1024);
+    let d = 32;
+    let data = Matrix::from_vec(
+        n,
+        d,
+        (0..n * d)
+            .map(|i| ((i * 2_654_435_761) % 89) as f32 * 0.25 - 11.0)
+            .collect(),
+    );
+    let coder = BinaryCoder::new(d, 256, &mut seeded(42));
+    g.throughput(Throughput::Elements(n as u64));
+    g.bench_function("binary_encode_256", |b| {
+        b.iter(|| black_box(coder.encode_batch(&data)));
+    });
+    let pq = ProductQuantizer::train(&data, 8, 64, &mut seeded(42));
+    g.bench_function("pq_encode_8x64", |b| {
+        b.iter(|| black_box(pq.encode_batch(&data)));
+    });
+    g.finish();
+}
+
 fn bench_cache(c: &mut Criterion) {
     use reach_cbir::linalg::batch_dist_sq;
     use reach_cbir::QueryContext;
@@ -354,6 +383,7 @@ criterion_group!(
     bench_machine,
     bench_gemm,
     bench_kmeans,
+    bench_codecs,
     bench_cache,
     bench_ddr_stream,
     bench_topk,

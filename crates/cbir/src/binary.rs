@@ -44,7 +44,7 @@ pub type BinaryCode = Vec<u64>;
 /// Planes per planes-as-lanes group. Each lane's projection is one serial
 /// chain of `dim` dependent adds, so a group is wide enough to keep
 /// several vector registers' worth of chains in flight.
-const GROUP: usize = 32;
+pub(crate) const GROUP: usize = 32;
 
 impl BinaryCoder {
     /// Draws `bits` random hyperplanes for `dim`-dimensional data.
@@ -95,29 +95,44 @@ impl BinaryCoder {
     /// Panics on a dimension mismatch.
     #[must_use]
     pub fn encode(&self, x: &[f32]) -> BinaryCode {
-        assert_eq!(x.len(), self.dim, "BinaryCoder::encode: bad size");
-        let mut words = vec![0u64; self.bits().div_ceil(64)];
-        for (g, group) in self.planes.chunks_exact(GROUP * self.dim).enumerate() {
-            let mut acc = [sum_start(); GROUP];
-            for (p, &v) in group.chunks_exact(GROUP).zip(x) {
-                for l in 0..GROUP {
-                    acc[l] += p[l] * v;
-                }
-            }
-            for (l, &dot) in acc.iter().enumerate() {
-                let b = g * GROUP + l;
-                if b < self.bits && dot >= 0.0 {
-                    words[b / 64] |= 1u64 << (b % 64);
-                }
-            }
-        }
-        words
+        self.encode_with(crate::simd::active(), x)
     }
 
     /// Encodes every row of `data`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a dimension mismatch.
     #[must_use]
     pub fn encode_batch(&self, data: &Matrix) -> Vec<BinaryCode> {
-        (0..data.rows()).map(|i| self.encode(data.row(i))).collect()
+        self.encode_batch_on(crate::simd::active(), data)
+    }
+
+    /// [`encode_batch`](Self::encode_batch) on an explicit kernel tier.
+    /// Exposed (hidden) so the determinism suite can hold every tier to
+    /// the sequential one-plane reference.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a dimension mismatch.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn encode_batch_on(&self, path: crate::simd::SimdPath, data: &Matrix) -> Vec<BinaryCode> {
+        (0..data.rows())
+            .map(|i| self.encode_with(path, data.row(i)))
+            .collect()
+    }
+
+    fn encode_with(&self, path: crate::simd::SimdPath, x: &[f32]) -> BinaryCode {
+        assert_eq!(x.len(), self.dim, "BinaryCoder::encode: bad size");
+        let mut words = vec![0u64; self.bits().div_ceil(64)];
+        crate::simd::sign_words_on(path, &self.planes, x, &mut words);
+        // Planes past `bits` are padding: their bits are masked off.
+        let spare = words.len() * 64 - self.bits;
+        if let Some(last) = words.last_mut() {
+            *last &= u64::MAX >> spare;
+        }
+        words
     }
 
     /// Hamming distance between two codes.
@@ -145,6 +160,25 @@ impl BinaryCoder {
         .into_iter()
         .map(|(_, i)| i)
         .collect()
+    }
+}
+
+/// The portable scalar body of the sign-bit kernel
+/// ([`crate::simd::sign_words_on`]): bit `32 * g + l` of `words` is set
+/// when the projection of `x` onto plane `l` of planes-as-lanes group `g`
+/// is `>= 0`. Branch-free: each comparison becomes its bit.
+pub(crate) fn sign_words_scalar(planes: &[f32], x: &[f32], words: &mut [u64]) {
+    for (g, group) in planes.chunks_exact(GROUP * x.len()).enumerate() {
+        let mut acc = [sum_start(); GROUP];
+        for (p, &v) in group.chunks_exact(GROUP).zip(x) {
+            for l in 0..GROUP {
+                acc[l] += p[l] * v;
+            }
+        }
+        let first = g * GROUP;
+        for (l, &dot) in acc.iter().enumerate() {
+            words[first / 64] |= u64::from(dot >= 0.0) << (first % 64 + l);
+        }
     }
 }
 

@@ -276,15 +276,17 @@ pub(crate) fn kernel4_scalar(
 // the decomposed distance, [`dist_sq`] for the direct one), so the results
 // are bit-identical to it whatever the dimension, block or kernel tier.
 
-/// Transposes up to [`LANES`] rows of one length into a points-as-lanes
-/// panel: element `t` of row `p` lands at `panel[t * LANES + p]`. Lanes
-/// past the last row are zero.
+/// Transposes rows of one length into consecutive points-as-lanes
+/// panels: element `t` of row `r` lands at lane `r % LANES` of row `t` of
+/// panel `r / LANES`, i.e. at `panel[(r / LANES * d + t) * LANES + r %
+/// LANES]`. Lanes past the last row are zero.
 pub(crate) fn pack_lanes<'a>(rows: impl Iterator<Item = &'a [f32]>, panel: &mut [f32]) {
     panel.fill(0.0);
-    for (p, row) in rows.enumerate() {
-        debug_assert!(p < LANES && row.len() * LANES == panel.len());
+    for (r, row) in rows.enumerate() {
+        let base = r / LANES * row.len();
+        debug_assert!((base + row.len()) * LANES <= panel.len());
         for (t, &x) in row.iter().enumerate() {
-            panel[t * LANES + p] = x;
+            panel[(base + t) * LANES + r % LANES] = x;
         }
     }
 }
@@ -316,13 +318,40 @@ fn dot_lanes(panel: &[f32], cent: Option<&[f32]>) -> [f32; LANES] {
     std::array::from_fn(|p| reduce(std::array::from_fn(|l| acc[l][p])))
 }
 
-/// The portable scalar body of the fused assignment kernel: for the eight
-/// points of a `d`-dim panel, the nearest of the `d`-dim centroid rows in
-/// the decomposed form `(||p||^2 + ||c||^2) - 2<p, c>`, norms and dot
-/// products accumulated in the [`dot8`] lane model, then a strict-`<`
-/// argmin over centroids in index order (ties keep the lowest index;
-/// `NaN` never wins). Returns each lane's centroid index and distance.
+/// Points per call of the fused assignment kernel: [`PANELS`] panels of
+/// [`LANES`] points, which the AVX2 tier scores in one pass over the
+/// centroids.
+pub(crate) const PANELS: usize = 4;
+
+/// The portable scalar body of the fused assignment kernel: for the points
+/// of consecutive `d`-dim panels, one output slot each, the nearest of the
+/// `d`-dim centroid rows in the decomposed form `(||p||^2 + ||c||^2) -
+/// 2<p, c>`, norms and dot products accumulated in the [`dot8`] lane
+/// model, then a strict-`<` argmin over centroids in index order (ties
+/// keep the lowest index; `NaN` never wins). Writes each point's centroid
+/// index into `best` and its distance into `best_d`.
 pub(crate) fn nearest_lanes_scalar(
+    d: usize,
+    panels: &[f32],
+    centroids: &[f32],
+    c_norms: &[f32],
+    best: &mut [usize],
+    best_d: &mut [f32],
+) {
+    for (q, (idx, dist)) in best
+        .chunks_mut(LANES)
+        .zip(best_d.chunks_mut(LANES))
+        .enumerate()
+    {
+        let panel = &panels[q * LANES * d..(q + 1) * LANES * d];
+        let (lane_idx, lane_dist) = nearest_panel_scalar(panel, centroids, c_norms);
+        idx.copy_from_slice(&lane_idx[..idx.len()]);
+        dist.copy_from_slice(&lane_dist[..dist.len()]);
+    }
+}
+
+/// [`nearest_lanes_scalar`] for the eight points of one panel.
+fn nearest_panel_scalar(
     panel: &[f32],
     centroids: &[f32],
     c_norms: &[f32],
@@ -348,12 +377,13 @@ pub(crate) fn nearest_lanes_scalar(
 /// assignment step: writes each row's nearest centroid index into `best`
 /// and its decomposed squared distance into `best_d`.
 ///
-/// Rows go through the kernel eight at a time, transposed into one
-/// points-as-lanes panel that every block reuses; no `rows x k`
-/// dot-product buffer is ever materialized. Per row the result is bitwise
-/// the one-point scan `norm_sq(p) + norm_sq(c) - 2.0 * dot8(p, c)` in
-/// centroid order with a strict `<`, whatever the tier or block. Exposed
-/// (hidden) so the determinism suite can hold it to that reference.
+/// Rows go through the kernel [`PANELS`] x [`LANES`] at a time,
+/// transposed into points-as-lanes panels that every block reuses; no
+/// `rows x k` dot-product buffer is ever materialized. Per row the result
+/// is bitwise the one-point scan `norm_sq(p) + norm_sq(c) - 2.0 *
+/// dot8(p, c)` in centroid order with a strict `<`, whatever the tier or
+/// block. Exposed (hidden) so the determinism suite can hold it to that
+/// reference.
 ///
 /// # Panics
 ///
@@ -371,20 +401,20 @@ pub fn nearest_centroids_on(
         best.len() == points.rows && best_d.len() == points.rows,
         "nearest_centroids: one output per row"
     );
+    let d = points.cols;
     let c_norms: Vec<f32> = (0..centroids.rows)
         .map(|c| norm_sq(centroids.row(c)))
         .collect();
-    let mut panel = vec![0.0f32; LANES * points.cols];
+    let block = PANELS * LANES;
+    let mut panels = vec![0.0f32; block * d];
     for (b, (idx, dist)) in best
-        .chunks_mut(LANES)
-        .zip(best_d.chunks_mut(LANES))
+        .chunks_mut(block)
+        .zip(best_d.chunks_mut(block))
         .enumerate()
     {
-        pack_lanes(block_rows(points, b * LANES, idx.len()), &mut panel);
-        let (lane_idx, lane_dist) =
-            crate::simd::nearest_lanes_on(path, &panel, &centroids.data, &c_norms);
-        idx.copy_from_slice(&lane_idx[..idx.len()]);
-        dist.copy_from_slice(&lane_dist[..dist.len()]);
+        let used = &mut panels[..idx.len().div_ceil(LANES) * LANES * d];
+        pack_lanes(block_rows(points, b * block, idx.len()), used);
+        crate::simd::nearest_lanes_on(path, d, used, &centroids.data, &c_norms, idx, dist);
     }
 }
 
@@ -399,7 +429,7 @@ pub(crate) fn sum_start() -> f32 {
 /// `(x - q[t])^2` and adds it to its running sum in increasing `t`, from
 /// [`sum_start`] — the one-point function's exact operation sequence.
 #[inline]
-pub(crate) fn dist_sq_lanes(panel: &[f32], q: &[f32]) -> [f32; LANES] {
+fn dist_sq_lanes(panel: &[f32], q: &[f32]) -> [f32; LANES] {
     let mut acc = [sum_start(); LANES];
     for (x, &y) in panel.chunks_exact(LANES).zip(q) {
         for p in 0..LANES {
@@ -472,18 +502,18 @@ pub(crate) fn dist_sq_rows_scalar<const KEEP_MIN: bool>(
 }
 
 /// Index of the row of `book` nearest each panel point by [`dist_sq`],
-/// strict `<` in row order (ties keep the lowest index) — the
-/// points-as-lanes form of a one-point nearest-codeword scan.
-pub(crate) fn nearest_direct_lanes(panel: &[f32], book: &Matrix) -> [usize; LANES] {
+/// strict `<` in row order (ties keep the lowest index) — the portable
+/// scalar body of the points-as-lanes nearest-codeword scan
+/// ([`crate::simd::nearest_direct_lanes_on`]).
+pub(crate) fn nearest_direct_lanes_scalar(panel: &[f32], book: &Matrix) -> [usize; LANES] {
     let mut best = [0usize; LANES];
     let mut best_d = [f32::INFINITY; LANES];
     for c in 0..book.rows {
         let d = dist_sq_lanes(panel, book.row(c));
         for p in 0..LANES {
-            if d[p] < best_d[p] {
-                best[p] = c;
-                best_d[p] = d[p];
-            }
+            let closer = d[p] < best_d[p];
+            best[p] = if closer { c } else { best[p] };
+            best_d[p] = if closer { d[p] } else { best_d[p] };
         }
     }
     best

@@ -13,7 +13,8 @@
 //! exact pipeline handles losslessly.
 
 use crate::kmeans::kmeans;
-use crate::linalg::{nearest_direct_lanes, pack_lanes, Matrix, LANES};
+use crate::linalg::{pack_lanes, Matrix, LANES};
+use crate::simd::SimdPath;
 use crate::topk::top_k;
 use rand::Rng;
 
@@ -102,7 +103,7 @@ impl ProductQuantizer {
     #[must_use]
     pub fn encode(&self, x: &[f32]) -> Vec<u8> {
         self.check_dims(x.len());
-        self.encode_lanes(&[x]).remove(0)
+        self.encode_lanes(crate::simd::active(), &[x]).remove(0)
     }
 
     /// Encodes every row of `data`, eight rows per points-as-lanes step —
@@ -113,6 +114,19 @@ impl ProductQuantizer {
     /// Panics on a dimension mismatch.
     #[must_use]
     pub fn encode_batch(&self, data: &Matrix) -> Vec<Vec<u8>> {
+        self.encode_batch_on(crate::simd::active(), data)
+    }
+
+    /// [`encode_batch`](Self::encode_batch) on an explicit kernel tier.
+    /// Exposed (hidden) so the determinism suite can hold every tier to
+    /// the one-point nearest-codeword scan.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a dimension mismatch.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn encode_batch_on(&self, path: SimdPath, data: &Matrix) -> Vec<Vec<u8>> {
         self.check_dims(data.cols());
         (0..data.rows())
             .step_by(LANES)
@@ -120,7 +134,7 @@ impl ProductQuantizer {
                 let rows: Vec<&[f32]> = (first..data.rows().min(first + LANES))
                     .map(|i| data.row(i))
                     .collect();
-                self.encode_lanes(&rows)
+                self.encode_lanes(path, &rows)
             })
             .collect()
     }
@@ -136,7 +150,7 @@ impl ProductQuantizer {
     /// Encodes up to [`LANES`] vectors at once: per subspace, their
     /// sub-vectors are packed into one points-as-lanes panel and scanned
     /// against the codebook together.
-    fn encode_lanes(&self, rows: &[&[f32]]) -> Vec<Vec<u8>> {
+    fn encode_lanes(&self, path: SimdPath, rows: &[&[f32]]) -> Vec<Vec<u8>> {
         let mut codes: Vec<Vec<u8>> = rows
             .iter()
             .map(|_| Vec::with_capacity(self.codebooks.len()))
@@ -145,7 +159,7 @@ impl ProductQuantizer {
         for (s, book) in self.codebooks.iter().enumerate() {
             let span = s * self.sub_dim..(s + 1) * self.sub_dim;
             pack_lanes(rows.iter().map(|r| &r[span.clone()]), &mut panel);
-            let best = nearest_direct_lanes(&panel, book);
+            let best = crate::simd::nearest_direct_lanes_on(path, &panel, book);
             for (code, &c) in codes.iter_mut().zip(&best) {
                 code.push(c as u8);
             }

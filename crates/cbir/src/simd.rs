@@ -1,8 +1,16 @@
-//! Runtime-dispatched explicit-SIMD kernels for the hot primitives:
-//! `dot8`, the 4x8 GEMM micro-kernel inner loop and `norm_sq`, which
-//! vectorize along one dot product, and the points-as-lanes k-means
-//! kernels (the fused nearest-centroid assignment and the direct-distance
-//! D² refresh), which vectorize across eight points.
+//! Runtime-dispatched explicit-SIMD kernels for the hot primitives. Each
+//! has a portable scalar body (the reference, and what NEON runs where it
+//! has no sibling) and an `*_on(path, …)` dispatcher:
+//!
+//! - `dot8`, `norm_sq` and the 4x8 GEMM micro-kernel inner loop
+//!   (`kernel4`), which vectorize along one dot product (AVX2 and NEON);
+//! - the fused k-means assignment (`nearest_lanes`), which vectorizes
+//!   across eight points and, for dimensions up to 8, scores four such
+//!   panels per pass over the centroids (AVX2);
+//! - the direct-distance D² refresh of k-means++ (`dist_sq_rows`, AVX2);
+//! - the product-quantizer encode scan (`nearest_direct_lanes`, AVX2);
+//! - the binary-code sign bits (`sign_words`), which vectorize across
+//!   hyperplanes and pack signs with compare + `movemask` (AVX2).
 //!
 //! ## Why the SIMD path is *bitwise* identical to the scalar one
 //!
@@ -28,8 +36,51 @@
 //! one-point reference's exact sequence — the `dot8` lane model (eight
 //! accumulators, one per `t mod 8`, folded through `reduce`) for the
 //! decomposed distance, `dist_sq`'s single sequential sum for the direct
-//! one. The argmin is an ordered `<` compare plus blends, which is the
-//! scalar strict-`<` scan lane by lane.
+//! one. The argmin is an ordered strict `<` scan, lane by lane. The
+//! binary encoder's lanes are hyperplanes: each runs `Iterator::sum`'s
+//! sequential projection, and an ordered `>= 0` compare gives the sign
+//! bit exactly as the scalar `dot >= 0.0` does (`NaN` false, `-0.0`
+//! true).
+//!
+//! ## Exact shortcuts in the assignment kernel
+//!
+//! For `d <= 8` each `dot8` accumulator takes at most one product, and the
+//! AVX2 assignment kernel skips operations whose result it can prove. All
+//! rests on one IEEE-754 fact (round to nearest, which Rust always uses):
+//! **(a)** `v + (+0.0)` is `v` bit for bit for every `v` except `-0.0`
+//! and a signaling NaN (quiet NaN payloads pass through; no lane holds a
+//! signaling NaN, since every lane is the result of an arithmetic
+//! operation), `(-0.0) + (+0.0)` is `+0.0`, and a sum is `-0.0` only when
+//! both addends are `-0.0`.
+//!
+//! 1. *Untouched lanes add nothing.* `dot8` starts every accumulator at
+//!    `+0.0`, so by (a) none can ever hold `-0.0`, and `reduce`'s
+//!    `acc[l] + acc[l + 4]` with an untouched `acc[l + 4] = +0.0` returns
+//!    `acc[l]`. For `d <= 4` all four of those additions go, and the fold
+//!    is `(acc[0] + acc[2]) + (acc[1] + acc[3])`.
+//! 2. *`vminps` is the value blend.* `_mm256_min_ps(dd, best)` returns
+//!    `dd` where `dd < best` and `best` otherwise — including when either
+//!    is NaN and when both are zeros of either sign — which is exactly the
+//!    strict ordered `<` blend it replaces. Only the index still needs the
+//!    compare mask.
+//! 3. *The distance never sees the sign of a zero dot product.* The kernel
+//!    also drops each accumulator's `+0.0 +` start and uses the bare
+//!    product. By (a) that can only turn a `+0.0` lane into `-0.0`. A sum
+//!    whose addends differ at most in the sign of a zero differs at most
+//!    in the sign of a zero (a nonzero or NaN addend passes through a zero
+//!    one unchanged), so through the whole fold — the skipped untouched
+//!    lanes of identity 1 included — the dot product can differ from the
+//!    reference only as `+0.0` against `-0.0`. It enters the distance only
+//!    as `s - 2.0 * dot`, with `s = ||p||^2 + ||c||^2`: `2.0 * dot` keeps
+//!    that difference, and `s - (±0.0)` is `s` both ways unless `s` is
+//!    `-0.0`. It never is: `||p||^2` is a sum of squares, a square is
+//!    never `-0.0`, and by (a) neither is a sum with such an addend. (The
+//!    point norms take the same bare-product shortcut, which for squares
+//!    is exact outright.)
+//!
+//! The property tests in `tests/runner_determinism.rs` pin all three
+//! against the one-point reference with payloads that include `±0.0`,
+//! infinities, NaN and exact ties.
 //!
 //! One piece of fine print: when two quiet NaNs with *different* payloads
 //! meet in a mul/add, hardware keeps the first source operand's payload —
@@ -280,21 +331,25 @@ pub(crate) fn kernel4_on(
 }
 
 /// The fused points-as-lanes assignment kernel
-/// ([`crate::linalg::nearest_lanes_scalar`]) on an explicit kernel tier.
-/// NEON has no sibling yet and runs the portable body — bit-identical, as
-/// every tier is.
+/// ([`crate::linalg::nearest_lanes_scalar`]) on an explicit kernel tier:
+/// the points of consecutive `d`-dim panels, one `best`/`best_d` slot
+/// each. NEON has no sibling yet and runs the portable body —
+/// bit-identical, as every tier is.
 #[inline]
-#[must_use]
 pub(crate) fn nearest_lanes_on(
     path: SimdPath,
-    panel: &[f32],
+    d: usize,
+    panels: &[f32],
     centroids: &[f32],
     c_norms: &[f32],
-) -> ([usize; LANES], [f32; LANES]) {
+    best: &mut [usize],
+    best_d: &mut [f32],
+) {
     assert!(
-        panel.len().is_multiple_of(LANES)
-            && centroids.len() == c_norms.len() * (panel.len() / LANES),
-        "nearest_lanes: panel, centroid and norm sizes disagree"
+        best.len() == best_d.len()
+            && panels.len() == best.len().div_ceil(LANES) * LANES * d
+            && centroids.len() == c_norms.len() * d,
+        "nearest_lanes: panel, centroid, norm and output sizes disagree"
     );
     match path {
         // The AVX2 kernel carries centroid indices in i32 lanes.
@@ -302,9 +357,61 @@ pub(crate) fn nearest_lanes_on(
         // SAFETY: dispatch only yields Avx2 after is_x86_feature_detected!;
         // the sizes are asserted above and the guard bounds the index.
         SimdPath::Avx2 if i32::try_from(c_norms.len()).is_ok() => unsafe {
-            avx2::nearest_lanes(panel, centroids, c_norms)
+            avx2::nearest_lanes(d, panels, centroids, c_norms, best, best_d)
         },
-        _ => crate::linalg::nearest_lanes_scalar(panel, centroids, c_norms),
+        _ => crate::linalg::nearest_lanes_scalar(d, panels, centroids, c_norms, best, best_d),
+    }
+}
+
+/// The points-as-lanes nearest-codeword scan
+/// ([`crate::linalg::nearest_direct_lanes_scalar`]) on an explicit kernel
+/// tier: for each point of one `book.cols()`-dim panel, the index of the
+/// nearest `book` row by [`crate::linalg::dist_sq`].
+#[inline]
+#[must_use]
+pub(crate) fn nearest_direct_lanes_on(
+    path: SimdPath,
+    panel: &[f32],
+    book: &crate::linalg::Matrix,
+) -> [usize; LANES] {
+    assert_eq!(
+        panel.len(),
+        LANES * book.cols(),
+        "nearest_direct_lanes: panel and codebook dims disagree"
+    );
+    match path {
+        // The AVX2 kernel carries row indices in i32 lanes.
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: dispatch only yields Avx2 after is_x86_feature_detected!;
+        // `Matrix` holds `rows * cols` floats, the panel size is asserted
+        // above and the guard bounds the index.
+        SimdPath::Avx2 if i32::try_from(book.rows()).is_ok() => unsafe {
+            avx2::nearest_direct(panel, book.as_slice(), book.rows())
+        },
+        _ => crate::linalg::nearest_direct_lanes_scalar(panel, book),
+    }
+}
+
+/// The sign bits of `x` against every [`crate::binary`] hyperplane
+/// ([`crate::binary::sign_words_scalar`]) on an explicit kernel tier:
+/// `planes` holds planes-as-lanes groups of 32, and bit `l` of group `g`
+/// — set when plane `32 * g + l`'s projection is `>= 0` — lands at bit
+/// `32 * g + l` of `words`.
+#[inline]
+pub(crate) fn sign_words_on(path: SimdPath, planes: &[f32], x: &[f32], words: &mut [u64]) {
+    let group = crate::binary::GROUP * x.len();
+    assert!(
+        !x.is_empty()
+            && planes.len().is_multiple_of(group)
+            && (planes.len() / group).div_ceil(2) == words.len(),
+        "sign_words: plane, input and word counts disagree"
+    );
+    match path {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: dispatch only yields Avx2 after is_x86_feature_detected!;
+        // the sizes are asserted above.
+        SimdPath::Avx2 => unsafe { avx2::sign_words(planes, x, words) },
+        _ => crate::binary::sign_words_scalar(planes, x, words),
     }
 }
 
@@ -347,12 +454,13 @@ pub(crate) fn dist_sq_rows_on<const KEEP_MIN: bool>(
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2 {
     use super::{reduce, LANES};
+    use crate::linalg::PANELS;
     use std::arch::x86_64::{
         __m256, _mm256_add_ps, _mm256_blendv_ps, _mm256_broadcast_ss, _mm256_castps_si256,
-        _mm256_castsi256_ps, _mm256_cmp_ps, _mm256_i32gather_ps, _mm256_loadu_ps, _mm256_mul_ps,
-        _mm256_mullo_epi32, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32,
-        _mm256_setzero_ps, _mm256_setzero_si256, _mm256_storeu_ps, _mm256_storeu_si256,
-        _mm256_sub_ps, _CMP_LT_OQ,
+        _mm256_castsi256_ps, _mm256_cmp_ps, _mm256_i32gather_ps, _mm256_loadu_ps, _mm256_min_ps,
+        _mm256_movemask_ps, _mm256_mul_ps, _mm256_mullo_epi32, _mm256_set1_epi32, _mm256_set1_ps,
+        _mm256_setr_epi32, _mm256_setzero_ps, _mm256_storeu_ps, _mm256_storeu_si256, _mm256_sub_ps,
+        _CMP_GE_OQ, _CMP_LT_OQ,
     };
 
     /// One accumulation step: per-lane multiply then per-lane add —
@@ -482,44 +590,341 @@ pub(crate) mod avx2 {
         reduce_points(&acc)
     }
 
-    /// AVX2 fused assignment kernel: the explicit-register form of
-    /// [`crate::linalg::nearest_lanes_scalar`]. Register `l` of the eight
-    /// accumulators is dot-product lane `l` for all eight points at once;
-    /// the argmin is a strict ordered `<` (`NaN` never wins) and two
-    /// blends.
+    /// One step of the strict-`<` argmin: lanes where `dd < best_d`
+    /// (ordered, so `NaN` never wins) take `dd` and the index `c`. The
+    /// value side is `vminps`, which is that blend bit for bit (see the
+    /// module doc); only the index needs the compare.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn keep_nearest(dd: __m256, c: __m256, best_d: &mut __m256, best: &mut __m256) {
+        let lt = _mm256_cmp_ps::<_CMP_LT_OQ>(dd, *best_d);
+        *best_d = _mm256_min_ps(dd, *best_d);
+        *best = _mm256_blendv_ps(*best, c, lt);
+    }
+
+    /// Centroid index `c` in every i32 lane, as float bits for the blend.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn index_lanes(c: usize) -> __m256 {
+        // The callers' guards keep every index inside i32.
+        _mm256_castsi256_ps(_mm256_set1_epi32(c as i32))
+    }
+
+    /// Writes the `best`/`best_d` registers of consecutive panels into
+    /// the output slots they cover.
     ///
     /// # Safety
     ///
-    /// AVX2 must be available, `panel` must hold `8 * d` floats,
-    /// `centroids` `c_norms.len() * d`, and `c_norms.len()` must fit in an
+    /// AVX2 must be available and `idx` and `dist` must hold one register
+    /// per eight output slots.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn store_nearest(
+        idx: &[__m256],
+        dist: &[__m256],
+        best: &mut [usize],
+        best_d: &mut [f32],
+    ) {
+        for (q, (bi, bd)) in best
+            .chunks_mut(LANES)
+            .zip(best_d.chunks_mut(LANES))
+            .enumerate()
+        {
+            let mut lane_idx = [0i32; LANES];
+            let mut lane_d = [0.0f32; LANES];
+            _mm256_storeu_si256(lane_idx.as_mut_ptr().cast(), _mm256_castps_si256(idx[q]));
+            _mm256_storeu_ps(lane_d.as_mut_ptr(), dist[q]);
+            for (o, &c) in bi.iter_mut().zip(&lane_idx) {
+                *o = c as usize;
+            }
+            bd.copy_from_slice(&lane_d[..bd.len()]);
+        }
+    }
+
+    /// AVX2 fused assignment kernel: the explicit-register form of
+    /// [`crate::linalg::nearest_lanes_scalar`]. Dimensions 1 to 8 take
+    /// [`nearest_fixed`], which scores four panels per centroid pass;
+    /// longer (and empty) rows take [`nearest_any`], one panel at a time.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available, `panels` must hold `best.len().div_ceil(8)`
+    /// panels of `8 * d` floats, `centroids` `c_norms.len() * d`,
+    /// `best_d.len() == best.len()`, and `c_norms.len()` must fit in an
     /// `i32`.
     #[target_feature(enable = "avx2")]
     pub(crate) unsafe fn nearest_lanes(
-        panel: &[f32],
+        d: usize,
+        panels: &[f32],
         centroids: &[f32],
         c_norms: &[f32],
-    ) -> ([usize; LANES], [f32; LANES]) {
-        let d = panel.len() / LANES;
-        let p_norms = dot_lanes(panel.as_ptr(), d, None);
-        let two = _mm256_set1_ps(2.0);
-        let mut best = _mm256_setzero_si256();
-        let mut best_d = _mm256_set1_ps(f32::INFINITY);
-        for (c, &c_norm) in c_norms.iter().enumerate() {
-            let dots = dot_lanes(panel.as_ptr(), d, Some(centroids.as_ptr().add(c * d)));
-            let dd = _mm256_sub_ps(
-                _mm256_add_ps(p_norms, _mm256_set1_ps(c_norm)),
-                _mm256_mul_ps(two, dots),
-            );
-            let lt = _mm256_cmp_ps::<_CMP_LT_OQ>(dd, best_d);
-            best_d = _mm256_blendv_ps(best_d, dd, lt);
-            let idx = _mm256_castsi256_ps(_mm256_set1_epi32(c as i32));
-            best = _mm256_castps_si256(_mm256_blendv_ps(_mm256_castsi256_ps(best), idx, lt));
+        best: &mut [usize],
+        best_d: &mut [f32],
+    ) {
+        let (p, c) = (panels.as_ptr(), centroids.as_ptr());
+        match d {
+            1 => nearest_fixed::<1>(p, c, c_norms, best, best_d),
+            2 => nearest_fixed::<2>(p, c, c_norms, best, best_d),
+            3 => nearest_fixed::<3>(p, c, c_norms, best, best_d),
+            4 => nearest_fixed::<4>(p, c, c_norms, best, best_d),
+            5 => nearest_fixed::<5>(p, c, c_norms, best, best_d),
+            6 => nearest_fixed::<6>(p, c, c_norms, best, best_d),
+            7 => nearest_fixed::<7>(p, c, c_norms, best, best_d),
+            8 => nearest_fixed::<8>(p, c, c_norms, best, best_d),
+            _ => nearest_any(d, p, c, c_norms, best, best_d),
         }
-        let mut idx = [0i32; LANES];
-        let mut dist = [0.0f32; LANES];
-        _mm256_storeu_si256(idx.as_mut_ptr().cast(), best);
-        _mm256_storeu_ps(dist.as_mut_ptr(), best_d);
-        (idx.map(|c| c as usize), dist)
+    }
+
+    /// [`nearest_lanes`] for `D <= 8`: every full run of four panels
+    /// (32 points) is scored in one pass over the centroids by
+    /// [`score_fixed`], the remaining panels one at a time.
+    ///
+    /// # Safety
+    ///
+    /// As [`nearest_lanes`], with `d == D`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn nearest_fixed<const D: usize>(
+        panels: *const f32,
+        centroids: *const f32,
+        c_norms: &[f32],
+        best: &mut [usize],
+        best_d: &mut [f32],
+    ) {
+        const BLOCK: usize = PANELS * LANES;
+        let full = best.len() / BLOCK * BLOCK;
+        let (head, tail) = best.split_at_mut(full);
+        let (head_d, tail_d) = best_d.split_at_mut(full);
+        for (b, (bi, bd)) in head
+            .chunks_exact_mut(BLOCK)
+            .zip(head_d.chunks_exact_mut(BLOCK))
+            .enumerate()
+        {
+            let at = panels.add(b * BLOCK * D);
+            score_fixed::<PANELS, D>(at, centroids, c_norms, bi, bd);
+        }
+        let rest = panels.add(full * D);
+        for (q, (bi, bd)) in tail
+            .chunks_mut(LANES)
+            .zip(tail_d.chunks_mut(LANES))
+            .enumerate()
+        {
+            score_fixed::<1, D>(rest.add(q * LANES * D), centroids, c_norms, bi, bd);
+        }
+    }
+
+    /// [`crate::linalg::reduce`] lane-wise for a `D <= 8` accumulator set
+    /// whose registers `D..8` were never touched: each `acc[l] + acc[l +
+    /// 4]` with `l + 4 >= D` would add an untouched `+0.0`, so it is
+    /// skipped (identities 1 and 3 of the module doc).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn reduce_fixed<const D: usize>(acc: &[__m256; LANES]) -> __m256 {
+        let mut q = [_mm256_setzero_ps(); 4];
+        for (l, ql) in q.iter_mut().enumerate() {
+            *ql = if l + 4 < D {
+                _mm256_add_ps(acc[l], acc[l + 4])
+            } else {
+                acc[l]
+            };
+        }
+        _mm256_add_ps(_mm256_add_ps(q[0], q[2]), _mm256_add_ps(q[1], q[3]))
+    }
+
+    /// The [`crate::linalg::dot8`] lane model of one `D <= 8` panel
+    /// against `y` (one register per step): a single step per accumulator,
+    /// taken as the bare product `x[t] * y[t]` without the `+0.0 +` start.
+    /// The result equals `dot8`'s up to the sign of a zero, which the
+    /// decomposed distance cannot see (identity 3 of the module doc); for
+    /// `y = x` it is exact.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn dot_fixed<const D: usize>(panel: *const f32, y: &[__m256; D]) -> __m256 {
+        let mut acc = [_mm256_setzero_ps(); LANES];
+        for (t, a) in acc.iter_mut().enumerate().take(D) {
+            *a = _mm256_mul_ps(_mm256_loadu_ps(panel.add(t * LANES)), y[t]);
+        }
+        reduce_fixed::<D>(&acc)
+    }
+
+    /// Scores `P` consecutive `D`-dim panels against every centroid: each
+    /// centroid's `D` broadcasts and its norm serve all `P` panels, and
+    /// no step branches on the dimension.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available, `panels` must hold `P` panels of `8 * D`
+    /// floats, `centroids` `c_norms.len() * D`, `best` and `best_d` at
+    /// most `8 * P` slots, and `c_norms.len()` must fit in an `i32`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn score_fixed<const P: usize, const D: usize>(
+        panels: *const f32,
+        centroids: *const f32,
+        c_norms: &[f32],
+        best: &mut [usize],
+        best_d: &mut [f32],
+    ) {
+        let mut p_norms = [_mm256_setzero_ps(); P];
+        for (q, norm) in p_norms.iter_mut().enumerate() {
+            let panel = panels.add(q * LANES * D);
+            let mut x = [_mm256_setzero_ps(); D];
+            for (t, xt) in x.iter_mut().enumerate() {
+                *xt = _mm256_loadu_ps(panel.add(t * LANES));
+            }
+            *norm = dot_fixed::<D>(panel, &x);
+        }
+        let two = _mm256_set1_ps(2.0);
+        let mut idx = [_mm256_setzero_ps(); P];
+        let mut dist = [_mm256_set1_ps(f32::INFINITY); P];
+        for (c, &c_norm) in c_norms.iter().enumerate() {
+            let cent = centroids.add(c * D);
+            let mut y = [_mm256_setzero_ps(); D];
+            for (t, yt) in y.iter_mut().enumerate() {
+                *yt = _mm256_broadcast_ss(&*cent.add(t));
+            }
+            let cn = _mm256_set1_ps(c_norm);
+            let ci = index_lanes(c);
+            for q in 0..P {
+                let dots = dot_fixed::<D>(panels.add(q * LANES * D), &y);
+                let dd = _mm256_sub_ps(_mm256_add_ps(p_norms[q], cn), _mm256_mul_ps(two, dots));
+                keep_nearest(dd, ci, &mut dist[q], &mut idx[q]);
+            }
+        }
+        store_nearest(&idx, &dist, best, best_d);
+    }
+
+    /// [`nearest_lanes`] for any `d`, one panel at a time through the
+    /// stepping [`dot_lanes`].
+    ///
+    /// # Safety
+    ///
+    /// As [`nearest_lanes`].
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn nearest_any(
+        d: usize,
+        panels: *const f32,
+        centroids: *const f32,
+        c_norms: &[f32],
+        best: &mut [usize],
+        best_d: &mut [f32],
+    ) {
+        let two = _mm256_set1_ps(2.0);
+        for (q, (bi, bd)) in best
+            .chunks_mut(LANES)
+            .zip(best_d.chunks_mut(LANES))
+            .enumerate()
+        {
+            let panel = panels.add(q * LANES * d);
+            let p_norms = dot_lanes(panel, d, None);
+            let mut idx = _mm256_setzero_ps();
+            let mut dist = _mm256_set1_ps(f32::INFINITY);
+            for (c, &c_norm) in c_norms.iter().enumerate() {
+                let dots = dot_lanes(panel, d, Some(centroids.add(c * d)));
+                let dd = _mm256_sub_ps(
+                    _mm256_add_ps(p_norms, _mm256_set1_ps(c_norm)),
+                    _mm256_mul_ps(two, dots),
+                );
+                keep_nearest(dd, index_lanes(c), &mut dist, &mut idx);
+            }
+            store_nearest(&[idx], &[dist], bi, bd);
+        }
+    }
+
+    /// AVX2 [`crate::linalg::nearest_direct_lanes_scalar`]: lane `p` runs
+    /// [`crate::linalg::dist_sq`]'s own sequence against each `book` row
+    /// — `acc += (x - y[t])^2` in increasing `t` from
+    /// [`crate::linalg::sum_start`] — then the strict-`<` argmin step.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available, `panel` must hold `8 * d` floats and
+    /// `book` `rows * d` for `d = panel.len() / 8`, and `rows` must fit
+    /// in an `i32`.
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn nearest_direct(
+        panel: &[f32],
+        book: &[f32],
+        rows: usize,
+    ) -> [usize; LANES] {
+        let d = panel.len() / LANES;
+        let start = _mm256_set1_ps(crate::linalg::sum_start());
+        let mut idx = _mm256_setzero_ps();
+        let mut dist = _mm256_set1_ps(f32::INFINITY);
+        for c in 0..rows {
+            let y = book.as_ptr().add(c * d);
+            let mut acc = start;
+            for t in 0..d {
+                let x = _mm256_loadu_ps(panel.as_ptr().add(t * LANES));
+                let diff = _mm256_sub_ps(x, _mm256_broadcast_ss(&*y.add(t)));
+                acc = _mm256_add_ps(acc, _mm256_mul_ps(diff, diff));
+            }
+            keep_nearest(acc, index_lanes(c), &mut dist, &mut idx);
+        }
+        let mut best = [0usize; LANES];
+        let mut unused = [0.0f32; LANES];
+        store_nearest(&[idx], &[dist], &mut best, &mut unused);
+        best
+    }
+
+    /// AVX2 [`crate::binary::sign_words_scalar`]: a 32-plane group is four
+    /// registers of eight plane lanes, each lane running the sequential
+    /// projection `acc += plane[t] * x[t]` from
+    /// [`crate::linalg::sum_start`]. Each output word takes its two groups
+    /// in one pass over `x`, so eight independent add chains are in
+    /// flight; the signs are packed by an ordered `>= 0` compare (`NaN`
+    /// false, `-0.0` true, as in scalar) and `movemask`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available, `x` non-empty, `planes` a whole number of
+    /// `32 * x.len()`-float groups, and `words` one word per two groups.
+    #[target_feature(enable = "avx2")]
+    pub(crate) unsafe fn sign_words(planes: &[f32], x: &[f32], words: &mut [u64]) {
+        let group = crate::binary::GROUP * x.len();
+        let groups = planes.len() / group;
+        for (w, word) in words.iter_mut().enumerate() {
+            let first = planes.as_ptr().add(2 * w * group);
+            *word = if 2 * w + 1 < groups {
+                group_signs::<2>(first, x)
+            } else {
+                group_signs::<1>(first, x)
+            };
+        }
+    }
+
+    /// The sign bits of `G` consecutive 32-plane groups, group `g` in
+    /// bits `32 * g ..`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available and `planes` must hold `G` groups of
+    /// `32 * x.len()` floats.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn group_signs<const G: usize>(planes: *const f32, x: &[f32]) -> u64 {
+        const REGS: usize = crate::binary::GROUP / LANES;
+        let mut acc = [[_mm256_set1_ps(crate::linalg::sum_start()); REGS]; G];
+        for (t, v) in x.iter().enumerate() {
+            let v = _mm256_broadcast_ss(v);
+            for (g, regs) in acc.iter_mut().enumerate() {
+                let row = planes.add((g * x.len() + t) * crate::binary::GROUP);
+                for (j, a) in regs.iter_mut().enumerate() {
+                    let p = _mm256_loadu_ps(row.add(j * LANES));
+                    *a = _mm256_add_ps(*a, _mm256_mul_ps(p, v));
+                }
+            }
+        }
+        let zero = _mm256_setzero_ps();
+        let mut bits = 0u64;
+        for (g, regs) in acc.iter().enumerate() {
+            for (j, a) in regs.iter().enumerate() {
+                let ge = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GE_OQ>(*a, zero));
+                bits |= u64::from(ge as u32) << (g * crate::binary::GROUP + j * LANES);
+            }
+        }
+        bits
     }
 
     /// AVX2 [`crate::linalg::dist_sq_rows_scalar`]: each full block of

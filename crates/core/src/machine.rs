@@ -110,12 +110,6 @@ struct DeferredJob {
     limit: Option<usize>,
 }
 
-struct DmaMeta {
-    /// Stage the transfer was billed to (kept for debugging dumps).
-    #[allow(dead_code)]
-    stage: Symbol,
-}
-
 /// The assembled ReACH machine.
 ///
 /// See the crate-level docs for a runnable example.
@@ -135,7 +129,6 @@ pub struct Machine {
     gam: Gam,
     queue: EventQueue<Event>,
     tasks: HashMap<TaskId, TaskMeta>,
-    dmas: HashMap<DmaId, DmaMeta>,
     job_submit: BTreeMap<JobId, SimTime>,
     job_done: BTreeMap<JobId, SimTime>,
     /// Symbol-keyed so per-event accounting hashes a `u32`, not a string.
@@ -235,7 +228,6 @@ impl Machine {
             gam,
             queue: EventQueue::with_capacity(queue_capacity),
             tasks: HashMap::new(),
-            dmas: HashMap::new(),
             job_submit: BTreeMap::new(),
             job_done: BTreeMap::new(),
             stages: HashMap::new(),
@@ -807,7 +799,6 @@ impl Machine {
         if self.trace.is_some() {
             self.record_dma_trace(stage, bytes, from, to, now, done);
         }
-        self.dmas.insert(id, DmaMeta { stage });
         self.queue.push(done, Event::DmaDone { id });
     }
 

@@ -339,6 +339,106 @@ mod simd_bitwise {
         }
     }
 
+    #[test]
+    fn fused_assignment_covers_fixed_dims_and_remainder_panels() {
+        // Dimensions 1..=8 take the AVX2 tier's const-dimension kernel,
+        // which scores 32-point blocks as four panels and the rest panel
+        // by panel; 0, 9 and 32 take the stepping kernel. The point counts
+        // straddle the 8-point panel and the 32-point block, so whole
+        // blocks, remainder panels and partial panels all occur.
+        for d in (0..=9).chain([32]) {
+            for n in [1usize, 7, 8, 31, 32, 33, 41, 64, 100] {
+                for (k, mode) in [(1usize, 0u8), (5, 1), (64, 2), (17, 0)] {
+                    let salt = 31 * d + n + k;
+                    let points = Matrix::from_vec(n, d, lane_fill(n * d, salt, mode));
+                    let centroids = Matrix::from_vec(k, d, lane_fill(k * d, salt + 1, mode));
+                    let want = nearest_reference(&points, &centroids);
+                    for p in all_paths() {
+                        let (idx, dist) = nearest_on(p, &points, &centroids);
+                        let bits: Vec<u32> = dist.iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(
+                            (&idx, &bits),
+                            (&want.0, &want.1),
+                            "d {d} n {n} k {k} mode {mode} diverged on {}",
+                            p.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The one-point reference of `BinaryCoder`: plane `b` is drawn in the
+    /// order `BinaryCoder::new` draws it, and bit `b` is set when the
+    /// sequential dot product (`Iterator::sum` of `plane[t] * x[t]`) is
+    /// `>= 0`.
+    fn binary_reference(dim: usize, bits: usize, seed: u64, data: &Matrix) -> Vec<Vec<u64>> {
+        let mut rng = seeded(seed);
+        let planes: Vec<f32> = (0..bits * dim)
+            .map(|_| rng.gen_range(-1.0f32..1.0))
+            .collect();
+        (0..data.rows())
+            .map(|i| {
+                let x = data.row(i);
+                let mut want = vec![0u64; bits.div_ceil(64)];
+                for b in 0..bits {
+                    let dot: f32 = planes[b * dim..(b + 1) * dim]
+                        .iter()
+                        .zip(x)
+                        .map(|(p, v)| p * v)
+                        .sum();
+                    if dot >= 0.0 {
+                        want[b / 64] |= 1u64 << (b % 64);
+                    }
+                }
+                want
+            })
+            .collect()
+    }
+
+    #[test]
+    fn binary_sign_bits_of_zero_and_nan_projections() {
+        // All-zero inputs project to exactly ±0.0 (the sum starts at
+        // -0.0; a positive plane element times -0.0 is -0.0), which count
+        // as `>= 0`: every bit is set and none past `bits`. A NaN element
+        // makes every projection NaN, and ±∞ elements against planes of
+        // both signs meet as ∞ - ∞; neither counts. The bit counts leave
+        // partial 32-plane groups and partial 64-bit words.
+        let dim = 5;
+        let rows: Vec<f32> = [
+            [0.0; 5],
+            [-0.0; 5],
+            [0.0, -0.0, 0.0, -0.0, -0.0],
+            [1.0, f32::NAN, 0.0, -2.0, 0.5],
+            [f32::INFINITY, f32::NEG_INFINITY, 0.0, 1.0, -1.0],
+            [
+                f32::INFINITY,
+                f32::INFINITY,
+                f32::INFINITY,
+                f32::INFINITY,
+                f32::INFINITY,
+            ],
+        ]
+        .concat();
+        let data = Matrix::from_vec(rows.len() / dim, dim, rows);
+        for bits in [1usize, 31, 32, 33, 63, 64, 65, 100, 129] {
+            let coder = BinaryCoder::new(dim, bits, &mut seeded(bits as u64));
+            let want = binary_reference(dim, bits, bits as u64, &data);
+            let ones = |w: &Vec<u64>| w.iter().map(|x| x.count_ones() as usize).sum::<usize>();
+            assert_eq!(ones(&want[0]), bits, "zero input sets every bit");
+            assert_eq!(ones(&want[1]), bits, "-0.0 input sets every bit");
+            assert_eq!(ones(&want[3]), 0, "NaN input sets no bit");
+            for p in all_paths() {
+                assert_eq!(
+                    coder.encode_batch_on(p, &data),
+                    want,
+                    "{bits}-bit codes diverged on {}",
+                    p.name()
+                );
+            }
+        }
+    }
+
     /// Checks both points-as-lanes direct-distance kernels on every tier
     /// against `linalg::dist_sq` row by row: the raw distances, and the
     /// D² refresh's strict-`<` lowering of `prior` values.
@@ -561,13 +661,16 @@ mod simd_bitwise {
 
         /// PQ codes from the points-as-lanes encoder equal the one-point
         /// nearest-codeword scan (`dist_sq`, strict `<`, lowest index on
-        /// ties), batch and single, on adversarial and tie-heavy inputs.
+        /// ties) on every tier, batch and single, on adversarial and
+        /// tie-heavy inputs. Row counts cross several 8-row panels with a
+        /// remainder; sub-vector lengths cover the 4 and 8 the recall
+        /// experiment trains.
         #[test]
         fn pq_codes_match_one_point_scan(
             subspaces in 1usize..5,
-            sub_dim in 1usize..7,
+            sub_dim in 1usize..10,
             centroids in 1usize..20,
-            n in 1usize..30,
+            n in 1usize..80,
             mode in 0u8..3,
             salt in 0usize..1000,
         ) {
@@ -575,34 +678,40 @@ mod simd_bitwise {
             let train = Matrix::from_vec(40, d, lane_fill(40 * d, salt, 2));
             let pq = ProductQuantizer::train(&train, subspaces, centroids, &mut seeded(salt as u64));
             let data = Matrix::from_vec(n, d, lane_fill(n * d, salt + 3, mode));
-            let codes = pq.encode_batch(&data);
-            for (i, code) in codes.iter().enumerate() {
-                let want: Vec<u8> = pq
-                    .codebooks()
-                    .iter()
-                    .enumerate()
-                    .map(|(s, book)| {
-                        let sub = &data.row(i)[s * sub_dim..(s + 1) * sub_dim];
-                        let (mut best, mut best_d) = (0usize, f32::INFINITY);
-                        for c in 0..book.rows() {
-                            let dd = dist_sq(sub, book.row(c));
-                            if dd < best_d {
-                                best = c;
-                                best_d = dd;
+            let want: Vec<Vec<u8>> = (0..n)
+                .map(|i| {
+                    pq.codebooks()
+                        .iter()
+                        .enumerate()
+                        .map(|(s, book)| {
+                            let sub = &data.row(i)[s * sub_dim..(s + 1) * sub_dim];
+                            let (mut best, mut best_d) = (0usize, f32::INFINITY);
+                            for c in 0..book.rows() {
+                                let dd = dist_sq(sub, book.row(c));
+                                if dd < best_d {
+                                    best = c;
+                                    best_d = dd;
+                                }
                             }
-                        }
-                        best as u8
-                    })
-                    .collect();
-                prop_assert_eq!(code, &want, "batch code of row {}", i);
-                prop_assert_eq!(&pq.encode(data.row(i)), &want, "code of row {}", i);
+                            best as u8
+                        })
+                        .collect()
+                })
+                .collect();
+            for p in all_paths() {
+                prop_assert_eq!(&pq.encode_batch_on(p, &data), &want,
+                    "batch codes diverged on {}", p.name());
+            }
+            for (i, code) in want.iter().enumerate() {
+                prop_assert_eq!(&pq.encode(data.row(i)), code, "code of row {}", i);
             }
         }
 
         /// Binary codes from the planes-as-lanes encoder equal one
         /// sequential dot product per plane (`Iterator::sum` of
-        /// `plane[t] * x[t]`, sign bit `>= 0`), for bit counts that are
-        /// and are not multiples of the lane group or the 64-bit word.
+        /// `plane[t] * x[t]`, sign bit `>= 0`) on every tier, batch and
+        /// single, for bit counts that are and are not multiples of the
+        /// lane group or the 64-bit word.
         #[test]
         fn binary_codes_match_sequential_dots(
             dim in 1usize..40,
@@ -612,24 +721,14 @@ mod simd_bitwise {
             salt in 0usize..1000,
         ) {
             let coder = BinaryCoder::new(dim, bits, &mut seeded(salt as u64));
-            // The hyperplanes, redrawn in the order `BinaryCoder::new`
-            // draws them.
-            let mut rng = seeded(salt as u64);
-            let planes: Vec<f32> = (0..bits * dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
             let data = Matrix::from_vec(n, dim, lane_fill(n * dim, salt + 9, mode));
-            let codes = coder.encode_batch(&data);
-            for (i, code) in codes.iter().enumerate() {
-                let x = data.row(i);
-                let mut want = vec![0u64; bits.div_ceil(64)];
-                for b in 0..bits {
-                    let dot: f32 =
-                        planes[b * dim..(b + 1) * dim].iter().zip(x).map(|(p, v)| p * v).sum();
-                    if dot >= 0.0 {
-                        want[b / 64] |= 1u64 << (b % 64);
-                    }
-                }
-                prop_assert_eq!(code, &want, "batch code of row {}", i);
-                prop_assert_eq!(&coder.encode(x), &want, "code of row {}", i);
+            let want = binary_reference(dim, bits, salt as u64, &data);
+            for p in all_paths() {
+                prop_assert_eq!(&coder.encode_batch_on(p, &data), &want,
+                    "batch codes diverged on {}", p.name());
+            }
+            for (i, code) in want.iter().enumerate() {
+                prop_assert_eq!(&coder.encode(data.row(i)), code, "code of row {}", i);
             }
         }
     }
