@@ -4,10 +4,9 @@
 //! analytics workloads" that "scan, join, and summarize large volumes of
 //! data", and designs the hierarchy "to enable effective acceleration on
 //! *various* application pipelines" — CBIR is the case study, not the scope.
-//! This crate exercises that claim with the canonical analytics trio:
+//! This crate exercises that claim on the timing model alone: a query is
+//! its row geometry and selectivity, and no engine computes its answer.
 //!
-//! * [`table`] — a tiny functional columnar engine (tables, predicates,
-//!   filter, aggregate, hash join) so results are checkable, not mocked;
 //! * [`templates`] — scan / aggregate / probe accelerator kernels for the
 //!   on-chip and embedded parts, registered alongside the paper's Table III
 //!   registry;
@@ -27,10 +26,8 @@
 
 pub mod co_run;
 pub mod queries;
-pub mod table;
 pub mod templates;
 
 pub use co_run::{co_run_interference_with, CoRunReport};
 pub use queries::{AnalyticsPlacement, ScanQuery};
-pub use table::{Aggregate, Predicate, Table};
 pub use templates::{analytics_blueprint, analytics_registry};

@@ -121,11 +121,11 @@ fn main() -> ExitCode {
         // byte-comparable across job counts.
         let events: u64 = scenarios
             .iter()
-            .map(|s| engine_counter(&s.metrics, "engine.events_processed"))
+            .map(|s| engine_counter(&s.report.metrics, "engine.events_processed"))
             .sum();
         let peak_depth = scenarios
             .iter()
-            .map(|s| engine_counter(&s.metrics, "engine.queue_depth_peak"))
+            .map(|s| engine_counter(&s.report.metrics, "engine.queue_depth_peak"))
             .max()
             .unwrap_or(0);
         eprintln!(

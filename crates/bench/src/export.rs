@@ -5,7 +5,7 @@
 //! keys and fixed-precision floats, so a given run's exports are
 //! byte-stable and CI can diff them.
 
-use crate::runner::CapturedScenario;
+use reach::ScenarioResult;
 use std::fmt::Write as _;
 
 /// Minimal JSON string escaping (quotes, backslashes, control chars).
@@ -46,7 +46,7 @@ fn indent(doc: &str, pad: usize) -> String {
 /// (`reach-run-metrics-v1`): an array of `{label, headline, metrics}`
 /// entries in capture order.
 #[must_use]
-pub fn scenario_metrics_json(scenarios: &[CapturedScenario]) -> String {
+pub fn scenario_metrics_json(scenarios: &[ScenarioResult]) -> String {
     run_metrics_json(scenarios, None)
 }
 
@@ -57,7 +57,7 @@ pub fn scenario_metrics_json(scenarios: &[CapturedScenario]) -> String {
 /// unaffected — the extra key is additive.
 #[must_use]
 pub fn run_metrics_json(
-    scenarios: &[CapturedScenario],
+    scenarios: &[ScenarioResult],
     process: Option<&reach::MetricsSnapshot>,
 ) -> String {
     let mut out = String::from("{\n  \"schema\": \"reach-run-metrics-v1\",\n  \"scenarios\": [");
@@ -65,17 +65,24 @@ pub fn run_metrics_json(
         if i > 0 {
             out.push(',');
         }
+        let makespan_ps = s.report.makespan.as_ps();
+        // Jobs per simulated second; 0 for a run that took no time.
+        let throughput = if makespan_ps == 0 {
+            0.0
+        } else {
+            s.report.jobs as f64 / (makespan_ps as f64 * 1e-12)
+        };
         let _ = write!(
             out,
             "\n    {{\n      \"label\": \"{}\",\n      \"makespan_ps\": {},\n      \
              \"jobs\": {},\n      \"throughput_jobs_per_sec\": {:.6},\n      \
              \"energy_j\": {:.6},\n      \"metrics\": {}\n    }}",
             escape(&s.label),
-            s.makespan_ps,
-            s.jobs,
-            s.throughput_jobs_per_sec(),
-            s.energy_j,
-            indent(&s.metrics.to_json(), 6)
+            makespan_ps,
+            s.report.jobs,
+            throughput,
+            s.report.total_energy_j(),
+            indent(&s.report.metrics.to_json(), 6)
         );
     }
     out.push_str("\n  ]");
@@ -105,17 +112,26 @@ pub fn label_file_stem(label: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reach::MetricsSnapshot;
+    use reach::{EnergyLedger, GamStats, MetricsSnapshot, RunReport, SimDuration, SystemComponent};
 
-    fn captured(label: &str) -> CapturedScenario {
+    fn captured(label: &str) -> ScenarioResult {
         let mut metrics = MetricsSnapshot::new(2_000_000_000_000);
         metrics.set_counter("gam.dispatches", 7);
-        CapturedScenario {
+        let mut ledger = EnergyLedger::new();
+        ledger.add(SystemComponent::Accelerator, "rerank", 12.5);
+        ScenarioResult {
             label: label.to_string(),
-            makespan_ps: 2_000_000_000_000,
-            jobs: 4,
-            energy_j: 12.5,
-            metrics,
+            report: RunReport {
+                makespan: SimDuration::from_ps(2_000_000_000_000),
+                jobs: 4,
+                job_latency_mean: SimDuration::ZERO,
+                job_latency_last: SimDuration::ZERO,
+                stages: Vec::new(),
+                ledger,
+                gam: GamStats::default(),
+                completions: Vec::new(),
+                metrics,
+            },
         }
     }
 
@@ -127,6 +143,12 @@ mod tests {
         assert!(doc.contains("\"gam.dispatches\": {\"kind\":\"counter\",\"value\":7}"));
         // 4 jobs over 2 simulated seconds.
         assert!(doc.contains("\"throughput_jobs_per_sec\": 2.000000"));
+        assert!(doc.contains("\"energy_j\": 12.500000"));
+        // A run that took no simulated time exports zero throughput.
+        let mut empty = captured("recall");
+        empty.report.makespan = SimDuration::ZERO;
+        let doc = scenario_metrics_json(&[empty]);
+        assert!(doc.contains("\"throughput_jobs_per_sec\": 0.000000"));
     }
 
     #[test]

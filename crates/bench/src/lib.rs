@@ -29,7 +29,7 @@ pub use cache::{CacheStats, ResultCache};
 pub use cli::{CommonRunnerArgs, ExperimentsArgs};
 pub use diskcache::{DiskCache, DiskCacheStats};
 pub use export::{label_file_stem, run_metrics_json, scenario_metrics_json};
-pub use runner::{CapturedScenario, RecordingExecutor, ScenarioRunner};
+pub use runner::{RecordingExecutor, ScenarioRunner};
 
 use reach::{Scenario, ScenarioExecutor};
 use reach_cbir::experiments as exp;

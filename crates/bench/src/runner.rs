@@ -452,40 +452,12 @@ impl ScenarioExecutor for ScenarioRunner {
     }
 }
 
-/// The headline numbers and telemetry snapshot of one finished scenario,
-/// captured by a [`RecordingExecutor`].
-#[derive(Clone, Debug)]
-pub struct CapturedScenario {
-    /// The scenario's label (e.g. `"fig13/ReACH"`).
-    pub label: String,
-    /// Simulated makespan in picoseconds.
-    pub makespan_ps: u64,
-    /// Jobs completed.
-    pub jobs: u64,
-    /// Total energy in joules.
-    pub energy_j: f64,
-    /// The machine-wide telemetry snapshot.
-    pub metrics: MetricsSnapshot,
-}
-
-impl CapturedScenario {
-    /// Jobs per simulated second (0.0 for an empty run).
-    #[must_use]
-    pub fn throughput_jobs_per_sec(&self) -> f64 {
-        if self.makespan_ps == 0 {
-            0.0
-        } else {
-            self.jobs as f64 / (self.makespan_ps as f64 * 1e-12)
-        }
-    }
-}
-
-/// Wraps an executor and captures every finished scenario's label, headline
-/// numbers and telemetry snapshot — in submission order, so the capture
-/// stream is byte-identical regardless of the inner executor's job count.
+/// Wraps an executor and keeps every result it forwards — in submission
+/// order, so the capture stream is byte-identical regardless of the inner
+/// executor's job count.
 pub struct RecordingExecutor<'a> {
     inner: &'a dyn ScenarioExecutor,
-    captured: Mutex<Vec<CapturedScenario>>,
+    captured: Mutex<Vec<ScenarioResult>>,
 }
 
 impl<'a> RecordingExecutor<'a> {
@@ -500,21 +472,15 @@ impl<'a> RecordingExecutor<'a> {
 
     /// Takes everything captured since the last drain.
     #[must_use]
-    pub fn drain(&self) -> Vec<CapturedScenario> {
+    pub fn drain(&self) -> Vec<ScenarioResult> {
         std::mem::take(&mut *self.captured.lock().expect("capture buffer poisoned"))
     }
 
     fn capture(&self, results: &[ScenarioResult]) {
-        let mut captured = self.captured.lock().expect("capture buffer poisoned");
-        for r in results {
-            captured.push(CapturedScenario {
-                label: r.label.clone(),
-                makespan_ps: r.report.makespan.as_ps(),
-                jobs: r.report.jobs,
-                energy_j: r.report.total_energy_j(),
-                metrics: r.report.metrics.clone(),
-            });
-        }
+        self.captured
+            .lock()
+            .expect("capture buffer poisoned")
+            .extend_from_slice(results);
     }
 }
 
@@ -603,7 +569,14 @@ mod tests {
             recording
                 .drain()
                 .into_iter()
-                .map(|c| (c.label, c.makespan_ps, c.jobs, c.metrics.to_json()))
+                .map(|c| {
+                    (
+                        c.label,
+                        c.report.makespan,
+                        c.report.jobs,
+                        c.report.metrics.to_json(),
+                    )
+                })
                 .collect::<Vec<_>>()
         };
         let sequential = capture(1);

@@ -36,7 +36,6 @@ pub mod fleet;
 pub mod ivf;
 pub mod kmeans;
 pub mod linalg;
-pub mod pca;
 pub mod pipeline;
 pub mod pq;
 pub mod scenarios;
@@ -51,7 +50,6 @@ pub use dataset::{Dataset, RecallReport};
 pub use features::FeatureNet;
 pub use fleet::CbirFleetScenario;
 pub use ivf::IvfIndex;
-pub use pca::Pca;
 pub use pipeline::{CbirMapping, CbirPipeline};
 pub use pq::ProductQuantizer;
 pub use scenarios::{blueprint_with, lowered, CbirScenario};

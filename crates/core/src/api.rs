@@ -698,8 +698,8 @@ impl Pipeline {
     }
 
     /// Builds the GAM job and work descriptors for one batch without
-    /// submitting it — used by deferred-submission drivers such as
-    /// [`crate::host::drive`].
+    /// submitting it — used by deferred-submission drivers such as the
+    /// open-loop tenants of [`crate::ScenarioSpec`].
     #[must_use]
     pub fn job_for_batch(&self, batch: u64) -> (reach_gam::Job, HashMap<TaskId, TaskWork>) {
         self.build_job(batch)

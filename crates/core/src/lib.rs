@@ -69,7 +69,6 @@ pub mod codec;
 pub mod config;
 pub mod fingerprint;
 pub mod fleet;
-pub mod host;
 pub mod machine;
 pub mod report;
 pub mod scenario;
@@ -92,12 +91,12 @@ pub use fleet::{
     aggregate_scatter_gather, rack_link, FleetBlueprint, FleetScenario, InterMachineLink,
     ScatterGatherSpec, ShardPlacement,
 };
-pub use host::{ArrivalProcess, Batcher};
 pub use machine::Machine;
 pub use report::{RunReport, StageSummary};
 pub use scenario::{Scenario, ScenarioExecutor, ScenarioResult, SequentialExecutor};
 pub use spec::{JobSource, LoweredPipeline, ScenarioSpec, Tenant};
 pub use trace::{Trace, TraceEvent, TraceKind};
+pub use traffic::ArrivalProcess;
 pub use work::{DataAccess, TaskWork};
 
 // Re-export the vocabulary types users need alongside the API.

@@ -157,6 +157,27 @@ mod tests {
     }
 
     #[test]
+    fn uniform_arrivals_are_evenly_spaced() {
+        let a = ArrivalProcess::Uniform { gap: ms(5) }.arrivals(4);
+        let at = |n: u64| SimTime::ZERO + ms(n);
+        assert_eq!(a, vec![at(0), at(5), at(10), at(15)]);
+    }
+
+    #[test]
+    fn poisson_arrivals_are_sorted_and_reproducible() {
+        let p = ArrivalProcess::Poisson {
+            mean_gap: ms(2),
+            seed: 9,
+        };
+        let a = p.arrivals(100);
+        assert_eq!(a, p.arrivals(100));
+        assert!(a.windows(2).all(|w| w[0] <= w[1]));
+        // Mean gap within 3x of nominal for 100 samples.
+        let span = a.last().unwrap().since(a[0]).as_ms_f64();
+        assert!(span > 60.0 && span < 600.0, "span {span} ms");
+    }
+
+    #[test]
     fn bursty_arrivals_are_sorted_reproducible_and_clumped() {
         let p = ArrivalProcess::Bursty {
             on_gap: ms(1),

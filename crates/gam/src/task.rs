@@ -95,6 +95,11 @@ pub struct Job {
     pub buffers: Vec<BufferDesc>,
 }
 
+/// Task and buffer ids are `job << JOB_ID_SHIFT | index`: a job holds at
+/// most `1 << JOB_ID_SHIFT` tasks and as many buffers, and job ids stay
+/// below `1 << (64 - JOB_ID_SHIFT)`, so ids of different jobs never collide.
+const JOB_ID_SHIFT: u32 = 20;
+
 /// Builds a [`Job`] with correctly threaded identifiers.
 ///
 /// # Example
@@ -118,28 +123,48 @@ pub struct JobBuilder {
     job: JobId,
     tasks: Vec<Task>,
     buffers: Vec<BufferDesc>,
+    /// Index within the job of the next task.
     next_task: u64,
+    /// Index within the job of the next buffer.
     next_buffer: u64,
 }
 
 impl JobBuilder {
     /// Starts a job with the given id; task and buffer ids are namespaced
     /// under it so ids from different jobs never collide.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `job` is `2^44` or more: its ids would alias a lower job's.
     #[must_use]
     pub fn new(job: u64) -> Self {
+        assert!(
+            job < 1 << (64 - JOB_ID_SHIFT),
+            "JobBuilder::new: job {job} is outside the 2^44 job id space"
+        );
         JobBuilder {
             job: JobId(job),
             tasks: Vec::new(),
             buffers: Vec::new(),
-            next_task: job << 20,
-            next_buffer: job << 20,
+            next_task: 0,
+            next_buffer: 0,
         }
+    }
+
+    /// The id of the `index`-th task or buffer of this job.
+    fn id(&self, index: u64, what: &str) -> u64 {
+        assert!(
+            index < 1 << JOB_ID_SHIFT,
+            "JobBuilder: {} already holds 2^20 {what}s, the most its id space fits",
+            self.job
+        );
+        self.job.0 << JOB_ID_SHIFT | index
     }
 
     /// Declares a buffer. `resident` says which level already holds valid
     /// data (`None` for outputs yet to be produced).
     pub fn buffer(&mut self, name: &str, bytes: u64, resident: Option<ComputeLevel>) -> BufferId {
-        let id = BufferId(self.next_buffer);
+        let id = BufferId(self.id(self.next_buffer, "buffer"));
         self.next_buffer += 1;
         self.buffers.push(BufferDesc {
             id,
@@ -162,7 +187,7 @@ impl JobBuilder {
         outputs: Vec<BufferId>,
         deps: Vec<TaskId>,
     ) -> TaskId {
-        let id = TaskId(self.next_task);
+        let id = TaskId(self.id(self.next_task, "task"));
         self.next_task += 1;
         self.tasks.push(Task {
             id,
@@ -293,6 +318,53 @@ mod tests {
             vec![TaskId(0)],
         );
         let _ = b.build();
+    }
+
+    fn demo_task(b: &mut JobBuilder) -> TaskId {
+        b.task(
+            "s",
+            "K",
+            ComputeLevel::OnChip,
+            SimDuration::ZERO,
+            vec![],
+            vec![],
+            vec![],
+        )
+    }
+
+    #[test]
+    fn largest_job_keeps_its_ids_in_its_own_space() {
+        let job = (1 << 44) - 1;
+        let mut b = JobBuilder::new(job);
+        assert_eq!(demo_task(&mut b).0 >> 20, job);
+        assert_eq!(b.buffer("x", 1, None).0 >> 20, job);
+    }
+
+    #[test]
+    #[should_panic(expected = "job 17592186044416 is outside the 2^44 job id space")]
+    fn job_past_the_id_space_rejected() {
+        // 2^44 << 20 wraps to 0: its ids would alias job 0's.
+        let _ = JobBuilder::new(1 << 44);
+    }
+
+    #[test]
+    #[should_panic(expected = "job0 already holds 2^20 tasks")]
+    fn task_past_the_job_id_space_rejected() {
+        let mut b = JobBuilder::new(0);
+        b.next_task = (1 << 20) - 1;
+        assert_eq!(demo_task(&mut b), TaskId((1 << 20) - 1));
+        // The next id would be job 1's first task id.
+        let _ = demo_task(&mut b);
+    }
+
+    #[test]
+    #[should_panic(expected = "job3 already holds 2^20 buffers")]
+    fn buffer_past_the_job_id_space_rejected() {
+        let mut b = JobBuilder::new(3);
+        b.next_buffer = (1 << 20) - 1;
+        assert_eq!(b.buffer("x", 1, None), BufferId((4 << 20) - 1));
+        // The next id would be job 4's first buffer id.
+        let _ = b.buffer("y", 1, None);
     }
 
     #[test]

@@ -94,24 +94,12 @@ impl AimBus {
     }
 }
 
-/// Statistics an AIM module accumulates.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AimStats {
-    /// Bytes the local accelerator moved to/from its DIMM.
-    pub local_bytes: u64,
-    /// Kernel launches observed by the configuration filter.
-    pub launches: u64,
-    /// Ownership hand-overs (host -> accelerator).
-    pub acquisitions: u64,
-}
-
 /// One accelerator-interposed-memory module attached to a specific DIMM.
 #[derive(Clone, Debug)]
 pub struct AimModule {
     channel: usize,
     slot: usize,
     owner: DimmOwner,
-    stats: AimStats,
 }
 
 impl AimModule {
@@ -122,7 +110,6 @@ impl AimModule {
             channel,
             slot,
             owner: DimmOwner::Host,
-            stats: AimStats::default(),
         }
     }
 
@@ -136,12 +123,6 @@ impl AimModule {
     #[must_use]
     pub fn owner(&self) -> DimmOwner {
         self.owner
-    }
-
-    /// Accumulated statistics.
-    #[must_use]
-    pub fn stats(&self) -> &AimStats {
-        &self.stats
     }
 
     /// The host launches a kernel: the configuration filter accepts the
@@ -160,8 +141,6 @@ impl AimModule {
         );
         let ready = mc.dimm_mut(self.channel, self.slot).hand_over(now);
         self.owner = DimmOwner::Accelerator;
-        self.stats.acquisitions += 1;
-        self.stats.launches += 1;
         ready
     }
 
@@ -203,7 +182,6 @@ impl AimModule {
             DimmOwner::Accelerator,
             "AimModule::stream_local: kernel not launched (DIMM owned by host)"
         );
-        self.stats.local_bytes += bytes;
         mc.dimm_mut(self.channel, self.slot).stream(
             now,
             local_addr,
@@ -211,28 +189,6 @@ impl AimModule {
             kind,
             RowPolicy::ClosedRow,
         )
-    }
-
-    /// A single line access on the owned DIMM (closed-row).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the module does not own the DIMM.
-    pub fn access_local(
-        &mut self,
-        now: SimTime,
-        mc: &mut MemoryController,
-        local_addr: u64,
-        kind: AccessKind,
-    ) -> Reservation {
-        assert_eq!(
-            self.owner,
-            DimmOwner::Accelerator,
-            "AimModule::access_local: kernel not launched"
-        );
-        self.stats.local_bytes += mc.config().dimm.line_bytes;
-        mc.dimm_mut(self.channel, self.slot)
-            .access(now, local_addr, kind, RowPolicy::ClosedRow)
     }
 }
 
@@ -258,8 +214,6 @@ mod tests {
         let t1 = aim.release(r.complete, &mut mc);
         assert_eq!(aim.owner(), DimmOwner::Host);
         assert!(t1 >= r.complete);
-        assert_eq!(aim.stats().local_bytes, 1 << 20);
-        assert_eq!(aim.stats().acquisitions, 1);
     }
 
     #[test]
@@ -281,9 +235,11 @@ mod tests {
     fn owned_accesses_use_closed_row() {
         let (mut mc, mut aim) = setup();
         let t0 = aim.acquire(SimTime::ZERO, &mut mc);
-        let a = aim.access_local(t0, &mut mc, 0, AccessKind::Read);
-        let _b = aim.access_local(a.ready, &mut mc, 64, AccessKind::Read);
-        // Closed-row: the second same-row access is NOT a row hit.
+        let a = aim.stream_local(t0, &mut mc, 0, 64, AccessKind::Read);
+        // Closed-row: the local stream leaves its row precharged, so the
+        // next line of the same row activates it again instead of hitting.
+        mc.dimm_mut(0, 0)
+            .access(a.ready, 64, AccessKind::Read, RowPolicy::OpenPage);
         assert_eq!(mc.dimm(0, 0).stats().row_hits, 0);
         assert_eq!(mc.dimm(0, 0).stats().activations, 2);
     }
@@ -358,33 +314,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "access_local: kernel not launched")]
-    fn line_access_requires_ownership() {
-        let (mut mc, mut aim) = setup();
-        aim.access_local(SimTime::ZERO, &mut mc, 0, AccessKind::Read);
-    }
-
-    #[test]
-    fn relaunch_counts_each_acquisition() {
+    fn release_hands_the_dimm_back_for_the_next_launch() {
         let (mut mc, mut aim) = setup();
         assert_eq!(aim.position(), (0, 0));
         assert_eq!(AimModule::new(3, 1).position(), (3, 1));
         for _ in 0..3 {
             let t = aim.acquire(SimTime::ZERO, &mut mc);
+            assert_eq!(aim.owner(), DimmOwner::Accelerator);
             aim.release(t, &mut mc);
+            assert_eq!(aim.owner(), DimmOwner::Host);
         }
-        assert_eq!(aim.stats().acquisitions, 3);
-        assert_eq!(aim.stats().launches, 3);
-        assert_eq!(aim.stats().local_bytes, 0);
-    }
-
-    #[test]
-    fn line_access_bills_one_line() {
-        let (mut mc, mut aim) = setup();
-        let t0 = aim.acquire(SimTime::ZERO, &mut mc);
-        aim.access_local(t0, &mut mc, 0, AccessKind::Write);
-        aim.access_local(t0, &mut mc, 4096, AccessKind::Read);
-        assert_eq!(aim.stats().local_bytes, 2 * mc.config().dimm.line_bytes);
     }
 
     #[test]

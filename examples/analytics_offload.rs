@@ -1,45 +1,16 @@
 //! Near-data analytics on ReACH: the paper's motivating workload class.
 //!
-//! Runs selective scan + aggregate queries over SSD-resident tables, both
-//! functionally (a real columnar filter/aggregate, checked against the
-//! data) and on the timing model (host-side vs near-storage placement).
+//! Times selective scan + aggregate queries over an SSD-resident table on
+//! the hierarchy, host-side vs near-storage placement.
 //!
 //! ```text
 //! cargo run --example analytics_offload --release
 //! ```
 
-use rand::Rng;
-use reach_analytics::{Aggregate, AnalyticsPlacement, Predicate, ScanQuery, Table};
-use reach_sim::rng::{derived, DEFAULT_SEED};
+use reach_analytics::{AnalyticsPlacement, ScanQuery};
 
 fn main() {
-    // ---- functional: a checkable filter/aggregate/join ----
-    println!("== functional columnar engine ==");
-    let mut rng = derived(DEFAULT_SEED, "analytics-example");
-    let mut orders = Table::new(&["id", "customer", "amount"]);
-    for i in 0..50_000i64 {
-        orders.push(&[i, rng.gen_range(0..1_000), rng.gen_range(1..10_000)]);
-    }
-    let survivors = orders.filter("amount", Predicate::AtLeast(9_900));
-    let revenue = orders.aggregate("amount", &survivors, Aggregate::Sum);
-    println!(
-        "  {} rows scanned, {} survive `amount >= 9900` ({:.2}%), sum = {}",
-        orders.rows(),
-        survivors.len(),
-        100.0 * survivors.len() as f64 / orders.rows() as f64,
-        revenue
-    );
-
-    let mut customers = Table::new(&["cid", "region"]);
-    for c in 0..1_000i64 {
-        customers.push(&[c, c % 7]);
-    }
-    let joined = orders.hash_join("customer", &customers, "cid");
-    println!("  hash join orders x customers: {} matches", joined.len());
-
-    // ---- timed: placement comparison on the hierarchy ----
-    println!();
-    println!("== timed placement comparison (64 GB table, 4 SSDs) ==");
+    println!("== timed placement comparison (16 GiB table, 4 SSDs) ==");
     println!(
         "{:<16} {:>14} {:>12} {:>10}",
         "selectivity", "host", "near-storage", "speedup"

@@ -1,66 +1,49 @@
-//! Offered-load operating curves: per-query latency vs arrival rate.
+//! Offered-load operating curves: query-batch latency vs arrival rate.
 //!
 //! The paper states CBIR throughput "is crucial to user experience" and
 //! assumes queries arrive "sufficiently frequent for batched processing".
-//! This example makes that operational: Poisson query arrivals are batched
-//! (16 per batch, 50 ms deadline) and driven through the on-chip baseline
-//! and the ReACH proper mapping. As the arrival rate approaches a
-//! configuration's bottleneck service rate, queueing delay explodes — and
-//! ReACH sustains several times the load before it does.
+//! This example makes that operational with the serving points the
+//! `extension-traffic` experiment prints: Poisson arrivals of 16-query
+//! batches, offered to each placement through a bounded admission queue.
+//! As the arrival rate approaches a placement's bottleneck service rate,
+//! queueing delay takes over and the queue starts rejecting arrivals — and
+//! ReACH sustains several times the load of the on-chip baseline before it
+//! does.
 //!
 //! ```text
 //! cargo run --example offered_load --release
 //! ```
 
-use reach::host::{drive, ArrivalProcess, Batcher};
-use reach::SimDuration;
-use reach_cbir::{CbirMapping, CbirPipeline, CbirWorkload};
+use reach::{MetricValue, Scenario};
+use reach_cbir::traffic::{TRAFFIC_OFFERED, TRAFFIC_RATES_PER_SEC};
+use reach_cbir::{CbirMapping, CbirScenario};
 
 fn main() {
-    let w = CbirWorkload::paper_setup();
-    // Full batches only: the timing workload models a fixed 16-query batch,
-    // so the batcher waits for 16 arrivals (at low rates the batch-formation
-    // wait itself becomes the latency floor — visible below).
-    let batcher = Batcher {
-        batch_size: w.batch,
-        max_wait: None,
-    };
-    let queries = 320; // 20 full batches
-
     println!(
-        "{:<26} {:>14} {:>14} {:>12}",
-        "queries/s offered", "mean latency", "max latency", "batches"
+        "{:<16} {:>10} {:>14} {:>14}",
+        "batches/s", "admitted", "mean latency", "p99 latency"
     );
-    for (name, mapping) in [
-        ("on-chip", CbirMapping::AllOnChip),
-        ("ReACH", CbirMapping::Proper),
-    ] {
-        println!("--- {name} ---");
-        for qps in [20u64, 30, 60, 120, 150, 320] {
-            let mean_gap = SimDuration::from_secs_f64(1.0 / qps as f64);
-            let arrivals = ArrivalProcess::Poisson {
-                mean_gap,
-                seed: 0xA11CE,
-            }
-            .arrivals(queries);
-            let batches = batcher.form(&arrivals);
-            let pipeline = CbirPipeline::new(w, mapping)
-                .build(&reach_cbir::blueprint_with(4, 4).instantiate());
-            let mut machine = reach_cbir::blueprint_with(4, 4).instantiate();
-            let report = drive(&pipeline, &mut machine, &batches);
+    for mapping in CbirMapping::ALL {
+        println!("--- {} ---", mapping.name());
+        for rate in TRAFFIC_RATES_PER_SEC {
+            let report = CbirScenario::poisson(mapping, rate).execute();
+            let p99_ms = match report.metrics.get("latency.job.p99_ps") {
+                Some(MetricValue::Counter { value }) => *value as f64 * 1e-9,
+                _ => 0.0,
+            };
             println!(
-                "{:<26} {:>14} {:>14} {:>12}",
-                format!("{qps} q/s"),
-                report.mean.to_string(),
-                report.max.to_string(),
-                report.batches
+                "{:<16} {:>10} {:>14} {:>12.3}ms",
+                format!("{rate}/s"),
+                format!("{}/{TRAFFIC_OFFERED}", report.jobs),
+                report.job_latency_mean.to_string(),
+                p99_ms
             );
         }
     }
     println!();
     println!(
-        "the on-chip baseline saturates near ~38 q/s (16 queries / ~420 ms);\n\
-         ReACH stays stable to ~150 q/s (16 queries / ~100 ms bottleneck stage).\n\
-         At 20 q/s both floors are dominated by the 16-query batch-formation wait."
+        "each arrival is one 16-query batch; arrivals that find the admission\n\
+         queue full are rejected, so a saturated placement admits fewer than\n\
+         it is offered while the latency of the admitted batches climbs."
     );
 }

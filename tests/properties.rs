@@ -2,18 +2,14 @@
 //! for *every* workload shape, not just the paper's.
 
 use proptest::prelude::*;
-use reach::fleet::FleetScenario;
-use reach::{
-    encode_report, ComputeLevel, MachineBlueprint, RunReport, Scenario, ScenarioExecutor,
-    ScenarioResult, SystemComponent, TaskWork,
-};
+use reach::{encode_report, ComputeLevel, MachineBlueprint, RunReport, SystemComponent, TaskWork};
 use reach_bench::diskcache::{record_checksum, DISKCACHE_FILE, DISKCACHE_MAGIC};
-use reach_bench::{DiskCache, ScenarioRunner};
+use reach_bench::{DiskCache, RecordingExecutor, ScenarioRunner};
 use reach_gam::JobBuilder;
 use reach_sim::{Bandwidth, BandwidthResource, MetricValue, SerialResource, SimDuration, SimTime};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -191,50 +187,20 @@ fn full_stack_determinism() {
     assert_eq!(r1.gam.polls_sent, r2.gam.polls_sent);
 }
 
-/// Records every result of the full suite — scenario results and fleet
-/// aggregates alike — while a [`ScenarioRunner`] does the work.
-struct Recording {
-    inner: ScenarioRunner,
-    results: Mutex<Vec<ScenarioResult>>,
-}
-
-impl Recording {
-    fn keep(&self, results: &[ScenarioResult]) {
-        self.results
-            .lock()
-            .expect("recording poisoned")
-            .extend_from_slice(results);
-    }
-}
-
-impl ScenarioExecutor for Recording {
-    fn run_all(&self, scenarios: Vec<Box<dyn Scenario>>) -> Vec<ScenarioResult> {
-        let results = self.inner.run_all(scenarios);
-        self.keep(&results);
-        results
-    }
-
-    fn run_fleets(&self, fleets: Vec<Box<dyn FleetScenario>>) -> Vec<ScenarioResult> {
-        let results = self.inner.run_fleets(fleets);
-        self.keep(&results);
-        results
-    }
-}
-
 /// Conservation over the whole experiments suite: every result's energy
 /// ledger sums to its total along both axes, and every simulated machine
 /// that exports `gam.jobs_completed` completed exactly the jobs its report
 /// counts.
 #[test]
 fn every_suite_result_conserves_energy_and_jobs() {
-    let recording = Recording {
-        inner: ScenarioRunner::new(2),
-        results: Mutex::new(Vec::new()),
-    };
+    // Every result of the full suite, scenario results and fleet
+    // aggregates alike.
+    let runner = ScenarioRunner::new(2);
+    let recording = RecordingExecutor::new(&runner);
     for (_, render) in reach_bench::renderers() {
         let _ = render(&recording);
     }
-    let results = recording.results.into_inner().expect("recording poisoned");
+    let results = recording.drain();
     assert!(results.len() > 100, "only {} results", results.len());
     let close = |sum: f64, total: f64| (sum - total).abs() <= 1e-9 * total.abs();
     let mut without_job_counter = Vec::new();

@@ -138,12 +138,21 @@ fn csv_exporter_matches_golden_file() {
 
 #[test]
 fn scenario_metrics_export_matches_golden_file() {
-    let captured = reach_bench::CapturedScenario {
+    let mut ledger = reach::EnergyLedger::new();
+    ledger.add(reach::SystemComponent::Dram, "scan", 1.5);
+    let captured = reach::ScenarioResult {
         label: "golden/one".to_string(),
-        makespan_ps: 1000,
-        jobs: 2,
-        energy_j: 1.5,
-        metrics: golden_snapshot(),
+        report: reach::RunReport {
+            makespan: reach::SimDuration::from_ps(1000),
+            jobs: 2,
+            job_latency_mean: reach::SimDuration::ZERO,
+            job_latency_last: reach::SimDuration::ZERO,
+            stages: Vec::new(),
+            ledger,
+            gam: reach::GamStats::default(),
+            completions: Vec::new(),
+            metrics: golden_snapshot(),
+        },
     };
     check_golden(
         &reach_bench::scenario_metrics_json(&[captured]),
