@@ -38,7 +38,7 @@ use crate::work::{DataAccess, TaskWork};
 use reach_accel::{Accelerator, AcceleratorId, ComputeLevel, TemplateRegistry};
 use reach_energy::{EnergyLedger, EnergyPresets, SystemComponent};
 use reach_gam::manager::{DmaId, Gam, GamAction};
-use reach_gam::{Job, JobId, TaskId, TenantLedger};
+use reach_gam::{Job, JobId, TaskId};
 use reach_mem::{
     AccessKind, AimBus, AimModule, MemoryController, Noc, NocConfig, NocPort, Tlb, TlbConfig,
 };
@@ -138,9 +138,6 @@ pub struct Machine {
     sym_transfer: Symbol,
     ns_cursor: u64,
     deferred: Vec<Option<DeferredJob>>,
-    /// Per-workload attribution for co-run scenarios; empty (and fully
-    /// skipped) unless [`Machine::declare_tenant`] was called.
-    tenants: TenantLedger,
     trace: Option<Trace>,
     metrics: MachineMetrics,
 }
@@ -234,31 +231,24 @@ impl Machine {
             sym_transfer: Symbol::intern("transfer"),
             ns_cursor: 0,
             deferred: Vec::new(),
-            tenants: TenantLedger::new(),
             trace: None,
             metrics: MachineMetrics::default(),
             cfg,
         }
     }
 
-    /// Declares a co-run tenant owning job ids `lo..hi`, so dispatches,
-    /// completions, rejections and end-to-end latency are attributed
-    /// per-workload (`tenant.<name>.*` in the metrics snapshot). A machine
-    /// with no declared tenants skips all attribution work.
+    /// Declares a co-run tenant owning job ids `lo..hi`, so its dispatches,
+    /// completions, rejections and end-to-end latency are reported under
+    /// `tenant.<name>.*` in the metrics snapshot. Jobs outside every
+    /// declared span are attributed to no tenant. A machine with no
+    /// declared tenants skips all attribution work.
     ///
     /// # Panics
     ///
-    /// Panics on an empty or overlapping span (see
-    /// [`TenantLedger::declare`]).
+    /// Panics on an empty span, a span that overlaps a declared tenant's,
+    /// or a name that is already declared.
     pub fn declare_tenant(&mut self, name: &str, lo: u64, hi: u64) {
-        self.tenants.declare(name, lo, hi);
-        self.metrics.declare_tenant();
-    }
-
-    /// The per-tenant ledger (empty unless [`Machine::declare_tenant`] ran).
-    #[must_use]
-    pub fn tenants(&self) -> &TenantLedger {
-        &self.tenants
+        self.metrics.declare_tenant(name, lo, hi);
     }
 
     /// The machine configuration.
@@ -489,9 +479,7 @@ impl Machine {
         for t in &job.tasks {
             self.tasks.remove(&t.id);
         }
-        if !self.tenants.is_empty() {
-            self.tenants.on_reject(job.id);
-        }
+        self.metrics.tenant_rejected(job.id);
         self.gam.reject_job();
     }
 
@@ -499,13 +487,7 @@ impl Machine {
         for a in actions {
             if let GamAction::HostInterrupt { job } = a {
                 let submitted = self.job_submit[job];
-                let latency = now.since(submitted);
-                let mut tenant = None;
-                if !self.tenants.is_empty() {
-                    tenant = self.tenants.index_of(*job);
-                    self.tenants.on_complete(*job);
-                }
-                self.metrics.job_completed(latency, tenant);
+                self.metrics.job_completed(*job, now.since(submitted));
                 self.job_done.insert(*job, now);
             }
         }
@@ -541,9 +523,7 @@ impl Machine {
             let meta = &self.tasks[&task];
             (meta.stage, meta.macs, meta.access, meta.kernel, meta.job)
         };
-        if !self.tenants.is_empty() {
-            self.tenants.on_dispatch(job);
-        }
+        self.metrics.tenant_dispatched(job);
         // Resolved to a registry index at submit time; `KernelSpec` is
         // `Copy`, so dispatch performs no lookup and no heap traffic.
         let kernel = *self.registry.spec_at(kernel_idx);
@@ -921,7 +901,7 @@ impl Machine {
     /// per-instance busy time, GAM counters) into the same name-sorted
     /// snapshot.
     fn metrics_snapshot(&self) -> reach_sim::MetricsSnapshot {
-        let mut snap = self.metrics.snapshot(self.queue.now(), &self.tenants);
+        let mut snap = self.metrics.snapshot(self.queue.now());
 
         // Memory: host and near-memory DDR channels, NoC ports, AIMbus.
         for (prefix, mc) in [
@@ -1020,17 +1000,6 @@ impl Machine {
         snap.set_counter("gam.dmas", g.dmas);
         snap.set_counter("gam.dma_bytes", g.dma_bytes);
         snap.set_counter("gam.jobs_rejected", g.jobs_rejected);
-
-        // Per-tenant attribution, only when a co-run scenario declared
-        // tenants — single-workload runs keep their exact metric schema.
-        for (name, stats) in self.tenants.iter() {
-            snap.set_counter(format!("tenant.{name}.dispatches"), stats.dispatches);
-            snap.set_counter(
-                format!("tenant.{name}.jobs_completed"),
-                stats.jobs_completed,
-            );
-            snap.set_counter(format!("tenant.{name}.jobs_rejected"), stats.jobs_rejected);
-        }
         snap
     }
 
@@ -1355,5 +1324,15 @@ mod tests {
             vec![],
         );
         m.submit(b.build(), HashMap::from([(t, TaskWork::compute(1))]));
+    }
+
+    /// Two tenants under one name would write their work under the same
+    /// `tenant.<name>.*` metrics.
+    #[test]
+    #[should_panic(expected = "tenant 'cbir' is already declared")]
+    fn declaring_a_tenant_name_twice_is_rejected() {
+        let mut m = machine();
+        m.declare_tenant("cbir", 0, 512);
+        m.declare_tenant("cbir", 512, 1024);
     }
 }

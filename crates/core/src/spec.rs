@@ -21,7 +21,7 @@ use crate::machine::Machine;
 use crate::report::RunReport;
 use crate::scenario::Scenario;
 use crate::traffic::ArrivalProcess;
-use reach_sim::FingerprintBuilder;
+use reach_sim::{FingerprintBuilder, MetricValue};
 use std::sync::Arc;
 
 /// A compiled [`Pipeline`] with its digest, computed once. Cheap to clone
@@ -266,11 +266,17 @@ impl Scenario for ScenarioSpec {
             }
         }
         let report = last.unwrap_or_else(|| machine.run());
-        for (i, t) in self.tenants.iter().enumerate() {
+        for t in &self.tenants {
             if matches!(t.jobs, JobSource::Open { .. }) {
                 let (admitted, rejected) = if shared {
-                    let stats = machine.tenants().stats_at(i);
-                    (stats.jobs_completed, stats.jobs_rejected)
+                    let counter = |what: &str| {
+                        let name = format!("tenant.{}.{what}", t.name);
+                        match report.metrics.get(&name) {
+                            Some(MetricValue::Counter { value }) => *value,
+                            other => panic!("ScenarioSpec {}: {name} is {other:?}", self.label),
+                        }
+                    };
+                    (counter("jobs_completed"), counter("jobs_rejected"))
                 } else {
                     (report.jobs, report.gam.jobs_rejected)
                 };

@@ -20,12 +20,19 @@
 //! mem.ddr.host.ch<i>.bytes       host memory-channel traffic
 //! mem.noc.port.<port>.busy_ps    on-chip network port busy time
 //! storage.ssd<i>.read_bytes      flash traffic per drive
+//! tenant.<name>.dispatches       a co-run tenant's share of the GAM work
 //! ```
 //!
 //! Levels appear as `on_chip`, `near_mem`, `near_stor`.
+//!
+//! Co-run scenarios also declare *tenants*: named, disjoint job-id spans
+//! whose dispatches, completions, rejections and latency are attributed
+//! to whichever span the job id falls in (`tenant.<name>.*`). The GAM
+//! itself never learns which workload a job came from; attribution is a
+//! measurement concern, so it lives here.
 
 use reach_accel::ComputeLevel;
-use reach_gam::TenantLedger;
+use reach_gam::JobId;
 use reach_sim::{
     Histogram, LatencyHistogram, MetricsSnapshot, SimDuration, SimTime, Symbol, TimeWeighted,
     WindowedGauge,
@@ -63,6 +70,20 @@ struct LevelMetrics {
     occupancy: WindowedGauge,
 }
 
+/// One co-run tenant: a named, half-open job-id span `[lo, hi)` and the
+/// share of the machine's work its jobs took.
+#[derive(Default)]
+struct TenantMetrics {
+    name: String,
+    lo: u64,
+    hi: u64,
+    dispatches: u64,
+    jobs_rejected: u64,
+    /// End-to-end latency of the tenant's completed jobs; its count is the
+    /// tenant's completions.
+    latency: LatencyHistogram,
+}
+
 /// Every metric the machine records while it runs.
 ///
 /// [`MachineMetrics::snapshot`] writes the level and DMA metrics whether
@@ -81,16 +102,64 @@ pub(crate) struct MachineMetrics {
     job_latency_last: SimDuration,
     /// Submission -> stage-completion latency distribution per stage.
     stage_latency: HashMap<Symbol, LatencyHistogram>,
-    /// Per-tenant end-to-end job latency, parallel to the ledger's tenants.
-    tenant_latency: Vec<LatencyHistogram>,
+    /// Co-run tenants in declaration order; empty for a single workload,
+    /// which then does no attribution work.
+    tenants: Vec<TenantMetrics>,
     events_processed: u64,
     queue_depth_peak: usize,
 }
 
 impl MachineMetrics {
-    /// Adds a latency histogram for the tenant the ledger just declared.
-    pub(crate) fn declare_tenant(&mut self) {
-        self.tenant_latency.push(LatencyHistogram::new());
+    /// Declares a tenant owning job ids `lo..hi`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty span, on a span that overlaps a declared
+    /// tenant's (its jobs would count twice), or on a name already
+    /// declared (two tenants would share one set of `tenant.<name>.*`
+    /// metrics).
+    pub(crate) fn declare_tenant(&mut self, name: &str, lo: u64, hi: u64) {
+        assert!(lo < hi, "declare_tenant: empty span {lo}..{hi}");
+        for t in &self.tenants {
+            assert!(
+                t.name != name,
+                "declare_tenant: tenant '{name}' is already declared"
+            );
+            assert!(
+                hi <= t.lo || lo >= t.hi,
+                "declare_tenant: span {lo}..{hi} overlaps tenant '{}' ({}..{})",
+                t.name,
+                t.lo,
+                t.hi
+            );
+        }
+        self.tenants.push(TenantMetrics {
+            name: name.to_string(),
+            lo,
+            hi,
+            ..TenantMetrics::default()
+        });
+    }
+
+    /// The tenant whose span holds `job`, if any.
+    fn tenant(&mut self, job: JobId) -> Option<&mut TenantMetrics> {
+        self.tenants
+            .iter_mut()
+            .find(|t| t.lo <= job.0 && job.0 < t.hi)
+    }
+
+    /// Attributes one task dispatch to `job`'s tenant.
+    pub(crate) fn tenant_dispatched(&mut self, job: JobId) {
+        if let Some(t) = self.tenant(job) {
+            t.dispatches += 1;
+        }
+    }
+
+    /// Attributes one admission rejection to `job`'s tenant.
+    pub(crate) fn tenant_rejected(&mut self, job: JobId) {
+        if let Some(t) = self.tenant(job) {
+            t.jobs_rejected += 1;
+        }
     }
 
     /// Records one executed task: the busy window `[start, end)` on `level`
@@ -141,14 +210,14 @@ impl MachineMetrics {
             .record(latency.as_ps());
     }
 
-    /// Records one job's end-to-end latency, and against its tenant's
-    /// histogram when the job belongs to a declared tenant.
-    pub(crate) fn job_completed(&mut self, latency: SimDuration, tenant: Option<usize>) {
+    /// Records `job`'s end-to-end latency, and against its tenant when the
+    /// job belongs to a declared one.
+    pub(crate) fn job_completed(&mut self, job: JobId, latency: SimDuration) {
         self.job_latency.record(latency.as_ps());
         self.job_latency_sum_ps += u128::from(latency.as_ps());
         self.job_latency_last = latency;
-        if let Some(i) = tenant {
-            self.tenant_latency[i].record(latency.as_ps());
+        if let Some(t) = self.tenant(job) {
+            t.latency.record(latency.as_ps());
         }
     }
 
@@ -164,8 +233,7 @@ impl MachineMetrics {
     }
 
     /// Writes every recorded metric into a snapshot over `[0, until]`.
-    /// `tenants` names the tenant histograms.
-    pub(crate) fn snapshot(&self, until: SimTime, tenants: &TenantLedger) -> MetricsSnapshot {
+    pub(crate) fn snapshot(&self, until: SimTime) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new(until.since(SimTime::ZERO).as_ps());
         for (level, l) in ComputeLevel::ALL.into_iter().zip(&self.levels) {
             let slug = level_slug(level);
@@ -213,9 +281,15 @@ impl MachineMetrics {
         for (name, h) in stage_hists {
             quantiles(&mut snap, &format!("latency.stage.{name}"), h);
         }
-        for ((name, _), h) in tenants.iter().zip(&self.tenant_latency) {
-            if h.count() > 0 {
-                quantiles(&mut snap, &format!("tenant.{name}.latency"), h);
+        // Per-tenant attribution, only when a co-run scenario declared
+        // tenants, so single-workload runs keep their exact metric schema.
+        for t in &self.tenants {
+            let name = &t.name;
+            snap.set_counter(format!("tenant.{name}.dispatches"), t.dispatches);
+            snap.set_counter(format!("tenant.{name}.jobs_completed"), t.latency.count());
+            snap.set_counter(format!("tenant.{name}.jobs_rejected"), t.jobs_rejected);
+            if t.latency.count() > 0 {
+                quantiles(&mut snap, &format!("tenant.{name}.latency"), &t.latency);
             }
         }
 
@@ -235,7 +309,7 @@ mod tests {
     #[test]
     fn schema_is_complete_before_any_recording() {
         let m = MachineMetrics::default();
-        let snap = m.snapshot(SimTime::ZERO, &TenantLedger::new());
+        let snap = m.snapshot(SimTime::ZERO);
         for slug in ["on_chip", "near_mem", "near_stor"] {
             assert!(snap.get(&format!("gam.queue.{slug}.depth")).is_some());
             assert!(snap.get(&format!("accel.{slug}.busy_ps")).is_some());
@@ -259,7 +333,7 @@ mod tests {
             SimTime::from_ps(30),
             SimDuration::from_ps(20),
         );
-        let snap = m.snapshot(SimTime::from_ps(40), &TenantLedger::new());
+        let snap = m.snapshot(SimTime::from_ps(40));
         assert_eq!(
             snap.get("accel.near_mem.busy_ps"),
             Some(&MetricValue::Counter { value: 20 })
@@ -281,7 +355,7 @@ mod tests {
     fn dma_routes_to_the_directed_pair() {
         let mut m = MachineMetrics::default();
         m.dma(ComputeLevel::NearStorage, ComputeLevel::OnChip, 4096);
-        let snap = m.snapshot(SimTime::ZERO, &TenantLedger::new());
+        let snap = m.snapshot(SimTime::ZERO);
         assert_eq!(
             snap.get("gam.dma.near_stor.on_chip.bytes"),
             Some(&MetricValue::Counter { value: 4096 })
@@ -296,18 +370,16 @@ mod tests {
     fn job_latency_feeds_the_report_and_the_tenant_quantiles() {
         let mut m = MachineMetrics::default();
         assert_eq!(m.job_latency(), (0, SimDuration::ZERO, SimDuration::ZERO));
-        let mut tenants = TenantLedger::new();
-        tenants.declare("scan", 0, 10);
-        m.declare_tenant();
-        m.job_completed(SimDuration::from_ps(10), Some(0));
-        m.job_completed(SimDuration::from_ps(5), None);
+        m.declare_tenant("scan", 0, 10);
+        m.job_completed(JobId(3), SimDuration::from_ps(10));
+        m.job_completed(JobId(10), SimDuration::from_ps(5));
         assert_eq!(
             m.job_latency(),
             (2, SimDuration::from_ps(7), SimDuration::from_ps(5))
         );
         m.events_drained(3, 4);
         m.events_drained(1, 0);
-        let snap = m.snapshot(SimTime::from_ps(20), &tenants);
+        let snap = m.snapshot(SimTime::from_ps(20));
         let counter = |name: &str| snap.get(name).copied();
         assert_eq!(
             counter("latency.job.samples"),
@@ -318,6 +390,10 @@ mod tests {
             Some(MetricValue::Counter { value: 1 })
         );
         assert_eq!(
+            counter("tenant.scan.jobs_completed"),
+            Some(MetricValue::Counter { value: 1 })
+        );
+        assert_eq!(
             counter("engine.events_processed"),
             Some(MetricValue::Counter { value: 4 })
         );
@@ -325,5 +401,117 @@ mod tests {
             counter("engine.queue_depth_peak"),
             Some(MetricValue::Counter { value: 7 })
         );
+    }
+
+    /// `(dispatches, jobs_completed, jobs_rejected)` of tenant `name`.
+    fn tenant_counts(snap: &MetricsSnapshot, name: &str) -> [u64; 3] {
+        ["dispatches", "jobs_completed", "jobs_rejected"].map(|what| {
+            match snap.get(&format!("tenant.{name}.{what}")) {
+                Some(MetricValue::Counter { value }) => *value,
+                other => panic!("tenant.{name}.{what}: {other:?}"),
+            }
+        })
+    }
+
+    #[test]
+    fn tenant_attribution_follows_spans() {
+        let mut m = MachineMetrics::default();
+        m.declare_tenant("a", 0, 4);
+        m.declare_tenant("b", 512, 516);
+        for job in [0, 3, 513] {
+            m.tenant_dispatched(JobId(job));
+        }
+        m.job_completed(JobId(1), SimDuration::from_ps(5));
+        m.tenant_rejected(JobId(515));
+        let snap = m.snapshot(SimTime::from_ps(10));
+        assert_eq!(tenant_counts(&snap, "a"), [2, 1, 0]);
+        assert_eq!(tenant_counts(&snap, "b"), [1, 0, 1]);
+        // Quantiles appear only once the tenant completed a job.
+        assert!(snap.get("tenant.a.latency.p99_ps").is_some());
+        assert!(snap.get("tenant.b.latency.samples").is_none());
+    }
+
+    #[test]
+    fn declared_tenants_report_under_their_names() {
+        let mut m = MachineMetrics::default();
+        m.declare_tenant("cbir", 0, 512);
+        m.declare_tenant("graph", 512, 1024);
+        assert_eq!(m.tenants.len(), 2);
+        assert_eq!(m.tenants[1].name, "graph");
+        m.tenant_rejected(JobId(600));
+        let snap = m.snapshot(SimTime::ZERO);
+        assert_eq!(tenant_counts(&snap, "graph"), [0, 0, 1]);
+        assert_eq!(tenant_counts(&snap, "cbir"), [0, 0, 0]);
+    }
+
+    #[test]
+    fn tenant_spans_are_half_open() {
+        let mut m = MachineMetrics::default();
+        m.declare_tenant("a", 0, 4);
+        m.declare_tenant("b", 4, 8); // hi == next lo is not an overlap
+        for job in [3, 4, 8] {
+            m.tenant_dispatched(JobId(job));
+        }
+        let snap = m.snapshot(SimTime::ZERO);
+        assert_eq!(tenant_counts(&snap, "a"), [1, 0, 0]);
+        assert_eq!(tenant_counts(&snap, "b"), [1, 0, 0]);
+    }
+
+    #[test]
+    fn jobs_outside_every_tenant_span_are_ignored() {
+        let mut m = MachineMetrics::default();
+        m.declare_tenant("a", 0, 4);
+        m.tenant_dispatched(JobId(100));
+        m.tenant_rejected(JobId(100));
+        m.job_completed(JobId(100), SimDuration::from_ps(5));
+        let snap = m.snapshot(SimTime::from_ps(10));
+        assert_eq!(tenant_counts(&snap, "a"), [0, 0, 0]);
+        // The job still counts machine-wide.
+        assert_eq!(
+            snap.get("latency.job.samples"),
+            Some(&MetricValue::Counter { value: 1 })
+        );
+    }
+
+    #[test]
+    fn tenants_keep_declaration_order() {
+        let mut m = MachineMetrics::default();
+        m.declare_tenant("z", 0, 1);
+        m.declare_tenant("a", 1, 2);
+        let names: Vec<&str> = m.tenants.iter().map(|t| t.name.as_str()).collect();
+        assert_eq!(names, ["z", "a"]);
+    }
+
+    #[test]
+    fn no_tenants_means_no_attribution() {
+        let mut m = MachineMetrics::default();
+        m.tenant_dispatched(JobId(0));
+        m.tenant_rejected(JobId(1));
+        m.job_completed(JobId(2), SimDuration::from_ps(5));
+        assert!(m.tenants.is_empty());
+        let snap = m.snapshot(SimTime::from_ps(10));
+        assert!(snap.iter().all(|(name, _)| !name.starts_with("tenant.")));
+    }
+
+    #[test]
+    #[should_panic(expected = "empty span 7..7")]
+    fn empty_tenant_span_rejected() {
+        MachineMetrics::default().declare_tenant("a", 7, 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "span 5..15 overlaps tenant 'a' (0..10)")]
+    fn overlapping_tenant_spans_rejected() {
+        let mut m = MachineMetrics::default();
+        m.declare_tenant("a", 0, 10);
+        m.declare_tenant("b", 5, 15);
+    }
+
+    #[test]
+    #[should_panic(expected = "overlaps tenant 'inner'")]
+    fn enclosing_tenant_span_rejected() {
+        let mut m = MachineMetrics::default();
+        m.declare_tenant("inner", 5, 6);
+        m.declare_tenant("outer", 0, 10);
     }
 }

@@ -28,8 +28,6 @@
 
 pub mod manager;
 pub mod task;
-pub mod tenant;
 
 pub use manager::{Gam, GamAction, GamConfig, GamStats};
 pub use task::{BufferDesc, BufferId, Job, JobBuilder, JobId, Task, TaskId, TaskState};
-pub use tenant::{TenantLedger, TenantStats};

@@ -10,7 +10,8 @@
 //! solo baseline and a co-run point with identical arrivals, so the p99
 //! delta is pure interference — backed by the new contention gauges
 //! (`mem.ddr.contended_cycles`, `mem.aimbus.queued_ps`) and per-tenant
-//! dispatch/latency attribution (the ledger behind [`reach::Machine::tenants`]).
+//! dispatch/latency attribution (`tenant.<name>.*`, declared through
+//! [`reach::Machine::declare_tenant`]).
 //!
 //! Both runs are [`ScenarioSpec`]s with the same CBIR tenant and admission
 //! depth; the shared one adds the graph tenant, whose job ids start at

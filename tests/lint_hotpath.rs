@@ -1,9 +1,11 @@
 //! Two source-level guards over the workspace:
 //!
 //! 1. No String allocation or formatting on the machine's per-event
-//!    dispatch path. The [`HOT`] functions in `crates/core/src/machine.rs`
-//!    run once (or more) per simulated event; the only allowed string work
-//!    is inside the opt-in `#[cold]` trace helpers.
+//!    dispatch path. The [`MACHINE_HOT`] functions in
+//!    `crates/core/src/machine.rs` and the [`TELEMETRY_HOT`] recorders in
+//!    `crates/core/src/telemetry.rs` run once (or more) per simulated
+//!    event; the only allowed string work is inside the opt-in `#[cold]`
+//!    trace helpers.
 //! 2. `unsafe` appears nowhere under `crates/` except
 //!    `crates/cbir/src/simd.rs`, the one sanctioned home for the
 //!    `#[target_feature]` SIMD kernels. Every other crate forbids
@@ -15,7 +17,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// The machine's per-event functions.
-const HOT: [&str; 8] = [
+const MACHINE_HOT: [&str; 8] = [
     "run",
     "dispatch",
     "price_data",
@@ -24,6 +26,20 @@ const HOT: [&str; 8] = [
     "start_dma",
     "process_actions",
     "sample_queues",
+];
+
+/// The `MachineMetrics` recorders the machine calls per event, and the
+/// tenant lookup they share.
+const TELEMETRY_HOT: [&str; 9] = [
+    "task_executed",
+    "dma",
+    "sample_queue_depth",
+    "events_drained",
+    "stage_completed",
+    "job_completed",
+    "tenant",
+    "tenant_dispatched",
+    "tenant_rejected",
 ];
 
 /// String allocation/formatting constructs banned on the per-event path.
@@ -37,6 +53,7 @@ const BANNED: [&str; 5] = [
 ];
 
 const MACHINE: &str = "crates/core/src/machine.rs";
+const TELEMETRY: &str = "crates/core/src/telemetry.rs";
 const SIMD: &str = "crates/cbir/src/simd.rs";
 
 fn repo_root() -> PathBuf {
@@ -44,10 +61,13 @@ fn repo_root() -> PathBuf {
 }
 
 /// The name of the method a line declares: exactly four spaces of indent,
-/// an optional `pub `, then `fn NAME`.
+/// an optional `pub ` or `pub(crate) `, then `fn NAME`.
 fn method_name(line: &str) -> Option<&str> {
     let rest = line.strip_prefix("    ")?;
-    let rest = rest.strip_prefix("pub ").unwrap_or(rest);
+    let rest = rest
+        .strip_prefix("pub ")
+        .or_else(|| rest.strip_prefix("pub(crate) "))
+        .unwrap_or(rest);
     let rest = rest.strip_prefix("fn ")?;
     let end = rest
         .find(|c: char| !(c.is_alphanumeric() || c == '_'))
@@ -60,11 +80,12 @@ fn method_name(line: &str) -> Option<&str> {
 struct HotPathScan {
     /// `(line number, function, line)` for each banned construct.
     violations: Vec<(usize, String, String)>,
-    /// [`HOT`] functions the source does not declare.
+    /// Functions of the hot list the source does not declare.
     missing: Vec<&'static str>,
 }
 
-fn scan_hot_path(src: &str) -> HotPathScan {
+/// Scans the `hot` functions of `src` for banned string work.
+fn scan_hot_path(src: &str, hot: &[&'static str]) -> HotPathScan {
     let mut current: Option<&str> = None;
     let mut cold = false;
     let mut pending_cold = false;
@@ -89,14 +110,14 @@ fn scan_hot_path(src: &str) -> HotPathScan {
         if pending_cold && !trimmed.is_empty() && !trimmed.starts_with("#[") {
             pending_cold = false;
         }
-        if let Some(name) = current.filter(|n| HOT.contains(n)) {
+        if let Some(name) = current.filter(|n| hot.contains(n)) {
             if !cold && BANNED.iter().any(|b| line.contains(b)) {
                 scan.violations
                     .push((i + 1, name.to_string(), line.trim_end().to_string()));
             }
         }
     }
-    scan.missing = HOT.into_iter().filter(|h| !found.contains(h)).collect();
+    scan.missing = hot.iter().copied().filter(|h| !found.contains(h)).collect();
     scan
 }
 
@@ -137,18 +158,21 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
 
 #[test]
 fn hot_path_is_free_of_string_work() {
-    let src = fs::read_to_string(repo_root().join(MACHINE)).expect("machine.rs is readable");
-    let scan = scan_hot_path(&src);
-    assert!(
-        scan.missing.is_empty(),
-        "functions not found in {MACHINE}: {:?}",
-        scan.missing
-    );
-    assert!(
-        scan.violations.is_empty(),
-        "allocation/formatting on the per-event path in {MACHINE}: {:#?}",
-        scan.violations
-    );
+    for (file, hot) in [(MACHINE, &MACHINE_HOT[..]), (TELEMETRY, &TELEMETRY_HOT[..])] {
+        let src = fs::read_to_string(repo_root().join(file))
+            .unwrap_or_else(|e| panic!("read {file}: {e}"));
+        let scan = scan_hot_path(&src, hot);
+        assert!(
+            scan.missing.is_empty(),
+            "functions not found in {file}: {:?}",
+            scan.missing
+        );
+        assert!(
+            scan.violations.is_empty(),
+            "allocation/formatting on the per-event path in {file}: {:#?}",
+            scan.violations
+        );
+    }
 }
 
 #[test]
@@ -176,7 +200,7 @@ fn unsafe_is_confined_to_the_simd_module() {
 /// body of `dispatch` and a `#[cold]` helper whose body is `cold_body`.
 fn seeded_machine(body: &str, cold_body: &str) -> String {
     let mut src = String::from("impl Machine {\n");
-    for name in HOT {
+    for name in MACHINE_HOT {
         src.push_str(&format!("    fn {name}(&mut self) {{\n"));
         if name == "dispatch" {
             src.push_str(&format!("        {body}\n"));
@@ -193,7 +217,7 @@ fn seeded_machine(body: &str, cold_body: &str) -> String {
 fn hot_path_scan_flags_seeded_violations() {
     for banned in BANNED {
         let body = format!("let label = stage{banned}x);");
-        let scan = scan_hot_path(&seeded_machine(&body, ""));
+        let scan = scan_hot_path(&seeded_machine(&body, ""), &MACHINE_HOT);
         assert_eq!(scan.missing, Vec::<&str>::new());
         assert_eq!(scan.violations.len(), 1, "{banned} not flagged");
         assert_eq!(scan.violations[0].1, "dispatch");
@@ -203,10 +227,28 @@ fn hot_path_scan_flags_seeded_violations() {
 #[test]
 fn hot_path_scan_exempts_cold_helpers_and_reports_missing_functions() {
     let clean = seeded_machine("let n = self.len();", "let label = format!(\"{}\", 1);");
-    assert_eq!(scan_hot_path(&clean), HotPathScan::default());
+    assert_eq!(scan_hot_path(&clean, &MACHINE_HOT), HotPathScan::default());
 
     let without_run = clean.replace("fn run(", "fn walk(");
-    assert_eq!(scan_hot_path(&without_run).missing, vec!["run"]);
+    assert_eq!(
+        scan_hot_path(&without_run, &MACHINE_HOT).missing,
+        vec!["run"]
+    );
+}
+
+#[test]
+fn hot_path_scan_sees_crate_visible_recorders() {
+    let src = "\
+impl MachineMetrics {
+    pub(crate) fn dma(&mut self) {
+        let pair = format!(\"{}\", 1);
+    }
+}
+";
+    let scan = scan_hot_path(src, &["dma"]);
+    assert_eq!(scan.missing, Vec::<&str>::new());
+    assert_eq!(scan.violations.len(), 1);
+    assert_eq!(scan.violations[0].1, "dma");
 }
 
 #[test]

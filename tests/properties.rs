@@ -188,9 +188,11 @@ fn full_stack_determinism() {
 }
 
 /// Conservation over the whole experiments suite: every result's energy
-/// ledger sums to its total along both axes, and every simulated machine
-/// that exports `gam.jobs_completed` completed exactly the jobs its report
-/// counts.
+/// ledger sums to its total along both axes, every simulated machine that
+/// exports `gam.jobs_completed` completed exactly the jobs its report
+/// counts, the per-level dispatch and per-pair DMA breakdowns add up to
+/// the GAM totals, and in a co-run every GAM count splits exactly over the
+/// tenants (each job id lies in one tenant's span).
 #[test]
 fn every_suite_result_conserves_energy_and_jobs() {
     // Every result of the full suite, scenario results and fleet
@@ -204,6 +206,7 @@ fn every_suite_result_conserves_energy_and_jobs() {
     assert!(results.len() > 100, "only {} results", results.len());
     let close = |sum: f64, total: f64| (sum - total).abs() <= 1e-9 * total.abs();
     let mut without_job_counter = Vec::new();
+    let mut with_tenants = Vec::new();
     for r in &results {
         let ledger = &r.report.ledger;
         let total = ledger.total();
@@ -222,15 +225,75 @@ fn every_suite_result_conserves_energy_and_jobs() {
             "{}: stages sum to {by_stage}, total {total}",
             r.label
         );
-        match r.report.metrics.get("gam.jobs_completed") {
-            Some(MetricValue::Counter { value }) => assert_eq!(
-                *value, r.report.jobs,
-                "{}: gam.jobs_completed vs report.jobs",
+        let metrics = &r.report.metrics;
+        let counter = |name: &str| match metrics.get(name) {
+            Some(MetricValue::Counter { value }) => Some(*value),
+            _ => None,
+        };
+        let sum_of = |prefix: &str, suffix: &str| -> u64 {
+            metrics
+                .iter()
+                .filter(|(name, _)| name.starts_with(prefix) && name.ends_with(suffix))
+                .map(|(name, _)| counter(name).unwrap_or_else(|| panic!("{name} is no counter")))
+                .sum()
+        };
+        let Some(jobs_completed) = counter("gam.jobs_completed") else {
+            without_job_counter.push(r.label.as_str());
+            continue;
+        };
+        assert_eq!(
+            jobs_completed, r.report.jobs,
+            "{}: gam.jobs_completed vs report.jobs",
+            r.label
+        );
+        // Every machine snapshot breaks these totals down by level and by
+        // directed level pair.
+        for (prefix, suffix, total) in [
+            ("gam.dispatch.", ".count", "gam.dispatches"),
+            ("gam.dma.", ".bytes", "gam.dma_bytes"),
+            ("gam.dma.", ".count", "gam.dmas"),
+        ] {
+            assert_eq!(
+                Some(sum_of(prefix, suffix)),
+                counter(total),
+                "{}: {prefix}*{suffix} vs {total}",
                 r.label
-            ),
-            _ => without_job_counter.push(r.label.as_str()),
+            );
+        }
+        let tenants: Vec<&str> = metrics
+            .iter()
+            .filter_map(|(name, _)| name.strip_prefix("tenant.")?.strip_suffix(".dispatches"))
+            .collect();
+        if tenants.is_empty() {
+            continue;
+        }
+        with_tenants.push(r.label.as_str());
+        for what in ["dispatches", "jobs_completed", "jobs_rejected"] {
+            let by_tenant: u64 = tenants
+                .iter()
+                .map(|t| counter(&format!("tenant.{t}.{what}")).expect("tenant counter"))
+                .sum();
+            assert_eq!(
+                Some(by_tenant),
+                counter(&format!("gam.{what}")),
+                "{}: tenants' {what} vs gam.{what} ({tenants:?})",
+                r.label
+            );
+        }
+        for t in &tenants {
+            if let Some(samples) = counter(&format!("tenant.{t}.latency.samples")) {
+                assert_eq!(
+                    Some(samples),
+                    counter(&format!("tenant.{t}.jobs_completed")),
+                    "{}: tenant {t}'s latency samples vs its completions",
+                    r.label
+                );
+            }
         }
     }
+    // The two shared `extension-graph-corun` points and the shared
+    // `extension-corun` point declare tenants.
+    assert_eq!(with_tenants.len(), 3, "{with_tenants:?}");
     // Fleet aggregates and the recall evaluation simulate no single
     // machine of their own, so they export no GAM counter; every other
     // result must.
