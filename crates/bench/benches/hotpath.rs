@@ -190,7 +190,8 @@ fn bench_codecs(c: &mut Criterion) {
     let mut g = c.benchmark_group("hotpath/codecs");
     g.sample_size(10);
     // The recall experiment's encode shapes: 6,000 32-dim rows into
-    // 256-bit binary codes and into 8x64 PQ codes.
+    // 256-bit binary codes and into 8x64 PQ codes; then one query's
+    // exhaustive scan over each flat code buffer.
     let n = scaled(6000, 1024);
     let d = 32;
     let data = Matrix::from_vec(
@@ -208,6 +209,15 @@ fn bench_codecs(c: &mut Criterion) {
     let pq = ProductQuantizer::train(&data, 8, 64, &mut seeded(42));
     g.bench_function("pq_encode_8x64", |b| {
         b.iter(|| black_box(pq.encode_batch(&data)));
+    });
+    let query = data.row(n / 2);
+    let pq_codes = pq.encode_batch(&data);
+    g.bench_function("pq_search_8x64", |b| {
+        b.iter(|| black_box(pq.search(&pq_codes, query, 10)));
+    });
+    let binary_codes = coder.encode_batch(&data);
+    g.bench_function("binary_search_256", |b| {
+        b.iter(|| black_box(coder.search(&binary_codes, query, 10)));
     });
     g.finish();
 }

@@ -351,8 +351,9 @@ pub fn render_ablation_rerank_home(executor: &dyn ScenarioExecutor) -> String {
 }
 
 /// Renders the recall-vs-compression extension experiment. The evaluation
-/// runs as one cacheable scenario, so a warm process replays it from the
-/// persistent result cache instead of re-training every codec.
+/// runs as five cacheable codec scenarios, so a parallel runner trains the
+/// codecs concurrently and a warm process replays every row from the
+/// persistent result cache instead of re-training.
 #[must_use]
 pub fn render_extension_recall(executor: &dyn ScenarioExecutor) -> String {
     let mut s = String::new();

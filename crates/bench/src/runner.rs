@@ -2,17 +2,20 @@
 //!
 //! [`ScenarioRunner`] is the parallel counterpart of
 //! [`reach::SequentialExecutor`]: it fans a batch of scenarios across up to
-//! `jobs` OS threads and collects the results **in submission order**.
+//! `jobs` OS threads, the calling one included, and collects the results
+//! **in submission order**.
 //! Scenarios are independent by contract (each instantiates its own machine
 //! from its blueprint and derives all randomness from its own seed), so the
 //! output is byte-identical to sequential execution — parallelism only
 //! changes the wall clock, never a report.
 //!
 //! The runner uses `std::thread::scope` and an atomic work index; there is
-//! no thread pool, no channel and no external dependency. Machines are
-//! built and dropped inside the worker that claims the scenario, so only
-//! the scenarios themselves and their finished [`ScenarioResult`]s cross
-//! thread boundaries.
+//! no thread pool, no channel and no external dependency. The calling
+//! thread is one of the workers: a batch at `jobs` N spawns N − 1 scoped
+//! threads and claims scenarios alongside them, so one fewer thread (and
+//! allocator arena) is used. Machines are built and dropped inside the
+//! worker that claims the scenario, so only the scenarios themselves and
+//! their finished [`ScenarioResult`]s cross thread boundaries.
 //!
 //! ## The result cache
 //!
@@ -219,7 +222,9 @@ impl ScenarioRunner {
 
     /// Executes the scenarios at `indices` (into `scenarios`), returning
     /// reports in a vector indexed like `scenarios`. Runs on the calling
-    /// thread below two effective workers, across scoped threads otherwise.
+    /// thread below two effective workers; otherwise spawns one scoped
+    /// thread fewer than the workers and runs the same claim loop on the
+    /// calling thread too.
     fn execute_subset(
         &self,
         scenarios: &[Box<dyn Scenario>],
@@ -236,20 +241,22 @@ impl ScenarioRunner {
         let next = AtomicUsize::new(0);
         let slots: Mutex<Vec<Option<RunReport>>> =
             Mutex::new((0..scenarios.len()).map(|_| None).collect());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= indices.len() {
-                        break;
-                    }
-                    let i = indices[k];
-                    // The machine is instantiated, driven and dropped
-                    // entirely inside this worker.
-                    let report = scenarios[i].execute();
-                    slots.lock().expect("result slots poisoned")[i] = Some(report);
-                });
+        let work = || loop {
+            let k = next.fetch_add(1, Ordering::Relaxed);
+            if k >= indices.len() {
+                break;
             }
+            let i = indices[k];
+            // The machine is instantiated, driven and dropped entirely
+            // inside the worker that claimed the scenario.
+            let report = scenarios[i].execute();
+            slots.lock().expect("result slots poisoned")[i] = Some(report);
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(work);
+            }
+            work();
         });
         slots.into_inner().expect("result slots poisoned")
     }

@@ -20,9 +20,12 @@ use std::process::Command;
 /// per-tile walk.
 const SCENARIOS_DIGEST: u64 = 0x8cd7_8c5e_bb4b_6c2c;
 
-/// `checksum64` of the whole suite's `scenarios` array, recorded while the
-/// machine still recorded through a name-keyed metrics registry.
-const SUITE_SCENARIOS_DIGEST: u64 = 0x2caf_733d_347f_f997;
+/// `checksum64` of the whole suite's `scenarios` array. Re-recorded when
+/// the recall evaluation's one entry became five codec entries carrying
+/// the same ten gauges; every other entry is byte-identical to the
+/// recording taken while the machine still recorded through a name-keyed
+/// metrics registry.
+const SUITE_SCENARIOS_DIGEST: u64 = 0xc961_7527_39f0_f3a2;
 
 /// Runs `experiments` with `args` plus `--metrics` into a temporary file
 /// named after `tag`, and returns the export's `scenarios` array.

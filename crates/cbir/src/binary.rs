@@ -98,13 +98,16 @@ impl BinaryCoder {
         self.encode_with(crate::simd::active(), x)
     }
 
-    /// Encodes every row of `data`.
+    /// Encodes every row of `data` into one buffer with a stride of
+    /// [`code_words`](Self::code_words): row `i`'s code, the one
+    /// [`encode`](Self::encode) gives it, is
+    /// `codes[i * code_words()..(i + 1) * code_words()]`.
     ///
     /// # Panics
     ///
     /// Panics on a dimension mismatch.
     #[must_use]
-    pub fn encode_batch(&self, data: &Matrix) -> Vec<BinaryCode> {
+    pub fn encode_batch(&self, data: &Matrix) -> Vec<u64> {
         self.encode_batch_on(crate::simd::active(), data)
     }
 
@@ -117,22 +120,37 @@ impl BinaryCoder {
     /// Panics on a dimension mismatch.
     #[doc(hidden)]
     #[must_use]
-    pub fn encode_batch_on(&self, path: crate::simd::SimdPath, data: &Matrix) -> Vec<BinaryCode> {
-        (0..data.rows())
-            .map(|i| self.encode_with(path, data.row(i)))
-            .collect()
+    pub fn encode_batch_on(&self, path: crate::simd::SimdPath, data: &Matrix) -> Vec<u64> {
+        let mut codes = vec![0u64; data.rows() * self.code_words()];
+        for (i, words) in codes.chunks_exact_mut(self.code_words()).enumerate() {
+            self.encode_into(path, data.row(i), words);
+        }
+        codes
+    }
+
+    /// 64-bit words per code: the stride of
+    /// [`encode_batch`](Self::encode_batch)'s buffer.
+    #[must_use]
+    pub fn code_words(&self) -> usize {
+        self.bits.div_ceil(64)
     }
 
     fn encode_with(&self, path: crate::simd::SimdPath, x: &[f32]) -> BinaryCode {
+        let mut words = vec![0u64; self.code_words()];
+        self.encode_into(path, x, &mut words);
+        words
+    }
+
+    /// Writes `x`'s code into `words`, which must be zero and
+    /// [`code_words`](Self::code_words) long.
+    fn encode_into(&self, path: crate::simd::SimdPath, x: &[f32], words: &mut [u64]) {
         assert_eq!(x.len(), self.dim, "BinaryCoder::encode: bad size");
-        let mut words = vec![0u64; self.bits().div_ceil(64)];
-        crate::simd::sign_words_on(path, &self.planes, x, &mut words);
+        crate::simd::sign_words_on(path, &self.planes, x, words);
         // Planes past `bits` are padding: their bits are masked off.
         let spare = words.len() * 64 - self.bits;
         if let Some(last) = words.last_mut() {
             *last &= u64::MAX >> spare;
         }
-        words
     }
 
     /// Hamming distance between two codes.
@@ -141,18 +159,31 @@ impl BinaryCoder {
     ///
     /// Panics if the codes have different lengths.
     #[must_use]
-    pub fn hamming(a: &BinaryCode, b: &BinaryCode) -> u32 {
+    pub fn hamming(a: &[u64], b: &[u64]) -> u32 {
         assert_eq!(a.len(), b.len(), "hamming: length mismatch");
         a.iter().zip(b).map(|(x, y)| (x ^ y).count_ones()).sum()
     }
 
-    /// Exhaustive Hamming search: the `k` codes nearest to `query`'s code.
+    /// Exhaustive Hamming search: the `k` of `codes` — rows of
+    /// [`code_words`](Self::code_words), as
+    /// [`encode_batch`](Self::encode_batch) lays them out — nearest to
+    /// `query`'s code.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `codes` is not a whole number of rows.
     #[must_use]
-    pub fn search(&self, codes: &[BinaryCode], query: &[f32], k: usize) -> Vec<usize> {
+    pub fn search(&self, codes: &[u64], query: &[f32], k: usize) -> Vec<usize> {
         let q = self.encode(query);
+        assert!(
+            codes.len().is_multiple_of(q.len()),
+            "BinaryCoder::search: {} code words are not rows of {}",
+            codes.len(),
+            q.len()
+        );
         top_k(
             codes
-                .iter()
+                .chunks_exact(q.len())
                 .enumerate()
                 .map(|(i, c)| (Self::hamming(&q, c) as f32, i)),
             k,
@@ -205,6 +236,15 @@ mod tests {
         assert_eq!(BinaryCoder::hamming(&a, &a), 0);
         assert_eq!(BinaryCoder::hamming(&a, &b), 2);
         assert_eq!(BinaryCoder::hamming(&a, &b), BinaryCoder::hamming(&b, &a));
+    }
+
+    #[test]
+    #[should_panic(expected = "are not rows of 2")]
+    fn search_rejects_a_partial_code_row() {
+        let coder = BinaryCoder::new(4, 100, &mut seeded(56));
+        let data = Matrix::from_vec(3, 4, (0..12).map(|i| i as f32 - 5.0).collect());
+        let codes = coder.encode_batch(&data);
+        let _ = coder.search(&codes[..codes.len() - 1], data.row(0), 2);
     }
 
     #[test]

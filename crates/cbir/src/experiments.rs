@@ -16,6 +16,7 @@ use reach::{
 };
 use reach_sim::FingerprintBuilder;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Instance counts swept in Figures 9–11.
 pub const STAGE_SWEEP: [usize; 5] = [1, 2, 4, 8, 16];
@@ -408,135 +409,274 @@ const RECALL_METHODS: [&str; 5] = [
     "binary codes, 256 bits",
 ];
 
+/// RNG steps each row's codec draws, in row order. The vendored `StdRng`
+/// (xoshiro256**) takes one step per float draw and two per integer draw
+/// (an integer range draws 128 bits). k-means++ seeding draws one integer
+/// for its first centroid and one float per further centroid, so `k`
+/// centroids cost `k + 1` steps; Lloyd iterations, empty-cluster reseeding,
+/// encoding and search draw nothing. `BinaryCoder::new` draws one float
+/// per plane element.
+/// - IVF, 48 cells: 48 + 1 = 49;
+/// - PQ 8x8b, 8 codebooks of 64: 8 x 65 = 520;
+/// - PQ 4x4b, 4 codebooks of 16: 4 x 17 = 68;
+/// - binary, 32 dims x 64 planes: 2,048;
+/// - binary, 32 dims x 256 planes: 8,192.
+///
+/// Codec `m` starts from the shared inputs' stream advanced by the sum of
+/// the steps before it: exactly where one RNG threaded through the codecs
+/// in row order would reach it. A count that changes (k-means++'s integer
+/// fallback when the D² total is at most `f64::EPSILON`, say) fails the
+/// codec's assertion instead of silently shifting a later codec's stream.
+const RECALL_STEPS: [u64; 5] = [49, 520, 68, 2_048, 8_192];
+
+/// The dimensionality of the recall evaluation's dataset.
+const RECALL_DIM: usize = 32;
+
+/// The inputs every codec of [`recall_vs_compression`] shares: the
+/// dataset, its queries, their exact top-10, and the RNG state after the
+/// queries were drawn.
+struct RecallInputs {
+    points: crate::linalg::Matrix,
+    queries: crate::linalg::Matrix,
+    truth: Vec<Vec<usize>>,
+    rng: rand::rngs::StdRng,
+}
+
+thread_local! {
+    /// How many [`RecallInputs`] this thread has built.
+    static RECALL_INPUT_BUILDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// How many times the calling thread has synthesized the recall
+/// evaluation's shared inputs. Exposed (hidden) so tests can check that
+/// one batch of codec scenarios builds them once, on the thread that
+/// prepares the batch.
+#[doc(hidden)]
+#[must_use]
+pub fn recall_inputs_built_here() -> usize {
+    RECALL_INPUT_BUILDS.with(std::cell::Cell::get)
+}
+
+impl RecallInputs {
+    fn build() -> Self {
+        use crate::dataset::Dataset;
+        RECALL_INPUT_BUILDS.with(|n| n.set(n.get() + 1));
+        let mut rng =
+            reach_sim::rng::derived(reach_sim::rng::DEFAULT_SEED, "recall-vs-compression");
+        let ds = Dataset::gaussian_mixture(6_000, RECALL_DIM, 48, 0.8, &mut rng);
+        let (queries, _) = ds.queries(32, 0.2, &mut rng);
+        let truth = ds.ground_truth(&queries, 10);
+        RecallInputs {
+            points: ds.points,
+            queries,
+            truth,
+            rng,
+        }
+    }
+}
+
+/// An [`RngCore`](rand::RngCore) that counts the steps drawn through it:
+/// each `next_u32` or `next_u64` of the vendored `StdRng` is one step.
+struct CountingRng<'a> {
+    rng: &'a mut rand::rngs::StdRng,
+    steps: u64,
+}
+
+impl rand::RngCore for CountingRng<'_> {
+    fn next_u32(&mut self) -> u32 {
+        self.steps += 1;
+        self.rng.next_u32()
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        self.steps += 1;
+        self.rng.next_u64()
+    }
+}
+
 /// The paper's Section IV-A argument, executed: lossy compression (binary
 /// codes, product quantization) cuts bytes visited by 8-64x but pays in
 /// recall, while the exact IVF + rerank pipeline ReACH accelerates keeps
 /// recall high at full precision.
 ///
 /// This is the raw computation — dataset synthesis, index builds, codec
-/// training, searches. It is by far the most expensive point in the
-/// `experiments` suite and a pure function of its built-in constants and
-/// the pinned [`reach_sim::rng::DEFAULT_SEED`], so suite runs go through
-/// [`recall_vs_compression_with`], which wraps it in a cacheable scenario.
+/// training, searches — one codec after another. It is by far the most
+/// expensive experiment in the `experiments` suite and a pure function of
+/// its built-in constants and the pinned [`reach_sim::rng::DEFAULT_SEED`],
+/// so suite runs go through [`recall_vs_compression_with`], which runs
+/// each row as a cacheable scenario of its own.
 #[must_use]
 pub fn recall_vs_compression() -> Vec<RecallCompressionRow> {
     recall_vs_compression_observed(&mut |_| {})
 }
 
-/// A codec [`recall_vs_compression`] has just trained, with the dataset's
-/// codes — the bits its pin test digests, since the printed recalls
-/// (three decimals) would not show a kernel that flips low bits.
+/// A codec [`recall_codec`] has just trained, with the dataset's codes in
+/// their flat batch layout — the bits the pin test digests, since the
+/// printed recalls (three decimals) would not show a kernel that flips low
+/// bits.
 #[cfg_attr(not(test), allow(dead_code))] // only the pin test reads them
 enum RecallCodec<'a> {
     /// The IVF index: centroids and postings are the k-means output.
     Ivf(&'a crate::ivf::IvfIndex),
-    /// A product quantizer and its codes.
-    Pq(&'a crate::pq::ProductQuantizer, &'a [Vec<u8>]),
-    /// A binary coder's codes.
-    Binary(&'a [crate::binary::BinaryCode]),
+    /// A product quantizer and its codes, `code_bytes()` per point.
+    Pq(&'a crate::pq::ProductQuantizer, &'a [u8]),
+    /// A binary coder's codes, `code_words()` per point.
+    Binary(&'a [u64]),
 }
 
 /// [`recall_vs_compression`], handing each trained codec to `observe`.
 fn recall_vs_compression_observed(
     observe: &mut dyn FnMut(RecallCodec<'_>),
 ) -> Vec<RecallCompressionRow> {
+    let inputs = RecallInputs::build();
+    (0..RECALL_METHODS.len())
+        .map(|m| recall_codec(&inputs, m, observe))
+        .collect()
+}
+
+/// `base` advanced by `steps` RNG steps.
+fn advanced(base: &rand::rngs::StdRng, steps: u64) -> rand::rngs::StdRng {
+    use rand::RngCore;
+    let mut rng = base.clone();
+    for _ in 0..steps {
+        rng.next_u64();
+    }
+    rng
+}
+
+/// Row `m` of [`recall_vs_compression`] on its own: codec `m` starts from
+/// the shared stream advanced past every earlier codec's draws (see
+/// [`RECALL_STEPS`]).
+fn recall_codec(
+    inputs: &RecallInputs,
+    m: usize,
+    observe: &mut dyn FnMut(RecallCodec<'_>),
+) -> RecallCompressionRow {
+    let skip = RECALL_STEPS[..m].iter().sum();
+    recall_codec_on(inputs, m, &mut advanced(&inputs.rng, skip), observe)
+}
+
+/// Trains, encodes and searches row `m`'s codec, drawing from `rng`.
+///
+/// # Panics
+///
+/// Panics if the codec draws other than `RECALL_STEPS[m]` steps.
+fn recall_codec_on(
+    inputs: &RecallInputs,
+    m: usize,
+    rng: &mut rand::rngs::StdRng,
+    observe: &mut dyn FnMut(RecallCodec<'_>),
+) -> RecallCompressionRow {
     use crate::binary::BinaryCoder;
     use crate::cache::QueryContext;
-    use crate::dataset::{recall, Dataset};
+    use crate::dataset::recall;
     use crate::ivf::IvfIndex;
     use crate::pq::ProductQuantizer;
-    use reach_sim::rng::derived;
 
-    let mut rng = derived(reach_sim::rng::DEFAULT_SEED, "recall-vs-compression");
-    let dim = 32;
-    let ds = Dataset::gaussian_mixture(6_000, dim, 48, 0.8, &mut rng);
-    let (queries, _) = ds.queries(32, 0.2, &mut rng);
-    let truth = ds.ground_truth(&queries, 10);
-    let full_bytes = dim as f64 * 4.0;
-
-    let mut rows = Vec::new();
-
-    // Exact IVF + rerank (what ReACH accelerates), nprobe = 1/6 of cells.
+    let RecallInputs {
+        points,
+        queries,
+        truth,
+        ..
+    } = inputs;
+    let mut rng = CountingRng { rng, steps: 0 };
     // Each codec gets its own cross-batch cache: its centroid or codeword
     // norms are computed once and reused by every query. A context is
     // keyed by matrix address, so it must not outlive the codec it caches
     // — a later codebook allocated at a freed one's address would be
     // served stale norms.
-    let index = IvfIndex::build(&ds.points, 48, &mut rng);
-    observe(RecallCodec::Ivf(&index));
-    let exact = index.search_cached(&QueryContext::new(), &ds.points, &queries, 8, 10, None);
-    rows.push(RecallCompressionRow {
-        method: RECALL_METHODS[0].into(),
-        bytes_per_vector: full_bytes * 8.0 / 48.0, // fraction of cells scanned
-        recall_at_10: recall(&exact, &truth, 10).recall_at_k,
-    });
-
-    // Product quantization at two compression points.
-    for (subs, cents, label) in [
-        (8usize, 64usize, RECALL_METHODS[1]),
-        (4, 16, RECALL_METHODS[2]),
-    ] {
-        let pq = ProductQuantizer::train(&ds.points, subs, cents, &mut rng);
-        let codes = pq.encode_batch(&ds.points);
-        observe(RecallCodec::Pq(&pq, &codes));
-        let ctx = QueryContext::new();
-        let results: Vec<Vec<usize>> = (0..queries.rows())
-            .map(|qi| pq.search_cached(&ctx, &codes, queries.row(qi), 10))
-            .collect();
-        rows.push(RecallCompressionRow {
-            method: label.into(),
-            bytes_per_vector: pq.code_bytes() as f64,
-            recall_at_10: recall(&results, &truth, 10).recall_at_k,
-        });
+    let ctx = QueryContext::new();
+    let (bytes_per_vector, results) = match m {
+        // Exact IVF + rerank (what ReACH accelerates), nprobe = 1/6 of
+        // cells; the bytes are the fraction of cells scanned.
+        0 => {
+            let index = IvfIndex::build(points, 48, &mut rng);
+            observe(RecallCodec::Ivf(&index));
+            let exact = index.search_cached(&ctx, points, queries, 8, 10, None);
+            (RECALL_DIM as f64 * 4.0 * 8.0 / 48.0, exact)
+        }
+        // Product quantization at two compression points.
+        1 | 2 => {
+            let (subs, cents) = if m == 1 { (8, 64) } else { (4, 16) };
+            let pq = ProductQuantizer::train(points, subs, cents, &mut rng);
+            let codes = pq.encode_batch(points);
+            observe(RecallCodec::Pq(&pq, &codes));
+            let results = (0..queries.rows())
+                .map(|qi| pq.search_cached(&ctx, &codes, queries.row(qi), 10))
+                .collect();
+            (pq.code_bytes() as f64, results)
+        }
+        // Binary codes at two lengths.
+        _ => {
+            let bits = if m == 3 { 64 } else { 256 };
+            let coder = BinaryCoder::new(RECALL_DIM, bits, &mut rng);
+            let codes = coder.encode_batch(points);
+            observe(RecallCodec::Binary(&codes));
+            let results = (0..queries.rows())
+                .map(|qi| coder.search(&codes, queries.row(qi), 10))
+                .collect();
+            (coder.code_bytes() as f64, results)
+        }
+    };
+    assert_eq!(
+        rng.steps, RECALL_STEPS[m],
+        "{}: RNG steps drawn differ from RECALL_STEPS",
+        RECALL_METHODS[m]
+    );
+    RecallCompressionRow {
+        method: RECALL_METHODS[m].into(),
+        bytes_per_vector,
+        recall_at_10: recall(&results, truth, 10).recall_at_k,
     }
-
-    // Binary codes at two lengths.
-    for (bits, label) in [(64usize, RECALL_METHODS[3]), (256, RECALL_METHODS[4])] {
-        let coder = BinaryCoder::new(dim, bits, &mut rng);
-        let codes = coder.encode_batch(&ds.points);
-        observe(RecallCodec::Binary(&codes));
-        let results: Vec<Vec<usize>> = (0..queries.rows())
-            .map(|qi| coder.search(&codes, queries.row(qi), 10))
-            .collect();
-        rows.push(RecallCompressionRow {
-            method: label.into(),
-            bytes_per_vector: coder.code_bytes() as f64,
-            recall_at_10: recall(&results, &truth, 10).recall_at_k,
-        });
-    }
-    rows
 }
 
-/// [`recall_vs_compression`] as one cacheable [`Scenario`]: the rows
-/// travel inside a [`RunReport`]'s metrics (two gauges per row under
-/// `recall.NN.*`), so the runner's result cache — including the persistent
-/// disk tier — replays the whole evaluation instead of re-synthesizing the
-/// dataset and re-training every codec. It simulates nothing, so the
-/// machine it is handed goes unused.
-struct RecallScenario;
+/// One row of [`recall_vs_compression`] as a cacheable [`Scenario`]: the
+/// row travels inside a [`RunReport`]'s metrics (two gauges under
+/// `recall.NN.*`, `NN` the row index), so the runner's result cache —
+/// including the persistent disk tier — replays it instead of re-training
+/// the codec, and a parallel runner trains the five codecs at once. It
+/// simulates nothing, so the machine it is handed goes unused.
+struct RecallCodecScenario {
+    codec: usize,
+    /// The dataset, queries and truth every codec of one batch shares,
+    /// built on first use by `prepare` or `run`. A batch the result cache
+    /// answers whole never builds them.
+    inputs: Arc<OnceLock<RecallInputs>>,
+}
 
-impl Scenario for RecallScenario {
+impl RecallCodecScenario {
+    fn inputs(&self) -> &RecallInputs {
+        self.inputs.get_or_init(RecallInputs::build)
+    }
+}
+
+impl Scenario for RecallCodecScenario {
     fn label(&self) -> String {
-        "extension/recall-vs-compression".into()
+        format!("extension/recall-vs-compression/{}", self.codec)
     }
 
     fn blueprint(&self) -> MachineBlueprint {
         blueprint_with(1, 1)
     }
 
+    /// Builds the shared inputs, unless a codec of this batch already did.
+    fn prepare(&self) {
+        let _ = self.inputs();
+    }
+
     fn run(&self, _machine: &mut Machine) -> RunReport {
+        let i = self.codec;
+        let row = recall_codec(self.inputs(), i, &mut |_| {});
+        let gauge = |v: f64| MetricValue::Gauge { mean: v, last: v };
         let mut metrics = MetricsSnapshot::new(0);
-        for (i, row) in recall_vs_compression().iter().enumerate() {
-            let gauge = |v: f64| MetricValue::Gauge { mean: v, last: v };
-            metrics.set(
-                format!("recall.{i:02}.bytes_per_vector"),
-                gauge(row.bytes_per_vector),
-            );
-            metrics.set(
-                format!("recall.{i:02}.recall_at_10"),
-                gauge(row.recall_at_10),
-            );
-        }
+        metrics.set(
+            format!("recall.{i:02}.bytes_per_vector"),
+            gauge(row.bytes_per_vector),
+        );
+        metrics.set(
+            format!("recall.{i:02}.recall_at_10"),
+            gauge(row.recall_at_10),
+        );
         RunReport {
             makespan: SimDuration::ZERO,
             jobs: 0,
@@ -551,36 +691,60 @@ impl Scenario for RecallScenario {
     }
 
     /// The one input the constants don't pin — the seed the computation
-    /// derives from — and the method list; everything else is code,
-    /// covered by the simulator version stamp that keys the disk store.
+    /// derives from — and the codec's method label; everything else is
+    /// code, covered by the simulator version stamp that keys the disk
+    /// store.
     fn config_fingerprint(&self) -> Option<ConfigFingerprint> {
-        let mut b = FingerprintBuilder::new("reach-recall-vs-compression-v1");
+        let mut b = FingerprintBuilder::new("reach-recall-vs-compression-v2");
         b.write_u64(reach_sim::rng::DEFAULT_SEED);
-        for method in RECALL_METHODS {
-            b.write_str(method);
-        }
+        b.write_str(RECALL_METHODS[self.codec]);
         Some(ConfigFingerprint::from_builder(b))
     }
 }
 
-/// [`recall_vs_compression`] through an executor, as one `RecallScenario`.
+/// The codec scenarios of [`recall_vs_compression_with`] for the rows in
+/// `codecs`, in that order, sharing one set of inputs. Exposed (hidden) so
+/// tests can warm a result cache with part of the evaluation.
 ///
 /// # Panics
 ///
-/// Panics if the executor returns a report without the recall gauges —
-/// possible only if a result cache replayed a report from a different
-/// scenario under this fingerprint.
+/// Panics if a row index is out of range.
+#[doc(hidden)]
+#[must_use]
+pub fn recall_codec_scenarios(codecs: impl IntoIterator<Item = usize>) -> Vec<Box<dyn Scenario>> {
+    let inputs = Arc::default();
+    codecs
+        .into_iter()
+        .map(|codec| {
+            assert!(codec < RECALL_METHODS.len(), "no recall row {codec}");
+            Box::new(RecallCodecScenario {
+                codec,
+                inputs: Arc::clone(&inputs),
+            }) as Box<dyn Scenario>
+        })
+        .collect()
+}
+
+/// [`recall_vs_compression`] through an executor, as five codec scenarios
+/// in one batch: a parallel runner trains the codecs concurrently, each
+/// from its own jump-ahead of the shared RNG stream, with rows bitwise
+/// equal to the sequential evaluation.
+///
+/// # Panics
+///
+/// Panics if the executor returns a report without its row's recall
+/// gauges — possible only if a result cache replayed a report from a
+/// different scenario under its fingerprint.
 #[must_use]
 pub fn recall_vs_compression_with(executor: &dyn ScenarioExecutor) -> Vec<RecallCompressionRow> {
-    let report = executor
-        .run_all(vec![Box::new(RecallScenario)])
-        .remove(0)
-        .report;
+    let results = executor.run_all(recall_codec_scenarios(0..RECALL_METHODS.len()));
     RECALL_METHODS
         .iter()
+        .zip(&results)
         .enumerate()
-        .map(|(i, method)| {
-            let gauge = |field: &str| match report.metrics.get(&format!("recall.{i:02}.{field}")) {
+        .map(|(i, (method, result))| {
+            let metrics = &result.report.metrics;
+            let gauge = |field: &str| match metrics.get(&format!("recall.{i:02}.{field}")) {
                 Some(MetricValue::Gauge { last, .. }) => *last,
                 other => panic!("recall report missing recall.{i:02}.{field}: {other:?}"),
             };
@@ -693,12 +857,12 @@ mod tests {
                         mix(u64::from(v.to_bits()));
                     }
                 }
-                for &b in codes.iter().flatten() {
+                for &b in codes {
                     mix(u64::from(b));
                 }
             }
             RecallCodec::Binary(codes) => {
-                for &w in codes.iter().flatten() {
+                for &w in codes {
                     mix(w);
                 }
             }
@@ -714,6 +878,36 @@ mod tests {
         // output (GEMM-based k-means, one-point encoders) and must hold on
         // every SIMD tier.
         assert_eq!(recall_codec_digest(), 0x21b2_d6d3_ff4a_9942);
+    }
+
+    /// Every codec draws exactly its `RECALL_STEPS` count, so the jump-ahead
+    /// each codec scenario starts from is the state one RNG threaded
+    /// through the codecs in row order — the old single-stream evaluation
+    /// — reaches it at, and the rows are bitwise that evaluation's.
+    #[test]
+    fn recall_jump_ahead_equals_the_single_stream() {
+        let inputs = RecallInputs::build();
+        let mut chained = inputs.rng.clone();
+        let mut prefix = 0;
+        let mut single_stream = Vec::new();
+        for (m, &steps) in RECALL_STEPS.iter().enumerate() {
+            assert_eq!(
+                chained,
+                advanced(&inputs.rng, prefix),
+                "{}: chained stream is not the base advanced {prefix} steps",
+                RECALL_METHODS[m]
+            );
+            single_stream.push(recall_codec_on(&inputs, m, &mut chained, &mut |_| {}));
+            prefix += steps;
+        }
+        assert_eq!(chained, advanced(&inputs.rng, prefix), "final state");
+
+        let bits = |rows: &[RecallCompressionRow]| -> Vec<(u64, u64)> {
+            rows.iter()
+                .map(|r| (r.bytes_per_vector.to_bits(), r.recall_at_10.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&recall_vs_compression()), bits(&single_stream));
     }
 
     #[test]

@@ -103,17 +103,21 @@ impl ProductQuantizer {
     #[must_use]
     pub fn encode(&self, x: &[f32]) -> Vec<u8> {
         self.check_dims(x.len());
-        self.encode_lanes(crate::simd::active(), &[x]).remove(0)
+        let mut code = vec![0u8; self.code_bytes()];
+        self.encode_lanes(crate::simd::active(), &[x], &mut code);
+        code
     }
 
-    /// Encodes every row of `data`, eight rows per points-as-lanes step —
-    /// the same code [`encode`](Self::encode) gives each row.
+    /// Encodes every row of `data`, eight rows per points-as-lanes step,
+    /// into one buffer with a stride of [`code_bytes`](Self::code_bytes):
+    /// row `i`'s code, the one [`encode`](Self::encode) gives it, is
+    /// `codes[i * code_bytes()..(i + 1) * code_bytes()]`.
     ///
     /// # Panics
     ///
     /// Panics on a dimension mismatch.
     #[must_use]
-    pub fn encode_batch(&self, data: &Matrix) -> Vec<Vec<u8>> {
+    pub fn encode_batch(&self, data: &Matrix) -> Vec<u8> {
         self.encode_batch_on(crate::simd::active(), data)
     }
 
@@ -126,17 +130,18 @@ impl ProductQuantizer {
     /// Panics on a dimension mismatch.
     #[doc(hidden)]
     #[must_use]
-    pub fn encode_batch_on(&self, path: SimdPath, data: &Matrix) -> Vec<Vec<u8>> {
+    pub fn encode_batch_on(&self, path: SimdPath, data: &Matrix) -> Vec<u8> {
         self.check_dims(data.cols());
-        (0..data.rows())
-            .step_by(LANES)
-            .flat_map(|first| {
-                let rows: Vec<&[f32]> = (first..data.rows().min(first + LANES))
-                    .map(|i| data.row(i))
-                    .collect();
-                self.encode_lanes(path, &rows)
-            })
-            .collect()
+        let m = self.code_bytes();
+        let mut codes = vec![0u8; data.rows() * m];
+        for (block, out) in codes.chunks_mut(LANES * m).enumerate() {
+            let first = block * LANES;
+            let rows: Vec<&[f32]> = (first..first + out.len() / m)
+                .map(|i| data.row(i))
+                .collect();
+            self.encode_lanes(path, &rows, out);
+        }
+        codes
     }
 
     fn check_dims(&self, len: usize) {
@@ -147,24 +152,21 @@ impl ProductQuantizer {
         );
     }
 
-    /// Encodes up to [`LANES`] vectors at once: per subspace, their
+    /// Encodes up to [`LANES`] vectors at once into `out`, one
+    /// [`code_bytes`](Self::code_bytes) row each: per subspace, their
     /// sub-vectors are packed into one points-as-lanes panel and scanned
     /// against the codebook together.
-    fn encode_lanes(&self, path: SimdPath, rows: &[&[f32]]) -> Vec<Vec<u8>> {
-        let mut codes: Vec<Vec<u8>> = rows
-            .iter()
-            .map(|_| Vec::with_capacity(self.codebooks.len()))
-            .collect();
+    fn encode_lanes(&self, path: SimdPath, rows: &[&[f32]], out: &mut [u8]) {
+        let m = self.code_bytes();
         let mut panel = vec![0.0f32; LANES * self.sub_dim];
         for (s, book) in self.codebooks.iter().enumerate() {
             let span = s * self.sub_dim..(s + 1) * self.sub_dim;
             pack_lanes(rows.iter().map(|r| &r[span.clone()]), &mut panel);
             let best = crate::simd::nearest_direct_lanes_on(path, &panel, book);
-            for (code, &c) in codes.iter_mut().zip(&best) {
-                code.push(c as u8);
+            for (code, &c) in out.chunks_exact_mut(m).zip(&best) {
+                code[s] = c as u8;
             }
         }
-        codes
     }
 
     /// Decodes a code back to the (lossy) reconstruction.
@@ -231,30 +233,47 @@ impl ProductQuantizer {
             .sum()
     }
 
-    /// Exhaustive ADC search: the K nearest codes to `query`.
+    /// Exhaustive ADC search: the K nearest of `codes` — rows of
+    /// [`code_bytes`](Self::code_bytes), as
+    /// [`encode_batch`](Self::encode_batch) lays them out — to `query`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `codes` is not a whole number of rows.
     #[must_use]
-    pub fn search(&self, codes: &[Vec<u8>], query: &[f32], k: usize) -> Vec<usize> {
+    pub fn search(&self, codes: &[u8], query: &[f32], k: usize) -> Vec<usize> {
         Self::adc_top_k(&self.distance_table(query), codes, k)
     }
 
     /// [`search`](Self::search) with the distance table built through
     /// `ctx`'s codeword-norm cache (see
     /// [`distance_table_cached`](Self::distance_table_cached)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `codes` is not a whole number of rows.
     #[must_use]
     pub fn search_cached(
         &self,
         ctx: &crate::cache::QueryContext,
-        codes: &[Vec<u8>],
+        codes: &[u8],
         query: &[f32],
         k: usize,
     ) -> Vec<usize> {
         Self::adc_top_k(&self.distance_table_cached(ctx, query), codes, k)
     }
 
-    fn adc_top_k(table: &[Vec<f32>], codes: &[Vec<u8>], k: usize) -> Vec<usize> {
+    /// Scans `codes` row by row; the stride is the table's subspace count.
+    fn adc_top_k(table: &[Vec<f32>], codes: &[u8], k: usize) -> Vec<usize> {
+        let m = table.len();
+        assert!(
+            codes.len().is_multiple_of(m),
+            "ProductQuantizer::search: {} code bytes are not rows of {m}",
+            codes.len()
+        );
         top_k(
             codes
-                .iter()
+                .chunks_exact(m)
                 .enumerate()
                 .map(|(i, code)| (Self::adc_distance(table, code), i)),
             k,
@@ -373,8 +392,9 @@ mod tests {
             let table = pq.distance_table(queries.row(qi));
             for (a, b) in plain.iter().zip(&cached) {
                 if a != b {
-                    let da = ProductQuantizer::adc_distance(&table, &codes[*a]);
-                    let db = ProductQuantizer::adc_distance(&table, &codes[*b]);
+                    let row = |i: usize| &codes[i * pq.code_bytes()..(i + 1) * pq.code_bytes()];
+                    let da = ProductQuantizer::adc_distance(&table, row(*a));
+                    let db = ProductQuantizer::adc_distance(&table, row(*b));
                     assert!(
                         (da - db).abs() <= 1e-3 * da.abs().max(1.0),
                         "query {qi}: {a} (d={da}) vs {b} (d={db})"
@@ -384,6 +404,15 @@ mod tests {
         }
         // And the cache actually gets used: one entry per codebook.
         assert_eq!(ctx.cached_matrices(), pq.subspaces());
+    }
+
+    #[test]
+    #[should_panic(expected = "are not rows of 4")]
+    fn search_rejects_a_partial_code_row() {
+        let data = Matrix::from_vec(16, 8, (0..16 * 8).map(|i| (i % 7) as f32).collect());
+        let pq = ProductQuantizer::train(&data, 4, 4, &mut seeded(3));
+        let codes = pq.encode_batch(&data);
+        let _ = pq.search(&codes[..codes.len() - 1], data.row(0), 3);
     }
 
     #[test]

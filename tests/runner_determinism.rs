@@ -126,6 +126,63 @@ fn graph_suites_render_byte_identically_across_jobs_and_cache_modes() {
 
 /// Every renderer's output, concatenated in registration order — the exact
 /// stdout the `experiments` binary produces for a full run.
+/// The recall evaluation runs as five codec scenarios, each starting from
+/// a jump-ahead of one RNG stream. Whatever runs them — the in-process
+/// evaluation, the sequential executor, the runner at any worker count, or
+/// a runner whose cache already holds some rows — every row is bitwise the
+/// same.
+#[test]
+fn recall_rows_are_bitwise_equal_across_executors_and_a_partial_cache() {
+    use reach_cbir::experiments::{
+        recall_codec_scenarios, recall_inputs_built_here, recall_vs_compression,
+        recall_vs_compression_with, RecallCompressionRow,
+    };
+    let bits = |rows: &[RecallCompressionRow]| -> Vec<(String, u64, u64)> {
+        rows.iter()
+            .map(|r| {
+                (
+                    r.method.clone(),
+                    r.bytes_per_vector.to_bits(),
+                    r.recall_at_10.to_bits(),
+                )
+            })
+            .collect()
+    };
+    let reference = bits(&recall_vs_compression());
+    assert_eq!(reference.len(), 5);
+    assert_eq!(
+        bits(&recall_vs_compression_with(&SequentialExecutor)),
+        reference,
+        "sequential executor"
+    );
+    for jobs in [1, 2, 4] {
+        assert_eq!(
+            bits(&recall_vs_compression_with(&ScenarioRunner::new(jobs))),
+            reference,
+            "runner at {jobs} job(s)"
+        );
+    }
+
+    // Cache codecs 1 and 3 first; the full batch then replays those two
+    // and simulates the other three, which share one build of the inputs,
+    // made on this (the preparing) thread.
+    let runner = ScenarioRunner::new(2);
+    let built = recall_inputs_built_here();
+    let _ = runner.run_all(recall_codec_scenarios([1, 3]));
+    assert_eq!(recall_inputs_built_here() - built, 1, "partial batch");
+    let warm = runner.cache_stats();
+    assert_eq!((warm.hits, warm.misses), (0, 2));
+    let rows = recall_vs_compression_with(&runner);
+    assert_eq!(recall_inputs_built_here() - built, 2, "full batch");
+    let full = runner.cache_stats();
+    assert_eq!(
+        (full.hits - warm.hits, full.misses - warm.misses),
+        (2, 3),
+        "two rows replay, three simulate"
+    );
+    assert_eq!(bits(&rows), reference, "partially cached runner");
+}
+
 fn full_suite_stdout(executor: &dyn ScenarioExecutor) -> String {
     let mut out = String::new();
     for (i, (_, render)) in reach_bench::renderers().iter().enumerate() {
@@ -431,7 +488,7 @@ mod simd_bitwise {
             for p in all_paths() {
                 assert_eq!(
                     coder.encode_batch_on(p, &data),
-                    want,
+                    want.concat(),
                     "{bits}-bit codes diverged on {}",
                     p.name()
                 );
@@ -699,7 +756,7 @@ mod simd_bitwise {
                 })
                 .collect();
             for p in all_paths() {
-                prop_assert_eq!(&pq.encode_batch_on(p, &data), &want,
+                prop_assert_eq!(&pq.encode_batch_on(p, &data), &want.concat(),
                     "batch codes diverged on {}", p.name());
             }
             for (i, code) in want.iter().enumerate() {
@@ -724,7 +781,7 @@ mod simd_bitwise {
             let data = Matrix::from_vec(n, dim, lane_fill(n * dim, salt + 9, mode));
             let want = binary_reference(dim, bits, salt as u64, &data);
             for p in all_paths() {
-                prop_assert_eq!(&coder.encode_batch_on(p, &data), &want,
+                prop_assert_eq!(&coder.encode_batch_on(p, &data), &want.concat(),
                     "batch codes diverged on {}", p.name());
             }
             for (i, code) in want.iter().enumerate() {
