@@ -1,5 +1,6 @@
 //! Microbenchmarks of the simulator hot paths: event-queue throughput
-//! (binary heap), machine steady-state event processing, the parallel
+//! (binary heap), GAM dispatch bookkeeping on its own, machine
+//! steady-state event processing, the parallel
 //! CBIR kernels (GEMM micro-kernel, k-means, binary and PQ encode, top-K),
 //! the cross-batch distance cache, the batched DDR stream timing model,
 //! host graph
@@ -11,14 +12,18 @@
 //! comparisons when touching the dispatch path or the kernels.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use reach_accel::{AcceleratorId, ComputeLevel};
 use reach_cbir::kmeans::kmeans;
 use reach_cbir::linalg::{gemm_nt, Matrix};
 use reach_cbir::scenarios::blueprint_with;
 use reach_cbir::top_k;
 use reach_cbir::{CbirMapping, CbirPipeline, CbirWorkload};
+use reach_gam::{Gam, GamAction, GamConfig, Job, JobBuilder, JobId};
 use reach_graph::{GraphKind, GraphSpec};
 use reach_sim::rng::seeded;
 use reach_sim::{EventQueue, SimDuration, SimTime};
+use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// `full` normally, `quick` under `REACH_BENCH_QUICK=1`.
 fn scaled(full: usize, quick: usize) -> usize {
@@ -80,6 +85,102 @@ fn bench_event_queue(c: &mut Criterion) {
             let mut batch = Vec::new();
             q.pop_batch_into(&mut batch);
             black_box(batch.len())
+        });
+    });
+    g.finish();
+}
+
+/// A Figure 13-shaped job graph: on-chip feature extraction broadcasting
+/// to four near-memory short-list shards, collected by a near-storage
+/// rerank.
+fn fig13_graph() -> Job {
+    let mut b = JobBuilder::new(0);
+    let image = b.buffer("image", 2 << 20, Some(ComputeLevel::OnChip));
+    let feats = b.buffer("features", 6144, None);
+    let fe = b.task(
+        "feature-extraction",
+        "VGG16-VU9P",
+        ComputeLevel::OnChip,
+        SimDuration::from_us(40),
+        vec![image],
+        vec![feats],
+        vec![],
+    );
+    let mut cands = vec![feats];
+    let mut shortlist = Vec::new();
+    for _ in 0..4 {
+        let db = b.buffer("db", 64 << 20, Some(ComputeLevel::NearMemory));
+        let cand = b.buffer("candidates", 4096, None);
+        shortlist.push(b.task(
+            "short-list",
+            "GEMM-ZCU9",
+            ComputeLevel::NearMemory,
+            SimDuration::from_us(25),
+            vec![feats, db],
+            vec![cand],
+            vec![fe],
+        ));
+        cands.push(cand);
+    }
+    b.task(
+        "rerank",
+        "KNN-ZCU9",
+        ComputeLevel::NearStorage,
+        SimDuration::from_us(30),
+        cands,
+        vec![],
+        shortlist,
+    );
+    b.build()
+}
+
+fn bench_gam(c: &mut Criterion) {
+    let mut g = c.benchmark_group("hotpath/gam");
+    let jobs = scaled(256, 32) as u64;
+    let graph = Arc::new(fig13_graph());
+    g.throughput(Throughput::Elements(jobs * graph.tasks.len() as u64));
+
+    // The GAM alone, no machine: submit a pipelined stream of jobs sharing
+    // one graph, then drain it with a synchronous executor (dispatches
+    // start at once, polls complete their task, DMAs land at once). The
+    // element rate is tasks dispatched per wall second.
+    g.bench_function("submit_drain_fig13_stream", |b| {
+        b.iter(|| {
+            let mut gam = Gam::new(GamConfig::default());
+            for (level, n) in [
+                (ComputeLevel::OnChip, 1),
+                (ComputeLevel::NearMemory, 4),
+                (ComputeLevel::NearStorage, 4),
+            ] {
+                for index in 0..n {
+                    gam.register_instance(AcceleratorId { level, index });
+                }
+            }
+            let mut actions = Vec::new();
+            for job in 0..jobs {
+                gam.submit_into(
+                    JobId(job),
+                    Arc::clone(&graph),
+                    vec![(); graph.tasks.len()],
+                    &mut actions,
+                );
+            }
+            let mut queue: VecDeque<GamAction> = actions.drain(..).collect();
+            while let Some(action) = queue.pop_front() {
+                match action {
+                    GamAction::Dispatch { acc, task } => {
+                        gam.task_started_into(task, SimTime::ZERO, &mut actions);
+                        if acc.level == ComputeLevel::OnChip {
+                            gam.complete_into(task, &mut actions);
+                        }
+                    }
+                    GamAction::Poll { task, .. } => gam.complete_into(task, &mut actions),
+                    GamAction::Dma { id, .. } => gam.dma_finished_into(id, &mut actions),
+                    GamAction::HostInterrupt { .. } => {}
+                }
+                queue.extend(actions.drain(..));
+            }
+            black_box(gam.stats().jobs_completed)
         });
     });
     g.finish();
@@ -390,6 +491,7 @@ fn bench_graph(c: &mut Criterion) {
 criterion_group!(
     hotpath,
     bench_event_queue,
+    bench_gam,
     bench_machine,
     bench_gemm,
     bench_kmeans,

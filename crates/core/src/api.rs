@@ -51,14 +51,14 @@
 //! ```
 
 use crate::fingerprint::ConfigFingerprint;
-use crate::machine::Machine;
+use crate::machine::{Machine, ShapedJob, TaskCost};
 use crate::report::RunReport;
 use crate::work::TaskWork;
 use reach_accel::{ComputeLevel, KernelSpec, TemplateRegistry};
-use reach_gam::{JobBuilder, TaskId};
-use reach_sim::{FingerprintBuilder, SimDuration};
-use std::collections::HashMap;
+use reach_gam::{JobBuilder, JobId, TaskId};
+use reach_sim::{FingerprintBuilder, SimDuration, Symbol};
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// How a [`Pipeline`] feeds batches to the machine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -577,6 +577,11 @@ struct Call {
 /// The host-side flow (Listing 3): a recorded sequence of `execute` calls
 /// replayed once per batch, with inter-call dependencies derived from the
 /// stream wiring.
+///
+/// The job every batch submits is compiled once, on first use: the task
+/// graph (buffers, stream producers, dependencies, estimates, interned
+/// stage and template labels) and each task's pricing row. A batch then
+/// only stamps its job id on the shared shape.
 #[derive(Clone, Debug)]
 pub struct Pipeline {
     config: ReachConfig,
@@ -585,6 +590,8 @@ pub struct Pipeline {
     /// registry and cannot fail mid-run.
     kernels: Vec<KernelSpec>,
     calls: Vec<Call>,
+    /// The compiled job shape under job id 0; reset by [`Pipeline::call`].
+    shape: OnceLock<ShapedJob>,
 }
 
 impl Pipeline {
@@ -597,6 +604,7 @@ impl Pipeline {
             config: config.config,
             kernels: config.kernels,
             calls: Vec::new(),
+            shape: OnceLock::new(),
         }
     }
 
@@ -616,6 +624,7 @@ impl Pipeline {
             work,
             stage: stage.to_string(),
         });
+        self.shape = OnceLock::new();
         self
     }
 
@@ -665,8 +674,7 @@ impl Pipeline {
         assert!(!self.calls.is_empty(), "Pipeline::run_mode: empty pipeline");
         let mut report = None;
         for batch in 0..batches {
-            let (job, works) = self.build_job(batch as u64);
-            machine.submit(job, works);
+            machine.submit_shaped(self.job_for_batch(batch as u64));
             if mode == ExecMode::Sequential {
                 report = Some(machine.run());
             }
@@ -697,18 +705,22 @@ impl Pipeline {
         self.run_mode(machine, batches, ExecMode::Sequential)
     }
 
-    /// Builds the GAM job and work descriptors for one batch without
-    /// submitting it — used by deferred-submission drivers such as the
-    /// open-loop tenants of [`crate::ScenarioSpec`].
-    #[must_use]
-    pub fn job_for_batch(&self, batch: u64) -> (reach_gam::Job, HashMap<TaskId, TaskWork>) {
-        self.build_job(batch)
+    /// The job for one batch, without submitting it — used by
+    /// deferred-submission drivers such as the open-loop tenants of
+    /// [`crate::ScenarioSpec`]. It shares the compiled shape; only its id is
+    /// the batch's.
+    pub(crate) fn job_for_batch(&self, batch: u64) -> ShapedJob {
+        let shape = self.shape.get_or_init(|| self.compile());
+        ShapedJob {
+            id: JobId(batch),
+            graph: Arc::clone(&shape.graph),
+            cost: Arc::clone(&shape.cost),
+        }
     }
 
-    /// Builds the GAM job for one batch.
-    fn build_job(&self, batch: u64) -> (reach_gam::Job, HashMap<TaskId, TaskWork>) {
-        let mut b = JobBuilder::new(batch);
-        let mut works = HashMap::new();
+    /// Compiles the job shape every batch shares, under job id 0.
+    fn compile(&self) -> ShapedJob {
+        let mut b = JobBuilder::new(0);
 
         // Declare fixed buffers (resident at their level).
         let fixed: Vec<_> = self
@@ -731,26 +743,24 @@ impl Pipeline {
             })
             .collect();
 
-        // Producer map: which call indices write each stream (several, for
-        // collect-pattern streams fed by sharded accelerators). For a
-        // same-level Pair stream the first call touching it is the
-        // producer; later calls consume.
-        let mut producer: HashMap<usize, Vec<usize>> = HashMap::new();
+        // Producer lists: which call indices write each stream (several,
+        // for collect-pattern streams fed by sharded accelerators), in
+        // ascending order. For a same-level Pair stream the first call
+        // touching it is the producer; later calls consume.
+        let mut producer: Vec<Vec<usize>> = vec![Vec::new(); self.config.streams.len()];
         for (ci, call) in self.calls.iter().enumerate() {
             let acc = &self.config.accs[call.acc.0];
             for (_, arg) in &acc.args {
                 if let Arg::Stream(s) = arg {
                     let entry = &self.config.streams[s.0];
+                    let v = &mut producer[s.0];
                     let produces = if entry.src == entry.dst {
-                        producer.get(&s.0).is_none_or(|v| v == &[ci])
+                        v.is_empty() || v == &[ci]
                     } else {
                         entry.src == acc.level
                     };
-                    if produces {
-                        let v = producer.entry(s.0).or_default();
-                        if !v.contains(&ci) {
-                            v.push(ci);
-                        }
+                    if produces && v.last() != Some(&ci) {
+                        v.push(ci);
                     }
                 }
             }
@@ -758,6 +768,7 @@ impl Pipeline {
 
         // Emit tasks in call order with stream-derived dependencies.
         let mut task_ids: Vec<TaskId> = Vec::new();
+        let mut cost = Vec::with_capacity(self.calls.len());
         for (ci, call) in self.calls.iter().enumerate() {
             let acc = &self.config.accs[call.acc.0];
             let level = acc.level.compute_level();
@@ -773,17 +784,15 @@ impl Pipeline {
                     Arg::Buffer(fb) => inputs.push(fixed[fb.0]),
                     Arg::Stream(s) => {
                         let entry = &self.config.streams[s.0];
-                        let is_producer = producer.get(&s.0).is_some_and(|v| v.contains(&ci));
+                        let producers = &producer[s.0];
+                        let is_producer = producers.binary_search(&ci).is_ok();
                         let same_level = entry.src == entry.dst;
                         if (same_level && is_producer) || (!same_level && entry.src == acc.level) {
                             outputs.push(streams[s.0]);
                         } else {
                             inputs.push(streams[s.0]);
-                            for &p in producer.get(&s.0).map_or(&[][..], Vec::as_slice) {
-                                if p < ci {
-                                    deps.push(task_ids[p]);
-                                }
-                            }
+                            let earlier = producers.partition_point(|&p| p < ci);
+                            deps.extend(producers[..earlier].iter().map(|&p| task_ids[p]));
                         }
                     }
                 }
@@ -806,10 +815,18 @@ impl Pipeline {
                 outputs,
                 deps,
             );
-            works.insert(id, call.work.clone());
+            cost.push(TaskCost {
+                macs: call.work.macs,
+                access: call.work.access,
+                stage: Symbol::intern(call.work.stage_label.as_deref().unwrap_or(&call.stage)),
+            });
             task_ids.push(id);
         }
-        (b.build(), works)
+        ShapedJob {
+            id: JobId(0),
+            graph: Arc::new(b.build()),
+            cost: cost.into(),
+        }
     }
 }
 

@@ -240,8 +240,7 @@ impl Scenario for ScenarioSpec {
             match &t.jobs {
                 JobSource::Closed { batches, mode } => {
                     for id in ids.by_ref().take(*batches) {
-                        let (job, works) = pipeline.job_for_batch(id);
-                        machine.submit(job, works);
+                        machine.submit_shaped(pipeline.job_for_batch(id));
                         if *mode == ExecMode::Sequential {
                             last = Some(machine.run());
                         }
@@ -255,11 +254,7 @@ impl Scenario for ScenarioSpec {
                 } => {
                     for at in arrival.arrivals(*offered) {
                         for id in ids.by_ref().take(*jobs_per_arrival) {
-                            let (job, works) = pipeline.job_for_batch(id);
-                            match admission {
-                                Some(depth) => machine.submit_at_bounded(at, job, works, *depth),
-                                None => machine.submit_at(at, job, works),
-                            }
+                            machine.defer(at, pipeline.job_for_batch(id), *admission);
                         }
                     }
                 }

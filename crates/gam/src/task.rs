@@ -16,6 +16,14 @@ pub struct TaskId(pub u64);
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BufferId(pub u64);
 
+impl TaskId {
+    /// The job this task belongs to.
+    #[must_use]
+    pub fn job(self) -> JobId {
+        JobId(job_of(self.0))
+    }
+}
+
 impl fmt::Display for JobId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "job{}", self.0)
@@ -98,7 +106,22 @@ pub struct Job {
 /// Task and buffer ids are `job << JOB_ID_SHIFT | index`: a job holds at
 /// most `1 << JOB_ID_SHIFT` tasks and as many buffers, and job ids stay
 /// below `1 << (64 - JOB_ID_SHIFT)`, so ids of different jobs never collide.
-const JOB_ID_SHIFT: u32 = 20;
+pub(crate) const JOB_ID_SHIFT: u32 = 20;
+
+/// The job an id of this layout belongs to.
+pub(crate) fn job_of(id: u64) -> u64 {
+    id >> JOB_ID_SHIFT
+}
+
+/// The index of a task or buffer within its job.
+pub(crate) fn index_of(id: u64) -> usize {
+    (id & ((1 << JOB_ID_SHIFT) - 1)) as usize
+}
+
+/// Whether `job` fits the job id space.
+pub(crate) fn job_fits(job: u64) -> bool {
+    job < 1 << (64 - JOB_ID_SHIFT)
+}
 
 /// Builds a [`Job`] with correctly threaded identifiers.
 ///
@@ -139,7 +162,7 @@ impl JobBuilder {
     #[must_use]
     pub fn new(job: u64) -> Self {
         assert!(
-            job < 1 << (64 - JOB_ID_SHIFT),
+            job_fits(job),
             "JobBuilder::new: job {job} is outside the 2^44 job id space"
         );
         JobBuilder {
@@ -212,17 +235,21 @@ impl JobBuilder {
     /// same job that would deadlock dispatch (self-cycles).
     #[must_use]
     pub fn build(self) -> Job {
+        // Ids are `job << JOB_ID_SHIFT | index`, so an id is declared in
+        // this job iff its job part matches and its index is in range.
+        let declared =
+            |id: u64, count: u64| job_of(id) == self.job.0 && (index_of(id) as u64) < count;
         for t in &self.tasks {
             for b in t.inputs.iter().chain(&t.outputs) {
                 assert!(
-                    self.buffers.iter().any(|d| d.id == *b),
+                    declared(b.0, self.next_buffer),
                     "JobBuilder: {} references undeclared {b}",
                     t.id
                 );
             }
             for d in &t.deps {
                 assert!(
-                    self.tasks.iter().any(|o| o.id == *d),
+                    declared(d.0, self.next_task),
                     "JobBuilder: {} depends on undeclared {d} (cross-job deps are wired at submit time)",
                     t.id
                 );
