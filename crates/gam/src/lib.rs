@@ -17,11 +17,13 @@
 //! interconnect and need no polling.
 //!
 //! This crate is the *decision logic*: a deterministic state machine that
-//! consumes `submit / started / poll / dma-finished` notifications and emits
-//! [`GamAction`]s (dispatches, DMA requests, polls, host interrupts). The
-//! machine model in `reach` (the core crate) executes those actions against
-//! the timing substrates and feeds the results back — which is exactly the
-//! hardware/software split of the paper's design.
+//! consumes `submit / started / poll / dma-finished` notifications and
+//! pushes [`GamAction`]s (dispatches, DMA requests, polls, host interrupts)
+//! into a buffer the caller owns. The machine model in `reach` (the core
+//! crate) executes those actions against the timing substrates and feeds
+//! the results back — which is exactly the hardware/software split of the
+//! paper's design. Its bookkeeping is one table of dense job slots; see
+//! [`manager`] for the layout.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -17,8 +17,9 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// The machine's per-event functions.
-const MACHINE_HOT: [&str; 8] = [
+const MACHINE_HOT: [&str; 9] = [
     "run",
+    "complete",
     "dispatch",
     "price_data",
     "nm_stream",
