@@ -2,7 +2,7 @@
 //! (binary heap), GAM dispatch bookkeeping on its own, machine
 //! steady-state event processing, the parallel
 //! CBIR kernels (GEMM micro-kernel, k-means, binary and PQ encode, top-K),
-//! the cross-batch distance cache, the batched DDR stream timing model,
+//! the IVF short-list distance pass, the batched DDR stream timing model,
 //! host graph
 //! generation (RMAT and uniform edge draws plus the CSR build), and the
 //! warm-replay read path (report decode and result-store open).
@@ -323,11 +323,11 @@ fn bench_codecs(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_cache(c: &mut Criterion) {
+fn bench_distance(c: &mut Criterion) {
     use reach_cbir::linalg::batch_dist_sq;
-    use reach_cbir::QueryContext;
+    use reach_cbir::IvfIndex;
 
-    let mut g = c.benchmark_group("hotpath/cache");
+    let mut g = c.benchmark_group("hotpath/distance");
     let nq = scaled(64, 16);
     let np = scaled(4096, 512);
     let d = 32;
@@ -339,18 +339,21 @@ fn bench_cache(c: &mut Criterion) {
     let points = Matrix::from_vec(
         np,
         d,
-        (0..np * d).map(|i| ((i * 7) % 19) as f32 - 9.0).collect(),
+        (0..(np * d) as u64)
+            .map(|i| (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 54) as f32 / 50.0 - 10.0)
+            .collect(),
     );
-    g.throughput(Throughput::Elements((nq * np) as u64));
-    // Every batch recomputes the points-side norms from scratch.
-    g.bench_function("batch_dist_uncached", |b| {
-        b.iter(|| black_box(batch_dist_sq(&queries, &points)));
+    let index = IvfIndex::build(&points, scaled(256, 64), &mut seeded(5));
+    let centroids = index.centroids();
+    g.throughput(Throughput::Elements((nq * centroids.rows()) as u64));
+    // The reference: every batch recomputes the centroid norms.
+    g.bench_function("batch_dist_sq", |b| {
+        b.iter(|| black_box(batch_dist_sq(&queries, centroids)));
     });
-    // The QueryContext keeps `||p||^2` warm across batches; only the first
-    // iteration misses.
-    let ctx = QueryContext::new();
-    g.bench_function("batch_dist_cached", |b| {
-        b.iter(|| black_box(ctx.batch_dist_sq(&queries, &points)));
+    // The short-list pass: the same distances over the norms the index
+    // stored at build time, then the top `nprobe` per query.
+    g.bench_function("ivf_short_lists", |b| {
+        b.iter(|| black_box(index.short_lists(&queries, 8)));
     });
     g.finish();
 }
@@ -496,7 +499,7 @@ criterion_group!(
     bench_gemm,
     bench_kmeans,
     bench_codecs,
-    bench_cache,
+    bench_distance,
     bench_ddr_stream,
     bench_topk,
     bench_graph,

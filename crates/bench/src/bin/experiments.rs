@@ -144,7 +144,10 @@ fn main() -> ExitCode {
     // Cache effectiveness — stderr + metrics export only, so stdout stays
     // byte-comparable across job counts and cache settings.
     let (cache_hits, cache_misses) = reach_cbir::cache::cache_stats();
-    eprintln!("cbir distance cache: {cache_hits} hit(s), {cache_misses} miss(es)");
+    eprintln!(
+        "cbir stored norm columns: {cache_hits} read(s) by distance passes (hits), \
+         {cache_misses} computed (misses)"
+    );
     let result_cache = runner.cache_stats();
     let disk_cache = runner.disk_cache_stats();
     let fleet_cache = runner.fleet_cache_stats();

@@ -44,3 +44,31 @@ fn metrics_export_keeps_stdout_and_carries_the_process_block() {
         );
     }
 }
+
+/// `extension-recall` computes each codec's norm column once, at build or
+/// train time (1 IVF centroid column, 8 + 4 PQ codebook columns), and
+/// every distance pass reads it: one IVF short-list pass over the query
+/// batch, and one read per PQ subspace for each of the 32 queries.
+#[test]
+fn recall_computes_each_norm_column_once_and_reads_it_per_pass() {
+    let path = std::env::temp_dir().join(format!("reach-recall-it-{}.json", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["extension-recall", "--jobs", "2", "--metrics"])
+        .arg(&path)
+        .output()
+        .expect("spawn experiments");
+    assert!(out.status.success(), "experiments failed: {out:?}");
+    let doc = std::fs::read_to_string(&path).expect("metrics file written");
+    let _ = std::fs::remove_file(&path);
+    let (_, process) = doc.split_once("\"process\": {").expect("process block");
+    let counter = |key: &str| -> u64 {
+        let field = format!("\"{key}\": {{\"kind\":\"counter\",\"value\":");
+        let (_, rest) = process
+            .split_once(&field)
+            .unwrap_or_else(|| panic!("missing process metric {key}"));
+        let digits = rest.split('}').next().expect("counter value");
+        digits.parse().expect("integer counter")
+    };
+    assert_eq!(counter("cbir.cache_misses"), 13);
+    assert_eq!(counter("cbir.cache_hits"), 1 + 32 * (8 + 4));
+}

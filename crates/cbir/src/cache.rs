@@ -1,39 +1,29 @@
-//! Cross-batch distance caching.
+//! Counters for the stored `||c||^2` columns.
 //!
 //! The decomposed distance (Equation 1) splits every comparison into a
 //! query-dependent part (the dot products) and a *dataset-only* part: the
 //! squared norms of the centroids and, for product quantization, the
 //! per-subspace codeword norms. The paper stores `||c||^2` "alongside the
-//! centroids" precisely so the online stage never recomputes it; related
-//! near-data retrieval work (NCAM) makes the same point for distance
-//! tables. [`QueryContext`] is that store: a cache keyed by matrix
-//! *identity* that survives across query batches and sweep points, so the
-//! second and every later batch probing the same centroids or codebooks
-//! pays only the query-side work.
+//! centroids" so the online stage never recomputes it; related near-data
+//! retrieval work (NCAM) does the same for its distance tables. Here the
+//! column lives in the codec itself: [`crate::IvfIndex::build`] and
+//! [`crate::ProductQuantizer::train`] compute it once, and every distance
+//! pass reads it.
 //!
-//! Hits and misses are counted process-wide in
-//! [`cache_stats`] (`cbir.cache_hits` / `cbir.cache_misses` in the
-//! telemetry exports), so an experiment run shows exactly how much
-//! recomputation the cache removed.
-//!
-//! ## Identity, not equality
-//!
-//! Keys are `(data pointer, rows, cols)` of the cached matrix. That makes
-//! lookups O(1) without hashing megabytes of floats, but it means a
-//! context must not outlive the matrices it caches: drop the context (or
-//! scope it per dataset) when the dataset goes away. Contexts are cheap —
-//! one per experiment is the intended granularity.
+//! Two process-wide counters, read by [`cache_stats`] and exported as
+//! `cbir.cache_hits` / `cbir.cache_misses`, show that reuse: a miss is a
+//! norm column computed at build or train time, a hit is a column read by
+//! a distance pass.
 
-use crate::linalg::{gemm_nt, norm_sq, Matrix};
-use std::collections::HashMap;
+use crate::linalg::{norm_sq, Matrix};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
 static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
 
-/// Process-wide `(hits, misses)` across every [`QueryContext`] — the
-/// counters exported as `cbir.cache_hits` / `cbir.cache_misses`.
+/// Process-wide `(hits, misses)`: stored norm columns read by distance
+/// passes, and norm columns computed — the counters exported as
+/// `cbir.cache_hits` / `cbir.cache_misses`.
 #[must_use]
 pub fn cache_stats() -> (u64, u64) {
     (
@@ -42,150 +32,43 @@ pub fn cache_stats() -> (u64, u64) {
     )
 }
 
-/// Identity key of a cached matrix: where its data lives and its shape.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-struct MatrixKey {
-    ptr: usize,
-    rows: usize,
-    cols: usize,
+/// The squared row norms of `m`, computed for storage beside it: one miss.
+pub(crate) fn norm_column(m: &Matrix) -> Vec<f32> {
+    CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
+    (0..m.rows()).map(|i| norm_sq(m.row(i))).collect()
 }
 
-impl MatrixKey {
-    fn of(m: &Matrix) -> Self {
-        MatrixKey {
-            ptr: m.as_slice().as_ptr() as usize,
-            rows: m.rows(),
-            cols: m.cols(),
-        }
-    }
-}
-
-/// A cross-batch cache of dataset-side distance precomputations (row
-/// norms of centroid and codebook matrices). Shared freely: lookups lock
-/// a mutex, the cached vectors are handed out as `Arc`s.
-#[derive(Debug, Default)]
-pub struct QueryContext {
-    norms: Mutex<HashMap<MatrixKey, Arc<Vec<f32>>>>,
-}
-
-impl QueryContext {
-    /// Creates an empty context.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The squared row norms of `m`, computed once per matrix identity
-    /// and shared across every later call — the `||c||^2` column the
-    /// paper stores next to the centroids.
-    #[must_use]
-    pub fn row_norms(&self, m: &Matrix) -> Arc<Vec<f32>> {
-        let key = MatrixKey::of(m);
-        let mut cache = self.norms.lock().expect("norm cache poisoned");
-        if let Some(hit) = cache.get(&key) {
-            CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
-        }
-        CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-        let norms = Arc::new((0..m.rows()).map(|i| norm_sq(m.row(i))).collect::<Vec<_>>());
-        cache.insert(key, Arc::clone(&norms));
-        norms
-    }
-
-    /// [`crate::linalg::batch_dist_sq`] with the *points-side* norms
-    /// served from the cache: one GEMM plus broadcast adds, where
-    /// `||p||^2` is only ever computed for the first batch that probes
-    /// `points`. Identical results to the uncached form — the cached
-    /// values are the same [`norm_sq`] outputs, bit for bit.
-    #[must_use]
-    pub fn batch_dist_sq(&self, queries: &Matrix, points: &Matrix) -> Matrix {
-        let dots = gemm_nt(queries, points);
-        let p_norms = self.row_norms(points);
-        let mut out = Matrix::zeros(queries.rows(), points.rows());
-        for i in 0..queries.rows() {
-            let q_norm = norm_sq(queries.row(i));
-            let row = out.row_mut(i);
-            let dot_row = dots.row(i);
-            for (j, slot) in row.iter_mut().enumerate() {
-                *slot = q_norm + p_norms[j] - 2.0 * dot_row[j];
-            }
-        }
-        out
-    }
-
-    /// Entries currently cached (distinct matrix identities).
-    #[must_use]
-    pub fn cached_matrices(&self) -> usize {
-        self.norms.lock().expect("norm cache poisoned").len()
-    }
+/// `column`, read by one distance pass: one hit.
+pub(crate) fn read(column: &[f32]) -> &[f32] {
+    CACHE_HITS.fetch_add(1, Ordering::Relaxed);
+    column
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::linalg::batch_dist_sq;
-
-    fn fill(rows: usize, cols: usize, salt: u64) -> Matrix {
-        Matrix::from_vec(
-            rows,
-            cols,
-            (0..rows * cols)
-                .map(|i| {
-                    let x = (i as u64).wrapping_mul(2_654_435_761).wrapping_add(salt);
-                    ((x % 997) as f32 - 498.0) / 53.0
-                })
-                .collect(),
-        )
-    }
-
-    #[test]
-    fn cached_distances_match_uncached_bitwise() {
-        let ctx = QueryContext::new();
-        let points = fill(40, 24, 1);
-        for batch in 0..3 {
-            let queries = fill(7, 24, 100 + batch);
-            let cached = ctx.batch_dist_sq(&queries, &points);
-            let plain = batch_dist_sq(&queries, &points);
-            assert_eq!(
-                cached
-                    .as_slice()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                plain
-                    .as_slice()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>()
-            );
-        }
-    }
+    use crate::ivf::IvfIndex;
+    use reach_sim::rng::seeded;
 
     #[test]
     fn repeat_batches_hit_the_cache() {
-        let ctx = QueryContext::new();
-        let points = fill(16, 8, 2);
-        let (h0, m0) = cache_stats();
-        let _ = ctx.row_norms(&points);
+        let points = Matrix::from_vec(
+            40,
+            8,
+            (0..40 * 8).map(|i| ((i * 37) % 101) as f32 / 7.0).collect(),
+        );
+        let queries = Matrix::from_vec(3, 8, points.as_slice()[..24].to_vec());
+        // Other tests move the process-wide counters concurrently, so only
+        // lower bounds hold here; `crates/bench/tests/metrics_export.rs`
+        // pins exact counts in a process of its own.
+        let (_, m0) = cache_stats();
+        let index = IvfIndex::build(&points, 5, &mut seeded(4));
         let (h1, m1) = cache_stats();
-        assert_eq!((h1 - h0, m1 - m0), (0, 1), "first probe must miss");
-        let _ = ctx.row_norms(&points);
-        let _ = ctx.row_norms(&points);
-        let (h2, m2) = cache_stats();
-        assert_eq!((h2 - h1, m2 - m1), (2, 0), "later probes must hit");
-        assert_eq!(ctx.cached_matrices(), 1);
-    }
-
-    #[test]
-    fn distinct_shapes_are_distinct_entries() {
-        let ctx = QueryContext::new();
-        let a = fill(8, 4, 3);
-        let b = fill(6, 4, 4);
-        let _ = ctx.row_norms(&a);
-        let _ = ctx.row_norms(&b);
-        assert_eq!(ctx.cached_matrices(), 2);
-        // Same matrix again: still 2.
-        let _ = ctx.row_norms(&a);
-        assert_eq!(ctx.cached_matrices(), 2);
+        assert!(m1 > m0, "building the index computes its norm column");
+        for _ in 0..3 {
+            let _ = index.short_lists(&queries, 2);
+        }
+        let (h2, _) = cache_stats();
+        assert!(h2 - h1 >= 3, "every pass reads the stored column");
     }
 }

@@ -568,7 +568,6 @@ fn recall_codec_on(
     observe: &mut dyn FnMut(RecallCodec<'_>),
 ) -> RecallCompressionRow {
     use crate::binary::BinaryCoder;
-    use crate::cache::QueryContext;
     use crate::dataset::recall;
     use crate::ivf::IvfIndex;
     use crate::pq::ProductQuantizer;
@@ -580,19 +579,13 @@ fn recall_codec_on(
         ..
     } = inputs;
     let mut rng = CountingRng { rng, steps: 0 };
-    // Each codec gets its own cross-batch cache: its centroid or codeword
-    // norms are computed once and reused by every query. A context is
-    // keyed by matrix address, so it must not outlive the codec it caches
-    // — a later codebook allocated at a freed one's address would be
-    // served stale norms.
-    let ctx = QueryContext::new();
     let (bytes_per_vector, results) = match m {
         // Exact IVF + rerank (what ReACH accelerates), nprobe = 1/6 of
         // cells; the bytes are the fraction of cells scanned.
         0 => {
             let index = IvfIndex::build(points, 48, &mut rng);
             observe(RecallCodec::Ivf(&index));
-            let exact = index.search_cached(&ctx, points, queries, 8, 10, None);
+            let exact = index.search(points, queries, 8, 10, None);
             (RECALL_DIM as f64 * 4.0 * 8.0 / 48.0, exact)
         }
         // Product quantization at two compression points.
@@ -602,7 +595,7 @@ fn recall_codec_on(
             let codes = pq.encode_batch(points);
             observe(RecallCodec::Pq(&pq, &codes));
             let results = (0..queries.rows())
-                .map(|qi| pq.search_cached(&ctx, &codes, queries.row(qi), 10))
+                .map(|qi| pq.search(&codes, queries.row(qi), 10))
                 .collect();
             (pq.code_bytes() as f64, results)
         }

@@ -3,18 +3,21 @@
 //! This is the online pipeline of Section IV-A, functionally:
 //!
 //! 1. **Short-list retrieval** — decomposed distances (Equation 1) from the
-//!    query batch to the centroids, then the `nprobe` nearest clusters per
+//!    query batch to the centroids, read against the `||c||^2` column the
+//!    index stores alongside them, then the `nprobe` nearest clusters per
 //!    query form its short list.
 //! 2. **Rerank** — gather the member points of the short-listed clusters
 //!    (optionally capped, as the paper caps candidates at 4096), compute
 //!    exact distances (Equation 2) and keep the top K.
 
 use crate::kmeans::kmeans;
-use crate::linalg::{batch_dist_sq, dist_sq, Matrix};
+use crate::linalg::{batch_dist_sq_with_norms, dist_sq, Matrix};
 use crate::topk::top_k;
 use rand::Rng;
 
-/// An inverted-file index over a point set.
+/// An inverted-file index over a point set. It keeps each centroid's
+/// squared norm next to the centroid, computed once at build time, so a
+/// short-list pass costs one GEMM plus broadcast adds.
 ///
 /// # Example
 ///
@@ -33,6 +36,8 @@ use rand::Rng;
 #[derive(Clone, Debug)]
 pub struct IvfIndex {
     centroids: Matrix,
+    /// `||c||^2` of each centroid, in centroid order.
+    centroid_norms: Vec<f32>,
     /// Posting list per cluster: the indices of its member points.
     postings: Vec<Vec<usize>>,
 }
@@ -55,6 +60,7 @@ impl IvfIndex {
             postings[c].push(i);
         }
         IvfIndex {
+            centroid_norms: crate::cache::norm_column(&clustering.centroids),
             centroids: clustering.centroids,
             postings,
         }
@@ -83,36 +89,21 @@ impl IvfIndex {
     }
 
     /// Short-list retrieval for a query batch: the `nprobe` nearest
-    /// clusters of each query, via one GEMM + broadcast add (Equation 1) —
-    /// the computation the GeMM accelerator template performs.
+    /// clusters of each query, via one GEMM + broadcast add (Equation 1)
+    /// over the stored centroid norms — the computation the GeMM
+    /// accelerator template performs.
     ///
     /// # Panics
     ///
     /// Panics if `nprobe` is zero or exceeds the cluster count.
     #[must_use]
     pub fn short_lists(&self, queries: &Matrix, nprobe: usize) -> Vec<ShortList> {
-        self.short_lists_dists(queries, nprobe, batch_dist_sq(queries, &self.centroids))
-    }
-
-    /// [`short_lists`](Self::short_lists) with the centroid norms served
-    /// from `ctx` — across query batches and sweep points probing the
-    /// same index, `||c||^2` is computed exactly once. Bit-identical to
-    /// the uncached form.
-    #[must_use]
-    pub fn short_lists_cached(
-        &self,
-        ctx: &crate::cache::QueryContext,
-        queries: &Matrix,
-        nprobe: usize,
-    ) -> Vec<ShortList> {
-        self.short_lists_dists(queries, nprobe, ctx.batch_dist_sq(queries, &self.centroids))
-    }
-
-    fn short_lists_dists(&self, queries: &Matrix, nprobe: usize, dists: Matrix) -> Vec<ShortList> {
         assert!(
             nprobe > 0 && nprobe <= self.clusters(),
             "short_lists: nprobe {nprobe} out of range"
         );
+        let norms = crate::cache::read(&self.centroid_norms);
+        let dists = batch_dist_sq_with_norms(queries, &self.centroids, norms);
         (0..queries.rows())
             .map(|qi| {
                 top_k(
@@ -166,33 +157,6 @@ impl IvfIndex {
         max_candidates: Option<usize>,
     ) -> Vec<Vec<usize>> {
         let lists = self.short_lists(queries, nprobe);
-        self.rerank_lists(points, queries, &lists, k, max_candidates)
-    }
-
-    /// [`search`](Self::search) with short-list retrieval running through
-    /// `ctx`'s cross-batch norm cache. Bit-identical results.
-    #[must_use]
-    pub fn search_cached(
-        &self,
-        ctx: &crate::cache::QueryContext,
-        points: &Matrix,
-        queries: &Matrix,
-        nprobe: usize,
-        k: usize,
-        max_candidates: Option<usize>,
-    ) -> Vec<Vec<usize>> {
-        let lists = self.short_lists_cached(ctx, queries, nprobe);
-        self.rerank_lists(points, queries, &lists, k, max_candidates)
-    }
-
-    fn rerank_lists(
-        &self,
-        points: &Matrix,
-        queries: &Matrix,
-        lists: &[ShortList],
-        k: usize,
-        max_candidates: Option<usize>,
-    ) -> Vec<Vec<usize>> {
         (0..queries.rows())
             .map(|qi| {
                 self.rerank(points, queries.row(qi), &lists[qi], k, max_candidates)
@@ -291,15 +255,24 @@ mod tests {
     }
 
     #[test]
-    fn cached_search_is_identical_across_batches() {
-        let (ds, index, queries, _) = setup();
-        let ctx = crate::cache::QueryContext::new();
-        // Several "batches" probing the same index: results must match the
-        // uncached path exactly, first (cold) batch and later (hot) ones.
+    fn stored_norm_distances_match_batch_dist_sq_bitwise() {
+        let (_, index, queries, _) = setup();
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // Several batches against the one stored column: each must equal
+        // the form that recomputes every centroid norm.
         for batch in 0..3 {
-            let plain = index.search(&ds.points, &queries, 4, 10, None);
-            let cached = index.search_cached(&ctx, &ds.points, &queries, 4, 10, None);
-            assert_eq!(plain, cached, "batch {batch} diverged");
+            let q = Matrix::from_vec(4, 16, queries.as_slice()[batch * 64..][..64].to_vec());
+            let stored = batch_dist_sq_with_norms(&q, index.centroids(), &index.centroid_norms);
+            let fresh = crate::linalg::batch_dist_sq(&q, index.centroids());
+            assert_eq!(bits(&stored), bits(&fresh), "batch {batch} diverged");
+        }
+        let fresh = crate::linalg::batch_dist_sq(&queries, index.centroids());
+        for (qi, list) in index.short_lists(&queries, 4).iter().enumerate() {
+            let by_hand: Vec<usize> = top_k(fresh.row(qi).iter().copied().zip(0..), 4)
+                .into_iter()
+                .map(|(_, c)| c)
+                .collect();
+            assert_eq!(*list, by_hand, "query {qi}");
         }
     }
 

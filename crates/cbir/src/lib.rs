@@ -45,7 +45,6 @@ pub mod traffic;
 pub mod workload;
 
 pub use binary::BinaryCoder;
-pub use cache::QueryContext;
 pub use dataset::{Dataset, RecallReport};
 pub use features::FeatureNet;
 pub use fleet::CbirFleetScenario;

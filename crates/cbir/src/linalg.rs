@@ -545,22 +545,44 @@ pub fn dist_sq(p: &[f32], q: &[f32]) -> f32 {
 }
 
 /// Decomposed squared distances of a query batch against a point set
-/// (Equation 1): one GEMM plus broadcast additions of precomputed norms.
-/// Returns the `queries.rows x points.rows` distance matrix.
+/// (Equation 1): one GEMM plus broadcast additions of the squared norms.
+/// Returns the `queries.rows x points.rows` distance matrix. This form
+/// computes `||p||^2` on every call; the IVF index stores that column
+/// alongside its centroids instead.
 ///
 /// # Panics
 ///
 /// Panics if dimensions disagree.
 #[must_use]
-#[allow(clippy::needless_range_loop)] // rows of three matrices walked in lockstep
 pub fn batch_dist_sq(queries: &Matrix, points: &Matrix) -> Matrix {
+    let p_norms: Vec<f32> = (0..points.rows()).map(|j| norm_sq(points.row(j))).collect();
+    batch_dist_sq_with_norms(queries, points, &p_norms)
+}
+
+/// [`batch_dist_sq`] with the points-side norms supplied: `p_norms[j]`
+/// must be `norm_sq(points.row(j))`, so the result is the same, bit for
+/// bit.
+///
+/// # Panics
+///
+/// Panics if dimensions disagree or `p_norms` is not one norm per point.
+#[allow(clippy::needless_range_loop)] // rows of three matrices walked in lockstep
+pub(crate) fn batch_dist_sq_with_norms(
+    queries: &Matrix,
+    points: &Matrix,
+    p_norms: &[f32],
+) -> Matrix {
+    assert_eq!(
+        p_norms.len(),
+        points.rows(),
+        "batch_dist_sq: {} norms for {} points",
+        p_norms.len(),
+        points.rows()
+    );
     let dots = gemm_nt(queries, points);
     let q_norms: Vec<f32> = (0..queries.rows())
         .map(|i| norm_sq(queries.row(i)))
         .collect();
-    // ||c||^2 is precomputed once and reused for every query, exactly as the
-    // paper stores it alongside the centroids.
-    let p_norms: Vec<f32> = (0..points.rows()).map(|j| norm_sq(points.row(j))).collect();
     let mut out = Matrix::zeros(queries.rows(), points.rows());
     for i in 0..queries.rows() {
         let row = out.row_mut(i);
@@ -682,6 +704,13 @@ mod tests {
         let (mut best, mut best_d) = (vec![0; 8], vec![0.0; 9]);
         let path = crate::simd::SimdPath::Scalar;
         nearest_centroids_on(path, &points, &Matrix::zeros(1, 2), &mut best, &mut best_d);
+    }
+
+    #[test]
+    #[should_panic(expected = "2 norms for 3 points")]
+    fn stored_norms_must_cover_every_point() {
+        let points = Matrix::zeros(3, 4);
+        let _ = batch_dist_sq_with_norms(&Matrix::zeros(1, 4), &points, &[0.0; 2]);
     }
 
     #[test]

@@ -219,9 +219,8 @@ impl CbirPipeline {
             )
         });
         // The centroid + cell-info store is sedentary at the SL level. Its
-        // functional counterpart is [`crate::cache::QueryContext`]: the
-        // `||c||^2` column the paper keeps "alongside the centroids" is
-        // exactly what the cross-batch cache precomputes once per dataset.
+        // functional counterpart is [`crate::IvfIndex`], which keeps the
+        // `||c||^2` column "alongside the centroids" as the paper does.
         let centroid_store = has(CbirStage::ShortList)
             .then(|| cfg.create_fixed_buffer("centroid_store", sl_level, w.centroid_store_bytes));
         // The feature database always lives on the SSDs; rerank either runs

@@ -13,12 +13,15 @@
 //! exact pipeline handles losslessly.
 
 use crate::kmeans::kmeans;
-use crate::linalg::{pack_lanes, Matrix, LANES};
+use crate::linalg::{dot8, norm_sq, pack_lanes, Matrix, LANES};
 use crate::simd::SimdPath;
 use crate::topk::top_k;
 use rand::Rng;
 
-/// A trained product quantizer.
+/// A trained product quantizer. Each codebook keeps its codewords'
+/// squared norms beside it, computed once at training, so a query's
+/// distance table is the decomposed `||q_s||^2 + ||c||^2 - 2<q_s, c>`
+/// with only the query-side terms computed per query.
 ///
 /// # Example
 ///
@@ -37,6 +40,8 @@ pub struct ProductQuantizer {
     sub_dim: usize,
     /// One codebook per subspace, each `centroids x sub_dim`.
     codebooks: Vec<Matrix>,
+    /// `||c||^2` of each codeword, one column per codebook.
+    codeword_norms: Vec<Vec<f32>>,
 }
 
 impl ProductQuantizer {
@@ -60,7 +65,7 @@ impl ProductQuantizer {
             "ProductQuantizer: centroids {centroids} out of range"
         );
         let sub_dim = d / subspaces;
-        let codebooks = (0..subspaces)
+        let codebooks: Vec<Matrix> = (0..subspaces)
             .map(|s| {
                 // Slice out the subspace columns.
                 let mut sub = Matrix::zeros(data.rows(), sub_dim);
@@ -71,7 +76,12 @@ impl ProductQuantizer {
                 kmeans(&sub, centroids, 20, rng).centroids
             })
             .collect();
-        ProductQuantizer { sub_dim, codebooks }
+        let codeword_norms = codebooks.iter().map(crate::cache::norm_column).collect();
+        ProductQuantizer {
+            sub_dim,
+            codebooks,
+            codeword_norms,
+        }
     }
 
     /// Number of subspaces.
@@ -181,43 +191,21 @@ impl ProductQuantizer {
 
     /// Builds the asymmetric-distance lookup table for one query: entry
     /// `[s][c]` is the squared distance from the query's sub-vector `s` to
-    /// codeword `c`.
+    /// codeword `c`, in the decomposed form `||q_s||^2 + ||c||^2 -
+    /// 2<q_s, c>` over the stored codeword norms. It rounds differently
+    /// from the direct subtraction, within normal `f32` tolerance.
     #[must_use]
     pub fn distance_table(&self, query: &[f32]) -> Vec<Vec<f32>> {
         self.codebooks
             .iter()
+            .zip(&self.codeword_norms)
             .enumerate()
-            .map(|(s, book)| {
+            .map(|(s, (book, norms))| {
                 let sub = &query[s * self.sub_dim..(s + 1) * self.sub_dim];
+                let q_norm = norm_sq(sub);
+                let c_norms = crate::cache::read(norms);
                 (0..book.rows())
-                    .map(|c| crate::linalg::dist_sq(sub, book.row(c)))
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// [`distance_table`](Self::distance_table) with the codeword norms
-    /// served from `ctx`'s cross-batch cache: each entry is the
-    /// decomposed `||q_s||^2 + ||c||^2 - 2<q_s, c>` with `||c||^2`
-    /// computed once per codebook — across every query of every batch —
-    /// instead of once per query. The decomposed form rounds differently
-    /// from the direct subtraction (within normal `f32` tolerance); it is
-    /// deterministic and identical for every query that reuses the cache.
-    #[must_use]
-    pub fn distance_table_cached(
-        &self,
-        ctx: &crate::cache::QueryContext,
-        query: &[f32],
-    ) -> Vec<Vec<f32>> {
-        self.codebooks
-            .iter()
-            .enumerate()
-            .map(|(s, book)| {
-                let sub = &query[s * self.sub_dim..(s + 1) * self.sub_dim];
-                let q_norm = crate::linalg::norm_sq(sub);
-                let c_norms = ctx.row_norms(book);
-                (0..book.rows())
-                    .map(|c| q_norm + c_norms[c] - 2.0 * crate::linalg::dot8(sub, book.row(c)))
+                    .map(|c| q_norm + c_norms[c] - 2.0 * dot8(sub, book.row(c)))
                     .collect()
             })
             .collect()
@@ -242,40 +230,18 @@ impl ProductQuantizer {
     /// Panics if `codes` is not a whole number of rows.
     #[must_use]
     pub fn search(&self, codes: &[u8], query: &[f32], k: usize) -> Vec<usize> {
-        Self::adc_top_k(&self.distance_table(query), codes, k)
-    }
-
-    /// [`search`](Self::search) with the distance table built through
-    /// `ctx`'s codeword-norm cache (see
-    /// [`distance_table_cached`](Self::distance_table_cached)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `codes` is not a whole number of rows.
-    #[must_use]
-    pub fn search_cached(
-        &self,
-        ctx: &crate::cache::QueryContext,
-        codes: &[u8],
-        query: &[f32],
-        k: usize,
-    ) -> Vec<usize> {
-        Self::adc_top_k(&self.distance_table_cached(ctx, query), codes, k)
-    }
-
-    /// Scans `codes` row by row; the stride is the table's subspace count.
-    fn adc_top_k(table: &[Vec<f32>], codes: &[u8], k: usize) -> Vec<usize> {
-        let m = table.len();
+        let m = self.code_bytes();
         assert!(
             codes.len().is_multiple_of(m),
             "ProductQuantizer::search: {} code bytes are not rows of {m}",
             codes.len()
         );
+        let table = self.distance_table(query);
         top_k(
             codes
                 .chunks_exact(m)
                 .enumerate()
-                .map(|(i, code)| (Self::adc_distance(table, code), i)),
+                .map(|(i, code)| (Self::adc_distance(&table, code), i)),
             k,
         )
         .into_iter()
@@ -376,25 +342,71 @@ mod tests {
         );
     }
 
+    /// The direct-subtraction table: entry `[s][c]` is
+    /// `dist_sq(q_s, c)`, the reference the decomposed form is held to.
+    fn direct_table(pq: &ProductQuantizer, query: &[f32]) -> Vec<Vec<f32>> {
+        pq.codebooks()
+            .iter()
+            .enumerate()
+            .map(|(s, book)| {
+                let sub = &query[s * pq.sub_dim..(s + 1) * pq.sub_dim];
+                (0..book.rows())
+                    .map(|c| crate::linalg::dist_sq(sub, book.row(c)))
+                    .collect()
+            })
+            .collect()
+    }
+
     #[test]
-    fn cached_adc_search_matches_uncached_ranking() {
+    fn distance_table_is_the_stored_norm_decomposition() {
+        let (ds, queries, _) = setup();
+        let pq = ProductQuantizer::train(&ds.points, 4, 32, &mut seeded(47));
+        for qi in 0..queries.rows() {
+            let q = queries.row(qi);
+            let recomputed: Vec<Vec<u32>> = pq
+                .codebooks()
+                .iter()
+                .enumerate()
+                .map(|(s, book)| {
+                    let sub = &q[s * pq.sub_dim..(s + 1) * pq.sub_dim];
+                    (0..book.rows())
+                        .map(|c| {
+                            let c_norm = norm_sq(book.row(c));
+                            (norm_sq(sub) + c_norm - 2.0 * dot8(sub, book.row(c))).to_bits()
+                        })
+                        .collect()
+                })
+                .collect();
+            let table: Vec<Vec<u32>> = pq
+                .distance_table(q)
+                .iter()
+                .map(|row| row.iter().map(|d| d.to_bits()).collect())
+                .collect();
+            assert_eq!(table, recomputed, "query {qi}");
+        }
+    }
+
+    #[test]
+    fn decomposed_adc_search_matches_direct_ranking() {
         let (ds, queries, _) = setup();
         let mut rng = seeded(46);
         let pq = ProductQuantizer::train(&ds.points, 4, 32, &mut rng);
         let codes = pq.encode_batch(&ds.points);
-        let ctx = crate::cache::QueryContext::new();
+        let row = |i: usize| &codes[i * pq.code_bytes()..(i + 1) * pq.code_bytes()];
         for qi in 0..queries.rows() {
-            let plain = pq.search(&codes, queries.row(qi), 10);
-            let cached = pq.search_cached(&ctx, &codes, queries.row(qi), 10);
+            let direct = direct_table(&pq, queries.row(qi));
+            let by_direct = top_k(
+                (0..ds.len()).map(|i| (ProductQuantizer::adc_distance(&direct, row(i)), i)),
+                10,
+            );
+            let decomposed = pq.search(&codes, queries.row(qi), 10);
             // The decomposed table rounds differently from the direct
             // subtraction, so allow rank swaps only between candidates whose
             // direct-form ADC distances are within f32 noise of each other.
-            let table = pq.distance_table(queries.row(qi));
-            for (a, b) in plain.iter().zip(&cached) {
+            for (&(_, a), &b) in by_direct.iter().zip(&decomposed) {
                 if a != b {
-                    let row = |i: usize| &codes[i * pq.code_bytes()..(i + 1) * pq.code_bytes()];
-                    let da = ProductQuantizer::adc_distance(&table, row(*a));
-                    let db = ProductQuantizer::adc_distance(&table, row(*b));
+                    let da = ProductQuantizer::adc_distance(&direct, row(a));
+                    let db = ProductQuantizer::adc_distance(&direct, row(b));
                     assert!(
                         (da - db).abs() <= 1e-3 * da.abs().max(1.0),
                         "query {qi}: {a} (d={da}) vs {b} (d={db})"
@@ -402,8 +414,6 @@ mod tests {
                 }
             }
         }
-        // And the cache actually gets used: one entry per codebook.
-        assert_eq!(ctx.cached_matrices(), pq.subspaces());
     }
 
     #[test]

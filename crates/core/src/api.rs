@@ -818,7 +818,7 @@ impl Pipeline {
             cost.push(TaskCost {
                 macs: call.work.macs,
                 access: call.work.access,
-                stage: Symbol::intern(call.work.stage_label.as_deref().unwrap_or(&call.stage)),
+                stage: Symbol::intern(&call.stage),
             });
             task_ids.push(id);
         }

@@ -527,7 +527,6 @@ mod tests {
                 TaskWork {
                     macs: 1_000_000,
                     access: DataAccess::None,
-                    stage_label: None,
                 },
             )]
             .into(),

@@ -54,7 +54,6 @@
 //! machine.submit(job.build(), [(t, TaskWork {
 //!     macs: 16 * 7_750_000_000,
 //!     access: DataAccess::None,
-//!     stage_label: None,
 //! })].into());
 //! let report = machine.run();
 //! assert!((report.makespan.as_ms_f64() - 100.0).abs() < 5.0);

@@ -219,7 +219,7 @@ impl Machine {
         registry: Arc<TemplateRegistry>,
         presets: EnergyPresets,
     ) -> Self {
-        let mut gam = Gam::with_payload(cfg.gam);
+        let mut gam = Gam::new(cfg.gam);
         let mut accelerators = BTreeMap::new();
         let mut register = |level: ComputeLevel, count: usize| {
             for index in 0..count {
@@ -407,7 +407,7 @@ impl Machine {
                 TaskCost {
                     macs: work.macs,
                     access: work.access,
-                    stage: work.stage_label.as_deref().map_or(t.stage, Symbol::intern),
+                    stage: t.stage,
                 }
             })
             .collect();

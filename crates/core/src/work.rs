@@ -57,9 +57,6 @@ pub struct TaskWork {
     pub macs: u64,
     /// How the task touches bulk data while executing.
     pub access: DataAccess,
-    /// Override the stage label used for time/energy accounting (defaults
-    /// to the task's own stage string).
-    pub stage_label: Option<String>,
 }
 
 impl TaskWork {
@@ -69,7 +66,6 @@ impl TaskWork {
         TaskWork {
             macs,
             access: DataAccess::None,
-            stage_label: None,
         }
     }
 
@@ -80,7 +76,6 @@ impl TaskWork {
         TaskWork {
             macs,
             access: DataAccess::Stream { bytes },
-            stage_label: None,
         }
     }
 
@@ -92,7 +87,6 @@ impl TaskWork {
         TaskWork {
             macs,
             access: DataAccess::Gather { bytes, granule },
-            stage_label: None,
         }
     }
 }
@@ -146,7 +140,6 @@ mod tests {
             TaskWork::gather(3, 64, 8),
         ] {
             assert_eq!(w.macs, 3);
-            assert_eq!(w.stage_label, None);
         }
     }
 }

@@ -77,7 +77,7 @@ pub enum GamAction {
     /// Move a buffer between levels (forced write-backs and PCIe transfers
     /// are billed by the machine).
     Dma {
-        /// Transfer id, echoed back via [`Gam::dma_finished`].
+        /// Transfer id, echoed back via [`Gam::dma_finished_into`].
         id: DmaId,
         /// The buffer being moved.
         buffer: BufferId,
@@ -262,10 +262,9 @@ impl Hasher for JobIdHasher {
 /// Drive it with notifications; execute the [`GamAction`]s it pushes into
 /// the caller's buffer. `P` is a per-task payload the driver stores in the
 /// task's row (the machine keeps its pricing inputs there); the plain
-/// `Gam` carries none and offers `Vec`-returning forms of every call. See
-/// the crate docs for the protocol and `reach::Machine` for the production
-/// driver. The state machine is deterministic: same notification sequence,
-/// same actions.
+/// `Gam` carries `()`. See the crate docs for the protocol and
+/// `reach::Machine` for the production driver. The state machine is
+/// deterministic: same notification sequence, same actions.
 ///
 /// # Example
 ///
@@ -273,16 +272,20 @@ impl Hasher for JobIdHasher {
 /// use reach_gam::{Gam, GamConfig, GamAction, JobBuilder};
 /// use reach_accel::{AcceleratorId, ComputeLevel};
 /// use reach_sim::SimDuration;
+/// use std::sync::Arc;
 ///
-/// let mut gam = Gam::new(GamConfig::default());
+/// let mut gam: Gam = Gam::new(GamConfig::default());
 /// gam.register_instance(AcceleratorId { level: ComputeLevel::OnChip, index: 0 });
 /// let mut job = JobBuilder::new(0);
 /// let t = job.task("w", "K", ComputeLevel::OnChip, SimDuration::from_ms(1),
 ///                  vec![], vec![], vec![]);
-/// let actions = gam.submit_job(job.build());
+/// let job = job.build();
+/// let mut actions = Vec::new();
+/// gam.submit_into(job.id, Arc::new(job), [()], &mut actions);
 /// assert!(matches!(actions[0], GamAction::Dispatch { task, .. } if task == t));
-/// let done = gam.complete(t);
-/// assert!(matches!(done[0], GamAction::HostInterrupt { .. }));
+/// actions.clear();
+/// gam.complete_into(t, &mut actions);
+/// assert!(matches!(actions[0], GamAction::HostInterrupt { .. }));
 /// assert!(gam.idle());
 /// ```
 pub struct Gam<P = ()> {
@@ -299,68 +302,11 @@ pub struct Gam<P = ()> {
     stats: GamStats,
 }
 
-impl Gam {
-    /// Creates a GAM with no registered accelerators and no task payload.
-    #[must_use]
-    pub fn new(config: GamConfig) -> Self {
-        Gam::with_payload(config)
-    }
-
-    /// Submits a job; returns the initial dispatch/DMA actions.
-    ///
-    /// # Panics
-    ///
-    /// Under the conditions of [`Gam::submit_into`].
-    pub fn submit_job(&mut self, job: Job) -> Vec<GamAction> {
-        let mut actions = Vec::new();
-        let (id, tasks) = (job.id, job.tasks.len());
-        self.submit_into(id, Arc::new(job), vec![(); tasks], &mut actions);
-        actions
-    }
-
-    /// [`Gam::task_started_into`], returning the actions.
-    #[must_use]
-    pub fn task_started(&mut self, task: TaskId, started: SimTime) -> Vec<GamAction> {
-        let mut actions = Vec::new();
-        self.task_started_into(task, started, &mut actions);
-        actions
-    }
-
-    /// [`Gam::poll_missed_into`], returning the actions.
-    #[must_use]
-    pub fn poll_missed(
-        &mut self,
-        task: TaskId,
-        now: SimTime,
-        remaining: SimDuration,
-    ) -> Vec<GamAction> {
-        let mut actions = Vec::new();
-        self.poll_missed_into(task, now, remaining, &mut actions);
-        actions
-    }
-
-    /// [`Gam::complete_into`], returning the actions.
-    #[must_use]
-    pub fn complete(&mut self, task: TaskId) -> Vec<GamAction> {
-        let mut actions = Vec::new();
-        self.complete_into(task, &mut actions);
-        actions
-    }
-
-    /// [`Gam::dma_finished_into`], returning the actions.
-    #[must_use]
-    pub fn dma_finished(&mut self, id: DmaId) -> Vec<GamAction> {
-        let mut actions = Vec::new();
-        self.dma_finished_into(id, &mut actions);
-        actions
-    }
-}
-
 impl<P> Gam<P> {
     /// Creates a GAM with no registered accelerators whose task rows carry
     /// a `P` each.
     #[must_use]
-    pub fn with_payload(config: GamConfig) -> Self {
+    pub fn new(config: GamConfig) -> Self {
         Gam {
             config,
             slots: Vec::new(),
@@ -853,6 +799,19 @@ mod tests {
         SimDuration::from_ms(n)
     }
 
+    /// The actions one `*_into` call pushes.
+    fn step(call: impl FnOnce(&mut Vec<GamAction>)) -> Vec<GamAction> {
+        let mut actions = Vec::new();
+        call(&mut actions);
+        actions
+    }
+
+    /// Submits `job` with a `()` payload per task; returns its actions.
+    fn submit(g: &mut Gam, job: Job) -> Vec<GamAction> {
+        let (id, n) = (job.id, job.tasks.len());
+        step(|a| g.submit_into(id, Arc::new(job), vec![(); n], a))
+    }
+
     fn gam_with(levels: &[(ComputeLevel, usize)]) -> Gam {
         let mut g = Gam::new(GamConfig::default());
         for &(level, n) in levels {
@@ -892,7 +851,7 @@ mod tests {
     fn submit_dispatches_unblocked_tasks_only() {
         let mut g = gam_with(&[(ComputeLevel::OnChip, 1), (ComputeLevel::NearStorage, 1)]);
         let (job, t1, t2, _) = pipeline_job(0);
-        let actions = g.submit_job(job);
+        let actions = submit(&mut g, job);
         assert_eq!(
             actions,
             vec![GamAction::Dispatch {
@@ -910,8 +869,8 @@ mod tests {
     fn completion_stages_dependent_inputs_via_dma() {
         let mut g = gam_with(&[(ComputeLevel::OnChip, 1), (ComputeLevel::NearStorage, 1)]);
         let (job, t1, t2, feats) = pipeline_job(0);
-        g.submit_job(job);
-        let actions = g.complete(t1);
+        submit(&mut g, job);
+        let actions = step(|a| g.complete_into(t1, a));
         // The features buffer is on-chip; t2 needs it near-storage -> DMA.
         match &actions[0] {
             GamAction::Dma {
@@ -934,7 +893,7 @@ mod tests {
             GamAction::Dma { id, .. } => *id,
             _ => unreachable!(),
         };
-        let actions = g.dma_finished(id);
+        let actions = step(|a| g.dma_finished_into(id, a));
         assert!(matches!(actions[0], GamAction::Dispatch { task, .. } if task == t2));
     }
 
@@ -943,8 +902,8 @@ mod tests {
         let mut g = gam_with(&[(ComputeLevel::OnChip, 1), (ComputeLevel::NearStorage, 1)]);
         let (job, t1, t2, _) = pipeline_job(0);
         let jid = job.id;
-        g.submit_job(job);
-        let a1 = g.complete(t1);
+        submit(&mut g, job);
+        let a1 = step(|a| g.complete_into(t1, a));
         let dma = a1
             .iter()
             .find_map(|a| match a {
@@ -952,8 +911,8 @@ mod tests {
                 _ => None,
             })
             .unwrap();
-        let _ = g.dma_finished(dma);
-        let a2 = g.complete(t2);
+        let _ = step(|a| g.dma_finished_into(dma, a));
+        let a2 = step(|a| g.complete_into(t2, a));
         assert!(a2.contains(&GamAction::HostInterrupt { job: jid }));
         assert!(g.idle());
         assert_eq!(g.stats().jobs_completed, 1);
@@ -963,9 +922,9 @@ mod tests {
     fn offchip_tasks_get_polled_onchip_do_not() {
         let mut g = gam_with(&[(ComputeLevel::OnChip, 1), (ComputeLevel::NearStorage, 1)]);
         let (job, t1, t2, _) = pipeline_job(0);
-        g.submit_job(job);
-        assert!(g.task_started(t1, SimTime::ZERO).is_empty());
-        let a = g.complete(t1);
+        submit(&mut g, job);
+        assert!(step(|a| g.task_started_into(t1, SimTime::ZERO, a)).is_empty());
+        let a = step(|a| g.complete_into(t1, a));
         let dma = a
             .iter()
             .find_map(|x| match x {
@@ -973,9 +932,9 @@ mod tests {
                 _ => None,
             })
             .unwrap();
-        let _ = g.dma_finished(dma);
+        let _ = step(|a| g.dma_finished_into(dma, a));
         let started = SimTime::from_ps(1_000);
-        let polls = g.task_started(t2, started);
+        let polls = step(|a| g.task_started_into(t2, started, a));
         match polls.as_slice() {
             [GamAction::Poll { task, at, .. }] => {
                 assert_eq!(*task, t2);
@@ -999,10 +958,10 @@ mod tests {
             vec![],
             vec![],
         );
-        g.submit_job(b.build());
-        let _ = g.task_started(t, SimTime::ZERO);
+        submit(&mut g, b.build());
+        let _ = step(|a| g.task_started_into(t, SimTime::ZERO, a));
         let now = SimTime::ZERO + ms(10);
-        let again = g.poll_missed(t, now, ms(3));
+        let again = step(|a| g.poll_missed_into(t, now, ms(3), a));
         match again.as_slice() {
             [GamAction::Poll { at, .. }] => assert!(*at >= now + ms(3)),
             other => panic!("expected poll, got {other:?}"),
@@ -1018,11 +977,11 @@ mod tests {
         let mut g = gam_with(&[(ComputeLevel::OnChip, 1), (ComputeLevel::NearStorage, 1)]);
         let (job0, t1a, _t2a, _) = pipeline_job(0);
         let (job1, t1b, _t2b, _) = pipeline_job(1);
-        g.submit_job(job0);
-        let a = g.submit_job(job1);
+        submit(&mut g, job0);
+        let a = submit(&mut g, job1);
         // Job 1's CNN waits: the single on-chip instance is busy.
         assert!(a.is_empty());
-        let actions = g.complete(t1a);
+        let actions = step(|a| g.complete_into(t1a, a));
         // Completing job 0's CNN both stages job 0's DMA and dispatches job
         // 1's CNN on the freed instance.
         assert!(actions
@@ -1065,8 +1024,8 @@ mod tests {
             vec![],
             vec![t1],
         );
-        g.submit_job(b.build());
-        let actions = g.complete(t1);
+        submit(&mut g, b.build());
+        let actions = step(|a| g.complete_into(t1, a));
         let dmas = actions
             .iter()
             .filter(|a| matches!(a, GamAction::Dma { .. }))
@@ -1080,7 +1039,7 @@ mod tests {
                 _ => None,
             })
             .unwrap();
-        let after = g.dma_finished(id);
+        let after = step(|a| g.dma_finished_into(id, a));
         let dispatches = after
             .iter()
             .filter(|a| matches!(a, GamAction::Dispatch { .. }))
@@ -1105,14 +1064,14 @@ mod tests {
         }
         let job = b.build();
         let ids: Vec<TaskId> = job.tasks.iter().map(|t| t.id).collect();
-        let actions = g.submit_job(job);
+        let actions = submit(&mut g, job);
         let dispatched = actions
             .iter()
             .filter(|a| matches!(a, GamAction::Dispatch { .. }))
             .count();
         assert_eq!(dispatched, 4, "all four instances fill");
         // Completing one task pulls in the fifth.
-        let next = g.complete(ids[0]);
+        let next = step(|a| g.complete_into(ids[0], a));
         assert!(next
             .iter()
             .any(|a| matches!(a, GamAction::Dispatch { task, .. } if *task == ids[4])));
@@ -1132,7 +1091,7 @@ mod tests {
             vec![],
             vec![],
         );
-        g.submit_job(b.build());
+        submit(&mut g, b.build());
     }
 
     #[test]
@@ -1149,7 +1108,7 @@ mod tests {
             vec![],
             vec![],
         );
-        let actions = g.submit_job(b.build());
+        let actions = submit(&mut g, b.build());
         assert!(matches!(
             actions.as_slice(),
             [GamAction::Dispatch { task, .. }] if *task == t

@@ -10,6 +10,20 @@ use reach_gam::{Job, JobBuilder, TaskId};
 use reach_sim::{checksum64, SimDuration, SimTime};
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt::Write as _;
+use std::sync::Arc;
+
+/// The actions one `*_into` call pushes.
+fn step(call: impl FnOnce(&mut Vec<GamAction>)) -> Vec<GamAction> {
+    let mut actions = Vec::new();
+    call(&mut actions);
+    actions
+}
+
+/// Submits `job` with a `()` payload per task; returns its actions.
+fn submit(gam: &mut Gam, job: Job) -> Vec<GamAction> {
+    let (id, n) = (job.id, job.tasks.len());
+    step(|a| gam.submit_into(id, Arc::new(job), vec![(); n], a))
+}
 
 fn gam_all_levels(per_level: usize) -> Gam {
     let mut g = Gam::new(GamConfig::default());
@@ -79,10 +93,10 @@ fn drive(gam: &mut Gam, initial: Vec<GamAction>) -> Vec<TaskId> {
             GamAction::Dispatch { task, .. } => {
                 order.push(task);
                 // Started (may emit a poll we ignore by completing directly).
-                let _ = gam.task_started(task, SimTime::ZERO);
-                queue.extend(gam.complete(task));
+                let _ = step(|a| gam.task_started_into(task, SimTime::ZERO, a));
+                queue.extend(step(|a| gam.complete_into(task, a)));
             }
-            GamAction::Dma { id, .. } => queue.extend(gam.dma_finished(id)),
+            GamAction::Dma { id, .. } => queue.extend(step(|a| gam.dma_finished_into(id, a))),
             GamAction::Poll { .. } => { /* completion already delivered */ }
             GamAction::HostInterrupt { .. } => interrupts += 1,
         }
@@ -189,21 +203,21 @@ fn drive_logged(
         now += SimDuration::from_us(1);
         let next = match action {
             GamAction::Dispatch { acc, task } => {
-                let polls = gam.task_started(task, now);
+                let polls = step(|a| gam.task_started_into(task, now, a));
                 if acc.level == ComputeLevel::OnChip {
                     assert!(polls.is_empty(), "on-chip tasks are never polled");
-                    gam.complete(task)
+                    step(|a| gam.complete_into(task, a))
                 } else {
                     polls
                 }
             }
-            GamAction::Dma { id, .. } => gam.dma_finished(id),
+            GamAction::Dma { id, .. } => step(|a| gam.dma_finished_into(id, a)),
             GamAction::Poll { task, at, .. } => {
                 now = now.max(at);
                 if task.0 % 3 == 1 && missed.insert(task) {
-                    gam.poll_missed(task, now, SimDuration::from_us(7))
+                    step(|a| gam.poll_missed_into(task, now, SimDuration::from_us(7), a))
                 } else {
-                    gam.complete(task)
+                    step(|a| gam.complete_into(task, a))
                 }
             }
             GamAction::HostInterrupt { .. } => {
@@ -236,19 +250,19 @@ fn gam_action_stream_is_pinned() {
     let mut gam = gam_all_levels(1);
     let mut initial = Vec::new();
     for id in 0..6 {
-        initial.extend(gam.submit_job(fig13_job(id)));
+        initial.extend(submit(&mut gam, fig13_job(id)));
     }
     assert_eq!(drive_logged(&mut gam, initial, &mut log, |_| Vec::new()), 6);
     assert!(gam.idle());
 
     let mut gam = gam_all_levels(2);
-    let mut initial = gam.submit_job(fig13_job(0));
-    initial.extend(gam.submit_job(fig13_job(1)));
+    let mut initial = submit(&mut gam, fig13_job(0));
+    initial.extend(submit(&mut gam, fig13_job(1)));
     let mut next = 2;
     let interrupts = drive_logged(&mut gam, initial, &mut log, |g| {
         if next < 8 {
             next += 1;
-            g.submit_job(fig13_job(next - 1))
+            submit(g, fig13_job(next - 1))
         } else {
             Vec::new()
         }
@@ -261,7 +275,7 @@ fn gam_action_stream_is_pinned() {
         let mut initial = Vec::new();
         for job in 0..3 {
             let (job, _) = random_job_with_id(job, &seeded_spec(seed * 3 + job));
-            initial.extend(gam.submit_job(job));
+            initial.extend(submit(&mut gam, job));
         }
         assert_eq!(drive_logged(&mut gam, initial, &mut log, |_| Vec::new()), 3);
         assert!(gam.idle());
@@ -297,7 +311,7 @@ proptest! {
             .collect();
 
         let mut gam = gam_all_levels(per_level);
-        let initial = gam.submit_job(job);
+        let initial = submit(&mut gam, job);
         let order = drive(&mut gam, initial);
 
         // Exactly once each.
@@ -336,7 +350,7 @@ proptest! {
             .sum();
         let _ = ids;
         let mut gam = gam_all_levels(2);
-        let initial = gam.submit_job(job);
+        let initial = submit(&mut gam, job);
         drive(&mut gam, initial);
         prop_assert!(gam.stats().dmas as usize <= max_dmas);
     }
@@ -380,11 +394,11 @@ fn drive_observed(
         match action {
             GamAction::Dispatch { task, .. } => {
                 dispatches[tasks.iter().position(|t| *t == task).expect("known task")] += 1;
-                let _ = gam.task_started(task, SimTime::ZERO);
+                let _ = step(|a| gam.task_started_into(task, SimTime::ZERO, a));
                 observe(gam, &mut seen);
-                queue.extend(gam.complete(task));
+                queue.extend(step(|a| gam.complete_into(task, a)));
             }
-            GamAction::Dma { id, .. } => queue.extend(gam.dma_finished(id)),
+            GamAction::Dma { id, .. } => queue.extend(step(|a| gam.dma_finished_into(id, a))),
             GamAction::Poll { .. } | GamAction::HostInterrupt { .. } => {}
         }
         observe(gam, &mut seen);
@@ -415,7 +429,7 @@ proptest! {
         let mut tasks = Vec::new();
         for (job, spec) in specs.iter().enumerate() {
             let (job, ids) = random_job_with_id(job as u64, spec);
-            initial.extend(gam.submit_job(job));
+            initial.extend(submit(&mut gam, job));
             tasks.extend(ids);
         }
         let (seen, dispatches) = drive_observed(&mut gam, initial, &tasks);
@@ -441,7 +455,7 @@ fn last_interrupt_frees_every_slot() {
     let mut gam = gam_all_levels(1);
     let mut initial = Vec::new();
     for id in 0..6 {
-        initial.extend(gam.submit_job(fig13_job(id)));
+        initial.extend(submit(&mut gam, fig13_job(id)));
         assert_eq!(gam.slots_held(), id as usize + 1);
     }
     let mut log = String::new();
@@ -460,7 +474,7 @@ fn job_stream_retains_no_more_slots_than_jobs_in_flight() {
     let mut gam = gam_all_levels(2);
     let mut initial = Vec::new();
     for id in 0..IN_FLIGHT {
-        initial.extend(gam.submit_job(fig13_job(id)));
+        initial.extend(submit(&mut gam, fig13_job(id)));
     }
     let mut next = IN_FLIGHT;
     let mut most_in_flight = gam.jobs_in_flight();
@@ -470,7 +484,7 @@ fn job_stream_retains_no_more_slots_than_jobs_in_flight() {
             return Vec::new();
         }
         next += 1;
-        let actions = g.submit_job(fig13_job(next - 1));
+        let actions = submit(g, fig13_job(next - 1));
         most_in_flight = most_in_flight.max(g.jobs_in_flight());
         actions
     });
@@ -487,8 +501,8 @@ fn job_stream_retains_no_more_slots_than_jobs_in_flight() {
 fn completing_a_task_of_a_retired_job_panics_naming_it() {
     let mut gam = gam_all_levels(1);
     let (job, ids) = random_job(&[(0, vec![])]);
-    let _ = gam.submit_job(job);
-    let done = gam.complete(ids[0]);
+    let _ = submit(&mut gam, job);
+    let done = step(|a| gam.complete_into(ids[0], a));
     assert!(matches!(done[0], GamAction::HostInterrupt { .. }));
-    let _ = gam.complete(ids[0]);
+    let _ = step(|a| gam.complete_into(ids[0], a));
 }
