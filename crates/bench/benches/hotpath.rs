@@ -200,10 +200,10 @@ fn bench_machine(c: &mut Criterion) {
         let mut m = blueprint.instantiate();
         let compiled = pipeline.build(&m);
         let report = compiled.run(&mut m, batches);
-        match report.metrics.get("engine.events_processed") {
-            Some(reach_sim::MetricValue::Counter { value }) => *value,
-            _ => 0,
-        }
+        report
+            .metrics
+            .counter("engine.events_processed")
+            .unwrap_or(0)
     };
     g.throughput(Throughput::Elements(events_per_run));
     g.bench_function("steady_state_pipelined", |b| {

@@ -435,7 +435,6 @@ mod tests {
             job_latency_last: SimDuration::from_ps(900_000),
             stages: Vec::new(),
             ledger: reach::EnergyLedger::new(),
-            gam: Default::default(),
             completions: vec![SimTime::from_ps(1_000_000)],
             metrics: MetricsSnapshot::new(1_000_000),
         }

@@ -112,7 +112,7 @@ pub fn label_file_stem(label: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reach::{EnergyLedger, GamStats, MetricsSnapshot, RunReport, SimDuration, SystemComponent};
+    use reach::{EnergyLedger, MetricsSnapshot, RunReport, SimDuration, SystemComponent};
 
     fn captured(label: &str) -> ScenarioResult {
         let mut metrics = MetricsSnapshot::new(2_000_000_000_000);
@@ -128,7 +128,6 @@ mod tests {
                 job_latency_last: SimDuration::ZERO,
                 stages: Vec::new(),
                 ledger,
-                gam: GamStats::default(),
                 completions: Vec::new(),
                 metrics,
             },

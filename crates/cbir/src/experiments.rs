@@ -11,8 +11,8 @@ use crate::scenarios::{blueprint_with, CbirScenario};
 use crate::workload::CbirWorkload;
 use reach::fingerprint::ConfigFingerprint;
 use reach::{
-    ComputeLevel, EnergyLedger, GamStats, Machine, MachineBlueprint, MetricValue, MetricsSnapshot,
-    RunReport, Scenario, ScenarioExecutor, SimDuration, SystemConfig,
+    ComputeLevel, EnergyLedger, Machine, MachineBlueprint, MetricValue, MetricsSnapshot, RunReport,
+    Scenario, ScenarioExecutor, SimDuration, SystemConfig,
 };
 use reach_sim::FingerprintBuilder;
 use std::fmt;
@@ -677,7 +677,6 @@ impl Scenario for RecallCodecScenario {
             job_latency_last: SimDuration::ZERO,
             stages: Vec::new(),
             ledger: EnergyLedger::new(),
-            gam: GamStats::default(),
             completions: Vec::new(),
             metrics,
         }
@@ -737,9 +736,11 @@ pub fn recall_vs_compression_with(executor: &dyn ScenarioExecutor) -> Vec<Recall
         .enumerate()
         .map(|(i, (method, result))| {
             let metrics = &result.report.metrics;
-            let gauge = |field: &str| match metrics.get(&format!("recall.{i:02}.{field}")) {
-                Some(MetricValue::Gauge { last, .. }) => *last,
-                other => panic!("recall report missing recall.{i:02}.{field}: {other:?}"),
+            let gauge = |field: &str| {
+                let name = format!("recall.{i:02}.{field}");
+                metrics
+                    .gauge(&name)
+                    .unwrap_or_else(|| panic!("recall report missing {name}"))
             };
             RecallCompressionRow {
                 method: (*method).to_string(),

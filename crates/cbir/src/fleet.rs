@@ -184,15 +184,6 @@ impl fmt::Display for FleetRow {
     }
 }
 
-/// Final value of a fleet counter in a report's telemetry (0 if absent —
-/// the 1-shard case carries the unchanged single-machine snapshot).
-fn fleet_counter(report: &RunReport, name: &str) -> u64 {
-    match report.metrics.get(name) {
-        Some(reach::MetricValue::Counter { value }) => *value,
-        _ => 0,
-    }
-}
-
 /// Runs the scatter-gather sweep — [`FLEET_SWEEP`] shard counts at both
 /// placements — through `executor` and reduces each fleet to a
 /// [`FleetRow`]. Throughput gains are normalized per placement against its
@@ -215,6 +206,9 @@ pub fn fleet_scatter_gather_with(executor: &dyn ScenarioExecutor) -> Vec<FleetRo
         let group = &results[p * FLEET_SWEEP.len()..(p + 1) * FLEET_SWEEP.len()];
         let base_throughput = group[0].report.throughput_jobs_per_sec();
         for (r, &shards) in group.iter().zip(&FLEET_SWEEP) {
+            // A fleet counter reads 0 when absent: the 1-shard case carries
+            // the unchanged single-machine snapshot.
+            let counter = |name: &str| r.report.metrics.counter(name).unwrap_or(0);
             let total_busy: SimDuration = r.report.stages.iter().map(|s| s.busy).sum();
             rows.push(FleetRow {
                 placement,
@@ -222,8 +216,8 @@ pub fn fleet_scatter_gather_with(executor: &dyn ScenarioExecutor) -> Vec<FleetRo
                 makespan_ms: r.report.makespan.as_ms_f64(),
                 throughput_gain: r.report.throughput_jobs_per_sec() / base_throughput,
                 shard_busy_ms: total_busy.as_ms_f64() / shards as f64,
-                link_busy_ms: fleet_counter(&r.report, "fleet.link.busy_ps") as f64 * 1e-9,
-                merge_ms: fleet_counter(&r.report, "fleet.aggregator.merge_ps") as f64 * 1e-9,
+                link_busy_ms: counter("fleet.link.busy_ps") as f64 * 1e-9,
+                merge_ms: counter("fleet.aggregator.merge_ps") as f64 * 1e-9,
                 energy_j: r.report.total_energy_j(),
             });
         }
@@ -312,7 +306,7 @@ mod tests {
         assert_eq!(results[1].report.jobs, 2);
         // The 2-shard point carries fleet telemetry; the 1-shard point is
         // the unchanged single-machine report.
-        assert_eq!(fleet_counter(&results[1].report, "fleet.shards"), 2);
-        assert_eq!(fleet_counter(&results[0].report, "fleet.shards"), 0);
+        assert_eq!(results[1].report.metrics.counter("fleet.shards"), Some(2));
+        assert_eq!(results[0].report.metrics.counter("fleet.shards"), None);
     }
 }

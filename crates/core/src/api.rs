@@ -1039,6 +1039,9 @@ mod tests {
         p.call(knn, TaskWork::gather(1_000_000, 64 << 20, 4096), "rr");
         let mut m = Machine::new(SystemConfig::paper_table2());
         let r = p.run(&mut m, 1);
-        assert!(r.gam.dmas >= 1, "expected a GAM staging DMA");
+        assert!(
+            r.metrics.counter("gam.dmas").expect("gam.dmas") >= 1,
+            "expected a GAM staging DMA"
+        );
     }
 }

@@ -9,6 +9,12 @@
 //! pattern (`to_bits`/`from_bits` — never a decimal detour). No `serde`,
 //! matching the workspace's no-dependency discipline.
 //!
+//! A payload is the version word, then the makespan, job count and job
+//! latencies, the stage summaries, the energy cells, the completion
+//! instants and the metrics, in that order. The GAM counters travel once,
+//! as the snapshot's `gam.*` counters; version 1 also carried them as a
+//! separate block of eight integers, which version 2 dropped.
+//!
 //! Two safety properties the disk cache depends on:
 //!
 //! * **Decoding never panics.** Every read is bounds-checked, every length
@@ -24,7 +30,6 @@
 
 use crate::report::{RunReport, StageSummary};
 use reach_energy::{EnergyLedger, SystemComponent};
-use reach_gam::manager::GamStats;
 use reach_sim::{
     Fingerprint, FingerprintBuilder, MetricValue, MetricsSnapshot, SimDuration, SimTime,
 };
@@ -34,7 +39,7 @@ use std::sync::OnceLock;
 /// Version of the [`RunReport`] wire format. Bump on any layout change —
 /// the version is also folded into [`simulator_version_stamp`], so a bump
 /// invalidates every persisted store.
-pub const REPORT_CODEC_VERSION: u32 = 1;
+pub const REPORT_CODEC_VERSION: u32 = 2;
 
 /// Why a persisted report failed to decode. The disk cache maps every
 /// variant to "miss"; the distinctions exist for the warning message and
@@ -225,20 +230,6 @@ pub fn encode_report(report: &RunReport) -> Vec<u8> {
         put_f64_bits(&mut out, joules);
     }
 
-    let g = &report.gam;
-    for v in [
-        g.jobs_submitted,
-        g.jobs_completed,
-        g.dispatches,
-        g.polls_sent,
-        g.polls_missed,
-        g.dmas,
-        g.dma_bytes,
-        g.jobs_rejected,
-    ] {
-        put_u64(&mut out, v);
-    }
-
     put_u64(&mut out, report.completions.len() as u64);
     for &t in &report.completions {
         put_u64(&mut out, t.since(SimTime::ZERO).as_ps());
@@ -313,17 +304,6 @@ pub fn decode_report(bytes: &[u8]) -> Result<RunReport, CodecError> {
         prev_cell = Some(cell);
     }
 
-    let gam = GamStats {
-        jobs_submitted: r.u64()?,
-        jobs_completed: r.u64()?,
-        dispatches: r.u64()?,
-        polls_sent: r.u64()?,
-        polls_missed: r.u64()?,
-        dmas: r.u64()?,
-        dma_bytes: r.u64()?,
-        jobs_rejected: r.u64()?,
-    };
-
     let n_completions = r.seq_len(8)?;
     let mut completions = Vec::with_capacity(n_completions);
     for _ in 0..n_completions {
@@ -372,7 +352,6 @@ pub fn decode_report(bytes: &[u8]) -> Result<RunReport, CodecError> {
         job_latency_last,
         stages,
         ledger,
-        gam,
         completions,
         metrics,
     })
@@ -473,16 +452,6 @@ mod tests {
                 },
             ],
             ledger,
-            gam: GamStats {
-                jobs_submitted: 2,
-                jobs_completed: 2,
-                dispatches: 3,
-                polls_sent: 5,
-                polls_missed: 1,
-                dmas: 4,
-                dma_bytes: 4096,
-                jobs_rejected: 1,
-            },
             completions: vec![SimTime::from_ps(250_000), SimTime::from_ps(500_000)],
             metrics,
         }
@@ -500,7 +469,6 @@ mod tests {
         assert_eq!(decoded.to_string(), report.to_string());
         assert_eq!(decoded.metrics.to_json(), report.metrics.to_json());
         assert_eq!(decoded.completions, report.completions);
-        assert_eq!(decoded.gam, report.gam);
         assert_eq!(encode_report(&decoded), bytes, "canonical bytes drifted");
     }
 
@@ -702,8 +670,8 @@ mod tests {
                 put_str(&mut out, stage);
                 put_f64_bits(&mut out, joules);
             }
-            for _ in 0..10 {
-                put_u64(&mut out, 0); // GAM counters, completions, horizon
+            for _ in 0..2 {
+                put_u64(&mut out, 0); // completions, horizon
             }
             put_u64(&mut out, metrics.len() as u64);
             for name in metrics {

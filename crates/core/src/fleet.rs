@@ -371,10 +371,8 @@ pub fn aggregate_scatter_gather(
     }
 
     let mut ledger = reports[0].ledger.clone();
-    let mut gam = reports[0].gam;
     for r in &reports[1..] {
         ledger.merge(&r.ledger);
-        gam.merge(&r.gam);
     }
 
     // Fleet-level telemetry replaces the per-machine snapshots.
@@ -405,7 +403,6 @@ pub fn aggregate_scatter_gather(
         job_latency_last,
         stages: stages.into_values().collect(),
         ledger,
-        gam,
         completions,
         metrics,
     }
@@ -415,7 +412,6 @@ pub fn aggregate_scatter_gather(
 mod tests {
     use super::*;
     use reach_energy::{EnergyLedger, SystemComponent};
-    use reach_gam::manager::GamStats;
 
     fn shard_report(makespan_ms: u64, jobs: u64) -> RunReport {
         let mut ledger = EnergyLedger::new();
@@ -436,10 +432,6 @@ mod tests {
                 tasks: jobs,
             }],
             ledger,
-            gam: GamStats {
-                jobs_completed: jobs,
-                ..GamStats::default()
-            },
             completions: (1..=jobs).map(|j| SimTime::ZERO + per_job * j).collect(),
             metrics: MetricsSnapshot::new(0),
         }
@@ -479,7 +471,6 @@ mod tests {
         assert_eq!(merged.stages[0].busy, SimDuration::from_ms(200));
         assert_eq!(merged.stages[0].tasks, 16);
         assert!((merged.total_energy_j() - 6.0).abs() < 1e-9);
-        assert_eq!(merged.gam.jobs_completed, 16);
         // Per-job latency grows by the fleet round trip.
         assert!(merged.job_latency_mean > SimDuration::from_ms(25));
         assert_eq!(merged.completions.len(), 4);

@@ -101,6 +101,5 @@ pub use work::{DataAccess, TaskWork};
 // Re-export the vocabulary types users need alongside the API.
 pub use reach_accel::{AcceleratorId, ComputeLevel, KernelSpec, TemplateRegistry};
 pub use reach_energy::{EnergyLedger, SystemComponent};
-pub use reach_gam::manager::GamStats;
 pub use reach_gam::{Job, JobBuilder, JobId, TaskId};
 pub use reach_sim::{MetricValue, MetricsSnapshot, SimDuration, SimTime};

@@ -324,7 +324,7 @@ impl Machine {
     /// Panics if a task has no work descriptor or references an unknown
     /// template.
     pub fn submit(&mut self, job: Job, works: HashMap<TaskId, TaskWork>) {
-        let job = self.shape(job, &works, "Machine::submit");
+        let job = self.shape(job, &works);
         self.submit_shaped(job);
     }
 
@@ -340,40 +340,6 @@ impl Machine {
         self.sample_queues();
     }
 
-    /// Schedules a job to be submitted to the GAM at a future instant —
-    /// the host-side arrival of a new query batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Machine::submit`], or if `at`
-    /// is in the simulated past.
-    pub fn submit_at(&mut self, at: SimTime, job: Job, works: HashMap<TaskId, TaskWork>) {
-        let job = self.shape(job, &works, "Machine::submit_at");
-        self.defer(at, job, None);
-    }
-
-    /// Schedules a job arrival behind a bounded admission queue: when `at`
-    /// comes due, the job is submitted only if fewer than `queue_depth`
-    /// jobs are in flight; otherwise the arrival is *rejected* — counted in
-    /// [`reach_gam::manager::GamStats::jobs_rejected`] and dropped, never
-    /// simulated. This is what keeps an open-loop source past saturation
-    /// from queueing work without bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Machine::submit_at`], or if
-    /// `queue_depth` is zero (a queue that admits nothing).
-    pub fn submit_at_bounded(
-        &mut self,
-        at: SimTime,
-        job: Job,
-        works: HashMap<TaskId, TaskWork>,
-        queue_depth: usize,
-    ) {
-        let job = self.shape(job, &works, "Machine::submit_at_bounded");
-        self.defer(at, job, Some(queue_depth));
-    }
-
     /// Schedules `job` for submission at `at`, behind an admission queue
     /// of depth `limit` if one is given.
     ///
@@ -383,7 +349,7 @@ impl Machine {
     pub(crate) fn defer(&mut self, at: SimTime, job: ShapedJob, limit: Option<usize>) {
         assert!(
             limit != Some(0),
-            "Machine::submit_at_bounded: zero admission-queue depth"
+            "Machine::defer: zero admission-queue depth"
         );
         let index = self.deferred.len();
         self.deferred.push(Some(DeferredJob { job, limit }));
@@ -391,18 +357,21 @@ impl Machine {
     }
 
     /// Validates a hand-built job and pairs each task with its work
-    /// descriptor. `caller` names the public entry point in panic messages.
-    fn shape(&mut self, job: Job, works: &HashMap<TaskId, TaskWork>, caller: &str) -> ShapedJob {
+    /// descriptor.
+    fn shape(&mut self, job: Job, works: &HashMap<TaskId, TaskWork>) -> ShapedJob {
         let cost = job
             .tasks
             .iter()
             .map(|t| {
                 let work = works
                     .get(&t.id)
-                    .unwrap_or_else(|| panic!("{caller}: no TaskWork for {}", t.id));
+                    .unwrap_or_else(|| panic!("Machine::submit: no TaskWork for {}", t.id));
                 resolve_kernel(&mut self.kernels, &self.registry, t.template, t.level)
                     .unwrap_or_else(|| {
-                        panic!("{caller}: unknown template {} at {}", t.template, t.level)
+                        panic!(
+                            "Machine::submit: unknown template {} at {}",
+                            t.template, t.level
+                        )
                     });
                 TaskCost {
                     macs: work.macs,
@@ -1204,7 +1173,6 @@ impl Machine {
             job_latency_last,
             stages: summaries,
             ledger,
-            gam: *self.gam.stats(),
             completions: self.completions.iter().map(|&(_, at)| at).collect(),
             metrics: self.metrics_snapshot(),
         }
@@ -1245,7 +1213,8 @@ mod tests {
         let mut m = machine();
         let (job, works) = compute_job(0, 1_000_000_000, ComputeLevel::OnChip, "VGG16-VU9P");
         let start = SimTime::ZERO + SimDuration::from_ms(250);
-        m.submit_at(start, job, works);
+        let job = m.shape(job, &works);
+        m.defer(start, job, None);
         let r = m.run();
         // Nothing ran before the deferred submission instant.
         assert!(r.makespan >= SimDuration::from_ms(250));

@@ -1,7 +1,6 @@
 //! Run reports: what an experiment harness reads out of a finished run.
 
 use reach_energy::EnergyLedger;
-use reach_gam::manager::GamStats;
 use reach_sim::{MetricsSnapshot, SimDuration, SimTime};
 use std::fmt;
 
@@ -41,8 +40,6 @@ pub struct RunReport {
     pub stages: Vec<StageSummary>,
     /// Component-by-stage energy.
     pub ledger: EnergyLedger,
-    /// GAM statistics.
-    pub gam: GamStats,
     /// Completion instant of each job, in job-id (submission) order.
     pub completions: Vec<SimTime>,
     /// Machine-wide telemetry: queue depths, occupancy, link traffic (see
@@ -139,7 +136,6 @@ mod tests {
                 tasks: 2,
             }],
             ledger,
-            gam: GamStats::default(),
             completions: vec![
                 SimTime::from_ps(250_000_000_000),
                 SimTime::from_ps(500_000_000_000),

@@ -21,7 +21,7 @@ use crate::machine::Machine;
 use crate::report::RunReport;
 use crate::scenario::Scenario;
 use crate::traffic::ArrivalProcess;
-use reach_sim::{FingerprintBuilder, MetricValue};
+use reach_sim::FingerprintBuilder;
 use std::sync::Arc;
 
 /// A compiled [`Pipeline`] with its digest, computed once. Cheap to clone
@@ -69,8 +69,8 @@ pub enum JobSource {
     },
     /// `offered` arrivals drawn from `arrival`, each submitting
     /// `jobs_per_arrival` jobs at the arrival instant. With an `admission`
-    /// bound, an arrival finding that many jobs in flight is rejected
-    /// ([`Machine::submit_at_bounded`]); without one every job is admitted.
+    /// bound, an arrival finding that many jobs in flight is rejected and
+    /// counted under `gam.jobs_rejected`; without one every job is admitted.
     Open {
         /// When jobs arrive.
         arrival: ArrivalProcess,
@@ -263,18 +263,19 @@ impl Scenario for ScenarioSpec {
         let report = last.unwrap_or_else(|| machine.run());
         for t in &self.tenants {
             if matches!(t.jobs, JobSource::Open { .. }) {
-                let (admitted, rejected) = if shared {
-                    let counter = |what: &str| {
-                        let name = format!("tenant.{}.{what}", t.name);
-                        match report.metrics.get(&name) {
-                            Some(MetricValue::Counter { value }) => *value,
-                            other => panic!("ScenarioSpec {}: {name} is {other:?}", self.label),
-                        }
-                    };
-                    (counter("jobs_completed"), counter("jobs_rejected"))
+                let prefix = if shared {
+                    format!("tenant.{}.", t.name)
                 } else {
-                    (report.jobs, report.gam.jobs_rejected)
+                    "gam.".to_owned()
                 };
+                let counter = |what: &str| {
+                    let name = format!("{prefix}{what}");
+                    report
+                        .metrics
+                        .counter(&name)
+                        .unwrap_or_else(|| panic!("ScenarioSpec {}: no counter {name}", self.label))
+                };
+                let (admitted, rejected) = (counter("jobs_completed"), counter("jobs_rejected"));
                 assert_eq!(
                     admitted + rejected,
                     t.jobs.jobs() as u64,
@@ -506,10 +507,7 @@ mod tests {
     #[test]
     fn open_tenants_balance_their_ledgers() {
         let report = spec(two_tenants()).execute();
-        let counter = |name: &str| match report.metrics.get(name) {
-            Some(reach_sim::MetricValue::Counter { value }) => *value,
-            other => panic!("{name}: {other:?}"),
-        };
+        let counter = |name: &str| report.metrics.counter(name).expect(name);
         assert_eq!(
             counter("tenant.a.jobs_completed") + counter("tenant.a.jobs_rejected"),
             6

@@ -380,36 +380,18 @@ mod tests {
         m.events_drained(3, 4);
         m.events_drained(1, 0);
         let snap = m.snapshot(SimTime::from_ps(20));
-        let counter = |name: &str| snap.get(name).copied();
-        assert_eq!(
-            counter("latency.job.samples"),
-            Some(MetricValue::Counter { value: 2 })
-        );
-        assert_eq!(
-            counter("tenant.scan.latency.samples"),
-            Some(MetricValue::Counter { value: 1 })
-        );
-        assert_eq!(
-            counter("tenant.scan.jobs_completed"),
-            Some(MetricValue::Counter { value: 1 })
-        );
-        assert_eq!(
-            counter("engine.events_processed"),
-            Some(MetricValue::Counter { value: 4 })
-        );
-        assert_eq!(
-            counter("engine.queue_depth_peak"),
-            Some(MetricValue::Counter { value: 7 })
-        );
+        assert_eq!(snap.counter("latency.job.samples"), Some(2));
+        assert_eq!(snap.counter("tenant.scan.latency.samples"), Some(1));
+        assert_eq!(snap.counter("tenant.scan.jobs_completed"), Some(1));
+        assert_eq!(snap.counter("engine.events_processed"), Some(4));
+        assert_eq!(snap.counter("engine.queue_depth_peak"), Some(7));
     }
 
     /// `(dispatches, jobs_completed, jobs_rejected)` of tenant `name`.
     fn tenant_counts(snap: &MetricsSnapshot, name: &str) -> [u64; 3] {
         ["dispatches", "jobs_completed", "jobs_rejected"].map(|what| {
-            match snap.get(&format!("tenant.{name}.{what}")) {
-                Some(MetricValue::Counter { value }) => *value,
-                other => panic!("tenant.{name}.{what}: {other:?}"),
-            }
+            let metric = format!("tenant.{name}.{what}");
+            snap.counter(&metric).expect(&metric)
         })
     }
 

@@ -9,10 +9,10 @@
 //! traces — every stochastic variant drawn from [`reach_sim::rng`] streams
 //! so a run replays bit-for-bit from its seed. A
 //! [`crate::spec::JobSource::Open`] tenant submits jobs at those instants,
-//! optionally through a bounded admission queue
-//! ([`crate::Machine::submit_at_bounded`]): an arrival that finds the
-//! queue full is rejected and counted, not queued forever — which is what
-//! keeps a past-saturation simulation finite.
+//! optionally through a bounded admission queue: an arrival that finds the
+//! queue full is rejected and counted under `gam.jobs_rejected`, not
+//! queued forever — which is what keeps a past-saturation simulation
+//! finite.
 //!
 //! The per-stage and end-to-end latency distributions of the admitted jobs
 //! come out of the machine's [`reach_sim::LatencyHistogram`] telemetry

@@ -129,21 +129,6 @@ pub struct GamStats {
     pub jobs_rejected: u64,
 }
 
-impl GamStats {
-    /// Accumulates `other` into `self`, field by field — the reduction a
-    /// fleet aggregator applies over per-machine GAM counters.
-    pub fn merge(&mut self, other: &GamStats) {
-        self.jobs_submitted += other.jobs_submitted;
-        self.jobs_completed += other.jobs_completed;
-        self.dispatches += other.dispatches;
-        self.polls_sent += other.polls_sent;
-        self.polls_missed += other.polls_missed;
-        self.dmas += other.dmas;
-        self.dma_bytes += other.dma_bytes;
-        self.jobs_rejected += other.jobs_rejected;
-    }
-}
-
 /// A task's row in its job slot: the dynamic half of the task table (the
 /// static half is the shared [`Job`]).
 struct TaskRow {

@@ -27,9 +27,7 @@ use crate::csr::{GraphKind, GraphSpec};
 use crate::pipeline::{GraphPlacement, GraphWorkload, Traversal, WorkloadShape};
 use crate::templates::graph_blueprint;
 use reach::fingerprint::ConfigFingerprint;
-use reach::{
-    Machine, MachineBlueprint, MetricValue, MetricsSnapshot, RunReport, Scenario, ScenarioExecutor,
-};
+use reach::{Machine, MachineBlueprint, MetricsSnapshot, RunReport, Scenario, ScenarioExecutor};
 use reach_sim::FingerprintBuilder;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -226,13 +224,11 @@ impl GraphRow {
         spec: &GraphSpec,
         report: &RunReport,
     ) -> Self {
-        let metric = |name: &str| match report.metrics.get(name) {
-            Some(value) => value,
-            None => panic!("graph report missing {name}"),
-        };
-        let counter = |name: &str| match metric(name) {
-            MetricValue::Counter { value } => *value,
-            other => panic!("graph report: {name} is not a counter: {other:?}"),
+        let counter = |name: &str| {
+            report
+                .metrics
+                .counter(name)
+                .unwrap_or_else(|| panic!("graph report missing {name}, or it is not a counter"))
         };
         let edges = counter("graph.edges");
         let shape = match workload {
@@ -255,10 +251,9 @@ impl GraphRow {
                 residuals: (0..counter("graph.pagerank.iterations"))
                     .map(|i| {
                         let name = format!("graph.pagerank.{i:02}.residual");
-                        match metric(&name) {
-                            MetricValue::Gauge { last, .. } => *last,
-                            other => panic!("graph report: {name} is not a gauge: {other:?}"),
-                        }
+                        report.metrics.gauge(&name).unwrap_or_else(|| {
+                            panic!("graph report missing {name}, or it is not a gauge")
+                        })
                     })
                     .collect(),
             },

@@ -235,6 +235,26 @@ impl MetricsSnapshot {
         self.metrics.get(name)
     }
 
+    /// The value of the counter under `name`; `None` if there is no
+    /// metric of that name or it is not a counter.
+    #[must_use]
+    pub fn counter(&self, name: &str) -> Option<u64> {
+        match self.get(name)? {
+            MetricValue::Counter { value } => Some(*value),
+            _ => None,
+        }
+    }
+
+    /// The last sampled value of the gauge under `name`; `None` if there
+    /// is no metric of that name or it is not a gauge.
+    #[must_use]
+    pub fn gauge(&self, name: &str) -> Option<f64> {
+        match self.get(name)? {
+            MetricValue::Gauge { last, .. } => Some(*last),
+            _ => None,
+        }
+    }
+
     /// Metrics in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &MetricValue)> {
         self.metrics.iter().map(|(k, v)| (k.as_str(), v))
@@ -421,6 +441,36 @@ mod tests {
         w.record(ps(10), ps(20), 1.0);
         let (_, peak) = w.summarize(ps(20));
         assert!((peak - 1.0).abs() < 1e-12, "peak {peak}");
+    }
+
+    #[test]
+    fn counter_reads_only_a_present_counter() {
+        let mut snap = MetricsSnapshot::new(10);
+        snap.set_counter("gam.dmas", 3);
+        snap.set_gauge("runner.simd", 2.0);
+        assert_eq!(snap.counter("gam.dmas"), Some(3));
+        assert_eq!(snap.counter("gam.dma_bytes"), None, "missing name");
+        assert_eq!(
+            snap.counter("runner.simd"),
+            None,
+            "a gauge is not a counter"
+        );
+    }
+
+    #[test]
+    fn gauge_reads_the_last_value_not_the_mean() {
+        let mut snap = MetricsSnapshot::new(10);
+        snap.set(
+            "q.depth",
+            MetricValue::Gauge {
+                mean: 1.5,
+                last: 4.0,
+            },
+        );
+        snap.set_counter("gam.dmas", 3);
+        assert_eq!(snap.gauge("q.depth"), Some(4.0));
+        assert_eq!(snap.gauge("q.width"), None, "missing name");
+        assert_eq!(snap.gauge("gam.dmas"), None, "a counter is not a gauge");
     }
 
     #[test]

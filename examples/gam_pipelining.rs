@@ -38,20 +38,22 @@ fn main() {
 
     println!();
     println!("GAM statistics (pipelined run):");
-    let g = pipe.gam;
+    let g = |name: &str| pipe.metrics.counter(name).expect(name);
     println!(
         "  jobs        submitted {} / completed {}",
-        g.jobs_submitted, g.jobs_completed
+        g("gam.jobs_submitted"),
+        g("gam.jobs_completed")
     );
-    println!("  dispatches  {}", g.dispatches);
+    println!("  dispatches  {}", g("gam.dispatches"));
     println!(
         "  status polls {} sent, {} found the task still running",
-        g.polls_sent, g.polls_missed
+        g("gam.polls_sent"),
+        g("gam.polls_missed")
     );
     println!(
         "  DMA         {} transfers, {:.1} MB",
-        g.dmas,
-        g.dma_bytes as f64 / 1e6
+        g("gam.dmas"),
+        g("gam.dma_bytes") as f64 / 1e6
     );
 
     println!();

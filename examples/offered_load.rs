@@ -14,7 +14,7 @@
 //! cargo run --example offered_load --release
 //! ```
 
-use reach::{MetricValue, Scenario};
+use reach::Scenario;
 use reach_cbir::traffic::{TRAFFIC_OFFERED, TRAFFIC_RATES_PER_SEC};
 use reach_cbir::{CbirMapping, CbirScenario};
 
@@ -27,10 +27,8 @@ fn main() {
         println!("--- {} ---", mapping.name());
         for rate in TRAFFIC_RATES_PER_SEC {
             let report = CbirScenario::poisson(mapping, rate).execute();
-            let p99_ms = match report.metrics.get("latency.job.p99_ps") {
-                Some(MetricValue::Counter { value }) => *value as f64 * 1e-9,
-                _ => 0.0,
-            };
+            let p99_ps = report.metrics.counter("latency.job.p99_ps").unwrap_or(0);
+            let p99_ms = p99_ps as f64 * 1e-9;
             println!(
                 "{:<16} {:>10} {:>14} {:>12.3}ms",
                 format!("{rate}/s"),

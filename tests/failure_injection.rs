@@ -97,7 +97,7 @@ fn minimal_machine_completes() {
 fn deep_oversubscription_drains() {
     let r = proper().run(&mut machine_with(1, 1), 64);
     assert_eq!(r.jobs, 64);
-    assert_eq!(r.gam.jobs_completed, 64);
+    assert_eq!(r.metrics.counter("gam.jobs_completed"), Some(64));
     let c = r.job_completions();
     assert_eq!(c.len(), 64);
     assert!(c.windows(2).all(|w| w[0] <= w[1]));

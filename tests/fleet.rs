@@ -115,10 +115,10 @@ fn fleet_shards_replay_through_the_result_cache() {
 #[test]
 fn fleet_telemetry_scales_with_shard_count() {
     let counter = |report: &reach::RunReport, name: &str| -> u64 {
-        match report.metrics.get(name) {
-            Some(reach::MetricValue::Counter { value }) => *value,
-            _ => panic!("missing fleet counter {name}"),
-        }
+        report
+            .metrics
+            .counter(name)
+            .unwrap_or_else(|| panic!("missing fleet counter {name}"))
     };
     let run = |shards: usize| {
         let fleet: Vec<Box<dyn FleetScenario>> = vec![Box::new(CbirFleetScenario::sharded(

@@ -235,5 +235,9 @@ fn broadcast_transfers_once_per_level() {
     }
     let mut m = MachineBlueprint::paper().instantiate();
     let r = p.run(&mut m, 1);
-    assert_eq!(r.gam.dmas, 1, "broadcast must share one DMA per level");
+    assert_eq!(
+        r.metrics.counter("gam.dmas"),
+        Some(1),
+        "broadcast must share one DMA per level"
+    );
 }
