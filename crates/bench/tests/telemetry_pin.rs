@@ -22,10 +22,13 @@ const SCENARIOS_DIGEST: u64 = 0x8cd7_8c5e_bb4b_6c2c;
 
 /// `checksum64` of the whole suite's `scenarios` array. Re-recorded when
 /// the recall evaluation's one entry became five codec entries carrying
-/// the same ten gauges; every other entry is byte-identical to the
-/// recording taken while the machine still recorded through a name-keyed
-/// metrics registry.
-const SUITE_SCENARIOS_DIGEST: u64 = 0xc961_7527_39f0_f3a2;
+/// the same ten gauges, and again when cache-line-interleaved host streams
+/// began billing a partial burst as a whole one: nine results' host
+/// `mem.ddr.host.chN.busy_ps` grew, and with them the `accel.on_chip`
+/// busy and task times of `analytics/host/16GiB/sel{1,10}`. Every other
+/// entry is byte-identical to the recording taken while the machine still
+/// recorded through a name-keyed metrics registry.
+const SUITE_SCENARIOS_DIGEST: u64 = 0xc6a3_546a_024c_6f3f;
 
 /// Runs `experiments` with `args` plus `--metrics` into a temporary file
 /// named after `tag`, and returns the export's `scenarios` array.

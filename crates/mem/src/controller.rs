@@ -216,12 +216,14 @@ impl MemoryController {
                 let share = (bytes / n).max(self.config.dimm.line_bytes);
                 for ch in 0..self.config.channels {
                     let per_channel = share * self.config.dimms_per_channel as u64;
+                    // A partial last line still occupies the bus for a
+                    // whole burst.
                     let bus_time = self
                         .config
                         .dimm
                         .timing
                         .burst_time()
-                        .scaled(per_channel / self.config.dimm.line_bytes);
+                        .scaled(per_channel.div_ceil(self.config.dimm.line_bytes));
                     let channel = &mut self.channels[ch];
                     let bus = channel.bus.reserve(now, bus_time);
                     channel.stats.bytes += per_channel;
@@ -549,6 +551,16 @@ mod tests {
         // Even split across 2 channels.
         assert_eq!(m.channel_bytes(0), m.channel_bytes(1));
         assert_eq!(m.total_channel_bytes(), 1 << 20);
+    }
+
+    #[test]
+    fn partial_burst_bills_a_whole_burst() {
+        let mut m = mc();
+        // 400 bytes over 4 DIMMs: 200 per channel, 3.125 lines, 4 bursts.
+        m.stream(SimTime::ZERO, 0, 400, AccessKind::Read);
+        let burst = DimmConfig::ddr4_16gb().timing.burst_time();
+        assert_eq!(m.channel_bytes(0), 200);
+        assert_eq!(m.channel_busy(0), burst.scaled(4));
     }
 
     #[test]
