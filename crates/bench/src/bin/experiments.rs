@@ -21,7 +21,7 @@
 //! store keyed by fingerprint + simulator build stamp, so a *second
 //! process* replays previously simulated scenarios too (a warm run of the
 //! full suite performs zero simulations). Stdout is byte-identical cold or
-//! warm.
+//! warm. The store is written once, after the last experiment.
 //!
 //! `--seed N` overrides the session RNG seed (default
 //! `reach_sim::rng::DEFAULT_SEED`) for every stochastic scenario — traffic
@@ -128,6 +128,9 @@ fn main() -> ExitCode {
         );
         captured.extend(scenarios);
     }
+    // The one write of the persistent store, before the summary reads its
+    // counters.
+    runner.flush();
     eprintln!(
         "ran {} scenario(s) across {} experiment(s) with {} job(s) in {:.2}s",
         captured.len(),

@@ -3,17 +3,13 @@
 //! ```text
 //! cargo run -p reach-bench --bin sweep --release -- \
 //!     --nm 2,4,8 --ns 4 --batches 16 --mapping proper --jobs 4 \
-//!     --metrics-dir out/metrics
+//!     --metrics metrics.json
 //! ```
 //!
-//! With `--metrics-dir DIR`, each grid point drops its machine telemetry
-//! as `DIR/<label>.csv` (one row per metric) for spreadsheet or pandas
-//! post-processing. Stdout stays identical with or without the flag.
-//!
-//! `--repeat N` runs the whole grid `N` times in one process — the shape
-//! of iterative design-space exploration. Passes after the first replay
-//! from the scenario-result cache unless `--no-result-cache` is given;
-//! stdout is byte-identical either way, only the wall clock moves.
+//! With `--metrics PATH`, the grid's machine telemetry is written to
+//! `PATH` as the `reach-run-metrics-v1` JSON document that
+//! `experiments --metrics` writes, one entry per grid point in grid order.
+//! Stdout stays identical with or without the flag.
 
 use reach::ScenarioExecutor;
 use reach_bench::sweep::SweepArgs;
@@ -29,7 +25,7 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: sweep [--nm N[,N..]] [--ns N[,N..]] [--batches N] [--batch-size N] \
                  [--candidates N] [--mapping onchip|near-mem|near-stor|proper] [--sequential] \
-                 [--jobs N] [--seed N] [--metrics-dir DIR] [--repeat N] [--no-result-cache] \
+                 [--jobs N] [--seed N] [--metrics PATH] [--no-result-cache] \
                  [--result-cache-dir PATH]"
             );
             return ExitCode::FAILURE;
@@ -48,41 +44,31 @@ fn main() -> ExitCode {
         if args.sequential { " (sequential)" } else { "" }
     );
     let started = Instant::now();
-    // One runner for all passes, so `--repeat` passes share the result
-    // cache. Reports are deterministic, so every pass prints identically
-    // whether it simulated or replayed.
-    let runner = args.runner();
-    let mut results = Vec::new();
-    for _ in 0..args.repeat {
-        results = runner.run_all(args.scenarios());
-        for r in &results {
-            println!();
-            println!("{}", r.label);
-            println!("{}", r.report);
-        }
+    let runner = args.common.runner();
+    let results = runner.run_all(args.scenarios());
+    for r in &results {
+        println!();
+        println!("{}", r.label);
+        println!("{}", r.report);
     }
-    if let Some(dir) = &args.metrics_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("failed to create {dir}: {e}");
+    runner.flush();
+    if let Some(path) = &args.metrics {
+        if let Err(e) = std::fs::write(path, reach_bench::scenario_metrics_json(&results)) {
+            eprintln!("failed to write {path}: {e}");
             return ExitCode::FAILURE;
         }
-        for r in &results {
-            let path = format!("{dir}/{}.csv", reach_bench::label_file_stem(&r.label));
-            if let Err(e) = std::fs::write(&path, r.report.metrics.to_csv()) {
-                eprintln!("failed to write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        eprintln!("wrote {} telemetry CSV(s) to {dir}", results.len());
+        eprintln!(
+            "wrote telemetry for {} scenario(s) to {path}",
+            results.len()
+        );
     }
     let stats = runner.cache_stats();
     let disk = runner.disk_cache_stats();
     eprintln!(
-        "ran {} scenario(s) x {} pass(es) with {} job(s) in {:.2}s \
+        "ran {} scenario(s) with {} job(s) in {:.2}s \
          (result cache: {} mem hit(s), {} mem miss(es), \
          {} disk hit(s), {} disk miss(es){})",
         results.len(),
-        args.repeat,
         args.common.jobs,
         started.elapsed().as_secs_f64(),
         stats.hits,

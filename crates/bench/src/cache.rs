@@ -2,8 +2,8 @@
 //!
 //! Sweep grids and repeated experiment suites re-simulate the same
 //! configuration over and over: the Figure 13 proper-mapping point is also
-//! the baseline of four ablations, and every `--repeat` pass of a sweep
-//! revisits the whole grid. Because a [`ConfigFingerprint`] covers *every*
+//! the baseline of four ablations, and the figures share points with the
+//! ablations and extensions. Because a [`ConfigFingerprint`] covers *every*
 //! input of a scenario's run (see `Scenario::config_fingerprint`), equal
 //! fingerprints mean byte-identical [`RunReport`]s — so the runner can
 //! replay a stored report instead of simulating again.

@@ -2,7 +2,7 @@
 //!
 //! [`DiskCache`] extends the in-memory [`crate::ResultCache`] across
 //! processes: every stored [`RunReport`] is serialized with the versioned
-//! codec in `reach::codec` and appended to a single store file under the
+//! codec in `reach::codec` and kept in a single store file under the
 //! `--result-cache-dir` directory. A warm process replays whole suites
 //! without simulating anything.
 //!
@@ -40,25 +40,23 @@
 //! length-prefixed and checksummed, so a torn tail write cannot poison
 //! earlier records).
 //!
-//! ## Writes: append, compact when in doubt
+//! ## Writes: one whole-table rewrite per process
 //!
-//! A flush appends only the records added since the last one, in one
-//! `write_all` on an append-mode handle followed by one `sync_data`. It
-//! does so only while the file is exactly what this process last read or
-//! wrote: this build's header followed by the records it knows, at the
-//! length it recorded. In every other case the flush *compacts* instead —
-//! it writes the whole table to a temporary file in the same directory,
-//! syncs it and renames it over the store. Compaction runs when the file
-//! is new or missing, carries a foreign stamp or bad magic, has a torn or
-//! corrupt tail, holds duplicate fingerprints, held a record that no
-//! longer decodes, or changed length since this process saw it (another
-//! writer touched it: the last writer wins, as with whole-file rewrites).
-//! A failed append falls back to one compaction before the store is
-//! declared unwritable.
+//! A flush writes the whole table — this build's header followed by every
+//! record held, in insertion order — to a temporary file in the same
+//! directory, syncs it and renames it over the store. So a concurrent
+//! reader sees either the old store or the new one, never a half-written
+//! file, and a torn, duplicated, foreign or undecodable store is replaced
+//! by a clean one. A process writes what it loaded plus what it added, so
+//! two processes filling one directory at once do not merge: the last
+//! rename wins.
 //!
-//! So a concurrent reader always sees a valid record prefix, possibly
-//! followed by a torn tail it discards; a first write or a compaction
-//! replaces the store atomically and is never seen half-written.
+//! A flush writes nothing when no record was added or dropped since the
+//! last one, so a warm run leaves the store untouched, and a foreign-stamp
+//! store stays as it is until a run has something to add. The runner's
+//! owner flushes once, after its last batch; dropping the store flushes
+//! too, so a process that never calls [`DiskCache::flush`] — or that
+//! unwinds from a panic — still persists what it simulated.
 
 use reach::{decode_report, encode_report, simulator_version_stamp, RunReport};
 use std::collections::HashMap;
@@ -93,7 +91,7 @@ pub const DISKCACHE_FILE: &str = "results.reach-diskcache";
 /// Hit/miss and write counters of the disk tier. Like the in-memory
 /// [`crate::CacheStats`], hit/miss counting is the *runner's* policy —
 /// lookups themselves never count, so the ledger stays identical at any
-/// job count. Flushes run only in the runner's sequential phases, so the
+/// job count. The runner's owner flushes after its last batch, so the
 /// write counters are job-count independent too.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DiskCacheStats {
@@ -101,19 +99,10 @@ pub struct DiskCacheStats {
     pub hits: u64,
     /// Lookups that fell through to simulation.
     pub misses: u64,
-    /// Flushes that wrote to the store, appends and compactions alike.
+    /// Flushes that rewrote the store.
     pub flushes: u64,
-    /// Bytes those flushes wrote, including each compaction's header.
+    /// Bytes those flushes wrote, headers included.
     pub bytes_written: u64,
-}
-
-/// What the store file held when this process last read or wrote it.
-#[derive(Clone, Copy, Debug)]
-struct OnDisk {
-    /// Leading records of `DiskCache::order` the file holds, in order.
-    records: usize,
-    /// The file's length in bytes.
-    len: u64,
 }
 
 /// A persistent fingerprint-to-report store with fail-open semantics.
@@ -121,6 +110,7 @@ struct OnDisk {
 /// Not internally synchronized: the runner guards it with a mutex and only
 /// touches it from the sequential resolution/assembly phases, which is
 /// what keeps disk accounting byte-identical across `--jobs` levels.
+/// Dropping it flushes (see the module docs).
 #[derive(Debug)]
 pub struct DiskCache {
     path: PathBuf,
@@ -133,15 +123,11 @@ pub struct DiskCache {
     entries: HashMap<u128, Range<usize>>,
     /// Insertion order, so a rewritten store lays records out stably.
     order: Vec<u128>,
-    /// `Some` while the file is exactly this build's header followed by a
-    /// prefix of `order`, so a flush may append the rest; `None` makes the
-    /// next flush compact.
-    on_disk: Option<OnDisk>,
     /// Something to write since the last successful flush: new records,
     /// or a dropped record to purge from the file.
     dirty: bool,
     /// Cleared after the first failed flush so an unwritable directory
-    /// warns once, not once per batch.
+    /// warns once, not again when the store drops.
     writable: bool,
     stats: DiskCacheStats,
 }
@@ -172,7 +158,6 @@ impl DiskCache {
             bytes: Vec::new(),
             entries: HashMap::new(),
             order: Vec::new(),
-            on_disk: None,
             dirty: false,
             writable: true,
             stats: DiskCacheStats::default(),
@@ -185,8 +170,7 @@ impl DiskCache {
         cache
     }
 
-    /// Reads the store. Leaves `on_disk` unset — so the next flush
-    /// compacts — unless the whole file parsed cleanly.
+    /// Reads the store, keeping the longest valid record prefix.
     fn load(&mut self) {
         let bytes = match std::fs::read(&self.path) {
             Ok(bytes) => bytes,
@@ -219,7 +203,6 @@ impl DiskCache {
         // The file's bytes stay as the backing store of what loads.
         self.bytes = bytes;
         let bytes = &self.bytes;
-        let mut duplicates = false;
         while pos < bytes.len() {
             let Some(frame) = bytes.get(pos..pos + 12) else {
                 warn(&self.path, "truncated record header, keeping valid prefix");
@@ -238,16 +221,8 @@ impl DiskCache {
             let fp = u128::from_le_bytes(payload[..16].try_into().expect("16 bytes"));
             if self.entries.insert(fp, pos + 28..pos + 12 + len).is_none() {
                 self.order.push(fp);
-            } else {
-                duplicates = true;
             }
             pos += 12 + len;
-        }
-        if !duplicates {
-            self.on_disk = Some(OnDisk {
-                records: self.order.len(),
-                len: bytes.len() as u64,
-            });
         }
     }
 
@@ -264,7 +239,6 @@ impl DiskCache {
                 warn(&self.path, &format!("undecodable record dropped ({e})"));
                 self.entries.remove(&fp);
                 self.order.retain(|&k| k != fp);
-                self.on_disk = None;
                 self.dirty = true;
                 None
             }
@@ -285,28 +259,16 @@ impl DiskCache {
         self.dirty = true;
     }
 
-    /// Persists whatever changed since the last flush: appends the new
-    /// records when the file is as this process left it, compacts
-    /// otherwise (see the module docs). A failed append falls back to one
-    /// compaction; if that fails too, the store warns once and disables
-    /// further write attempts (reads keep working).
+    /// Persists whatever changed since the last flush by rewriting the
+    /// whole store: temporary file, `sync_all`, rename (see the module
+    /// docs). Writes nothing when nothing changed. A failed write warns
+    /// once and disables further write attempts (reads keep working).
     pub fn flush(&mut self) {
         if !self.dirty || !self.writable {
             return;
         }
-        let written = match self.on_disk {
-            Some(seen) => self
-                .try_append(seen)
-                .map(|n| (n, seen.len + n))
-                .or_else(|_| self.try_compact().map(|n| (n, n))),
-            None => self.try_compact().map(|n| (n, n)),
-        };
-        match written {
-            Ok((bytes, len)) => {
-                self.on_disk = Some(OnDisk {
-                    records: self.order.len(),
-                    len,
-                });
+        match self.write_store() {
+            Ok(bytes) => {
                 self.dirty = false;
                 self.stats.flushes += 1;
                 self.stats.bytes_written += bytes;
@@ -321,33 +283,38 @@ impl DiskCache {
         }
     }
 
-    /// Appends `order[seen.records..]` to a store that still has the
-    /// length `seen` recorded; returns the bytes appended.
-    fn try_append(&self, seen: OnDisk) -> std::io::Result<u64> {
-        let mut f = std::fs::OpenOptions::new().append(true).open(&self.path)?;
-        if f.metadata()?.len() != seen.len {
-            return Err(std::io::Error::other("store changed since it was read"));
-        }
-        let mut buf = Vec::new();
-        self.encode_records(&self.order[seen.records..], &mut buf);
-        f.write_all(&buf)?;
-        f.sync_data()?;
-        Ok(buf.len() as u64)
-    }
-
-    /// Rewrites the whole store via write-to-temp + atomic rename; returns
-    /// the new file length.
-    fn try_compact(&self) -> std::io::Result<u64> {
-        // Temp name includes the pid so concurrent processes compacting
-        // the same directory never interleave partial writes; rename keeps
+    /// Writes the header and every record to a temporary file, syncs it
+    /// and renames it over the store; returns the bytes written.
+    fn write_store(&self) -> std::io::Result<u64> {
+        // Temp name includes the pid so concurrent processes writing the
+        // same directory never interleave partial writes; rename keeps
         // the store itself atomic (last full write wins).
         let tmp = self
             .path
             .with_extension(format!("tmp.{}", std::process::id()));
-        let mut buf = Vec::new();
+        let mut buf = Vec::with_capacity(
+            DISKCACHE_MAGIC.len()
+                + 16
+                + self
+                    .order
+                    .iter()
+                    .map(|fp| 28 + self.entries[fp].len())
+                    .sum::<usize>(),
+        );
         buf.extend_from_slice(DISKCACHE_MAGIC);
         buf.extend_from_slice(&self.stamp.to_le_bytes());
-        self.encode_records(&self.order, &mut buf);
+        for fp in &self.order {
+            // [len u32][checksum u64][fingerprint u128][report]
+            let report = &self.bytes[self.entries[fp].clone()];
+            let len = u32::try_from(16 + report.len()).expect("record fits its u32 length frame");
+            let start = buf.len();
+            buf.extend_from_slice(&len.to_le_bytes());
+            buf.extend_from_slice(&[0; 8]);
+            buf.extend_from_slice(&fp.to_le_bytes());
+            buf.extend_from_slice(report);
+            let checksum = record_checksum(&buf[start + 12..]);
+            buf[start + 4..start + 12].copy_from_slice(&checksum.to_le_bytes());
+        }
         let written = std::fs::File::create(&tmp)
             .and_then(|mut f| {
                 f.write_all(&buf)?;
@@ -358,23 +325,6 @@ impl DiskCache {
             let _ = std::fs::remove_file(&tmp);
         }
         written.map(|()| buf.len() as u64)
-    }
-
-    /// Frames the records of `fps` onto `out`:
-    /// `[len u32][checksum u64][fingerprint u128][report]` each.
-    fn encode_records(&self, fps: &[u128], out: &mut Vec<u8>) {
-        out.reserve(fps.iter().map(|fp| 28 + self.entries[fp].len()).sum());
-        for fp in fps {
-            let report = &self.bytes[self.entries[fp].clone()];
-            let len = u32::try_from(16 + report.len()).expect("record fits its u32 length frame");
-            let start = out.len();
-            out.extend_from_slice(&len.to_le_bytes());
-            out.extend_from_slice(&[0; 8]);
-            out.extend_from_slice(&fp.to_le_bytes());
-            out.extend_from_slice(report);
-            let checksum = record_checksum(&out[start + 12..]);
-            out[start + 4..start + 12].copy_from_slice(&checksum.to_le_bytes());
-        }
     }
 
     /// Counts one disk hit (the runner's sequential resolution phase).
@@ -409,6 +359,14 @@ impl DiskCache {
     #[must_use]
     pub fn path(&self) -> &Path {
         &self.path
+    }
+}
+
+impl Drop for DiskCache {
+    /// Flushes, so a store whose owner never called [`DiskCache::flush`]
+    /// (or that unwinds from a panic) still persists its new records.
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 
@@ -589,6 +547,7 @@ mod tests {
         cache.insert(1, &report(99));
         assert_eq!(cache.get(1).expect("fp 1").jobs, 1);
         assert_eq!(cache.len(), 1);
+        drop(cache);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -641,9 +600,6 @@ mod tests {
         second.flush();
         let bytes = std::fs::read(dir.join(DISKCACHE_FILE)).unwrap();
         assert_eq!(bytes, one_rewrite_of("append-ref", &[1, 2, 3, 4]));
-        // Each record was written once: the appends added only new bytes.
-        let written = first.stats().bytes_written + second.stats().bytes_written;
-        assert_eq!(written, bytes.len() as u64);
         assert_eq!((first.stats().flushes, second.stats().flushes), (2, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -718,7 +674,21 @@ mod tests {
     }
 
     #[test]
-    fn failed_append_falls_back_to_a_rewrite() {
+    fn dropping_a_dirty_store_flushes_it() {
+        let dir = temp_dir("drop");
+        let mut cache = DiskCache::open_with_stamp(&dir, 1);
+        cache.insert(1, &report(1));
+        cache.insert(2, &report(2));
+        drop(cache);
+        assert_eq!(
+            std::fs::read(dir.join(DISKCACHE_FILE)).unwrap(),
+            one_rewrite_of("drop-ref", &[1, 2])
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn deleted_store_is_rewritten_by_the_next_flush() {
         let dir = temp_dir("fallback");
         let mut cache = DiskCache::open_with_stamp(&dir, 1);
         cache.insert(1, &report(1));
@@ -730,11 +700,6 @@ mod tests {
             std::fs::read(dir.join(DISKCACHE_FILE)).unwrap(),
             one_rewrite_of("fallback-ref", &[1, 2])
         );
-        // Still writable: the next batch appends as usual.
-        cache.insert(3, &report(3));
-        cache.flush();
-        assert_eq!(cache.stats().flushes, 3);
-        assert_eq!(DiskCache::open_with_stamp(&dir, 1).len(), 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -93,22 +93,6 @@ pub fn run_metrics_json(
     out
 }
 
-/// Turns a scenario label into a safe file stem: path separators and other
-/// non-alphanumeric characters become `-`.
-#[must_use]
-pub fn label_file_stem(label: &str) -> String {
-    label
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '-' || c == '_' || c == '.' {
-                c
-            } else {
-                '-'
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,10 +138,6 @@ mod tests {
     fn labels_escape_and_sanitize() {
         let doc = scenario_metrics_json(&[captured("a\"b")]);
         assert!(doc.contains("a\\\"b"));
-        assert_eq!(
-            label_file_stem("sweep/ReACH/nm2-ns4"),
-            "sweep-ReACH-nm2-ns4"
-        );
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub mod sweep;
 pub use cache::{CacheStats, ResultCache};
 pub use cli::{CommonRunnerArgs, ExperimentsArgs};
 pub use diskcache::{DiskCache, DiskCacheStats};
-pub use export::{label_file_stem, run_metrics_json, scenario_metrics_json};
+pub use export::{run_metrics_json, scenario_metrics_json};
 pub use runner::{RecordingExecutor, ScenarioRunner};
 
 use reach::{Scenario, ScenarioExecutor};

@@ -35,6 +35,12 @@
 //! the calling thread, in submission order, for each scenario it will
 //! simulate — and only those, so a cache hit never pays a scenario's host
 //! set-up (a graph scenario's traversal, for one).
+//!
+//! Batches never write the persistent tier: the runner's owner calls
+//! [`ScenarioRunner::flush`] once, after its last batch, and the store
+//! flushes itself when the last clone of the runner drops (during a
+//! panic's unwinding too) if anything is still unwritten. So a process
+//! rewrites the store once, whatever its batch count.
 
 use crate::cache::{CacheStats, ResultCache};
 use crate::diskcache::{DiskCache, DiskCacheStats};
@@ -211,10 +217,11 @@ impl ScenarioRunner {
         }
     }
 
-    /// Persists any new disk-tier entries (an append with one `sync_data`,
-    /// or a compacting rewrite; warns once and degrades on failure — see
-    /// [`DiskCache::flush`]).
-    fn disk_flush(&self) {
+    /// Persists the disk tier's new records in one whole-store rewrite
+    /// (warns once and degrades on failure — see [`DiskCache::flush`]).
+    /// Call it after the last batch; without a disk tier, or with nothing
+    /// new, it writes nothing.
+    pub fn flush(&self) {
         if let Some(disk) = &self.disk {
             disk.lock().expect("disk cache poisoned").flush();
         }
@@ -333,7 +340,7 @@ impl ScenarioExecutor for ScenarioRunner {
 
         // Phase 3 (sequential, submission order): assemble results, store
         // leader reports in both tiers, clone them for in-batch followers.
-        let results = slots
+        slots
             .into_iter()
             .enumerate()
             .map(|(i, slot)| {
@@ -362,9 +369,7 @@ impl ScenarioExecutor for ScenarioRunner {
                     report,
                 }
             })
-            .collect();
-        self.disk_flush();
-        results
+            .collect()
     }
 
     /// Fleet batches resolve through the same two-tier cache at *fleet*
@@ -422,7 +427,7 @@ impl ScenarioExecutor for ScenarioRunner {
         let mut shard_results = self.run_all(batch).into_iter();
 
         // Sequential aggregation + store, in submission order.
-        let results: Vec<ScenarioResult> = fleets
+        fleets
             .iter()
             .zip(slots)
             .zip(spans)
@@ -453,9 +458,7 @@ impl ScenarioExecutor for ScenarioRunner {
                     report,
                 }
             })
-            .collect();
-        self.disk_flush();
-        results
+            .collect()
     }
 }
 

@@ -3,16 +3,15 @@
 //!
 //! `--nm` and `--ns` accept comma-separated lists; the sweep runs the cross
 //! product of shapes, one [`CbirScenario`] spec per point, fanned across
-//! `--jobs` threads by the [`ScenarioRunner`]. Results come back in grid
+//! `--jobs` threads by the [`crate::ScenarioRunner`]. Results come back in grid
 //! order regardless of the job count. The runner-facing flags (`--jobs`,
 //! `--seed`, `--no-result-cache`, `--result-cache-dir`) are the shared
-//! [`CommonRunnerArgs`] grammar, identical to the `experiments` binary.
+//! [`CommonRunnerArgs`] grammar, identical to the `experiments` binary,
+//! and so are the parse errors ([`ParseArgsError`]).
 
-use crate::cli::CommonRunnerArgs;
-use crate::runner::ScenarioRunner;
-use reach::{Scenario, ScenarioExecutor, ScenarioResult};
+use crate::cli::{CommonRunnerArgs, ParseArgsError};
+use reach::Scenario;
 use reach_cbir::{blueprint_with, CbirMapping, CbirPipeline, CbirScenario, CbirWorkload};
-use std::fmt;
 
 /// Parsed sweep parameters.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -31,11 +30,8 @@ pub struct SweepArgs {
     pub batch_size: usize,
     /// Run synchronously (no GAM cross-batch pipelining).
     pub sequential: bool,
-    /// Directory to drop one per-point telemetry CSV into, if set.
-    pub metrics_dir: Option<String>,
-    /// Times to run the whole grid (models iterative design-space
-    /// exploration; passes after the first hit the result cache).
-    pub repeat: usize,
+    /// Telemetry JSON output path (`--metrics PATH`), if set.
+    pub metrics: Option<String>,
     /// The shared runner flags (`--jobs`, `--seed`, cache controls).
     pub common: CommonRunnerArgs,
 }
@@ -50,24 +46,11 @@ impl Default for SweepArgs {
             candidates: 4096,
             batch_size: 16,
             sequential: false,
-            metrics_dir: None,
-            repeat: 1,
+            metrics: None,
             common: CommonRunnerArgs::default(),
         }
     }
 }
-
-/// A parse failure with the offending token.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParseSweepError(pub String);
-
-impl fmt::Display for ParseSweepError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid sweep argument: {}", self.0)
-    }
-}
-
-impl std::error::Error for ParseSweepError {}
 
 impl SweepArgs {
     /// Parses `--key value` style arguments.
@@ -75,37 +58,32 @@ impl SweepArgs {
     /// Accepted keys: `--nm`, `--ns` (both accept comma-separated lists),
     /// `--batches`, `--batch-size`, `--candidates`,
     /// `--mapping onchip|near-mem|near-stor|proper`, `--sequential`,
-    /// `--metrics-dir DIR` (one telemetry CSV per grid point),
-    /// `--repeat N` (run the grid N times; later passes hit the result
-    /// cache), plus the shared runner flags `--jobs`, `--seed`,
+    /// `--metrics PATH` (the grid's telemetry as `reach-run-metrics-v1`
+    /// JSON), plus the shared runner flags `--jobs`, `--seed`,
     /// `--no-result-cache` and `--result-cache-dir PATH`.
     ///
     /// # Errors
     ///
     /// Returns a message naming the offending flag on unknown keys,
     /// missing values, unparsable numbers or zero counts.
-    pub fn parse(args: &[String]) -> Result<Self, ParseSweepError> {
+    pub fn parse(args: &[String]) -> Result<Self, ParseArgsError> {
         let mut out = SweepArgs::default();
         let mut it = args.iter();
         while let Some(key) = it.next() {
             // Shared grammar first, so `--jobs 0` etc. fail with the same
             // message here as in the `experiments` binary.
-            if out
-                .common
-                .accept(key.as_str(), &mut it)
-                .map_err(|e| ParseSweepError(e.0))?
-            {
+            if out.common.accept(key.as_str(), &mut it)? {
                 continue;
             }
-            let mut take = |key: &str| -> Result<&String, ParseSweepError> {
+            let mut take = |key: &str| -> Result<&String, ParseArgsError> {
                 it.next()
-                    .ok_or_else(|| ParseSweepError(format!("{key} needs a value")))
+                    .ok_or_else(|| ParseArgsError(format!("{key} needs a value")))
             };
-            let take_usize = |v: &str, key: &str| -> Result<usize, ParseSweepError> {
+            let take_usize = |v: &str, key: &str| -> Result<usize, ParseArgsError> {
                 v.parse()
-                    .map_err(|_| ParseSweepError(format!("{key} needs an integer")))
+                    .map_err(|_| ParseArgsError(format!("{key} needs an integer")))
             };
-            let take_list = |v: &str, key: &str| -> Result<Vec<usize>, ParseSweepError> {
+            let take_list = |v: &str, key: &str| -> Result<Vec<usize>, ParseArgsError> {
                 v.split(',').map(|tok| take_usize(tok, key)).collect()
             };
             match key.as_str() {
@@ -118,8 +96,7 @@ impl SweepArgs {
                 "--candidates" => {
                     out.candidates = take_usize(take("--candidates")?, "--candidates")?;
                 }
-                "--repeat" => out.repeat = take_usize(take("--repeat")?, "--repeat")?,
-                "--metrics-dir" => out.metrics_dir = Some(take("--metrics-dir")?.clone()),
+                "--metrics" => out.metrics = Some(take("--metrics")?.clone()),
                 "--sequential" => out.sequential = true,
                 "--mapping" => {
                     let v = take("--mapping")?;
@@ -128,28 +105,25 @@ impl SweepArgs {
                         "near-mem" | "nearmem" => CbirMapping::AllNearMemory,
                         "near-stor" | "nearstor" => CbirMapping::AllNearStorage,
                         "proper" | "reach" => CbirMapping::Proper,
-                        other => return Err(ParseSweepError(format!("unknown mapping '{other}'"))),
+                        other => return Err(ParseArgsError(format!("unknown mapping '{other}'"))),
                     };
                 }
-                other => return Err(ParseSweepError(format!("unknown flag '{other}'"))),
+                other => return Err(ParseArgsError(format!("unknown flag '{other}'"))),
             }
         }
         if out.nm.is_empty() || out.nm.contains(&0) {
-            return Err(ParseSweepError(
+            return Err(ParseArgsError(
                 "--nm needs positive accelerator counts".into(),
             ));
         }
         if out.ns.is_empty() || out.ns.contains(&0) {
-            return Err(ParseSweepError("--ns needs positive unit counts".into()));
+            return Err(ParseArgsError("--ns needs positive unit counts".into()));
         }
         if out.batches == 0 {
-            return Err(ParseSweepError("--batches must be positive".into()));
+            return Err(ParseArgsError("--batches must be positive".into()));
         }
         if out.batch_size == 0 {
-            return Err(ParseSweepError("--batch-size must be positive".into()));
-        }
-        if out.repeat == 0 {
-            return Err(ParseSweepError("--repeat must be positive".into()));
+            return Err(ParseArgsError("--batch-size must be positive".into()));
         }
         Ok(out)
     }
@@ -175,27 +149,19 @@ impl SweepArgs {
         }
         points
     }
-
-    /// The runner these arguments select (see [`CommonRunnerArgs::runner`]).
-    #[must_use]
-    pub fn runner(&self) -> ScenarioRunner {
-        self.common.runner()
-    }
-
-    /// Runs the whole grid once across `jobs` workers. (The `sweep` binary
-    /// drives `--repeat` itself so every pass shares one runner — and
-    /// therefore one result cache.)
-    #[must_use]
-    pub fn run_all(&self) -> Vec<ScenarioResult> {
-        self.runner().run_all(self.scenarios())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use reach::{ScenarioExecutor, ScenarioResult};
 
-    fn parse(tokens: &[&str]) -> Result<SweepArgs, ParseSweepError> {
+    /// Runs the grid once on the runner the arguments select.
+    fn run_all(args: &SweepArgs) -> Vec<ScenarioResult> {
+        args.common.runner().run_all(args.scenarios())
+    }
+
+    fn parse(tokens: &[&str]) -> Result<SweepArgs, ParseArgsError> {
         SweepArgs::parse(&tokens.iter().map(ToString::to_string).collect::<Vec<_>>())
     }
 
@@ -219,10 +185,10 @@ mod tests {
     }
 
     #[test]
-    fn parses_metrics_dir() {
-        let a = parse(&["--metrics-dir", "out/metrics"]).unwrap();
-        assert_eq!(a.metrics_dir.as_deref(), Some("out/metrics"));
-        assert!(parse(&["--metrics-dir"]).is_err());
+    fn parses_metrics_path() {
+        let a = parse(&["--metrics", "out/metrics.json"]).unwrap();
+        assert_eq!(a.metrics.as_deref(), Some("out/metrics.json"));
+        assert!(parse(&["--metrics"]).is_err());
     }
 
     #[test]
@@ -241,7 +207,9 @@ mod tests {
         assert!(parse(&["--mapping", "sideways"]).is_err());
         assert!(parse(&["--batches", "0"]).is_err());
         assert!(parse(&["--jobs", "0"]).is_err());
-        assert!(parse(&["--repeat", "0"]).is_err());
+        // Removed flags are unknown now.
+        assert!(parse(&["--repeat", "2"]).is_err());
+        assert!(parse(&["--metrics-dir", "out"]).is_err());
     }
 
     #[test]
@@ -263,12 +231,11 @@ mod tests {
     }
 
     #[test]
-    fn parses_cache_and_repeat_flags() {
-        let a = parse(&["--repeat", "3", "--no-result-cache"]).unwrap();
-        assert_eq!(a.repeat, 3);
+    fn parses_cache_flags() {
+        let a = parse(&["--no-result-cache"]).unwrap();
         assert!(a.common.no_result_cache);
-        assert!(!a.runner().cache_enabled());
-        assert!(parse(&[]).unwrap().runner().cache_enabled());
+        assert!(!a.common.runner().cache_enabled());
+        assert!(parse(&[]).unwrap().common.runner().cache_enabled());
     }
 
     #[test]
@@ -281,13 +248,13 @@ mod tests {
                 .map(|r| format!("{}\n{}", r.label, r.report))
                 .collect()
         };
-        assert_eq!(render(&args.run_all()), render(&uncached.run_all()));
+        assert_eq!(render(&run_all(&args)), render(&run_all(&uncached)));
     }
 
     #[test]
     fn runs_a_small_grid() {
         let args = parse(&["--nm", "2,4", "--ns", "2", "--batches", "2", "--jobs", "2"]).unwrap();
-        let results = args.run_all();
+        let results = run_all(&args);
         assert_eq!(results.len(), 2);
         assert_eq!(results[0].label, "sweep/ReACH/nm2-ns2");
         for r in &results {

@@ -2,9 +2,12 @@
 //! second *process* — backed by the same cache directory replays
 //! previously simulated scenarios from disk, byte-identically, at any job
 //! count; a stale or unwritable store degrades to plain simulation without
-//! changing a single output byte.
+//! changing a single output byte. A runner writes the store when it is
+//! flushed or dropped, never per batch, so each test flushes or drops its
+//! cold runner before a warm one opens the directory: that is the second
+//! process.
 
-use reach::{ScenarioExecutor, ScenarioResult};
+use reach::{Machine, MachineBlueprint, RunReport, Scenario, ScenarioExecutor, ScenarioResult};
 use reach_bench::diskcache::DISKCACHE_FILE;
 use reach_bench::sweep::SweepArgs;
 use reach_bench::{DiskCache, ScenarioRunner};
@@ -62,6 +65,7 @@ fn warm_runner_replays_from_disk_without_simulating() {
     assert_eq!(cold_mem.misses, 2);
     assert_eq!(cold_disk.hits, 0);
     assert_eq!(cold_disk.misses, 2, "every memory miss probes the disk");
+    cold.flush();
     assert!(dir.join(DISKCACHE_FILE).exists(), "cold run persisted");
 
     // A brand-new runner (fresh, empty memory tier) on the same directory:
@@ -76,8 +80,9 @@ fn warm_runner_replays_from_disk_without_simulating() {
     assert_eq!(warm_disk.misses, 0, "warm run must not simulate");
 }
 
-/// A cold run that flushes several batches writes each record exactly
-/// once: the bytes it reports writing equal the final store's length.
+/// A cold run of several batches writes nothing until it is flushed, and
+/// then writes each record exactly once, in one flush: the bytes it
+/// reports writing equal the store's length.
 #[test]
 fn cold_multi_batch_run_writes_each_record_once() {
     let dir = temp_dir("append");
@@ -89,11 +94,76 @@ fn cold_multi_batch_run_writes_each_record_once() {
     }
     let disk = runner.disk_cache_stats();
     assert_eq!(disk.misses, 3);
-    assert_eq!(disk.flushes, 3, "one flush per batch");
+    assert_eq!(disk.flushes, 0, "a batch wrote the store");
+    assert!(
+        !dir.join(DISKCACHE_FILE).exists(),
+        "a batch wrote the store"
+    );
+    runner.flush();
+    let disk = runner.disk_cache_stats();
+    assert_eq!(disk.flushes, 1, "one flush per process");
     let len = std::fs::metadata(dir.join(DISKCACHE_FILE))
         .expect("store written")
         .len();
     assert_eq!(disk.bytes_written, len, "a record was written twice");
+}
+
+/// A runner that is dropped without a flush — as the benchmark's pass
+/// drops its runner — still leaves a store a fresh runner replays.
+#[test]
+fn dropped_runner_persists_without_a_flush() {
+    let dir = temp_dir("dropped");
+    let grid = grid();
+    let cold = ScenarioRunner::new(2).with_disk_cache(&dir);
+    let cold_out = render(&cold.run_all(grid.scenarios()));
+    drop(cold);
+
+    let warm = ScenarioRunner::new(2).with_disk_cache(&dir);
+    assert_eq!(render(&warm.run_all(grid.scenarios())), cold_out);
+    let disk = warm.disk_cache_stats();
+    assert_eq!((disk.hits, disk.misses), (2, 0), "the drop did not persist");
+}
+
+/// Runs `inner`'s machine, then panics: a batch that never returns.
+struct Panicking(Box<dyn Scenario>);
+
+impl Scenario for Panicking {
+    fn label(&self) -> String {
+        self.0.label()
+    }
+
+    fn blueprint(&self) -> MachineBlueprint {
+        self.0.blueprint()
+    }
+
+    fn run(&self, _machine: &mut Machine) -> RunReport {
+        panic!("scenario {} failed", self.label())
+    }
+}
+
+/// A run that panics after simulating a batch unwinds through the
+/// runner's drop, which persists that batch.
+#[test]
+fn a_panicking_run_persists_what_it_simulated() {
+    let dir = temp_dir("panic");
+    let grid = grid();
+    let runner = ScenarioRunner::new(1).with_disk_cache(&dir);
+    let failing = grid.scenarios().remove(0);
+    let scenarios = grid.scenarios();
+    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+        let _ = runner.run_all(scenarios);
+        runner.run_all(vec![Box::new(Panicking(failing)) as Box<dyn Scenario>])
+    }));
+    assert!(unwound.is_err(), "the second batch must panic");
+
+    let warm = ScenarioRunner::new(1).with_disk_cache(&dir);
+    let _ = warm.run_all(grid.scenarios());
+    let disk = warm.disk_cache_stats();
+    assert_eq!(
+        (disk.hits, disk.misses),
+        (2, 0),
+        "the unwind did not persist"
+    );
 }
 
 #[test]
@@ -104,8 +174,10 @@ fn ledgers_and_output_are_job_count_independent() {
         let dir = temp_dir(&format!("jobs{jobs}"));
         let cold = ScenarioRunner::new(jobs).with_disk_cache(&dir);
         let cold_out = render(&cold.run_all(grid.scenarios()));
+        cold.flush();
         let warm = ScenarioRunner::new(jobs).with_disk_cache(&dir);
         let warm_out = render(&warm.run_all(grid.scenarios()));
+        assert_eq!(warm.disk_cache_stats().hits, 2, "warm run at {jobs} jobs");
         seen.push((
             cold_out,
             warm_out,
@@ -126,6 +198,8 @@ fn stale_version_stamp_misses_and_resimulates_identically() {
 
     let cold = ScenarioRunner::new(1).with_disk_cache(&dir);
     let cold_out = render(&cold.run_all(grid.scenarios()));
+    drop(cold);
+    assert!(dir.join(DISKCACHE_FILE).exists(), "cold run persisted");
 
     // Same directory, foreign build stamp: the store must be ignored
     // wholesale — all disk misses, identical output from re-simulation.
@@ -154,9 +228,11 @@ fn unwritable_store_degrades_to_plain_simulation() {
     let broken = ScenarioRunner::new(1).with_disk_cache(&dir);
     let broken_out = render(&broken.run_all(grid.scenarios()));
     assert_eq!(plain_out, broken_out, "broken store changed the output");
+    broken.flush();
     let disk = broken.disk_cache_stats();
     assert_eq!(disk.hits, 0);
     assert_eq!(disk.misses, 2);
+    assert_eq!(disk.flushes, 0, "a flush onto the directory succeeded");
 
     // And nothing was persisted: the path is still the blocking directory.
     assert!(dir.join(DISKCACHE_FILE).is_dir());

@@ -36,6 +36,7 @@ fn warm_extension_graph_replays_from_disk_without_traversing() {
             "a cold pass traverses each graph once (--jobs {jobs})"
         );
         assert_eq!(cold_runner.disk_cache_stats().misses, POINTS);
+        drop(cold_runner);
 
         // A fresh runner on the same store: a new process, in effect.
         let before = traversals_run();

@@ -1,6 +1,6 @@
-//! `experiments --metrics PATH`, end to end: the telemetry export leaves
-//! stdout untouched and carries the scenario list plus the process-wide
-//! counter block.
+//! `experiments --metrics PATH` and `sweep --metrics PATH`, end to end:
+//! the telemetry export leaves stdout untouched and carries the scenario
+//! list (plus, for `experiments`, the process-wide counter block).
 
 use std::process::Command;
 
@@ -71,4 +71,46 @@ fn recall_computes_each_norm_column_once_and_reads_it_per_pass() {
     };
     assert_eq!(counter("cbir.cache_misses"), 13);
     assert_eq!(counter("cbir.cache_hits"), 1 + 32 * (8 + 4));
+}
+
+/// `sweep --metrics PATH` writes the `reach-run-metrics-v1` document, one
+/// entry per grid point in grid order, and leaves stdout as it is.
+#[test]
+fn sweep_metrics_export_lists_the_grid_in_order_and_keeps_stdout() {
+    let sweep = |extra: &[&std::ffi::OsStr]| -> Vec<u8> {
+        let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
+            .args([
+                "--nm",
+                "1,2",
+                "--ns",
+                "1",
+                "--batches",
+                "1",
+                "--batch-size",
+                "4",
+                "--candidates",
+                "64",
+            ])
+            .args(extra)
+            .output()
+            .expect("spawn sweep");
+        assert!(out.status.success(), "sweep failed: {out:?}");
+        out.stdout
+    };
+    let path =
+        std::env::temp_dir().join(format!("reach-sweep-metrics-{}.json", std::process::id()));
+    let with_metrics = sweep(&["--metrics".as_ref(), path.as_os_str()]);
+    assert_eq!(with_metrics, sweep(&[]), "--metrics changed stdout");
+
+    let doc = std::fs::read_to_string(&path).expect("metrics file written");
+    let _ = std::fs::remove_file(&path);
+    assert!(doc.contains("\"schema\": \"reach-run-metrics-v1\""));
+    let labels: Vec<&str> = doc
+        .match_indices("\"label\": \"")
+        .map(|(at, key)| {
+            let rest = &doc[at + key.len()..];
+            &rest[..rest.find('"').expect("closing quote")]
+        })
+        .collect();
+    assert_eq!(labels, ["sweep/ReACH/nm1-ns1", "sweep/ReACH/nm2-ns1"]);
 }

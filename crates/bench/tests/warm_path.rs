@@ -107,6 +107,7 @@ fn warm_runner_renders_the_whole_suite_without_simulating() {
     for (_, render) in renderers() {
         let _ = render(&cold);
     }
+    cold.flush();
 
     // A fresh runner on the same store: a new process, in effect.
     let probe = Probe {

@@ -44,8 +44,7 @@ pub struct RunReport {
     pub completions: Vec<SimTime>,
     /// Machine-wide telemetry: queue depths, occupancy, link traffic (see
     /// [`crate::telemetry`] for the namespace). Not part of [`fmt::Display`]
-    /// — export it with [`MetricsSnapshot::to_json`] or
-    /// [`MetricsSnapshot::to_csv`].
+    /// — export it with [`MetricsSnapshot::to_json`].
     pub metrics: MetricsSnapshot,
 }
 

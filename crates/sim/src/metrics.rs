@@ -6,9 +6,8 @@
 //! [`MetricsSnapshot`] under hierarchical dotted names
 //! (`mem.ddr.ch0.busy_ps`, `gam.queue.near_mem.depth`,
 //! `storage.ssd0.read_bytes`). The snapshot is a name-sorted,
-//! schema-stable map of scalar summaries with two exporters, a
-//! hand-rolled JSON dump (same no-dependency style as the Chrome trace
-//! serializer) and a flat CSV for sweep post-processing.
+//! schema-stable map of scalar summaries with one exporter, a hand-rolled
+//! JSON dump (same no-dependency style as the Chrome trace serializer).
 //!
 //! [`Histogram`]: crate::stats::Histogram
 //! [`TimeWeighted`]: crate::stats::TimeWeighted
@@ -139,17 +138,6 @@ pub enum MetricValue {
         /// Peak concurrent occupancy.
         peak: f64,
     },
-}
-
-impl MetricValue {
-    fn kind(&self) -> &'static str {
-        match self {
-            MetricValue::Counter { .. } => "counter",
-            MetricValue::Gauge { .. } => "gauge",
-            MetricValue::Histogram { .. } => "histogram",
-            MetricValue::Occupancy { .. } => "occupancy",
-        }
-    }
 }
 
 /// Stable float formatting for the exporters: six decimal places, which is
@@ -321,50 +309,6 @@ impl MetricsSnapshot {
             }
         }
         out.push_str("\n  }\n}\n");
-        out
-    }
-
-    /// Serializes as flat CSV (one row per metric, empty cells where a
-    /// column does not apply to the metric kind).
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("name,kind,value,count,mean,last,p50,p99,peak\n");
-        for (name, v) in self.metrics.iter() {
-            let kind = v.kind();
-            match v {
-                MetricValue::Counter { value } => {
-                    let _ = writeln!(out, "{name},{kind},{value},,,,,,");
-                }
-                MetricValue::Gauge { mean, last } => {
-                    let _ = writeln!(
-                        out,
-                        "{name},{kind},,,{},{},,,",
-                        fmt_f64(*mean),
-                        fmt_f64(*last)
-                    );
-                }
-                MetricValue::Histogram {
-                    count,
-                    mean,
-                    p50,
-                    p99,
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "{name},{kind},,{count},{},,{p50},{p99},",
-                        fmt_f64(*mean)
-                    );
-                }
-                MetricValue::Occupancy { mean, peak } => {
-                    let _ = writeln!(
-                        out,
-                        "{name},{kind},,,{},,,,{}",
-                        fmt_f64(*mean),
-                        fmt_f64(*peak)
-                    );
-                }
-            }
-        }
         out
     }
 }
@@ -577,7 +521,6 @@ mod tests {
         assert_eq!(sorted, by_set);
         assert_eq!(format!("{sorted:?}"), format!("{by_set:?}"));
         assert_eq!(sorted.to_json(), by_set.to_json());
-        assert_eq!(sorted.to_csv(), by_set.to_csv());
         assert_eq!(
             MetricsSnapshot::from_sorted(9, Vec::new()),
             MetricsSnapshot::new(9)

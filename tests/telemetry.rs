@@ -69,7 +69,6 @@ fn telemetry_is_deterministic_across_runs() {
     let a = proper_run();
     let b = proper_run();
     assert_eq!(a.metrics.to_json(), b.metrics.to_json());
-    assert_eq!(a.metrics.to_csv(), b.metrics.to_csv());
 }
 
 // ------------------------------------------------------------------ //
@@ -118,15 +117,6 @@ fn json_exporter_matches_golden_file() {
         &golden_snapshot().to_json(),
         "../../tests/golden/metrics.json",
         include_str!("golden/metrics.json"),
-    );
-}
-
-#[test]
-fn csv_exporter_matches_golden_file() {
-    check_golden(
-        &golden_snapshot().to_csv(),
-        "../../tests/golden/metrics.csv",
-        include_str!("golden/metrics.csv"),
     );
 }
 
