@@ -44,8 +44,9 @@
 //!
 //! A flush writes the whole table — this build's header followed by every
 //! record held, in insertion order — to a temporary file in the same
-//! directory, syncs it and renames it over the store. So a concurrent
-//! reader sees either the old store or the new one, never a half-written
+//! directory, syncs it, renames it over the store and syncs the
+//! directory, so the rename survives a power cut. A concurrent reader
+//! sees either the old store or the new one, never a half-written
 //! file, and a torn, duplicated, foreign or undecodable store is replaced
 //! by a clean one. A process writes what it loaded plus what it added, so
 //! two processes filling one directory at once do not merge: the last
@@ -260,8 +261,8 @@ impl DiskCache {
     }
 
     /// Persists whatever changed since the last flush by rewriting the
-    /// whole store: temporary file, `sync_all`, rename (see the module
-    /// docs). Writes nothing when nothing changed. A failed write warns
+    /// whole store: temporary file, `sync_all`, rename, directory sync
+    /// (see the module docs). Writes nothing when nothing changed. A failed write warns
     /// once and disables further write attempts (reads keep working).
     pub fn flush(&mut self) {
         if !self.dirty || !self.writable {
@@ -284,7 +285,8 @@ impl DiskCache {
     }
 
     /// Writes the header and every record to a temporary file, syncs it
-    /// and renames it over the store; returns the bytes written.
+    /// and renames it over the store, then syncs the directory (warning
+    /// only if that fails); returns the bytes written.
     fn write_store(&self) -> std::io::Result<u64> {
         // Temp name includes the pid so concurrent processes writing the
         // same directory never interleave partial writes; rename keeps
@@ -321,10 +323,21 @@ impl DiskCache {
                 f.sync_all()
             })
             .and_then(|()| std::fs::rename(&tmp, &self.path));
-        if written.is_err() {
+        if let Err(e) = written {
             let _ = std::fs::remove_file(&tmp);
+            return Err(e);
         }
-        written.map(|()| buf.len() as u64)
+        // The rename lives in the directory: sync it too, or a power cut
+        // may bring the old store back. The new store is in place either
+        // way, so a failure here only warns.
+        let dir = match self.path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        if let Err(e) = std::fs::File::open(dir).and_then(|d| d.sync_all()) {
+            warn(&self.path, &format!("directory not synced ({e})"));
+        }
+        Ok(buf.len() as u64)
     }
 
     /// Counts one disk hit (the runner's sequential resolution phase).

@@ -14,8 +14,9 @@
 //! thread is one of the workers: a batch at `jobs` N spawns N − 1 scoped
 //! threads and claims scenarios alongside them, so one fewer thread (and
 //! allocator arena) is used. Machines are built and dropped inside the
-//! worker that claims the scenario, so only the scenarios themselves and
-//! their finished [`ScenarioResult`]s cross thread boundaries.
+//! worker that claims the scenario, so only the scenarios themselves (with
+//! any set-up they share) and their finished [`ScenarioResult`]s cross
+//! thread boundaries.
 //!
 //! ## The result cache
 //!
@@ -31,10 +32,11 @@
 //! [`ScenarioRunner::without_cache`] (the `--no-result-cache` flag) to
 //! force every scenario to simulate.
 //!
-//! Between resolution and fan-out the runner calls `Scenario::prepare` on
-//! the calling thread, in submission order, for each scenario it will
-//! simulate — and only those, so a cache hit never pays a scenario's host
-//! set-up (a graph scenario's traversal, for one).
+//! The fanned-out workers call `Scenario::prepare` for each scenario the
+//! runner will simulate — and only those, so a cache hit never pays a
+//! scenario's host set-up (a graph scenario's traversal, for one). They
+//! claim every preparation, in submission order, before any run, so
+//! distinct set-ups (six graph traversals) build on all workers at once.
 //!
 //! Batches never write the persistent tier: the runner's owner calls
 //! [`ScenarioRunner::flush`] once, after its last batch, and the store
@@ -227,33 +229,32 @@ impl ScenarioRunner {
         }
     }
 
-    /// Executes the scenarios at `indices` (into `scenarios`), returning
-    /// reports in a vector indexed like `scenarios`. Runs on the calling
-    /// thread below two effective workers; otherwise spawns one scoped
-    /// thread fewer than the workers and runs the same claim loop on the
-    /// calling thread too.
+    /// Prepares, then executes, the scenarios at `indices` (into
+    /// `scenarios`), returning reports in a vector indexed like
+    /// `scenarios`. The workers — the calling thread plus one scoped
+    /// thread fewer than the effective worker count — claim 2·m slots from
+    /// one atomic index: slot k < m prepares `indices[k]`, slot m + k runs
+    /// it. So the preparations start in submission order before any run,
+    /// and a lone worker prepares everything, then runs everything.
     fn execute_subset(
         &self,
         scenarios: &[Box<dyn Scenario>],
         indices: &[usize],
     ) -> Vec<Option<RunReport>> {
-        let workers = self.jobs.min(indices.len());
-        if workers <= 1 {
-            let mut reports: Vec<Option<RunReport>> = (0..scenarios.len()).map(|_| None).collect();
-            for &i in indices {
-                reports[i] = Some(scenarios[i].execute());
-            }
-            return reports;
-        }
+        let m = indices.len();
+        let workers = self.jobs.min(m);
         let next = AtomicUsize::new(0);
         let slots: Mutex<Vec<Option<RunReport>>> =
             Mutex::new((0..scenarios.len()).map(|_| None).collect());
         let work = || loop {
             let k = next.fetch_add(1, Ordering::Relaxed);
-            if k >= indices.len() {
-                break;
+            if k < m {
+                scenarios[indices[k]].prepare();
+                continue;
             }
-            let i = indices[k];
+            let Some(&i) = indices.get(k - m) else {
+                break;
+            };
             // The machine is instantiated, driven and dropped entirely
             // inside the worker that claimed the scenario.
             let report = scenarios[i].execute();
@@ -325,17 +326,14 @@ impl ScenarioExecutor for ScenarioRunner {
             }
         }
 
-        // Phase 2 (parallel): simulate only what phase 1 could not answer,
-        // after preparing those scenarios here, in submission order.
+        // Phase 2 (parallel): prepare and simulate only what phase 1 could
+        // not answer.
         let to_run: Vec<usize> = slots
             .iter()
             .enumerate()
             .filter(|(_, slot)| matches!(slot, Slot::Run | Slot::Lead(_)))
             .map(|(i, _)| i)
             .collect();
-        for &i in &to_run {
-            scenarios[i].prepare();
-        }
         let mut reports = self.execute_subset(&scenarios, &to_run);
 
         // Phase 3 (sequential, submission order): assemble results, store
@@ -678,10 +676,10 @@ mod tests {
         assert_eq!(runner.cache_stats(), crate::cache::CacheStats::default());
     }
 
-    /// Delegates to `inner`, logging each `prepare` call's label and thread.
+    /// Delegates to `inner`, logging each `prepare` call's label.
     struct PrepareProbe {
         inner: Box<dyn Scenario>,
-        log: Arc<Mutex<Vec<(String, std::thread::ThreadId)>>>,
+        log: Arc<Mutex<Vec<String>>>,
     }
 
     impl Scenario for PrepareProbe {
@@ -694,8 +692,7 @@ mod tests {
         }
 
         fn prepare(&self) {
-            let entry = (self.label(), std::thread::current().id());
-            self.log.lock().unwrap().push(entry);
+            self.log.lock().unwrap().push(self.label());
         }
 
         fn run(&self, machine: &mut reach::Machine) -> RunReport {
@@ -708,7 +705,7 @@ mod tests {
     }
 
     #[test]
-    fn prepare_runs_on_the_calling_thread_for_simulated_scenarios_only() {
+    fn prepare_runs_once_for_each_simulated_scenario_only() {
         let log = Arc::new(Mutex::new(Vec::new()));
         let probes = || -> Vec<Box<dyn Scenario>> {
             // The batch, then a duplicate of its first point (a follower).
@@ -725,17 +722,22 @@ mod tests {
                 .collect()
         };
         let leaders: Vec<String> = batch().iter().map(|s| s.label()).collect();
-        let here = std::thread::current().id();
-        let runner = ScenarioRunner::new(4);
+        let sorted = |mut labels: Vec<String>| {
+            labels.sort();
+            labels
+        };
+        for jobs in [1, 4] {
+            let runner = ScenarioRunner::new(jobs);
+            let _ = runner.run_all(probes());
+            let cold = std::mem::take(&mut *log.lock().unwrap());
+            if jobs == 1 {
+                assert_eq!(cold, leaders, "a lone worker prepares in submission order");
+            }
+            assert_eq!(sorted(cold), sorted(leaders.clone()), "--jobs {jobs}");
 
-        let _ = runner.run_all(probes());
-        let cold = std::mem::take(&mut *log.lock().unwrap());
-        let labels: Vec<String> = cold.iter().map(|(l, _)| l.clone()).collect();
-        assert_eq!(labels, leaders, "leaders only, in submission order");
-        assert!(cold.iter().all(|(_, t)| *t == here), "prepared off-thread");
-
-        let _ = runner.run_all(probes());
-        assert!(log.lock().unwrap().is_empty(), "a cache hit was prepared");
+            let _ = runner.run_all(probes());
+            assert!(log.lock().unwrap().is_empty(), "a cache hit was prepared");
+        }
 
         // Without a cache every scenario simulates, so every one prepares.
         let _ = ScenarioRunner::without_cache(4).run_all(probes());

@@ -18,7 +18,7 @@ const GRAPHS: u64 = 6;
 #[test]
 fn warm_extension_graph_replays_from_disk_without_traversing() {
     let reference = render_extension_graph(&SequentialExecutor);
-    for jobs in [1, 4] {
+    for jobs in [1, 2, 4] {
         let dir = std::env::temp_dir().join(format!(
             "reach-graph-warm-it-{}-j{jobs}",
             std::process::id()

@@ -12,11 +12,12 @@ use crate::workload::CbirWorkload;
 use reach::fingerprint::ConfigFingerprint;
 use reach::{
     ComputeLevel, EnergyLedger, Machine, MachineBlueprint, MetricValue, MetricsSnapshot, RunReport,
-    Scenario, ScenarioExecutor, SimDuration, SystemConfig,
+    Scenario, ScenarioExecutor, SharedSetup, SimDuration, SystemConfig,
 };
 use reach_sim::FingerprintBuilder;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Instance counts swept in Figures 9–11.
 pub const STAGE_SWEEP: [usize; 5] = [1, 2, 4, 8, 16];
@@ -442,25 +443,22 @@ struct RecallInputs {
     rng: rand::rngs::StdRng,
 }
 
-thread_local! {
-    /// How many [`RecallInputs`] this thread has built.
-    static RECALL_INPUT_BUILDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
+/// Process-wide count of [`RecallInputs`] builds.
+static RECALL_INPUT_BUILDS: AtomicUsize = AtomicUsize::new(0);
 
-/// How many times the calling thread has synthesized the recall
-/// evaluation's shared inputs. Exposed (hidden) so tests can check that
-/// one batch of codec scenarios builds them once, on the thread that
-/// prepares the batch.
+/// How many times this process has synthesized the recall evaluation's
+/// shared inputs. Exposed (hidden) so a test can check that one batch of
+/// codec scenarios builds them once, whichever worker does.
 #[doc(hidden)]
 #[must_use]
-pub fn recall_inputs_built_here() -> usize {
-    RECALL_INPUT_BUILDS.with(std::cell::Cell::get)
+pub fn recall_inputs_built() -> usize {
+    RECALL_INPUT_BUILDS.load(Ordering::Relaxed)
 }
 
 impl RecallInputs {
     fn build() -> Self {
         use crate::dataset::Dataset;
-        RECALL_INPUT_BUILDS.with(|n| n.set(n.get() + 1));
+        RECALL_INPUT_BUILDS.fetch_add(1, Ordering::Relaxed);
         let mut rng =
             reach_sim::rng::derived(reach_sim::rng::DEFAULT_SEED, "recall-vs-compression");
         let ds = Dataset::gaussian_mixture(6_000, RECALL_DIM, 48, 0.8, &mut rng);
@@ -634,13 +632,7 @@ struct RecallCodecScenario {
     /// The dataset, queries and truth every codec of one batch shares,
     /// built on first use by `prepare` or `run`. A batch the result cache
     /// answers whole never builds them.
-    inputs: Arc<OnceLock<RecallInputs>>,
-}
-
-impl RecallCodecScenario {
-    fn inputs(&self) -> &RecallInputs {
-        self.inputs.get_or_init(RecallInputs::build)
-    }
+    inputs: Arc<SharedSetup<RecallInputs>>,
 }
 
 impl Scenario for RecallCodecScenario {
@@ -652,14 +644,19 @@ impl Scenario for RecallCodecScenario {
         blueprint_with(1, 1)
     }
 
-    /// Builds the shared inputs, unless a codec of this batch already did.
+    /// Builds the shared inputs, unless a codec of this batch already
+    /// started to.
     fn prepare(&self) {
-        let _ = self.inputs();
+        self.inputs.prepare(RecallInputs::build);
     }
 
     fn run(&self, _machine: &mut Machine) -> RunReport {
         let i = self.codec;
-        let row = recall_codec(self.inputs(), i, &mut |_| {});
+        let row = recall_codec(
+            self.inputs.get_or_build(RecallInputs::build),
+            i,
+            &mut |_| {},
+        );
         let gauge = |v: f64| MetricValue::Gauge { mean: v, last: v };
         let mut metrics = MetricsSnapshot::new(0);
         metrics.set(

@@ -92,7 +92,7 @@ pub use fleet::{
 };
 pub use machine::Machine;
 pub use report::{RunReport, StageSummary};
-pub use scenario::{Scenario, ScenarioExecutor, ScenarioResult, SequentialExecutor};
+pub use scenario::{Scenario, ScenarioExecutor, ScenarioResult, SequentialExecutor, SharedSetup};
 pub use spec::{JobSource, LoweredPipeline, ScenarioSpec, Tenant};
 pub use trace::{Trace, TraceEvent, TraceKind};
 pub use traffic::ArrivalProcess;

@@ -15,6 +15,8 @@ use crate::fingerprint::ConfigFingerprint;
 use crate::fleet::FleetScenario;
 use crate::machine::Machine;
 use crate::report::RunReport;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
 
 /// Default seed for scenarios that do not choose one
 /// (re-exported from `reach_sim::rng`).
@@ -40,11 +42,14 @@ pub trait Scenario: Send + Sync {
     /// idempotent: the default does nothing, `run` must work whether or
     /// not this was called, and calling it twice does the work once.
     ///
-    /// Executors that fan scenarios out across threads call it on the
-    /// calling thread, in submission order, for exactly the scenarios they
-    /// are about to simulate (never for one a result cache answers), so
-    /// large host allocations happen on one thread instead of in every
-    /// worker's allocator arena.
+    /// Executors that fan scenarios out across threads call it for
+    /// exactly the scenarios they are about to simulate (never for one a
+    /// result cache answers), claiming the calls in submission order from
+    /// the same workers that then run them, so one scenario's `run` may
+    /// overlap another's `prepare`. Work several scenarios share belongs
+    /// in a [`SharedSetup`]: there `prepare` skips a build another thread
+    /// has claimed instead of waiting for it, so the worker moves on to
+    /// the next distinct piece of work.
     fn prepare(&self) {}
 
     /// Drives `machine` and reports. The machine is freshly instantiated
@@ -70,6 +75,62 @@ pub trait Scenario: Send + Sync {
     /// poisons any result cache built on it.
     fn config_fingerprint(&self) -> Option<ConfigFingerprint> {
         None
+    }
+}
+
+/// Host-side set-up that several scenarios of one batch share (a graph
+/// traversal, a training set), built at most once, by whichever of them
+/// first needs it.
+///
+/// [`SharedSetup::prepare`] is the [`Scenario::prepare`] half: it builds
+/// only if nobody has claimed the cell yet, and otherwise returns at once,
+/// so a worker never blocks on a build in flight.
+/// [`SharedSetup::get_or_build`] is the [`Scenario::run`] half: it returns
+/// the value, building it if nobody has, and waits if a build is in
+/// flight.
+#[derive(Debug)]
+pub struct SharedSetup<T> {
+    value: OnceLock<T>,
+    /// Set by the first caller of either half. It publishes no data (the
+    /// `OnceLock` does), so `Relaxed` is enough.
+    claimed: AtomicBool,
+}
+
+impl<T> SharedSetup<T> {
+    /// An empty, unclaimed cell.
+    #[must_use]
+    pub const fn new() -> Self {
+        SharedSetup {
+            value: OnceLock::new(),
+            claimed: AtomicBool::new(false),
+        }
+    }
+
+    /// Claims the cell and builds the value with `build`, unless another
+    /// caller claimed it first (whether its build is finished or not).
+    pub fn prepare(&self, build: impl FnOnce() -> T) {
+        if !self.claimed.swap(true, Ordering::Relaxed) {
+            let _ = self.value.get_or_init(build);
+        }
+    }
+
+    /// The value, built with `build` if no build has started; waits for a
+    /// build in flight.
+    pub fn get_or_build(&self, build: impl FnOnce() -> T) -> &T {
+        self.claimed.store(true, Ordering::Relaxed);
+        self.value.get_or_init(build)
+    }
+
+    /// The value, if a build has finished.
+    #[must_use]
+    pub fn get(&self) -> Option<&T> {
+        self.value.get()
+    }
+}
+
+impl<T> Default for SharedSetup<T> {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -181,6 +242,42 @@ mod tests {
         assert_eq!(report.jobs, 2);
         assert_eq!(scenario.label(), "demo/x2");
         assert_eq!(scenario.seed(), DEFAULT_SEED);
+    }
+
+    #[test]
+    fn prepare_skips_a_build_in_flight_and_get_or_build_waits_for_it() {
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::mpsc;
+
+        let setup = &SharedSetup::new();
+        let builds = AtomicUsize::new(0);
+        let build = |value| {
+            builds.fetch_add(1, Ordering::Relaxed);
+            value
+        };
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                setup.prepare(|| {
+                    started_tx.send(()).expect("test thread waits");
+                    release_rx.recv().expect("test thread releases");
+                    build(1)
+                });
+            });
+            started_rx
+                .recv()
+                .expect("the first prepare starts its build");
+            // The first build is held open: a second prepare returns
+            // without building or waiting.
+            setup.prepare(|| build(2));
+            assert!(setup.get().is_none(), "the held build finished early");
+            let run = s.spawn(|| *setup.get_or_build(|| build(3)));
+            release_tx.send(()).expect("the first build waits");
+            assert_eq!(run.join().expect("get_or_build"), 1);
+        });
+        assert_eq!(builds.load(Ordering::Relaxed), 1);
+        assert_eq!(setup.get(), Some(&1));
     }
 
     #[test]

@@ -27,10 +27,12 @@ use crate::csr::{GraphKind, GraphSpec};
 use crate::pipeline::{GraphPlacement, GraphWorkload, Traversal, WorkloadShape};
 use crate::templates::graph_blueprint;
 use reach::fingerprint::ConfigFingerprint;
-use reach::{Machine, MachineBlueprint, MetricsSnapshot, RunReport, Scenario, ScenarioExecutor};
+use reach::{
+    Machine, MachineBlueprint, MetricsSnapshot, RunReport, Scenario, ScenarioExecutor, SharedSetup,
+};
 use reach_sim::FingerprintBuilder;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Node counts swept per workload × placement.
 pub const GRAPH_SCALES: [u32; 3] = [1024, 4096, 16384];
@@ -49,7 +51,7 @@ pub struct GraphScenario {
     /// The host traversal, run on first use by `prepare` or `run` and
     /// shared by every placement of one (spec, workload) in a sweep. A
     /// point the result cache answers never fills it.
-    traversal: Arc<OnceLock<Traversal>>,
+    traversal: Arc<SharedSetup<Traversal>>,
     batches: usize,
     seed: u64,
 }
@@ -79,7 +81,7 @@ impl GraphScenario {
         spec: GraphSpec,
         workload: GraphWorkload,
         placement: GraphPlacement,
-        traversal: &Arc<OnceLock<Traversal>>,
+        traversal: &Arc<SharedSetup<Traversal>>,
     ) -> Self {
         GraphScenario {
             label: format!(
@@ -104,14 +106,15 @@ impl GraphScenario {
         &self.spec
     }
 
-    /// The host traversal, run on the first call.
+    /// The host traversal, run on the first call (or awaited, if another
+    /// point sharing it is running it).
     ///
     /// # Panics
     ///
     /// Panics if the spec is degenerate (see [`GraphSpec::edge_count`]).
     fn traversal(&self) -> &Traversal {
         self.traversal
-            .get_or_init(|| Traversal::run(&self.spec, self.workload))
+            .get_or_build(|| Traversal::run(&self.spec, self.workload))
     }
 }
 
@@ -129,9 +132,10 @@ impl Scenario for GraphScenario {
     }
 
     /// Generates and traverses the graph, unless a point sharing this
-    /// traversal already did.
+    /// traversal already started to.
     fn prepare(&self) {
-        let _ = self.traversal();
+        self.traversal
+            .prepare(|| Traversal::run(&self.spec, self.workload));
     }
 
     /// Lowers the traversal at this placement, simulates it, and records
@@ -327,7 +331,7 @@ pub fn graph_sweep_with(executor: &dyn ScenarioExecutor) -> Vec<GraphRow> {
     let mut scenarios: Vec<Box<dyn Scenario>> = Vec::new();
     let mut points = Vec::new();
     for (workload, kind) in SWEEP {
-        let graphs: Vec<(GraphSpec, Arc<OnceLock<Traversal>>)> = GRAPH_SCALES
+        let graphs: Vec<(GraphSpec, Arc<SharedSetup<Traversal>>)> = GRAPH_SCALES
             .iter()
             .map(|&nodes| {
                 let spec = GraphSpec {
