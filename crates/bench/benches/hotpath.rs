@@ -2,7 +2,7 @@
 //! (binary heap), GAM dispatch bookkeeping on its own, machine
 //! steady-state event processing, the parallel
 //! CBIR kernels (GEMM micro-kernel, k-means, binary and PQ encode, top-K),
-//! the IVF short-list distance pass, the batched DDR stream timing model,
+//! the IVF short-list distance pass, the exact ground-truth scan, the batched DDR stream timing model,
 //! host graph
 //! generation (RMAT and uniform edge draws plus the CSR build), and the
 //! warm-replay read path (report decode and result-store open).
@@ -282,6 +282,20 @@ fn bench_kmeans(c: &mut Criterion) {
     g.bench_function("pq_subspace_d4", |b| {
         b.iter(|| black_box(kmeans(&sub, k, 5, &mut rng).inertia));
     });
+    // One PQ 4x4b subspace: 6,000 eight-dim sub-vectors against 16
+    // codewords.
+    let (d, k) = (8, 16);
+    let sub = Matrix::from_vec(
+        n,
+        d,
+        (0..n * d)
+            .map(|i| ((i * 2_654_435_761) % 83) as f32 * 0.25)
+            .collect(),
+    );
+    g.throughput(Throughput::Elements((n * k * d) as u64));
+    g.bench_function("pq_subspace_d8", |b| {
+        b.iter(|| black_box(kmeans(&sub, k, 5, &mut rng).inertia));
+    });
     g.finish();
 }
 
@@ -354,6 +368,17 @@ fn bench_distance(c: &mut Criterion) {
     // stored at build time, then the top `nprobe` per query.
     g.bench_function("ivf_short_lists", |b| {
         b.iter(|| black_box(index.short_lists(&queries, 8)));
+    });
+    // The recall experiment's exact top 10: every query's direct distance
+    // to every point, then a top-K selection.
+    let ds = reach_cbir::Dataset {
+        points,
+        labels: vec![0; np],
+        means: Matrix::zeros(1, d),
+    };
+    g.throughput(Throughput::Elements((nq * np) as u64));
+    g.bench_function("ground_truth_top10", |b| {
+        b.iter(|| black_box(ds.ground_truth(&queries, 10)));
     });
     g.finish();
 }

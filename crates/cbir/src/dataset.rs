@@ -5,7 +5,7 @@
 //! structure is what IVF indexing exploits, and recall against exact brute
 //! force is measurable at laptop scale.
 
-use crate::linalg::{dist_sq, Matrix};
+use crate::linalg::{dist_sq_rows_on, Matrix};
 use crate::topk::top_k;
 use rand::Rng;
 use rand_distr_shim::StandardNormalShim;
@@ -65,9 +65,7 @@ impl Dataset {
         for i in 0..n {
             let c = rng.gen_range(0..components);
             labels.push(c);
-            // Copy the mean first, then perturb, to keep the borrow local.
-            let mean: Vec<f32> = means.row(c).to_vec();
-            for (v, m) in points.row_mut(i).iter_mut().zip(mean) {
+            for (v, &m) in points.row_mut(i).iter_mut().zip(means.row(c)) {
                 *v = m + sigma * StandardNormalShim::sample(rng);
             }
         }
@@ -101,26 +99,50 @@ impl Dataset {
         for i in 0..count {
             let src = rng.gen_range(0..self.len());
             origin.push(src);
-            let base: Vec<f32> = self.points.row(src).to_vec();
-            for (v, b) in q.row_mut(i).iter_mut().zip(base) {
+            for (v, &b) in q.row_mut(i).iter_mut().zip(self.points.row(src)) {
                 *v = b + sigma * StandardNormalShim::sample(rng);
             }
         }
         (q, origin)
     }
 
-    /// Exact K-nearest-neighbour ground truth by brute force.
+    /// Exact K-nearest-neighbour ground truth by brute force: each
+    /// query's [`dist_sq`](crate::linalg::dist_sq) to every point, then
+    /// [`top_k`] (ties to the lowest index).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the queries' dimension differs from the points'.
     #[must_use]
     pub fn ground_truth(&self, queries: &Matrix, k: usize) -> Vec<Vec<usize>> {
+        self.ground_truth_on(crate::simd::active(), queries, k)
+    }
+
+    /// [`ground_truth`](Self::ground_truth) on an explicit kernel tier:
+    /// each query's distances come from one
+    /// [`dist_sq_rows_on`] pass over the points, bitwise the one-point
+    /// `dist_sq`. Exposed (hidden) so the determinism suite can hold every
+    /// tier to the one-point reference.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the queries' dimension differs from the points'.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn ground_truth_on(
+        &self,
+        path: crate::simd::SimdPath,
+        queries: &Matrix,
+        k: usize,
+    ) -> Vec<Vec<usize>> {
+        let mut dists = vec![0.0f32; self.len()];
         (0..queries.rows())
             .map(|qi| {
-                top_k(
-                    (0..self.len()).map(|i| (dist_sq(queries.row(qi), self.points.row(i)), i)),
-                    k,
-                )
-                .into_iter()
-                .map(|(_, i)| i)
-                .collect()
+                dist_sq_rows_on(path, &self.points, queries.row(qi), &mut dists);
+                top_k(dists.iter().enumerate().map(|(i, &d)| (d, i)), k)
+                    .into_iter()
+                    .map(|(_, i)| i)
+                    .collect()
             })
             .collect()
     }
@@ -137,7 +159,9 @@ pub struct RecallReport {
     pub k: usize,
 }
 
-/// Computes recall@K: `|retrieved ∩ true| / k`, averaged over queries.
+/// Computes recall@K: `|retrieved ∩ true| / k` over the first `k` of each
+/// list, averaged over queries. Each true neighbour counts at most once,
+/// however often it is retrieved.
 ///
 /// # Panics
 ///
@@ -148,11 +172,8 @@ pub fn recall(retrieved: &[Vec<usize>], truth: &[Vec<usize>], k: usize) -> Recal
     assert!(k > 0, "recall: k = 0");
     let mut total = 0.0f64;
     for (r, t) in retrieved.iter().zip(truth) {
-        let hits = r
-            .iter()
-            .take(k)
-            .filter(|i| t[..k.min(t.len())].contains(i))
-            .count();
+        let retrieved = &r[..k.min(r.len())];
+        let hits = t.iter().take(k).filter(|i| retrieved.contains(i)).count();
         total += hits as f64 / k as f64;
     }
     RecallReport {
@@ -165,6 +186,7 @@ pub fn recall(retrieved: &[Vec<usize>], truth: &[Vec<usize>], k: usize) -> Recal
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linalg::dist_sq;
     use reach_sim::rng::seeded;
 
     #[test]
@@ -224,6 +246,14 @@ mod tests {
         let r = recall(&retrieved, &truth, 3);
         assert!((r.recall_at_k - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!((r.queries, r.k), (1, 3));
+    }
+
+    #[test]
+    fn a_repeated_retrieved_index_counts_once() {
+        let r = recall(&[vec![1, 1, 1]], &[vec![1, 2, 3]], 3);
+        assert!((r.recall_at_k - 1.0 / 3.0).abs() < 1e-12, "{r:?}");
+        let r = recall(&[vec![2, 1, 2, 3]], &[vec![1, 2, 3]], 3);
+        assert!((r.recall_at_k - 2.0 / 3.0).abs() < 1e-12, "{r:?}");
     }
 
     #[test]

@@ -16,7 +16,7 @@ use reach::{
 };
 use reach_sim::FingerprintBuilder;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Instance counts swept in Figures 9–11.
@@ -430,6 +430,19 @@ const RECALL_METHODS: [&str; 5] = [
 /// codec's assertion instead of silently shifting a later codec's stream.
 const RECALL_STEPS: [u64; 5] = [49, 520, 68, 2_048, 8_192];
 
+/// The row of PQ 8x8b, the codec whose codebooks a batch trains as
+/// separate pieces of work ([`RecallBatch`]).
+const PQ8_ROW: usize = 1;
+
+/// PQ 8x8b's shape: 8 subspaces of 64 codewords.
+const PQ8_SUBSPACES: usize = 8;
+const PQ8_CODEWORDS: usize = 64;
+
+/// RNG steps one PQ 8x8b codebook draws: k-means++ over 64 codewords
+/// takes 64 + 1. Codebook `s` starts `s` codebooks into PQ 8x8b's stream.
+const PQ8_CODEBOOK_STEPS: u64 = PQ8_CODEWORDS as u64 + 1;
+const _: () = assert!(RECALL_STEPS[PQ8_ROW] == PQ8_SUBSPACES as u64 * PQ8_CODEBOOK_STEPS);
+
 /// The dimensionality of the recall evaluation's dataset.
 const RECALL_DIM: usize = 32;
 
@@ -453,6 +466,19 @@ static RECALL_INPUT_BUILDS: AtomicUsize = AtomicUsize::new(0);
 #[must_use]
 pub fn recall_inputs_built() -> usize {
     RECALL_INPUT_BUILDS.load(Ordering::Relaxed)
+}
+
+/// Process-wide count of PQ 8x8b codebook trainings ([`pq8_codebook`]).
+static RECALL_CODEBOOK_TRAININGS: AtomicUsize = AtomicUsize::new(0);
+
+/// How many PQ 8x8b codebooks this process has trained for the recall
+/// evaluation. Exposed (hidden) so a test can check that one batch trains
+/// each of the eight once, whichever workers do, and that a batch whose
+/// PQ 8x8b row the result cache answers trains none.
+#[doc(hidden)]
+#[must_use]
+pub fn recall_codebooks_trained() -> usize {
+    RECALL_CODEBOOK_TRAININGS.load(Ordering::Relaxed)
 }
 
 impl RecallInputs {
@@ -498,20 +524,22 @@ impl rand::RngCore for CountingRng<'_> {
 /// recall high at full precision.
 ///
 /// This is the raw computation — dataset synthesis, index builds, codec
-/// training, searches — one codec after another. It is by far the most
-/// expensive experiment in the `experiments` suite and a pure function of
-/// its built-in constants and the pinned [`reach_sim::rng::DEFAULT_SEED`],
-/// so suite runs go through [`recall_vs_compression_with`], which runs
-/// each row as a cacheable scenario of its own.
+/// training, searches — one codec after another on the calling thread,
+/// through the same [`RecallBatch`] the codec scenarios share. It is by
+/// far the most expensive experiment in the `experiments` suite and a
+/// pure function of its built-in constants and the pinned
+/// [`reach_sim::rng::DEFAULT_SEED`], so suite runs go through
+/// [`recall_vs_compression_with`], which runs each row as a cacheable
+/// scenario of its own.
 #[must_use]
 pub fn recall_vs_compression() -> Vec<RecallCompressionRow> {
     recall_vs_compression_observed(&mut |_| {})
 }
 
-/// A codec [`recall_codec`] has just trained, with the dataset's codes in
-/// their flat batch layout — the bits the pin test digests, since the
-/// printed recalls (three decimals) would not show a kernel that flips low
-/// bits.
+/// A codec a [`RecallBatch`] row has just trained, with the dataset's
+/// codes in their flat batch layout — the bits the pin test digests,
+/// since the printed recalls (three decimals) would not show a kernel
+/// that flips low bits.
 #[cfg_attr(not(test), allow(dead_code))] // only the pin test reads them
 enum RecallCodec<'a> {
     /// The IVF index: centroids and postings are the k-means output.
@@ -526,9 +554,9 @@ enum RecallCodec<'a> {
 fn recall_vs_compression_observed(
     observe: &mut dyn FnMut(RecallCodec<'_>),
 ) -> Vec<RecallCompressionRow> {
-    let inputs = RecallInputs::build();
+    let batch = RecallBatch::default();
     (0..RECALL_METHODS.len())
-        .map(|m| recall_codec(&inputs, m, observe))
+        .map(|m| batch.row(m, observe))
         .collect()
 }
 
@@ -542,19 +570,132 @@ fn advanced(base: &rand::rngs::StdRng, steps: u64) -> rand::rngs::StdRng {
     rng
 }
 
-/// Row `m` of [`recall_vs_compression`] on its own: codec `m` starts from
-/// the shared stream advanced past every earlier codec's draws (see
-/// [`RECALL_STEPS`]).
-fn recall_codec(
-    inputs: &RecallInputs,
-    m: usize,
-    observe: &mut dyn FnMut(RecallCodec<'_>),
-) -> RecallCompressionRow {
-    let skip = RECALL_STEPS[..m].iter().sum();
-    recall_codec_on(inputs, m, &mut advanced(&inputs.rng, skip), observe)
+/// What the codec rows of one evaluation share, each piece built at most
+/// once by whichever row first needs it: the inputs, and PQ 8x8b's eight
+/// codebooks as cells of their own. The codebooks are the costliest
+/// training and independent of each other, so on a parallel runner the
+/// workers whose rows finish early train the ones PQ 8x8b's row has not
+/// reached yet.
+#[derive(Default)]
+struct RecallBatch {
+    inputs: SharedSetup<RecallInputs>,
+    /// Codebook `s` of PQ 8x8b, trained by [`pq8_codebook`].
+    codebooks: [SharedSetup<crate::linalg::Matrix>; PQ8_SUBSPACES],
+    /// Set once PQ 8x8b's row is to be computed in this batch (by its
+    /// `prepare`, or when the row starts). Until then no other row trains
+    /// codebooks, so a batch whose PQ 8x8b row the result cache answers
+    /// trains none. It publishes no data, so `Relaxed` is enough.
+    codebooks_wanted: AtomicBool,
 }
 
-/// Trains, encodes and searches row `m`'s codec, drawing from `rng`.
+impl RecallBatch {
+    fn inputs(&self) -> &RecallInputs {
+        self.inputs.get_or_build(RecallInputs::build)
+    }
+
+    /// Trains each codebook nobody has claimed yet. It never waits for a
+    /// codebook another thread is training, so a helper moves on to the
+    /// next one, or back to its own work.
+    fn train_unclaimed_codebooks(&self, inputs: &RecallInputs) {
+        for (s, cell) in self.codebooks.iter().enumerate() {
+            cell.prepare(|| pq8_codebook(inputs, s));
+        }
+    }
+
+    /// Row `m`, bitwise what one RNG threaded through the codecs in row
+    /// order gives (see [`RECALL_STEPS`]). Codec `m` starts from the
+    /// shared stream advanced past every earlier codec's draws, except PQ
+    /// 8x8b, which assembles its quantizer from the codebook cells after
+    /// helping to train them. Every other row, once its own codec is
+    /// done, helps train the codebooks if PQ 8x8b wants them.
+    fn row(&self, m: usize, observe: &mut dyn FnMut(RecallCodec<'_>)) -> RecallCompressionRow {
+        let inputs = self.inputs();
+        if m != PQ8_ROW {
+            let skip = RECALL_STEPS[..m].iter().sum();
+            let row = recall_codec_on(inputs, m, &mut advanced(&inputs.rng, skip), observe);
+            if self.codebooks_wanted.load(Ordering::Relaxed) {
+                self.train_unclaimed_codebooks(inputs);
+            }
+            return row;
+        }
+        self.codebooks_wanted.store(true, Ordering::Relaxed);
+        self.train_unclaimed_codebooks(inputs);
+        let books = self
+            .codebooks
+            .iter()
+            .enumerate()
+            .map(|(s, cell)| cell.get_or_build(|| pq8_codebook(inputs, s)).clone())
+            .collect();
+        let pq = crate::pq::ProductQuantizer::from_codebooks(books);
+        let (bytes_per_vector, results) = pq_search(inputs, &pq, observe);
+        recall_row(inputs, m, bytes_per_vector, &results)
+    }
+}
+
+/// PQ 8x8b's codebook `s`, trained from the inputs' stream advanced past
+/// the IVF codec and the `s` codebooks before it: bitwise the codebook
+/// `ProductQuantizer::train` gives subspace `s` from PQ 8x8b's single
+/// stream.
+///
+/// # Panics
+///
+/// Panics if the training draws other than [`PQ8_CODEBOOK_STEPS`] steps.
+fn pq8_codebook(inputs: &RecallInputs, s: usize) -> crate::linalg::Matrix {
+    RECALL_CODEBOOK_TRAININGS.fetch_add(1, Ordering::Relaxed);
+    let skip = RECALL_STEPS[..PQ8_ROW].iter().sum::<u64>() + PQ8_CODEBOOK_STEPS * s as u64;
+    let mut base = advanced(&inputs.rng, skip);
+    let mut rng = CountingRng {
+        rng: &mut base,
+        steps: 0,
+    };
+    let book = crate::pq::ProductQuantizer::train_codebook(
+        &inputs.points,
+        PQ8_SUBSPACES,
+        s,
+        PQ8_CODEWORDS,
+        &mut rng,
+    );
+    assert_eq!(
+        rng.steps, PQ8_CODEBOOK_STEPS,
+        "PQ 8x8b codebook {s}: RNG steps drawn differ from PQ8_CODEBOOK_STEPS"
+    );
+    book
+}
+
+/// Encodes the dataset with `pq` and searches every query's top 10 over
+/// the codes: the bytes visited per vector, and the results.
+fn pq_search(
+    inputs: &RecallInputs,
+    pq: &crate::pq::ProductQuantizer,
+    observe: &mut dyn FnMut(RecallCodec<'_>),
+) -> (f64, Vec<Vec<usize>>) {
+    let codes = pq.encode_batch(&inputs.points);
+    observe(RecallCodec::Pq(pq, &codes));
+    let results = (0..inputs.queries.rows())
+        .map(|qi| pq.search(&codes, inputs.queries.row(qi), 10))
+        .collect();
+    (pq.code_bytes() as f64, results)
+}
+
+/// Row `m` from its codec's bytes per vector and search results.
+fn recall_row(
+    inputs: &RecallInputs,
+    m: usize,
+    bytes_per_vector: f64,
+    results: &[Vec<usize>],
+) -> RecallCompressionRow {
+    RecallCompressionRow {
+        method: RECALL_METHODS[m].into(),
+        bytes_per_vector,
+        recall_at_10: crate::dataset::recall(results, &inputs.truth, 10).recall_at_k,
+    }
+}
+
+/// Trains, encodes and searches row `m`'s codec, drawing from `rng`. A
+/// [`RecallBatch`] computes every row but PQ 8x8b this way; for PQ 8x8b
+/// it trains the eight codebooks as separate pieces of work, and the
+/// single-stream `ProductQuantizer::train` below is the reference they
+/// are held to.
 ///
 /// # Panics
 ///
@@ -566,15 +707,11 @@ fn recall_codec_on(
     observe: &mut dyn FnMut(RecallCodec<'_>),
 ) -> RecallCompressionRow {
     use crate::binary::BinaryCoder;
-    use crate::dataset::recall;
     use crate::ivf::IvfIndex;
     use crate::pq::ProductQuantizer;
 
     let RecallInputs {
-        points,
-        queries,
-        truth,
-        ..
+        points, queries, ..
     } = inputs;
     let mut rng = CountingRng { rng, steps: 0 };
     let (bytes_per_vector, results) = match m {
@@ -588,14 +725,13 @@ fn recall_codec_on(
         }
         // Product quantization at two compression points.
         1 | 2 => {
-            let (subs, cents) = if m == 1 { (8, 64) } else { (4, 16) };
+            let (subs, cents) = if m == PQ8_ROW {
+                (PQ8_SUBSPACES, PQ8_CODEWORDS)
+            } else {
+                (4, 16)
+            };
             let pq = ProductQuantizer::train(points, subs, cents, &mut rng);
-            let codes = pq.encode_batch(points);
-            observe(RecallCodec::Pq(&pq, &codes));
-            let results = (0..queries.rows())
-                .map(|qi| pq.search(&codes, queries.row(qi), 10))
-                .collect();
-            (pq.code_bytes() as f64, results)
+            pq_search(inputs, &pq, observe)
         }
         // Binary codes at two lengths.
         _ => {
@@ -614,25 +750,22 @@ fn recall_codec_on(
         "{}: RNG steps drawn differ from RECALL_STEPS",
         RECALL_METHODS[m]
     );
-    RecallCompressionRow {
-        method: RECALL_METHODS[m].into(),
-        bytes_per_vector,
-        recall_at_10: recall(&results, truth, 10).recall_at_k,
-    }
+    recall_row(inputs, m, bytes_per_vector, &results)
 }
 
 /// One row of [`recall_vs_compression`] as a cacheable [`Scenario`]: the
 /// row travels inside a [`RunReport`]'s metrics (two gauges under
 /// `recall.NN.*`, `NN` the row index), so the runner's result cache —
 /// including the persistent disk tier — replays it instead of re-training
-/// the codec, and a parallel runner trains the five codecs at once. It
-/// simulates nothing, so the machine it is handed goes unused.
+/// the codec, and a parallel runner trains the five codecs at once. The
+/// rows of one batch share a [`RecallBatch`]: the inputs, and PQ 8x8b's
+/// codebooks, which any row's worker helps to train once its own row is
+/// done. It simulates nothing, so the machine it is handed goes unused.
 struct RecallCodecScenario {
     codec: usize,
-    /// The dataset, queries and truth every codec of one batch shares,
-    /// built on first use by `prepare` or `run`. A batch the result cache
-    /// answers whole never builds them.
-    inputs: Arc<SharedSetup<RecallInputs>>,
+    /// What every codec of one batch shares, each piece built on first
+    /// use. A batch the result cache answers whole builds none of it.
+    batch: Arc<RecallBatch>,
 }
 
 impl Scenario for RecallCodecScenario {
@@ -645,18 +778,18 @@ impl Scenario for RecallCodecScenario {
     }
 
     /// Builds the shared inputs, unless a codec of this batch already
-    /// started to.
+    /// started to. PQ 8x8b's codec also marks its codebooks wanted, so
+    /// the other codecs' workers help to train them.
     fn prepare(&self) {
-        self.inputs.prepare(RecallInputs::build);
+        if self.codec == PQ8_ROW {
+            self.batch.codebooks_wanted.store(true, Ordering::Relaxed);
+        }
+        self.batch.inputs.prepare(RecallInputs::build);
     }
 
     fn run(&self, _machine: &mut Machine) -> RunReport {
         let i = self.codec;
-        let row = recall_codec(
-            self.inputs.get_or_build(RecallInputs::build),
-            i,
-            &mut |_| {},
-        );
+        let row = self.batch.row(i, &mut |_| {});
         let gauge = |v: f64| MetricValue::Gauge { mean: v, last: v };
         let mut metrics = MetricsSnapshot::new(0);
         metrics.set(
@@ -692,8 +825,8 @@ impl Scenario for RecallCodecScenario {
 }
 
 /// The codec scenarios of [`recall_vs_compression_with`] for the rows in
-/// `codecs`, in that order, sharing one set of inputs. Exposed (hidden) so
-/// tests can warm a result cache with part of the evaluation.
+/// `codecs`, in that order, sharing one [`RecallBatch`]. Exposed (hidden)
+/// so tests can warm a result cache with part of the evaluation.
 ///
 /// # Panics
 ///
@@ -701,14 +834,14 @@ impl Scenario for RecallCodecScenario {
 #[doc(hidden)]
 #[must_use]
 pub fn recall_codec_scenarios(codecs: impl IntoIterator<Item = usize>) -> Vec<Box<dyn Scenario>> {
-    let inputs = Arc::default();
+    let batch = Arc::default();
     codecs
         .into_iter()
         .map(|codec| {
             assert!(codec < RECALL_METHODS.len(), "no recall row {codec}");
             Box::new(RecallCodecScenario {
                 codec,
-                inputs: Arc::clone(&inputs),
+                batch: Arc::clone(&batch),
             }) as Box<dyn Scenario>
         })
         .collect()
@@ -716,8 +849,9 @@ pub fn recall_codec_scenarios(codecs: impl IntoIterator<Item = usize>) -> Vec<Bo
 
 /// [`recall_vs_compression`] through an executor, as five codec scenarios
 /// in one batch: a parallel runner trains the codecs concurrently, each
-/// from its own jump-ahead of the shared RNG stream, with rows bitwise
-/// equal to the sequential evaluation.
+/// from its own jump-ahead of the shared RNG stream, and the workers that
+/// finish early train PQ 8x8b's codebooks beside its own; the rows are
+/// bitwise equal to the sequential evaluation.
 ///
 /// # Panics
 ///
@@ -874,7 +1008,9 @@ mod tests {
     /// Every codec draws exactly its `RECALL_STEPS` count, so the jump-ahead
     /// each codec scenario starts from is the state one RNG threaded
     /// through the codecs in row order — the old single-stream evaluation
-    /// — reaches it at, and the rows are bitwise that evaluation's.
+    /// — reaches it at, and the rows are bitwise that evaluation's. The
+    /// same holds one level down for PQ 8x8b's separately trained
+    /// codebooks.
     #[test]
     fn recall_jump_ahead_equals_the_single_stream() {
         let inputs = RecallInputs::build();
@@ -899,6 +1035,40 @@ mod tests {
                 .collect()
         };
         assert_eq!(bits(&recall_vs_compression()), bits(&single_stream));
+
+        // PQ 8x8b's codebooks, each from its own jump-ahead, are the
+        // codebooks `ProductQuantizer::train` draws from PQ 8x8b's single
+        // stream, and each draws exactly PQ8_CODEBOOK_STEPS.
+        let pq8_stream = || advanced(&inputs.rng, RECALL_STEPS[0]);
+        let single = crate::pq::ProductQuantizer::train(
+            &inputs.points,
+            PQ8_SUBSPACES,
+            PQ8_CODEWORDS,
+            &mut pq8_stream(),
+        );
+        let book_bits = |m: &crate::linalg::Matrix| -> Vec<u32> {
+            m.as_slice().iter().map(|v| v.to_bits()).collect()
+        };
+        let mut chained = pq8_stream();
+        for (s, want) in single.codebooks().iter().enumerate() {
+            let mut rng = CountingRng {
+                rng: &mut chained,
+                steps: 0,
+            };
+            let _ = crate::pq::ProductQuantizer::train_codebook(
+                &inputs.points,
+                PQ8_SUBSPACES,
+                s,
+                PQ8_CODEWORDS,
+                &mut rng,
+            );
+            assert_eq!(rng.steps, PQ8_CODEBOOK_STEPS, "codebook {s}: steps drawn");
+            assert_eq!(
+                book_bits(&pq8_codebook(&inputs, s)),
+                book_bits(want),
+                "codebook {s} from its jump-ahead"
+            );
+        }
     }
 
     #[test]

@@ -39,8 +39,27 @@ pub struct Clustering {
 ///
 /// Panics if `k` is zero or exceeds the number of points.
 #[must_use]
-#[allow(clippy::needless_range_loop)] // parallel-indexed arrays; enumerate obscures
 pub fn kmeans(points: &Matrix, k: usize, max_iters: usize, rng: &mut impl Rng) -> Clustering {
+    kmeans_on(crate::simd::active(), points, k, max_iters, rng)
+}
+
+/// [`kmeans`] on an explicit kernel tier. Exposed (hidden) so the
+/// determinism suite can hold every tier's clustering to one reference
+/// without racing on the process-wide dispatch override.
+///
+/// # Panics
+///
+/// Panics if `k` is zero or exceeds the number of points.
+#[doc(hidden)]
+#[must_use]
+#[allow(clippy::needless_range_loop)] // parallel-indexed arrays; enumerate obscures
+pub fn kmeans_on(
+    path: crate::simd::SimdPath,
+    points: &Matrix,
+    k: usize,
+    max_iters: usize,
+    rng: &mut impl Rng,
+) -> Clustering {
     let n = points.rows();
     let d = points.cols();
     assert!(k > 0 && k <= n, "kmeans: k={k} out of range for {n} points");
@@ -49,7 +68,6 @@ pub fn kmeans(points: &Matrix, k: usize, max_iters: usize, rng: &mut impl Rng) -
     // The D² refresh computes every point's distance to the new centroid
     // in one kernel call (eight points per points-as-lanes step on AVX2),
     // bitwise the one-point `dist_sq`, keeping the strictly smaller value.
-    let path = crate::simd::active();
     let mut centroids = Matrix::zeros(k, d);
     let first = rng.gen_range(0..n);
     centroids.row_mut(0).copy_from_slice(points.row(first));
@@ -98,13 +116,7 @@ pub fn kmeans(points: &Matrix, k: usize, max_iters: usize, rng: &mut impl Rng) -
         // Update.
         let mut sums = vec![0.0f64; k * d];
         let mut counts = vec![0usize; k];
-        for (i, &c) in assignments.iter().enumerate() {
-            counts[c] += 1;
-            let row = &points.as_slice()[i * d..(i + 1) * d];
-            for (s, &x) in sums[c * d..(c + 1) * d].iter_mut().zip(row) {
-                *s += f64::from(x);
-            }
-        }
+        accumulate(d, points.as_slice(), &assignments, &mut sums, &mut counts);
         for c in 0..k {
             if counts[c] == 0 {
                 continue;
@@ -134,6 +146,51 @@ pub fn kmeans(points: &Matrix, k: usize, max_iters: usize, rng: &mut impl Rng) -
         assignments,
         inertia,
         iterations,
+    }
+}
+
+/// The Lloyd update's sums: adds every `d`-float row of `points` into its
+/// cluster's `f64` sums and counts it, rows in point order, so each sum
+/// takes its adds in one fixed order. The dimensions the recall codecs
+/// train at (4 and 8 for the PQ sub-vectors, 32 for the IVF build) and
+/// the rest up to 8 get a copy of the loop with `d` constant, which
+/// unrolls the per-row adds without reordering them.
+fn accumulate(
+    d: usize,
+    points: &[f32],
+    assignments: &[usize],
+    sums: &mut [f64],
+    counts: &mut [usize],
+) {
+    match d {
+        1 => accumulate_rows(1, points, assignments, sums, counts),
+        2 => accumulate_rows(2, points, assignments, sums, counts),
+        3 => accumulate_rows(3, points, assignments, sums, counts),
+        4 => accumulate_rows(4, points, assignments, sums, counts),
+        5 => accumulate_rows(5, points, assignments, sums, counts),
+        6 => accumulate_rows(6, points, assignments, sums, counts),
+        7 => accumulate_rows(7, points, assignments, sums, counts),
+        8 => accumulate_rows(8, points, assignments, sums, counts),
+        32 => accumulate_rows(32, points, assignments, sums, counts),
+        _ => accumulate_rows(d, points, assignments, sums, counts),
+    }
+}
+
+/// The body of [`accumulate`], inlined into each of its arms.
+#[inline(always)]
+fn accumulate_rows(
+    d: usize,
+    points: &[f32],
+    assignments: &[usize],
+    sums: &mut [f64],
+    counts: &mut [usize],
+) {
+    for (i, &c) in assignments.iter().enumerate() {
+        counts[c] += 1;
+        let row = &points[i * d..(i + 1) * d];
+        for (s, &x) in sums[c * d..(c + 1) * d].iter_mut().zip(row) {
+            *s += f64::from(x);
+        }
     }
 }
 

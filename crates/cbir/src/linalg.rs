@@ -378,7 +378,8 @@ fn nearest_panel_scalar(
 /// and its decomposed squared distance into `best_d`.
 ///
 /// Rows go through the kernel [`PANELS`] x [`LANES`] at a time,
-/// transposed into points-as-lanes panels that every block reuses; no
+/// transposed ([`pack_rows`]) into points-as-lanes panels that every
+/// block reuses, so no packed copy of the whole matrix is kept; no
 /// `rows x k` dot-product buffer is ever materialized. Per row the result
 /// is bitwise the one-point scan `norm_sq(p) + norm_sq(c) - 2.0 *
 /// dot8(p, c)` in centroid order with a strict `<`, whatever the tier or
@@ -413,8 +414,56 @@ pub fn nearest_centroids_on(
         .enumerate()
     {
         let used = &mut panels[..idx.len().div_ceil(LANES) * LANES * d];
-        pack_lanes(block_rows(points, b * block, idx.len()), used);
+        let rows = &points.data[b * block * d..(b * block + idx.len()) * d];
+        pack_rows(d, rows, used);
         crate::simd::nearest_lanes_on(path, d, used, &centroids.data, &c_norms, idx, dist);
+    }
+}
+
+/// [`pack_lanes`] for contiguous `d`-float rows: transposes `rows` into
+/// consecutive points-as-lanes panels, point `p` of a panel at lane `p`
+/// of each of its `d` panel rows, with the lanes past the last row zero.
+/// Dimensions up to 8 (the PQ sub-vectors) get a copy of the loop with
+/// `d` constant, so each full panel is one unrolled transpose. At `d = 0`
+/// there is nothing to pack.
+fn pack_rows(d: usize, rows: &[f32], panels: &mut [f32]) {
+    match d {
+        0 => {}
+        1 => transpose_rows(1, rows, panels),
+        2 => transpose_rows(2, rows, panels),
+        3 => transpose_rows(3, rows, panels),
+        4 => transpose_rows(4, rows, panels),
+        5 => transpose_rows(5, rows, panels),
+        6 => transpose_rows(6, rows, panels),
+        7 => transpose_rows(7, rows, panels),
+        8 => transpose_rows(8, rows, panels),
+        _ => transpose_rows(d, rows, panels),
+    }
+}
+
+/// The body of [`pack_rows`] for `d > 0`, inlined into each of its arms.
+#[inline(always)]
+fn transpose_rows(d: usize, rows: &[f32], panels: &mut [f32]) {
+    let panel_len = LANES * d;
+    debug_assert_eq!(panels.len(), rows.len().div_ceil(panel_len) * panel_len);
+    for (src, panel) in rows
+        .chunks(panel_len)
+        .zip(panels.chunks_exact_mut(panel_len))
+    {
+        if src.len() == panel_len {
+            for (t, lanes) in panel.chunks_exact_mut(LANES).enumerate() {
+                for (p, lane) in lanes.iter_mut().enumerate() {
+                    *lane = src[p * d + t];
+                }
+            }
+        } else {
+            panel.fill(0.0);
+            for (p, row) in src.chunks_exact(d).enumerate() {
+                for (t, &x) in row.iter().enumerate() {
+                    panel[t * LANES + p] = x;
+                }
+            }
+        }
     }
 }
 
@@ -438,14 +487,6 @@ fn dist_sq_lanes(panel: &[f32], q: &[f32]) -> [f32; LANES] {
         }
     }
     acc
-}
-
-/// The rows `first .. first + count` of `m` (at most [`LANES`]), as
-/// slices, for [`pack_lanes`].
-fn block_rows(m: &Matrix, first: usize, count: usize) -> impl Iterator<Item = &[f32]> {
-    let d = m.cols;
-    let block = &m.data[first * d..(first + count) * d];
-    (0..count).map(move |p| &block[p * d..(p + 1) * d])
 }
 
 /// [`dist_sq`] of every row of `points` to `q`, into `out`, on an explicit

@@ -18,6 +18,20 @@ use crate::simd::SimdPath;
 use crate::topk::top_k;
 use rand::Rng;
 
+/// Panics unless `data` splits into `subspaces` equal subspaces and
+/// `centroids` is in `1..=256` and at most the training-set size.
+fn check_shape(data: &Matrix, subspaces: usize, centroids: usize) {
+    let d = data.cols();
+    assert!(
+        subspaces > 0 && d.is_multiple_of(subspaces),
+        "ProductQuantizer: {d} dims not divisible into {subspaces} subspaces"
+    );
+    assert!(
+        (1..=256).contains(&centroids) && centroids <= data.rows(),
+        "ProductQuantizer: centroids {centroids} out of range"
+    );
+}
+
 /// A trained product quantizer. Each codebook keeps its codewords'
 /// squared norms beside it, computed once at training, so a query's
 /// distance table is the decomposed `||q_s||^2 + ||c||^2 - 2<q_s, c>`
@@ -47,7 +61,8 @@ pub struct ProductQuantizer {
 impl ProductQuantizer {
     /// Trains a quantizer with `subspaces` sub-quantizers of `centroids`
     /// codewords each (classic PQ uses 8 subspaces x 256 codewords for
-    /// 8 bytes per vector).
+    /// 8 bytes per vector): one [`train_codebook`](Self::train_codebook)
+    /// per subspace, in subspace order, all drawing from `rng`.
     ///
     /// # Panics
     ///
@@ -55,27 +70,68 @@ impl ProductQuantizer {
     /// `centroids` exceeds the training-set size or 256 (codes are `u8`).
     #[must_use]
     pub fn train(data: &Matrix, subspaces: usize, centroids: usize, rng: &mut impl Rng) -> Self {
-        let d = data.cols();
+        check_shape(data, subspaces, centroids);
+        Self::from_codebooks(
+            (0..subspaces)
+                .map(|s| Self::train_codebook(data, subspaces, s, centroids, rng))
+                .collect(),
+        )
+    }
+
+    /// Trains subspace `s`'s codebook alone: k-means with `centroids`
+    /// codewords over columns `s * sub_dim..(s + 1) * sub_dim` of `data`,
+    /// drawing from `rng` exactly what [`train`](Self::train) draws for
+    /// it. Codebooks trained this way, each from the stream state `train`
+    /// would reach it at, assemble through
+    /// [`from_codebooks`](Self::from_codebooks) into `train`'s quantizer.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the shapes [`train`](Self::train) rejects, or if `s` is
+    /// not below `subspaces`.
+    #[must_use]
+    pub fn train_codebook(
+        data: &Matrix,
+        subspaces: usize,
+        s: usize,
+        centroids: usize,
+        rng: &mut impl Rng,
+    ) -> Matrix {
+        check_shape(data, subspaces, centroids);
         assert!(
-            subspaces > 0 && d.is_multiple_of(subspaces),
-            "ProductQuantizer: {d} dims not divisible into {subspaces} subspaces"
+            s < subspaces,
+            "ProductQuantizer: subspace {s} of {subspaces}"
         );
+        let sub_dim = data.cols() / subspaces;
+        let mut sub = Matrix::zeros(data.rows(), sub_dim);
+        for i in 0..data.rows() {
+            sub.row_mut(i)
+                .copy_from_slice(&data.row(i)[s * sub_dim..(s + 1) * sub_dim]);
+        }
+        kmeans(&sub, centroids, 20, rng).centroids
+    }
+
+    /// Assembles a quantizer from its codebooks, one per subspace in
+    /// subspace order, and stores their codeword norms.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are no codebooks, if they differ in shape, or if a
+    /// codebook holds no codeword or more than 256.
+    #[must_use]
+    pub fn from_codebooks(codebooks: Vec<Matrix>) -> Self {
+        let first = codebooks.first().expect("ProductQuantizer: no codebooks");
+        let (centroids, sub_dim) = (first.rows(), first.cols());
         assert!(
-            (1..=256).contains(&centroids) && centroids <= data.rows(),
+            (1..=256).contains(&centroids),
             "ProductQuantizer: centroids {centroids} out of range"
         );
-        let sub_dim = d / subspaces;
-        let codebooks: Vec<Matrix> = (0..subspaces)
-            .map(|s| {
-                // Slice out the subspace columns.
-                let mut sub = Matrix::zeros(data.rows(), sub_dim);
-                for i in 0..data.rows() {
-                    sub.row_mut(i)
-                        .copy_from_slice(&data.row(i)[s * sub_dim..(s + 1) * sub_dim]);
-                }
-                kmeans(&sub, centroids, 20, rng).centroids
-            })
-            .collect();
+        assert!(
+            codebooks
+                .iter()
+                .all(|b| (b.rows(), b.cols()) == (centroids, sub_dim)),
+            "ProductQuantizer: codebooks differ in shape"
+        );
         let codeword_norms = codebooks.iter().map(crate::cache::norm_column).collect();
         ProductQuantizer {
             sub_dim,
@@ -340,6 +396,39 @@ mod tests {
             fine > coarse,
             "recall should grow with codebook size: {coarse} -> {fine}"
         );
+    }
+
+    #[test]
+    fn train_is_its_codebooks_trained_one_by_one() {
+        let (ds, _, _) = setup();
+        let whole = ProductQuantizer::train(&ds.points, 4, 8, &mut seeded(48));
+        let mut rng = seeded(48);
+        let books = (0..4)
+            .map(|s| ProductQuantizer::train_codebook(&ds.points, 4, s, 8, &mut rng))
+            .collect();
+        let parts = ProductQuantizer::from_codebooks(books);
+        let bits = |pq: &ProductQuantizer| -> Vec<u32> {
+            pq.codebooks()
+                .iter()
+                .flat_map(|b| b.as_slice().iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&parts), bits(&whole));
+        assert_eq!(parts.codeword_norms, whole.codeword_norms);
+        assert_eq!(parts.sub_dim, whole.sub_dim);
+    }
+
+    #[test]
+    #[should_panic(expected = "codebooks differ in shape")]
+    fn from_codebooks_rejects_mixed_shapes() {
+        let _ = ProductQuantizer::from_codebooks(vec![Matrix::zeros(4, 2), Matrix::zeros(4, 3)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "subspace 4 of 4")]
+    fn train_codebook_rejects_a_subspace_out_of_range() {
+        let data = Matrix::zeros(16, 8);
+        let _ = ProductQuantizer::train_codebook(&data, 4, 4, 4, &mut seeded(3));
     }
 
     /// The direct-subtraction table: entry `[s][c]` is

@@ -87,7 +87,10 @@ pub trait Scenario: Send + Sync {
 /// so a worker never blocks on a build in flight.
 /// [`SharedSetup::get_or_build`] is the [`Scenario::run`] half: it returns
 /// the value, building it if nobody has, and waits if a build is in
-/// flight.
+/// flight. Because `prepare` never blocks, a scenario whose own work is
+/// done may call it on cells another scenario of its batch will wait for,
+/// to help build them (help-then-wait: the recall codecs train PQ 8x8b's
+/// codebooks this way).
 #[derive(Debug)]
 pub struct SharedSetup<T> {
     value: OnceLock<T>,

@@ -246,12 +246,13 @@ mod simd_bitwise {
 
     use proptest::prelude::*;
     use rand::Rng;
+    use reach_cbir::kmeans::kmeans_on;
     use reach_cbir::linalg::{
         dist_sq, dist_sq_rows_on, gemm_nt_rows_on, lower_dist_sq_rows_on, nearest_centroids_on,
         Matrix,
     };
     use reach_cbir::simd::{self, SimdPath};
-    use reach_cbir::{BinaryCoder, ProductQuantizer};
+    use reach_cbir::{top_k, BinaryCoder, Dataset, ProductQuantizer};
     use reach_sim::rng::seeded;
 
     /// Every non-scalar path this host can execute (empty on exotic
@@ -414,6 +415,210 @@ mod simd_bitwise {
                             (&idx, &bits),
                             (&want.0, &want.1),
                             "d {d} n {n} k {k} mode {mode} diverged on {}",
+                            p.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The k-means reference: k-means++ seeding by one-point `dist_sq`
+    /// as `kmeans` draws it, the one-point decomposed assignment
+    /// (`nearest_reference`), and the Lloyd update as one generic loop
+    /// over `d`, adds in point order, then the farthest-first empty-cluster
+    /// reseed. Returns the centroid bits, the assignments, the inertia
+    /// bits, the iterations run and whether any cluster was reseeded.
+    fn kmeans_reference(
+        points: &Matrix,
+        k: usize,
+        max_iters: usize,
+        seed: u64,
+    ) -> (Vec<u32>, Vec<usize>, u64, usize, bool) {
+        let (n, d) = (points.rows(), points.cols());
+        let mut rng = seeded(seed);
+        let mut centroids = vec![0.0f32; k * d];
+        let first = rng.gen_range(0..n);
+        centroids[..d].copy_from_slice(points.row(first));
+        let mut d2: Vec<f32> = (0..n)
+            .map(|i| dist_sq(points.row(i), &centroids[..d]))
+            .collect();
+        for c in 1..k {
+            let total: f64 = d2.iter().map(|&x| f64::from(x)).sum();
+            let chosen = if total <= f64::EPSILON {
+                rng.gen_range(0..n)
+            } else {
+                let mut target = rng.gen_range(0.0..total);
+                let mut pick = n - 1;
+                for (i, &x) in d2.iter().enumerate() {
+                    target -= f64::from(x);
+                    if target <= 0.0 {
+                        pick = i;
+                        break;
+                    }
+                }
+                pick
+            };
+            centroids[c * d..(c + 1) * d].copy_from_slice(points.row(chosen));
+            for (i, slot) in d2.iter_mut().enumerate() {
+                let x = dist_sq(points.row(i), &centroids[c * d..(c + 1) * d]);
+                if x < *slot {
+                    *slot = x;
+                }
+            }
+        }
+        let (mut assignments, mut inertia, mut iterations, mut reseeded) =
+            (vec![0; n], f64::INFINITY, 0, false);
+        for it in 0..max_iters {
+            iterations = it + 1;
+            let (idx, dist_bits) =
+                nearest_reference(points, &Matrix::from_vec(k, d, centroids.clone()));
+            assignments = idx;
+            let best_dists: Vec<f32> = dist_bits.into_iter().map(f32::from_bits).collect();
+            let mut new_inertia = 0.0f64;
+            for &bd in &best_dists {
+                new_inertia += f64::from(bd);
+            }
+            let mut sums = vec![0.0f64; k * d];
+            let mut counts = vec![0usize; k];
+            for (i, &c) in assignments.iter().enumerate() {
+                counts[c] += 1;
+                for t in 0..d {
+                    sums[c * d + t] += f64::from(points.row(i)[t]);
+                }
+            }
+            for c in 0..k {
+                if counts[c] > 0 {
+                    let inv = 1.0 / counts[c] as f64;
+                    for t in 0..d {
+                        centroids[c * d + t] = (sums[c * d + t] * inv) as f32;
+                    }
+                }
+            }
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by(|&a, &b| best_dists[b].total_cmp(&best_dists[a]).then(a.cmp(&b)));
+            let empty = (0..k).filter(|&c| counts[c] == 0);
+            for (c, i) in empty.zip(order) {
+                centroids[c * d..(c + 1) * d].copy_from_slice(points.row(i));
+                reseeded = true;
+            }
+            if (inertia - new_inertia).abs() <= 1e-6 * new_inertia.max(1.0) {
+                inertia = new_inertia;
+                break;
+            }
+            inertia = new_inertia;
+        }
+        let bits = centroids.iter().map(|v| v.to_bits()).collect();
+        (bits, assignments, inertia.to_bits(), iterations, reseeded)
+    }
+
+    #[test]
+    fn kmeans_matches_the_generic_update_loop_on_every_tier() {
+        // d 1..=8 and 32 take the update's fixed-dimension copies, 9 the
+        // generic loop. The small-integer fill repeats points, so
+        // k-means++ falls back to duplicate centroids and clusters empty.
+        // The `f64` sums of those fills are exact in any order, so mode 3
+        // follows each large value (near 2^30) with its negation and then
+        // a small one (near 2^-10): adding a large value rounds the small
+        // running sum to its ulp (2^-22), and the pair then cancels
+        // exactly, so which small values get rounded depends on the add
+        // order. With k = 1 every point shares one cluster, so only the
+        // reference's order gives its bits (the point counts are multiples
+        // of 3, so every large value meets its negation).
+        let cancelling = |n: usize, d: usize, salt: usize| -> Vec<f32> {
+            let scale = |i: usize, t: usize| {
+                let x = (i / 3 * d + t)
+                    .wrapping_mul(0x9E37_79B9)
+                    .wrapping_add(salt.wrapping_mul(7919));
+                1.0 + (x % 977) as f32 / 977.0
+            };
+            (0..n * d)
+                .map(|j| {
+                    let (i, t) = (j / d, j % d);
+                    match i % 3 {
+                        0 => scale(i, t) * 2f32.powi(30),
+                        1 => -scale(i, t) * 2f32.powi(30),
+                        _ => scale(i, t) * 2f32.powi(-10),
+                    }
+                })
+                .collect()
+        };
+        let mut reseeds = 0;
+        for d in (1..=9).chain([32]) {
+            for (n, k, mode) in [
+                (40usize, 1usize, 2u8),
+                (40, 8, 1),
+                (100, 16, 1),
+                (257, 5, 2),
+                (99, 1, 3),
+                (258, 12, 3),
+            ] {
+                let salt = 17 * d + n + k;
+                let fill = if mode == 3 {
+                    cancelling(n, d, salt)
+                } else {
+                    lane_fill(n * d, salt, mode)
+                };
+                let points = Matrix::from_vec(n, d, fill);
+                let seed = salt as u64;
+                let want = kmeans_reference(&points, k, 20, seed);
+                reseeds += usize::from(want.4);
+                for p in all_paths() {
+                    let got = kmeans_on(p, &points, k, 20, &mut seeded(seed));
+                    let bits: Vec<u32> = got
+                        .centroids
+                        .as_slice()
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect();
+                    assert_eq!(
+                        (
+                            &bits,
+                            &got.assignments,
+                            got.inertia.to_bits(),
+                            got.iterations
+                        ),
+                        (&want.0, &want.1, want.2, want.3),
+                        "d {d} n {n} k {k} mode {mode} diverged on {}",
+                        p.name()
+                    );
+                }
+            }
+        }
+        assert!(reseeds > 0, "no case reseeded an empty cluster");
+    }
+
+    #[test]
+    fn ground_truth_matches_one_point_dist_sq_and_top_k_on_every_tier() {
+        // The second half of the points repeats the first, and queries
+        // are drawn from the same small integers, so exact distance ties
+        // occur and only `top_k`'s index order breaks them.
+        for d in [1usize, 3, 4, 8, 9, 32] {
+            for half in [1usize, 5, 32, 51] {
+                let first = lane_fill(half * d, 3 * d + half, 1);
+                let points = Matrix::from_vec(2 * half, d, [first.clone(), first].concat());
+                let ds = Dataset {
+                    points,
+                    labels: vec![0; 2 * half],
+                    means: Matrix::zeros(1, d),
+                };
+                let queries = Matrix::from_vec(9, d, lane_fill(9 * d, d + 7 * half, 1));
+                for k in [1usize, 10, 200] {
+                    let want: Vec<Vec<usize>> = (0..queries.rows())
+                        .map(|qi| {
+                            let q = queries.row(qi);
+                            top_k((0..ds.len()).map(|i| (dist_sq(q, ds.points.row(i)), i)), k)
+                                .into_iter()
+                                .map(|(_, i)| i)
+                                .collect()
+                        })
+                        .collect();
+                    for p in all_paths() {
+                        assert_eq!(
+                            ds.ground_truth_on(p, &queries, k),
+                            want,
+                            "d {d} n {} k {k} diverged on {}",
+                            2 * half,
                             p.name()
                         );
                     }
